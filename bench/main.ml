@@ -2,8 +2,9 @@
 
    Part 0 — kernel micro-benchmarks with a machine-readable trajectory:
    the packed-int/CSR analysis kernels (Trg.build, Affinity.affine_pairs,
-   Trg_reduce.reduce) are timed against the seed tuple-Hashtbl baselines
-   (Kernel_baseline) on the same trace, the TRG memory footprints are
+   Trg_reduce.reduce) are timed against the seed baselines
+   (Kernel_baseline) on the same trace, the reduction's output is gated
+   equal to the seed's in every mode, the TRG memory footprints are
    compared, and the results are written to BENCH_kernels.json. Part 1 —
    Bechamel micro-benchmarks: one group per paper artifact, timing the
    analysis/simulation kernel that regenerates it, plus the §II-F data
@@ -98,6 +99,25 @@ let json_escape s =
   String.concat "" (List.map (fun c -> if c = '"' || c = '\\' then "\\" ^ String.make 1 c else String.make 1 c)
        (List.init (String.length s) (String.get s)))
 
+(* The CPU model the kernels ran on, from the Linux cpuinfo table when
+   there is one. *)
+let host_cpu () =
+  match open_in "/proc/cpuinfo" with
+  | exception Sys_error _ -> "unknown"
+  | ic ->
+    let rec scan () =
+      match input_line ic with
+      | exception End_of_file -> "unknown"
+      | line -> (
+        match String.index_opt line ':' with
+        | Some i when String.trim (String.sub line 0 i) = "model name" ->
+          String.trim (String.sub line (i + 1) (String.length line - i - 1))
+        | _ -> scan ())
+    in
+    let model = scan () in
+    close_in ic;
+    model
+
 let write_kernels_json ~path ~mode ~t0 ~num_symbols ~trace_len ~w ~slots ~kernels ~speedups
     ~packed_words ~legacy_words =
   let oc = open_out path in
@@ -106,6 +126,8 @@ let write_kernels_json ~path ~mode ~t0 ~num_symbols ~trace_len ~w ~slots ~kernel
   out "  \"schema\": \"colayout/bench-kernels/v1\",\n";
   out "  \"runtime\": %s,\n" (U.Json.to_string (snd (runtime_field t0)));
   out "  \"mode\": \"%s\",\n" (json_escape mode);
+  out "  \"host\": { \"cpu\": \"%s\", \"cores_available\": %d, \"ocaml\": \"%s\" },\n"
+    (json_escape (host_cpu ())) (cores_available ()) (json_escape Sys.ocaml_version);
   out "  \"params\": { \"num_symbols\": %d, \"trace_len\": %d, \"w\": %d, \"window\": %d, \"slots\": %d },\n"
     num_symbols trace_len w w slots;
   out "  \"kernels\": [\n";
@@ -156,19 +178,52 @@ let run_kernels ~quick ~json_path =
         ignore (Kernel_baseline.affine_pairs trace ~w))
   in
   let trg = Trg.build ~window:w trace in
-  let reduce = bench "trg-reduce/csr-heap" (fun () -> ignore (Trg_reduce.reduce trg ~slots)) in
-  let kernels = [ trg_packed; trg_legacy; aff_packed; aff_legacy; reduce ] in
+  let reduce = bench "trg-reduce/flat" (fun () -> ignore (Trg_reduce.reduce trg ~slots)) in
+  let reduce_legacy =
+    bench "trg-reduce/seed-baseline" (fun () -> ignore (Kernel_baseline.trg_reduce trg ~slots))
+  in
+  (* The optimizer's affinity windows: one kernel pass cut at each window,
+     against one [affine_pairs] pass per window. *)
+  let ws = Optimizer.default_config.Optimizer.ws in
+  let wmax = List.fold_left max 1 ws in
+  let windows_one_pass =
+    bench "affinity-windows/one-pass" (fun () ->
+        let th = Affinity.thresholds trace ~wmax in
+        List.iter (fun w -> ignore (Affinity.cut th ~w)) ws)
+  in
+  let windows_per_window =
+    bench "affinity-windows/per-window" (fun () ->
+        List.iter (fun w -> ignore (Affinity.affine_pairs trace ~w)) ws)
+  in
+  let kernels =
+    [
+      trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
+      windows_per_window;
+    ]
+  in
   let speedups =
     [
       ("trg-build", snd trg_legacy /. snd trg_packed);
       ("affine-pairs", snd aff_legacy /. snd aff_packed);
+      ("trg-reduce", snd reduce_legacy /. snd reduce);
+      ("affinity-windows", snd windows_per_window /. snd windows_one_pass);
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
+  (* The timed reductions must agree: same slot lists, same output order. *)
+  let flat = Trg_reduce.reduce trg ~slots and seed = Kernel_baseline.trg_reduce trg ~slots in
+  if flat.Trg_reduce.order <> seed.Trg_reduce.order
+     || flat.Trg_reduce.slot_lists <> seed.Trg_reduce.slot_lists
+  then begin
+    Printf.eprintf "FATAL: flat TRG reduction diverges from the seed reduction\n%!";
+    exit 1
+  end;
   (* Memory-footprint ablation: the CSR stores each undirected edge once;
-     the seed adjacency stores it twice, in boxed hash-table cells. *)
+     the seed adjacency stores it twice, in boxed hash-table cells. Both
+     graphs are measured as built: the weight-sorted index a reduction
+     caches on [trg] (one int per edge) is not part of the comparison. *)
   let legacy = Kernel_baseline.trg_build ~window:w trace in
-  let packed_words = Obj.reachable_words (Obj.repr trg) in
+  let packed_words = Obj.reachable_words (Obj.repr (Trg.build ~window:w trace)) in
   let legacy_words = Obj.reachable_words (Obj.repr legacy) in
   Printf.printf "  TRG resident memory: packed CSR %d words, tuple-hashtbl %d words (%.1f%%)\n%!"
     packed_words legacy_words

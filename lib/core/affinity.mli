@@ -8,10 +8,13 @@
       (Definition 3).
 
     Two implementations:
-    - {!affine_pairs} — the efficient single-pass stack algorithm the paper
-      contributes: one LRU-stack simulation per [w]; at each access the
-      blocks within the top of the stack witness co-occurrence, and a pair is
-      affine iff every occurrence of both sides was witnessed. O(N·w) time.
+    - {!thresholds} — the efficient single-pass stack algorithm the paper
+      contributes, run once for every window up to [wmax]: one LRU-stack
+      simulation; at each access the blocks within the top [wmax] of the
+      stack witness co-occurrence at their footprint, and each pair keeps
+      the smallest window at which every occurrence of both sides is
+      witnessed. O(N·wmax) time. {!cut} reads off the pairs affine at any
+      [w <= wmax]; {!affine_pairs} is the cut at [wmax = w].
     - {!affine_pairs_naive} — direct evaluation of Definition 3 by scanning,
       used as the test oracle.
 
@@ -25,8 +28,22 @@ val is_affine : pair_set -> int -> int -> bool
 val pair_list : pair_set -> (int * int) list
 (** Affine pairs with [x < y], sorted. *)
 
+type thresholds
+(** For every pair affine at some window up to the kernel's [wmax], the
+    smallest such window. *)
+
+val thresholds : Colayout_trace.Trace.t -> wmax:int -> thresholds
+(** The one-pass kernel. @raise Invalid_argument if [wmax < 1] or the
+    trace is not trimmed. *)
+
+val cut : thresholds -> w:int -> pair_set
+(** The pairs affine at window [w]: exactly [affine_pairs trace ~w]. O(1);
+    the set shares the table. @raise Invalid_argument unless
+    [1 <= w <= wmax]. *)
+
 val affine_pairs : Colayout_trace.Trace.t -> w:int -> pair_set
-(** @raise Invalid_argument if [w < 1] or the trace is not trimmed. *)
+(** [cut (thresholds trace ~wmax:w) ~w].
+    @raise Invalid_argument if [w < 1] or the trace is not trimmed. *)
 
 val affine_pairs_naive : Colayout_trace.Trace.t -> w:int -> pair_set
 (** Quadratic-and-worse oracle; small traces only. *)

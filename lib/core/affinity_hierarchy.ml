@@ -1,3 +1,4 @@
+open Colayout_util
 open Colayout_trace
 
 type node =
@@ -34,46 +35,53 @@ type work = {
   first_pos : int;
 }
 
+(* A cluster under construction: its first group, the groups that joined,
+   newest first, and their count. *)
+type cluster = {
+  head : work;
+  mutable joined : work list;
+  mutable count : int;
+}
+
 let merge_level ?decisions ?(stage = "affinity") ~w ~affine groups =
   (* Greedy agglomeration: in first-occurrence order, each group joins the
      first accumulated cluster with which every cross pair is affine. *)
-  let clusters : (work list ref) list ref = ref [] in
+  let clusters = Vec.create () in
   List.iter
     (fun g ->
-      let compatible cluster =
+      let compatible c =
         List.for_all
           (fun (g' : work) ->
             List.for_all (fun a -> List.for_all (fun b -> affine a b) g'.mems) g.mems)
-          !cluster
+          (c.head :: c.joined)
       in
-      let rec place k = function
-        | [] -> clusters := !clusters @ [ ref [ g ] ]
-        | c :: rest ->
+      let rec place k =
+        if k = Vec.length clusters then Vec.push clusters { head = g; joined = []; count = 1 }
+        else begin
+          let c = Vec.get clusters k in
           if compatible c then begin
-            (match !c with
-            | first :: _ ->
-              Decision_trace.emit decisions ~stage ~action:"join"
-                ~x:(List.hd g.mems) ~y:(List.hd first.mems) ~weight:w ~group:k
-                ~size:(List.length !c + 1) ()
-            | [] -> ());
-            c := !c @ [ g ]
+            Decision_trace.emit decisions ~stage ~action:"join" ~x:(List.hd g.mems)
+              ~y:(List.hd c.head.mems) ~weight:w ~group:k ~size:(c.count + 1) ();
+            c.joined <- g :: c.joined;
+            c.count <- c.count + 1
           end
-          else place (k + 1) rest
+          else place (k + 1)
+        end
       in
-      place 0 !clusters)
+      place 0)
     groups;
   List.map
     (fun c ->
-      match !c with
-      | [] -> assert false
-      | [ g ] -> g
-      | gs ->
+      match c.joined with
+      | [] -> c.head
+      | joined ->
+        let gs = c.head :: List.rev joined in
         {
           node = Group { w; children = List.map (fun g -> g.node) gs };
           mems = List.concat_map (fun g -> g.mems) gs;
           first_pos = List.fold_left (fun acc g -> min acc g.first_pos) max_int gs;
         })
-    !clusters
+    (Vec.to_list clusters)
 
 let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   check_ws ws;
@@ -88,12 +96,16 @@ let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   let groups =
     ref (List.map (fun b -> { node = Leaf b; mems = [ b ]; first_pos = first.(b) }) present)
   in
+  (* The efficient kernel runs once, at the largest window, and every
+     level reads its cut; nothing runs when no level has two groups. *)
+  let wmax = List.fold_left max 1 ws in
+  let thresholds = lazy (Affinity.thresholds trace ~wmax) in
   List.iter
     (fun w ->
       if List.length !groups > 1 then begin
         let ps =
           match algo with
-          | Efficient -> Affinity.affine_pairs trace ~w
+          | Efficient -> Affinity.cut (Lazy.force thresholds) ~w
           | Exact -> Affinity.affine_pairs_naive trace ~w
         in
         groups := merge_level ?decisions ~w ~affine:(Affinity.is_affine ps) !groups;

@@ -23,9 +23,10 @@ type t = {
 
 type algo =
   | Efficient
-      (** The paper's O(N·w)-per-window stack algorithm; sound (never reports
-          a non-affine pair) but may miss affinities when a block re-occurs
-          inside the window. Production path. *)
+      (** The paper's stack algorithm, run once at the largest window
+          ({!Affinity.thresholds}, O(N·max ws)) and cut at each level; sound
+          (never reports a non-affine pair) but may miss affinities when a
+          block re-occurs inside the window. Production path. *)
   | Exact  (** Definition-3 oracle; small traces only. *)
 
 val default_ws : int list

@@ -1,3 +1,4 @@
+open Colayout_util
 open Colayout_trace
 
 (* ------------------------------------------------------------ TRG (seed) *)
@@ -68,6 +69,196 @@ let trg_edges t =
     (fun (x1, y1, w1) (x2, y2, w2) ->
       if w1 <> w2 then compare w2 w1 else compare (x1, y1) (x2, y2))
     !acc
+
+(* ------------------------------------------------- TRG reduction (seed) *)
+
+(* The seed polymorphic binary max-heap, used with lazy deletion by the seed
+   reduction below and nowhere else. *)
+module Heap = struct
+  type 'a t = {
+    cmp : 'a -> 'a -> int;
+    data : 'a Vec.t;
+  }
+
+  let create ~cmp () = { cmp; data = Vec.create () }
+
+  let length t = Vec.length t.data
+
+  let is_empty t = Vec.length t.data = 0
+
+  let swap t i j =
+    let tmp = Vec.get t.data i in
+    Vec.set t.data i (Vec.get t.data j);
+    Vec.set t.data j tmp
+
+  let rec sift_up t i =
+    if i > 0 then begin
+      let parent = (i - 1) / 2 in
+      if t.cmp (Vec.get t.data i) (Vec.get t.data parent) > 0 then begin
+        swap t i parent;
+        sift_up t parent
+      end
+    end
+
+  let rec sift_down t i =
+    let n = Vec.length t.data in
+    let l = (2 * i) + 1 and r = (2 * i) + 2 in
+    let largest = ref i in
+    if l < n && t.cmp (Vec.get t.data l) (Vec.get t.data !largest) > 0 then largest := l;
+    if r < n && t.cmp (Vec.get t.data r) (Vec.get t.data !largest) > 0 then largest := r;
+    if !largest <> i then begin
+      swap t i !largest;
+      sift_down t !largest
+    end
+
+  let push t x =
+    Vec.push t.data x;
+    sift_up t (Vec.length t.data - 1)
+
+  let peek t = if is_empty t then None else Some (Vec.get t.data 0)
+
+  let pop t =
+    if is_empty t then None
+    else begin
+      let top = Vec.get t.data 0 in
+      let n = Vec.length t.data in
+      Vec.set t.data 0 (Vec.get t.data (n - 1));
+      ignore (Vec.pop t.data);
+      if not (is_empty t) then sift_down t 0;
+      Some top
+    end
+
+  let of_list ~cmp l =
+    let t = create ~cmp () in
+    List.iter (push t) l;
+    t
+
+  let to_sorted_list t =
+    let rec loop acc = match pop t with None -> List.rev acc | Some x -> loop (x :: acc) in
+    loop []
+end
+
+(* Heap entries are (weight, x, y) with x < y; heavier first, then smaller
+   ids, so the reduction is deterministic. Stale entries (weight no longer
+   current, or an endpoint gone) are discarded lazily on pop. *)
+let edge_cmp (w1, x1, y1) (w2, x2, y2) =
+  if w1 <> w2 then compare w1 w2 else compare (x2, y2) (x1, y1)
+
+let trg_reduce ?decisions trg ~slots : Trg_reduce.result =
+  if slots < 1 then invalid_arg "Kernel_baseline.trg_reduce: slots must be >= 1";
+  let n = Trg.num_nodes trg in
+  (* Mutable working copy of the adjacency. *)
+  let adj = Array.init n (fun _ -> Hashtbl.create 8) in
+  let set_w x y w =
+    Hashtbl.replace adj.(x) y w;
+    Hashtbl.replace adj.(y) x w
+  in
+  let del_edge x y =
+    Hashtbl.remove adj.(x) y;
+    Hashtbl.remove adj.(y) x
+  in
+  let cur_w x y = Option.value ~default:0 (Hashtbl.find_opt adj.(x) y) in
+  let heap = Heap.create ~cmp:edge_cmp () in
+  (* Seed the working adjacency and the heap straight from the finalized CSR
+     arrays; the heap's total order on (w, x, y) makes the pop sequence
+     independent of insertion order, so no pre-sorted edge list is needed. *)
+  Trg.finalize trg;
+  Trg.iter_edges
+    (fun x y w ->
+      set_w x y w;
+      Heap.push heap (w, x, y))
+    trg;
+  let slot_of = Array.make n (-1) in
+  let rep_of_slot = Array.make slots (-1) in
+  let slot_vecs = Array.init slots (fun _ -> Vec.create ()) in
+  let is_rep v = slot_of.(v) >= 0 && rep_of_slot.(slot_of.(v)) = v in
+  let placed v = slot_of.(v) >= 0 in
+  (* Steps 19-21: a (possibly merged) node in one slot keeps no edges to the
+     nodes of other slots. *)
+  let drop_cross_slot_edges v =
+    let to_remove =
+      Hashtbl.fold
+        (fun nb _ acc -> if is_rep nb && slot_of.(nb) <> slot_of.(v) then nb :: acc else acc)
+        adj.(v) []
+    in
+    List.iter (fun nb -> del_edge v nb) to_remove
+  in
+  let choose_slot v =
+    (* Empty slot in index order wins outright; otherwise the strict minimum
+       conflict weight against each slot's merged node, first slot on ties. *)
+    let rec scan k best best_w =
+      if k >= slots then best
+      else if rep_of_slot.(k) < 0 then k
+      else begin
+        let w = cur_w v rep_of_slot.(k) in
+        if w < best_w then scan (k + 1) k w else scan (k + 1) best best_w
+      end
+    in
+    scan 0 (-1) max_int
+  in
+  let place ~w v =
+    let k = choose_slot v in
+    Vec.push slot_vecs.(k) v;
+    slot_of.(v) <- k;
+    if rep_of_slot.(k) < 0 then begin
+      rep_of_slot.(k) <- v;
+      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"place" ~x:v ~weight:w ~group:k
+        ~size:(Vec.length slot_vecs.(k)) ();
+      drop_cross_slot_edges v
+    end
+    else begin
+      (* Merge v into the slot's node r: combine edge weights, then drop
+         cross-slot edges of the merged node. *)
+      let r = rep_of_slot.(k) in
+      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"merge" ~x:v ~y:r ~weight:w
+        ~group:k ~size:(Vec.length slot_vecs.(k)) ();
+      let neighbours = Hashtbl.fold (fun nb w acc -> (nb, w) :: acc) adj.(v) [] in
+      List.iter
+        (fun (nb, w) ->
+          del_edge v nb;
+          if nb <> r then begin
+            let w' = cur_w r nb + w in
+            set_w r nb w';
+            if not (placed nb) || is_rep nb then
+              Heap.push heap (w', min r nb, max r nb)
+          end)
+        neighbours;
+      drop_cross_slot_edges r
+    end
+  in
+  let rec drain () =
+    match Heap.pop heap with
+    | None -> ()
+    | Some (w, x, y) ->
+      let stale =
+        cur_w x y <> w
+        || (placed x && not (is_rep x))
+        || (placed y && not (is_rep y))
+        || (is_rep x && is_rep y)
+      in
+      if not stale then begin
+        if not (placed x) then place ~w x;
+        if not (placed y) then place ~w y
+      end;
+      drain ()
+  in
+  drain ();
+  let slot_lists = Array.map Vec.to_list slot_vecs in
+  (* Round-robin output: one head per non-empty list per round. *)
+  let order = ref [] in
+  let idx = Array.make slots 0 in
+  let remaining = ref (Array.fold_left (fun acc v -> acc + List.length v) 0 slot_lists) in
+  while !remaining > 0 do
+    for k = 0 to slots - 1 do
+      let l = slot_lists.(k) in
+      if idx.(k) < List.length l then begin
+        order := List.nth l idx.(k) :: !order;
+        idx.(k) <- idx.(k) + 1;
+        decr remaining
+      end
+    done
+  done;
+  { Trg_reduce.order = List.rev !order; slot_lists }
 
 (* ------------------------------------------------------- Affinity (seed) *)
 

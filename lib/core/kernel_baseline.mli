@@ -4,10 +4,11 @@
     packed-int tables ([Int_pair_tbl]) with CSR finalization. These are the
     original implementations — per-node [(int, int) Hashtbl.t] adjacency
     with symmetric double storage, and [(int * int)]-keyed witness records —
-    retained for two jobs:
+    retained for two jobs. The seed TRG reduction ({!trg_reduce}, with its
+    polymorphic {!Heap}) joined them when the reduction went flat.
 
     - differential-test oracles: the packed kernels must produce identical
-      edge sets / pair sets on any trimmed trace;
+      edge sets / pair sets / reductions on any input;
     - honest benchmark baselines: [bench/main.exe] times both paths in the
       same run and reports the speedup in [BENCH_kernels.json]. *)
 
@@ -30,6 +31,40 @@ val affine_pairs : Colayout_trace.Trace.t -> w:int -> (int * int) list
 (** The seed [Affinity.affine_pairs] with tuple-keyed witness records,
     returning the sorted [(x, y)], [x < y] pair list — directly comparable
     to [Affinity.pair_list (Affinity.affine_pairs ...)]. *)
+
+(** {2 Seed TRG reduction (oracle for {!Trg_reduce.reduce})} *)
+
+module Heap : sig
+  type 'a t
+
+  val create : cmp:('a -> 'a -> int) -> unit -> 'a t
+  (** [cmp] as for [compare]; the maximum element (per [cmp]) is popped
+      first. *)
+
+  val length : 'a t -> int
+
+  val is_empty : 'a t -> bool
+
+  val push : 'a t -> 'a -> unit
+
+  val peek : 'a t -> 'a option
+
+  val pop : 'a t -> 'a option
+
+  val of_list : cmp:('a -> 'a -> int) -> 'a list -> 'a t
+
+  val to_sorted_list : 'a t -> 'a list
+  (** Destructive: pops everything, max first. *)
+end
+(** The seed array-backed binary max-heap with a caller-supplied ordering,
+    used with lazy deletion by {!trg_reduce}: stale entries are popped and
+    discarded by the caller. *)
+
+val trg_reduce : ?decisions:Decision_trace.t -> Trg.t -> slots:int -> Trg_reduce.result
+(** The seed [Trg_reduce.reduce], verbatim: boxed [(w, x, y)] entries in a
+    polymorphic {!Heap} seeded with every edge, one [Hashtbl] adjacency
+    per node, a full heap drain, and a [List.nth] round-robin. The flat
+    reduction must match its [order], [slot_lists] and decision events. *)
 
 (** {2 Seed layout evaluator (PR 5 oracle)} *)
 

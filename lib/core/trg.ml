@@ -113,18 +113,50 @@ let iter_edges f t =
     f c.src.(j) c.nbr.(j) c.wt.(j)
   done
 
+(* Bits needed to hold any index below [e]. *)
+let index_bits e =
+  let rec go b = if 1 lsl b >= e then b else go (b + 1) in
+  go 0
+
 let sorted_edge_index c =
   match c.by_weight with
   | Some idx -> idx
   | None ->
-    let idx = Array.init (Array.length c.nbr) Fun.id in
+    let e = Array.length c.nbr in
     (* Heaviest first, then the canonical (src, nbr) order — which is the
-       ascending CSR index, so ties compare by index. *)
-    Array.sort
-      (fun a b -> if c.wt.(a) <> c.wt.(b) then compare c.wt.(b) c.wt.(a) else compare a b)
-      idx;
+       ascending CSR index, so ties compare by index. Packing [(wmax - w)]
+       above the index turns that order into one ascending int sort, with
+       no closure reading the weight array per comparison. *)
+    let wmax = Array.fold_left max 0 c.wt and wmin = Array.fold_left min max_int c.wt in
+    let bits = index_bits e in
+    let idx =
+      if wmax - wmin <= max_int lsr bits then begin
+        let keys = Array.init e (fun j -> ((wmax - c.wt.(j)) lsl bits) lor j) in
+        Array.stable_sort (fun (a : int) b -> compare a b) keys;
+        let mask = (1 lsl bits) - 1 in
+        Array.map (fun k -> k land mask) keys
+      end
+      else begin
+        let idx = Array.init e Fun.id in
+        Array.sort
+          (fun a b -> if c.wt.(a) <> c.wt.(b) then compare c.wt.(b) c.wt.(a) else compare a b)
+          idx;
+        idx
+      end
+    in
     c.by_weight <- Some idx;
     idx
+
+type weight_sorted = {
+  src : int array;
+  nbr : int array;
+  wt : int array;
+  order : int array;
+}
+
+let weight_sorted t =
+  let c = csr_of t in
+  { src = c.src; nbr = c.nbr; wt = c.wt; order = sorted_edge_index c }
 
 let iter_edges_by_weight f t =
   let c = csr_of t in

@@ -12,7 +12,13 @@
     apart — exactly the placement the conflict weights argue against.
 
     The paper's worked example (Figure 2, 3 slots) is reproduced: reduction
-    order A-B, E-F, then C, giving the sequence [A B E F C]. *)
+    order A-B, E-F, then C, giving the sequence [A B E F C].
+
+    The implementation is flat: current weights in one packed-pair table,
+    candidates merged from the graph's weight-sorted edge index and an int
+    heap of the edges merges create, and a drain that stops once every
+    node with an edge is placed. It makes the same decisions as the seed
+    reduction kept in [Kernel_baseline.trg_reduce]. *)
 
 type result = {
   order : int list;

@@ -45,6 +45,17 @@ let test_edges_sorted () =
     (Trg.edges g);
   check Alcotest.int "degree" 2 (Trg.degree g 0)
 
+let test_edges_sorted_wide_weights () =
+  (* A weight range too wide to pack beside the edge index takes the
+     comparator sort; the order must not change. *)
+  let big = 1 lsl 61 in
+  let g = Trg.of_edges ~num_nodes:4 [ (0, 1, 1); (1, 2, big); (0, 2, 1); (2, 3, big) ] in
+  check
+    (Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int))
+    "sorted by weight desc then ids"
+    [ (1, 2, big); (2, 3, big); (0, 1, 1); (0, 2, 1) ]
+    (Trg.edges g)
+
 let test_of_edges_validation () =
   Alcotest.check_raises "self loop" (Invalid_argument "Trg.of_edges: self loop") (fun () ->
       ignore (Trg.of_edges ~num_nodes:2 [ (0, 0, 1) ]));
@@ -142,6 +153,7 @@ let () =
           Alcotest.test_case "window" `Quick test_build_window_limits;
           Alcotest.test_case "trimmed required" `Quick test_build_requires_trimmed;
           Alcotest.test_case "edges sorted" `Quick test_edges_sorted;
+          Alcotest.test_case "edges sorted, wide weights" `Quick test_edges_sorted_wide_weights;
           Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
           Alcotest.test_case "recommended window" `Quick test_recommended_window;
         ] );

@@ -217,6 +217,9 @@ let ostree_random_prop =
 
 (* ----------------------------------------------------------------- Heap *)
 
+(* The polymorphic heap survives only inside the seed reduction oracle. *)
+module Heap = Colayout.Kernel_baseline.Heap
+
 let heap_sort_prop =
   QCheck.Test.make ~name:"heap pops in descending order" ~count:200
     QCheck.(list int)
