@@ -21,6 +21,7 @@
 
 open Bechamel
 open Colayout
+open Colayout_oracle
 module W = Colayout_workloads
 module E = Colayout_exec
 module C = Colayout_cache

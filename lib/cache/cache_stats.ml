@@ -26,6 +26,11 @@ let record t ~thread ~hit =
   t.acc.(thread) <- t.acc.(thread) + 1;
   if not hit then t.miss.(thread) <- t.miss.(thread) + 1
 
+let record_span t ~thread ~accesses ~misses =
+  check t thread;
+  t.acc.(thread) <- t.acc.(thread) + accesses;
+  t.miss.(thread) <- t.miss.(thread) + misses
+
 let record_prefetch t = t.pf <- t.pf + 1
 
 let set_evictions t n = t.ev_synced <- n

@@ -7,6 +7,9 @@ val create : ?threads:int -> unit -> t
 
 val record : t -> thread:int -> hit:bool -> unit
 
+val record_span : t -> thread:int -> accesses:int -> misses:int -> unit
+(** [accesses] demand accesses at once, [misses] of them misses. *)
+
 val record_prefetch : t -> unit
 
 val set_evictions : t -> int -> unit

@@ -8,30 +8,36 @@ type layout = {
 let lines_of_block ~params ~layout bid =
   Params.lines_spanned params ~addr:layout.addr.(bid) ~bytes:layout.bytes.(bid)
 
-let access ?prefetch ?sink cache stats ~thread ~block line =
-  let hit =
-    match sink with
-    | None -> Set_assoc.access_line cache line
-    | Some s -> Set_assoc.access_line_profiled cache s ~thread ~block line
-  in
+let access prefetch cache stats ~thread ~block line =
+  let hit = Set_assoc.access_line cache ~thread ~block line in
   Cache_stats.record stats ~thread ~hit;
-  if not hit then Option.iter (fun p -> Prefetch.on_miss p cache stats line) prefetch
+  match prefetch with
+  | Some p when not hit -> Prefetch.on_miss p cache stats line
+  | _ -> ()
 
+(* Without a prefetcher nothing happens between a block's lines, so the
+   whole span goes to the cache in one call; with one, each miss's fills
+   must land before the next line is fetched. *)
 let solo ?prefetch ?sink ~params ~layout trace =
-  let cache = Set_assoc.create params in
+  let cache = Set_assoc.create ?sink params in
   let stats = Cache_stats.create ~threads:1 () in
   Int_vec.iter
     (fun bid ->
       let first, last = lines_of_block ~params ~layout bid in
-      for line = first to last do
-        access ?prefetch ?sink cache stats ~thread:0 ~block:bid line
-      done)
+      match prefetch with
+      | None ->
+        let misses = Set_assoc.access_span cache ~thread:0 ~block:bid ~first ~last in
+        Cache_stats.record_span stats ~thread:0 ~accesses:(last - first + 1) ~misses
+      | Some _ ->
+        for line = first to last do
+          access prefetch cache stats ~thread:0 ~block:bid line
+        done)
     trace;
   Cache_stats.set_evictions stats (Set_assoc.evictions cache);
   stats
 
 (* One SMT hardware thread's walk over its block trace, exposed one cache
-   line at a time. *)
+   line at a time; [cursor_next] returns -1 only for an empty trace. *)
 type cursor = {
   trace : Int_vec.t;
   layout : layout;
@@ -61,7 +67,7 @@ let rec cursor_next ~params c =
   if c.in_block && c.cur_line <= c.last_line then begin
     let l = c.cur_line in
     c.cur_line <- l + 1;
-    Some (l + c.line_offset)
+    l + c.line_offset
   end
   else if c.pos < Int_vec.length c.trace then begin
     let bid = Int_vec.get c.trace c.pos in
@@ -76,7 +82,7 @@ let rec cursor_next ~params c =
   else begin
     (* Completed a pass; restart so the peer keeps creating contention. *)
     c.passes <- c.passes + 1;
-    if Int_vec.length c.trace = 0 then None
+    if Int_vec.length c.trace = 0 then -1
     else begin
       c.pos <- 0;
       c.in_block <- false;
@@ -88,7 +94,7 @@ let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
   let r0, r1 = rates in
   if r0 <= 0.0 || r1 <= 0.0 then invalid_arg "Icache.shared: rates must be positive";
   let l0, l1 = layouts in
-  let cache = Set_assoc.create params in
+  let cache = Set_assoc.create ?sink params in
   let stats = Cache_stats.create ~threads:2 () in
   (* Offset thread 1 into a distinct, set-alignment-preserving address
      region: distinct processes cannot share lines, but their set mapping is
@@ -98,9 +104,8 @@ let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
   let c1 = cursor_make t1 l1 ~line_offset:offset_lines in
   let finished c = c.passes >= 1 in
   let step cursor ~thread =
-    Option.iter
-      (fun line -> access ?prefetch ?sink cache stats ~thread ~block:cursor.cur_block line)
-      (cursor_next ~params cursor)
+    let line = cursor_next ~params cursor in
+    if line >= 0 then access prefetch cache stats ~thread ~block:cursor.cur_block line
   in
   (* Both threads keep fetching (restarting at end of trace) until each has
      completed at least one full pass, so neither runs contention-free.

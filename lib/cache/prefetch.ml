@@ -8,10 +8,7 @@ let degree t = t.degree
 
 let on_miss t cache stats line =
   for l = line + 1 to line + t.degree do
-    if not (Set_assoc.probe_line cache l) then begin
-      Set_assoc.fill_line cache l;
-      Cache_stats.record_prefetch stats
-    end
+    if Set_assoc.prefetch_line cache l then Cache_stats.record_prefetch stats
   done
 
 let none = None

@@ -13,8 +13,9 @@ val create : ?degree:int -> unit -> t
 val degree : t -> int
 
 val on_miss : t -> Set_assoc.t -> Cache_stats.t -> int -> unit
-(** [on_miss t cache stats line] fills [line+1 .. line+degree] (recorded as
-    prefetches, not accesses). *)
+(** [on_miss t cache stats line] fills each of [line+1 .. line+degree] not
+    already resident ({!Set_assoc.prefetch_line}), recording each fill as a
+    prefetch, not an access. *)
 
 val none : t option
 (** Convenience for the pure-simulation configuration. *)

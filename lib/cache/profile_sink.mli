@@ -25,9 +25,11 @@
       misses a peer caused) and {!politeness} (how few misses I inflicted
       on peers).
 
-    Profiling is pay-as-you-go: the simulators take a sink as an option and
-    their unprofiled hot paths are untouched; attaching a sink roughly
-    doubles simulation cost (every access also updates the shadow LRU).
+    Profiling is pay-as-you-go: the sink is supplied to the LRU core at
+    construction ({!Set_assoc.create}), which reports every demand access
+    to it; without one the core only tests the option. Attaching a sink
+    roughly doubles simulation cost (every access also updates the shadow
+    LRU).
     Classification assumes demand accesses only — prefetch fills bypass the
     sink, so profile with prefetching disabled (the simulated mode).
 
@@ -52,7 +54,7 @@ val params : t -> Params.t
 val num_threads : t -> int
 
 val record : t -> thread:int -> block:int -> line:int -> hit:bool -> victim:int -> unit
-(** Called by the simulators for every demand access; [victim] is the line
+(** Called by the LRU core for every demand access; [victim] is the line
     a miss evicted to make room, or [-1] when nothing was replaced (hits,
     and misses filling an invalid way). [block] must be non-negative;
     unattributed accesses (e.g. {!Hierarchy} lines with no block context)

@@ -16,18 +16,19 @@
     - layout construction, line expansion and LRU cache simulation are
       fused into one streaming pass over preallocated scratch buffers — no
       intermediate {!Colayout_trace.Trace.t}, no per-candidate {!Layout.t};
-    - cache state is reset between candidates by bumping an {e epoch
-      stamp} checked on every set lookup, instead of reallocating (or even
-      clearing) the way arrays.
+    - the cache is the library's one LRU core
+      ({!Colayout_cache.Set_assoc}), created once and emptied between
+      candidates instead of reallocated; each block's line span reaches it
+      in one call.
 
     Results are bit-equal to the seed evaluator
-    ({!Kernel_baseline.miss_ratio_of_function_order}, i.e.
-    [Layout.of_function_order] + [Icache.solo] + [Cache_stats.miss_ratio]):
-    the engine performs the same line-access sequence against the same LRU
-    replacement decisions and divides the same integer counters, so the
-    returned [float] is identical, not merely close. [test_layout_eval.ml]
-    proves this differentially over random programs, orders and cache
-    geometries. *)
+    ([Kernel_baseline.miss_ratio_of_function_order], a test oracle under
+    [test/oracle/]: [Layout.of_function_order] + the seed [Icache.solo]
+    over the seed LRU + [Cache_stats.miss_ratio]): the engine performs the
+    same line-access sequence against the same LRU replacement decisions
+    and divides the same integer counters, so the returned [float] is
+    identical, not merely close. [test_layout_eval.ml] proves this
+    differentially over random programs, orders and cache geometries. *)
 
 type t
 
@@ -55,9 +56,7 @@ val trace_length : t -> int
 val miss_ratio_of_order : t -> int array -> float
 (** Solo L1I miss ratio of the layout that places whole functions in the
     given order (blocks of each function stay in declaration order) — the
-    same number as
-    [Kernel_baseline.miss_ratio_of_function_order ~params program trace],
-    bit-for-bit. Allocation-free. The order array is read, never retained.
+    same number as the seed evaluator's, bit-for-bit. Allocation-free. The order array is read, never retained.
 
     @raise Invalid_argument if [order] is not a permutation of the
     function ids. *)
@@ -112,7 +111,7 @@ val clones_built : t -> int
     {b Exactness.} With power-of-two set indexing, the hit/miss outcome of
     each line access depends only on the subsequence of accesses mapping
     to the same set, simulated from a cold set (every candidate starts
-    from an epoch-fresh cache). Total misses are therefore a sum of
+    from an emptied cache). Total misses are therefore a sum of
     independent per-set counts, and a set's subsequence changes only when
     some block's coverage of it changed — which the session detects by
     diffing the recomputed geometry. Re-simulating exactly the dirty sets
@@ -199,9 +198,8 @@ module Delta : sig
 
       @raise Failure if any per-set count or the running totals diverge —
       the dirty-tracking invariant is broken and the session must not be
-      trusted. (The engine itself is proven bit-equal to the
-      {!Kernel_baseline} seed evaluator, so agreement here is agreement
-      with the oracle.)
+      trusted. (The engine itself is proven bit-equal to the seed
+      evaluator, so agreement here is agreement with the oracle.)
       @raise Invalid_argument if a move is pending. *)
 
   val stats : session -> stats

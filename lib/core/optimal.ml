@@ -8,9 +8,9 @@ type result = {
 }
 
 (* One-shot evaluation goes through a throwaway [Layout_eval] engine: same
-   bit-exact result as the seed path (which lives on as
-   [Kernel_baseline.miss_ratio_of_function_order]), and the searches below
-   share the amortized engine instead. *)
+   bit-exact result as the seed path (which lives on as a test oracle,
+   [test/oracle/kernel_baseline.ml]), and the searches below share the
+   amortized engine instead. *)
 let miss_ratio_of_function_order ~params program trace forder =
   Layout_eval.miss_ratio_of_order (Layout_eval.create ~params program trace) forder
 

@@ -9,7 +9,7 @@
     optimum — and how quickly [F!] explodes — is the wall.
 
     Candidates are scored through one {!Layout_eval} engine built up front
-    (bit-equal to the seed evaluator kept in {!Kernel_baseline}), so the
+    (bit-equal to the seed evaluator kept as a test oracle), so the
     permutation walk allocates nothing per layout. *)
 
 type result = {

@@ -18,7 +18,8 @@
     candidates merged from the graph's weight-sorted edge index and an int
     heap of the edges merges create, and a drain that stops once every
     node with an edge is placed. It makes the same decisions as the seed
-    reduction kept in [Kernel_baseline.trg_reduce]. *)
+    reduction kept as a test oracle ([Kernel_baseline.trg_reduce] in
+    [test/oracle/]). *)
 
 type result = {
   order : int list;

@@ -71,10 +71,8 @@ let make_thread ?(work_scale = 1.0) code trace ~tid ~line_offset ~restart =
 
 (* Fetch the next block of [th] through the shared cache: counts accesses
    and misses, charges the stall, and loads the block's work. Returns false
-   when the trace is exhausted and the thread does not restart. The
-   profiled dispatch mirrors Icache/Hierarchy: with a sink the access goes
-   through the attributing twin, without one the bare hot path runs. *)
-let advance_block cfg cache sink th ~cycle =
+   when the trace is exhausted and the thread does not restart. *)
+let advance_block cfg cache th ~cycle =
   if th.pos >= Int_vec.length th.trace then begin
     if th.restart then th.pos <- 0
     else begin
@@ -91,23 +89,17 @@ let advance_block cfg cache sink th ~cycle =
     for line = first to last do
       let l = line + th.line_offset in
       th.accesses <- th.accesses + 1;
-      let hit =
-        match sink with
-        | None -> Set_assoc.access_line cache l
-        | Some s -> Set_assoc.access_line_profiled cache s ~thread:th.tid ~block:bid l
-      in
-      if hit then ()
-      else begin
+      if not (Set_assoc.access_line cache ~thread:th.tid ~block:bid l) then begin
         th.misses <- th.misses + 1;
         th.stall <- th.stall + cfg.miss_penalty;
-        Option.iter
-          (fun p ->
-            (* Prefetch fills are not demand accesses; stats tracked by the
-               cache-level simulators, not needed here. *)
-            for n = l + 1 to l + Prefetch.degree p do
-              if not (Set_assoc.probe_line cache n) then Set_assoc.fill_line cache n
-            done)
-          cfg.prefetch
+        (* Prefetch fills are not demand accesses; stats tracked by the
+           cache-level simulators, not needed here. *)
+        match cfg.prefetch with
+        | Some p ->
+          for n = l + 1 to l + Prefetch.degree p do
+            ignore (Set_assoc.prefetch_line cache n)
+          done
+        | None -> ()
       end
     done;
     th.work <- th.work +. (float_of_int th.code.instr_counts.(bid) *. th.work_scale);
@@ -116,10 +108,10 @@ let advance_block cfg cache sink th ~cycle =
   end
 
 let run_threads cfg sink threads ~stop =
-  let cache = Set_assoc.create cfg.cache in
+  let cache = Set_assoc.create ?sink cfg.cache in
   let cycle = ref 0 in
   (* Prime each thread with its first block. *)
-  Array.iter (fun th -> if not th.done_ then ignore (advance_block cfg cache sink th ~cycle:0)) threads;
+  Array.iter (fun th -> if not th.done_ then ignore (advance_block cfg cache th ~cycle:0)) threads;
   let guard = ref 0 in
   while (not (stop threads)) && !guard < 4_000_000_000 do
     incr guard;
@@ -141,7 +133,7 @@ let run_threads cfg sink threads ~stop =
                keep fetching until work is pending or a miss stalls it. *)
             let continue = ref (th.work <= 0.0) in
             while !continue do
-              if not (advance_block cfg cache sink th ~cycle:!cycle) then continue := false
+              if not (advance_block cfg cache th ~cycle:!cycle) then continue := false
               else if th.stall > 0 || th.work > 0.0 then continue := false
             done
           end

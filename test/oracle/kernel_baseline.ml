@@ -1,3 +1,4 @@
+open Colayout
 open Colayout_util
 open Colayout_trace
 
@@ -330,23 +331,23 @@ let affine_pairs trace ~w =
 
 (* ------------------------------------------------------------------ *)
 (* The seed layout evaluator and annealer, kept verbatim as the
-   differential oracle / honest bench baseline for [Layout_eval] (PR 5),
-   exactly as [Trg.build]/[Affinity.affine_pairs] keep their seed twins
-   above. Per candidate this path allocates a full [Layout.t], a tuple per
-   trace event inside the line expansion, and a fresh simulator — the
-   costs the engine exists to amortize. *)
+   differential oracle / honest bench baseline for [Layout_eval], exactly
+   as [Trg.build]/[Affinity.affine_pairs] keep their seed twins above. Per
+   candidate this path allocates a full [Layout.t], a tuple per trace
+   event inside the line expansion, and a fresh simulator — the costs the
+   engine exists to amortize. Its simulator is the seed LRU ([Seed_lru]),
+   not the library's core, so engine == seed compares two independent
+   LRU implementations. *)
 
 let miss_ratio_of_function_order ~params program trace forder =
   let layout = Layout.of_function_order program forder in
   Colayout_cache.Cache_stats.miss_ratio
-    (Colayout_cache.Icache.solo ~params ~layout:(Layout.to_icache layout)
-       (Colayout_trace.Trace.events trace))
+    (Seed_lru.solo ~params ~layout:(Layout.to_icache layout) (Colayout_trace.Trace.events trace))
 
 let miss_ratio_of_block_order ?function_stubs ~params program trace order =
   let layout = Layout.of_block_order ?function_stubs program order in
   Colayout_cache.Cache_stats.miss_ratio
-    (Colayout_cache.Icache.solo ~params ~layout:(Layout.to_icache layout)
-       (Colayout_trace.Trace.events trace))
+    (Seed_lru.solo ~params ~layout:(Layout.to_icache layout) (Colayout_trace.Trace.events trace))
 
 let anneal_search ?(seed = 1) ?(steps = 300) ?initial ~params program trace =
   if steps <= 0 then invalid_arg "Anneal.search: steps must be positive";

@@ -1,6 +1,7 @@
-(** The seed tuple-[Hashtbl] analysis kernels, kept verbatim.
+(** The seed tuple-[Hashtbl] analysis kernels and the seed layout
+    evaluator, kept verbatim in this test-only library.
 
-    PR 1 rebuilt {!Trg.build} and {!Affinity.affine_pairs} on flat
+    The library rebuilt [Trg.build] and [Affinity.affine_pairs] on flat
     packed-int tables ([Int_pair_tbl]) with CSR finalization. These are the
     original implementations — per-node [(int, int) Hashtbl.t] adjacency
     with symmetric double storage, and [(int * int)]-keyed witness records —
@@ -11,6 +12,8 @@
       edge sets / pair sets / reductions on any input;
     - honest benchmark baselines: [bench/main.exe] times both paths in the
       same run and reports the speedup in [BENCH_kernels.json]. *)
+
+open Colayout
 
 type legacy_trg = {
   num_nodes : int;
@@ -66,7 +69,7 @@ val trg_reduce : ?decisions:Decision_trace.t -> Trg.t -> slots:int -> Trg_reduce
     per node, a full heap drain, and a [List.nth] round-robin. The flat
     reduction must match its [order], [slot_lists] and decision events. *)
 
-(** {2 Seed layout evaluator (PR 5 oracle)} *)
+(** {2 Seed layout evaluator (oracle for [Layout_eval])} *)
 
 val miss_ratio_of_function_order :
   params:Colayout_cache.Params.t ->
@@ -75,9 +78,10 @@ val miss_ratio_of_function_order :
   int array ->
   float
 (** The seed [Optimal.miss_ratio_of_function_order], verbatim:
-    [Layout.of_function_order] + [Icache.solo] + [Cache_stats.miss_ratio],
-    paying a fresh layout, a tuple per trace event and a fresh simulator
-    per call. {!Layout_eval.miss_ratio_of_order} must match it
+    [Layout.of_function_order] + the seed [Icache.solo] over the seed LRU
+    ({!Seed_lru.solo}) + [Cache_stats.miss_ratio], paying a fresh layout,
+    a tuple per trace event and a fresh simulator per call.
+    [Layout_eval.miss_ratio_of_order] must match it
     bit-for-bit; [bench/main.exe --layout-eval-only] times both. *)
 
 val miss_ratio_of_block_order :

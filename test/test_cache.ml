@@ -1,4 +1,5 @@
 open Colayout_cache
+open Colayout_oracle
 
 let check = Alcotest.check
 
@@ -58,10 +59,10 @@ let test_cache_stats_merged_evictions () =
 let classify_params = Params.make ~size_bytes:256 ~assoc:2 ~line_bytes:64
 
 let run_classified lines =
-  let c = Set_assoc.create classify_params in
   let sink = Profile_sink.create ~params:classify_params () in
+  let c = Set_assoc.create ~sink classify_params in
   List.iter
-    (fun line -> ignore (Set_assoc.access_line_profiled c sink ~thread:0 ~block:line line))
+    (fun line -> ignore (Set_assoc.access_line c ~thread:0 ~block:line line))
     lines;
   sink
 
@@ -127,12 +128,12 @@ let test_set_assoc_lru () =
   (* 1 set, 2 ways: a tiny cache with observable LRU. *)
   let p = Params.make ~size_bytes:128 ~assoc:2 ~line_bytes:64 in
   let c = Set_assoc.create p in
-  check Alcotest.bool "cold miss" false (Set_assoc.access_line c 1);
-  check Alcotest.bool "hit" true (Set_assoc.access_line c 1);
-  check Alcotest.bool "second line" false (Set_assoc.access_line c 2);
-  check Alcotest.bool "1 still resident" true (Set_assoc.access_line c 1);
+  check Alcotest.bool "cold miss" false (Set_assoc.access_line c ~thread:0 ~block:0 1);
+  check Alcotest.bool "hit" true (Set_assoc.access_line c ~thread:0 ~block:0 1);
+  check Alcotest.bool "second line" false (Set_assoc.access_line c ~thread:0 ~block:0 2);
+  check Alcotest.bool "1 still resident" true (Set_assoc.access_line c ~thread:0 ~block:0 1);
   (* Insert 3: evicts LRU = 2. *)
-  check Alcotest.bool "3 misses" false (Set_assoc.access_line c 3);
+  check Alcotest.bool "3 misses" false (Set_assoc.access_line c ~thread:0 ~block:0 3);
   check Alcotest.bool "2 evicted" false (Set_assoc.probe_line c 2);
   check Alcotest.bool "1 survived" true (Set_assoc.probe_line c 1);
   check Alcotest.int "occupancy" 2 (Set_assoc.occupancy c);
@@ -143,10 +144,10 @@ let test_set_mapping_isolation () =
   let p = Params.make ~size_bytes:512 ~assoc:1 ~line_bytes:64 in
   (* 8 sets, direct-mapped: lines 0 and 8 collide; 0 and 1 do not. *)
   let c = Set_assoc.create p in
-  ignore (Set_assoc.access_line c 0);
-  ignore (Set_assoc.access_line c 1);
+  ignore (Set_assoc.access_line c ~thread:0 ~block:0 0);
+  ignore (Set_assoc.access_line c ~thread:0 ~block:0 1);
   check Alcotest.bool "no conflict different sets" true (Set_assoc.probe_line c 0);
-  ignore (Set_assoc.access_line c 8);
+  ignore (Set_assoc.access_line c ~thread:0 ~block:0 8);
   check Alcotest.bool "conflict same set" false (Set_assoc.probe_line c 0);
   check Alcotest.bool "line 1 untouched" true (Set_assoc.probe_line c 1)
 
@@ -159,7 +160,127 @@ let set_assoc_matches_fully_assoc =
       (* All lines map to set 0 when we multiply by num_sets (=1 here). *)
       let sa = Set_assoc.create p in
       let fa = Fully_assoc.create ~capacity:4 in
-      List.for_all (fun x -> Set_assoc.access_line sa x = Fully_assoc.access_line fa x) xs)
+      List.for_all
+        (fun x -> Set_assoc.access_line sa ~thread:0 ~block:0 x = Fully_assoc.access_line fa x)
+        xs)
+
+(* The core against the seed LRU it replaced, kept as a test oracle: random
+   geometries and random line streams mixing demand accesses, prefetch
+   fills, probes and invalidations. After every operation both agree on
+   hit/miss, on the victim (the seed's LRU way is the one line that leaves
+   the core), on the eviction count, occupancy and the resident set.
+   Params require power-of-two geometries: assoc 1..8, sets 1..64. *)
+type op = Access of int | Prefetch of int | Probe of int | Invalidate
+
+let string_of_op = function
+  | Access l -> Printf.sprintf "A%d" l
+  | Prefetch l -> Printf.sprintf "P%d" l
+  | Probe l -> Printf.sprintf "Q%d" l
+  | Invalidate -> "I"
+
+let core_matches_seed_lru =
+  let open QCheck.Gen in
+  let gen =
+    int_range 0 3 >>= fun assoc_log ->
+    int_range 0 6 >>= fun sets_log ->
+    let universe = 3 * (1 lsl (assoc_log + sets_log)) in
+    let line = int_bound universe in
+    let op =
+      frequency
+        [
+          (8, map (fun l -> Access l) line);
+          (2, map (fun l -> Prefetch l) line);
+          (2, map (fun l -> Probe l) line);
+          (1, return Invalidate);
+        ]
+    in
+    map (fun ops -> (1 lsl assoc_log, 1 lsl sets_log, ops)) (list_size (int_range 1 400) op)
+  in
+  let print (assoc, sets, ops) =
+    Printf.sprintf "assoc=%d sets=%d [%s]" assoc sets (String.concat " " (List.map string_of_op ops))
+  in
+  QCheck.Test.make ~name:"core = seed LRU per operation" ~count:300 (QCheck.make ~print gen)
+    (fun (assoc, sets, ops) ->
+      let p = Params.make ~size_bytes:(sets * assoc * 64) ~assoc ~line_bytes:64 in
+      let core = Set_assoc.create p and seed = Seed_lru.create p in
+      let universe = List.init ((3 * assoc * sets) + 1) Fun.id in
+      let step = function
+        | Access l ->
+          let victim = Seed_lru.lru_way seed l in
+          let victim_was_in = victim < 0 || Set_assoc.probe_line core victim in
+          let hit = Seed_lru.access_line seed l in
+          hit = Set_assoc.access_line core ~thread:0 ~block:0 l
+          && (hit || victim < 0 || (victim_was_in && not (Set_assoc.probe_line core victim)))
+        | Prefetch l ->
+          let absent = not (Seed_lru.probe_line seed l) in
+          if absent then Seed_lru.fill_line seed l;
+          Set_assoc.prefetch_line core l = absent
+        | Probe l -> Seed_lru.probe_line seed l = Set_assoc.probe_line core l
+        | Invalidate ->
+          Seed_lru.invalidate_all seed;
+          Set_assoc.invalidate_all core;
+          true
+      in
+      List.for_all
+        (fun op ->
+          step op
+          && Seed_lru.evictions seed = Set_assoc.evictions core
+          && Seed_lru.occupancy seed = Set_assoc.occupancy core
+          && List.filter (Set_assoc.probe_line core) universe = Seed_lru.resident_lines seed)
+        ops)
+
+(* [Icache.solo] on the core — span calls without a prefetcher, per-line
+   calls with one — equals the seed solo replay on the seed LRU. *)
+let icache_solo_matches_seed =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 12 >>= fun nblocks ->
+    list_repeat nblocks (int_range 1 200) >>= fun sizes ->
+    list_size (int_range 1 300) (int_bound (nblocks - 1)) >>= fun trace ->
+    int_range 0 2 >>= fun degree -> return (sizes, trace, degree)
+  in
+  let print (sizes, trace, degree) =
+    Printf.sprintf "sizes=[%s] trace=[%s] degree=%d"
+      (String.concat ";" (List.map string_of_int sizes))
+      (String.concat ";" (List.map string_of_int trace))
+      degree
+  in
+  QCheck.Test.make ~name:"Icache.solo = seed solo, with and without prefetch" ~count:200
+    (QCheck.make ~print gen) (fun (sizes, trace, degree) ->
+      let params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+      let bytes = Array.of_list sizes in
+      let addr = Array.make (Array.length bytes) 0 in
+      for i = 1 to Array.length bytes - 1 do
+        addr.(i) <- addr.(i - 1) + bytes.(i - 1)
+      done;
+      let layout = { Icache.addr; bytes } in
+      let trace = Colayout_util.Int_vec.of_list trace in
+      let prefetch, prefetch_degree =
+        if degree = 0 then (None, None) else (Some (Prefetch.create ~degree ()), Some degree)
+      in
+      let core = Icache.solo ?prefetch ~params ~layout trace in
+      let seed = Seed_lru.solo ?prefetch_degree ~params ~layout trace in
+      Cache_stats.to_string core = Cache_stats.to_string seed)
+
+(* Unprofiled simulation allocates nothing per access: the whole entry
+   point surface, driven over a long stream, leaves the minor heap alone. *)
+let test_core_allocation_free () =
+  let p = Params.make ~size_bytes:1024 ~assoc:4 ~line_bytes:64 in
+  let c = Set_assoc.create p in
+  let prng = Colayout_util.Prng.create ~seed:3 in
+  let lines = Array.init 20_000 (fun _ -> Colayout_util.Prng.int prng 96) in
+  let before = Gc.minor_words () in
+  let hits = ref 0 in
+  for i = 0 to Array.length lines - 1 do
+    let l = lines.(i) in
+    if Set_assoc.access_line c ~thread:0 ~block:0 l then incr hits;
+    hits := !hits + Set_assoc.access_span c ~thread:0 ~block:0 ~first:l ~last:(l + 2);
+    if Set_assoc.prefetch_line c (l + 3) then incr hits;
+    if Set_assoc.probe_line c l then incr hits
+  done;
+  let words = Gc.minor_words () -. before in
+  check (Alcotest.float 0.) "minor words allocated" 0. words;
+  check Alcotest.bool "stream exercised the cache" true (!hits > 0)
 
 let test_fully_assoc_eviction () =
   let c = Fully_assoc.create ~capacity:2 in
@@ -265,6 +386,9 @@ let () =
           Alcotest.test_case "lru" `Quick test_set_assoc_lru;
           Alcotest.test_case "set mapping" `Quick test_set_mapping_isolation;
           QCheck_alcotest.to_alcotest set_assoc_matches_fully_assoc;
+          QCheck_alcotest.to_alcotest core_matches_seed_lru;
+          QCheck_alcotest.to_alcotest icache_solo_matches_seed;
+          Alcotest.test_case "allocation-free" `Quick test_core_allocation_free;
         ] );
       ("fully_assoc", [ Alcotest.test_case "eviction" `Quick test_fully_assoc_eviction ]);
       ("prefetch", [ Alcotest.test_case "next line" `Quick test_prefetch ]);

@@ -9,6 +9,7 @@
    [Hashtbl] model, and the new bounded/no-depth LRU-stack entry points. *)
 
 open Colayout
+open Colayout_oracle
 open Colayout_trace
 module U = Colayout_util
 module W = Colayout_workloads

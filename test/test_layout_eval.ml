@@ -8,6 +8,7 @@
    allocation-free permutation validation. *)
 
 open Colayout
+open Colayout_oracle
 module W = Colayout_workloads
 module E = Colayout_exec
 module C = Colayout_cache
@@ -318,6 +319,39 @@ let test_rejects_foreign_trace () =
     (fun () ->
       ignore (Layout_eval.create ~params:(List.hd geometries) program foreign))
 
+(* ------------------------------------------------------------ allocation *)
+
+(* The header's allocation-free promise, measured with [Gc.minor_words]:
+   the words one candidate allocates (its boxed float result) must not
+   grow with the trace the engine replays. *)
+let test_allocation_independent_of_trace () =
+  let program = List.hd (programs ()) in
+  let nf = Colayout_ir.Program.num_funcs program in
+  let prng = U.Prng.create ~seed:5 in
+  let orders = Array.init 32 (fun _ -> random_perm prng nf) in
+  let per_candidate max_blocks =
+    let trace = Pipeline.reference_trace program (E.Interp.ref_input ~max_blocks ()) in
+    let engine = Layout_eval.create ~params:C.Params.default_l1i program trace in
+    ignore (Layout_eval.miss_ratio_of_order engine orders.(0));
+    let before = Gc.minor_words () in
+    for i = 0 to Array.length orders - 1 do
+      ignore (Sys.opaque_identity (Layout_eval.miss_ratio_of_order engine orders.(i)))
+    done;
+    let words = (Gc.minor_words () -. before) /. float_of_int (Array.length orders) in
+    (Layout_eval.trace_length engine, words)
+  in
+  let short_len, short_words = per_candidate 1_000 in
+  let long_len, long_words = per_candidate 16_000 in
+  check Alcotest.bool
+    (Printf.sprintf "traces differ in length (%d vs %d events)" short_len long_len)
+    true
+    (long_len >= 8 * short_len);
+  check (Alcotest.float 0.) "words per candidate independent of trace length" short_words
+    long_words;
+  check Alcotest.bool
+    (Printf.sprintf "a few words per candidate (%.1f)" short_words)
+    true (short_words <= 4.0)
+
 let () =
   Alcotest.run "layout_eval"
     [
@@ -352,5 +386,10 @@ let () =
             test_rejects_bad_orders;
           Alcotest.test_case "foreign trace rejected at create" `Quick
             test_rejects_foreign_trace;
+        ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "per-candidate words independent of trace length" `Quick
+            test_allocation_independent_of_trace;
         ] );
     ]

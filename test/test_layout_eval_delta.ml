@@ -14,6 +14,7 @@
      loop. *)
 
 open Colayout
+open Colayout_oracle
 module W = Colayout_workloads
 module E = Colayout_exec
 module C = Colayout_cache

@@ -52,8 +52,9 @@ let trg_matches_definition =
             [ 0; 1; 2; 3; 4; 5 ])
         [ 0; 1; 2; 3; 4; 5 ])
 
-(* The hierarchy's L1I leg must agree exactly with the standalone I-cache
-   simulator: same geometry, same accesses, same hits. *)
+(* The hierarchy's L1I leg must agree exactly with a standalone I-cache
+   simulator — the seed LRU oracle, written independently of the core the
+   hierarchy runs on: same geometry, same accesses, same hits. *)
 let hierarchy_l1i_matches_icache =
   QCheck.Test.make ~name:"Hierarchy L1I leg equals Icache.solo" ~count:60
     QCheck.(list_of_size Gen.(int_range 1 200) (int_bound 40))
@@ -61,10 +62,11 @@ let hierarchy_l1i_matches_icache =
       let params = C.Params.default_l1i in
       let h = C.Hierarchy.create ~l1i:params () in
       List.iter (fun l -> C.Hierarchy.access_instr h ~thread:0 ~line:l) lines;
-      let sa = C.Set_assoc.create params in
+      let sa = Colayout_oracle.Seed_lru.create params in
       let stats = C.Cache_stats.create () in
       List.iter
-        (fun l -> C.Cache_stats.record stats ~thread:0 ~hit:(C.Set_assoc.access_line sa l))
+        (fun l ->
+          C.Cache_stats.record stats ~thread:0 ~hit:(Colayout_oracle.Seed_lru.access_line sa l))
         lines;
       C.Cache_stats.misses (C.Hierarchy.l1i_stats h) = C.Cache_stats.misses stats
       && C.Cache_stats.accesses (C.Hierarchy.l1i_stats h) = C.Cache_stats.accesses stats)

@@ -179,11 +179,10 @@ let test_affinity_decisions () =
    collide in set 1 within thread 0. *)
 let interference_toy () =
   let p = Params.make ~size_bytes:128 ~assoc:1 ~line_bytes:64 in
-  let c = Set_assoc.create p in
   let sink = Profile_sink.create ~threads:2 ~params:p () in
+  let c = Set_assoc.create ~sink p in
   List.iter
-    (fun (th, l) ->
-      ignore (Set_assoc.access_line_profiled c sink ~thread:th ~block:l l))
+    (fun (th, l) -> ignore (Set_assoc.access_line c ~thread:th ~block:l l))
     [ (0, 0); (1, 2); (0, 0); (1, 2); (0, 1); (0, 3); (0, 1) ];
   sink
 
@@ -273,7 +272,56 @@ let test_sink_transparent () =
         (Printf.sprintf "thread %d misses" th)
         (Cache_stats.thread_misses bare th)
         (Cache_stats.thread_misses stats th))
-    [ 0; 1 ]
+    [ 0; 1 ];
+  (* The sink is supplied to the LRU core at construction; with it
+     attached, each simulator's own results stay bit-identical — the solo
+     replay's span and prefetch paths, the co-run interleaving, the
+     hierarchy's L1I leg, and SMT timing with its prefetch fills. *)
+  let program = Colayout_workloads.Spec.build prog in
+  let layout = Core.Layout.original program in
+  let ev =
+    T.Trace.events
+      (Core.Pipeline.reference_trace program (Colayout_exec.Interp.ref_input ~max_blocks:20_000 ()))
+  in
+  let p = Params.default_l1i in
+  let icl = Core.Layout.to_icache layout in
+  let pf = Prefetch.create () in
+  let sink ~threads = Profile_sink.create ~threads ~params:p () in
+  let same what bare profiled =
+    check Alcotest.string what (Cache_stats.to_string bare) (Cache_stats.to_string profiled)
+  in
+  same "Icache.solo" (Icache.solo ~params:p ~layout:icl ev)
+    (Icache.solo ~sink:(sink ~threads:1) ~params:p ~layout:icl ev);
+  same "Icache.solo with prefetch"
+    (Icache.solo ~prefetch:pf ~params:p ~layout:icl ev)
+    (Icache.solo ~prefetch:pf ~sink:(sink ~threads:1) ~params:p ~layout:icl ev);
+  same "Icache.shared"
+    (Icache.shared ~params:p ~layouts:(icl, icl) (ev, ev))
+    (Icache.shared ~sink:(sink ~threads:2) ~params:p ~layouts:(icl, icl) (ev, ev));
+  let hierarchy l1i_sink =
+    let h = Hierarchy.create ?l1i_sink () in
+    U.Int_vec.iter
+      (fun bid ->
+        let first, last = Icache.lines_of_block ~params:p ~layout:icl bid in
+        for line = first to last do
+          Hierarchy.access_instr ~block:bid h ~thread:0 ~line
+        done;
+        Hierarchy.access_data h ~thread:0 ~addr:(bid * 24))
+      ev;
+    String.concat " | "
+      (List.map Cache_stats.to_string
+         [ Hierarchy.l1i_stats h; Hierarchy.l1d_stats h; Hierarchy.l2_stats h ])
+    ^ Printf.sprintf " | %d/%d" (Hierarchy.l2_instr_misses h) (Hierarchy.l2_data_misses h)
+  in
+  check Alcotest.string "Hierarchy" (hierarchy None) (hierarchy (Some (sink ~threads:1)));
+  let module Smt = Colayout_exec.Smt in
+  let cfg = Smt.default_config ~prefetch:pf () in
+  let code = Core.Layout.to_smt_code layout in
+  check Alcotest.bool "Smt.solo" true
+    (Smt.solo cfg code ev = Smt.solo ~sink:(sink ~threads:1) cfg code ev);
+  check Alcotest.bool "Smt.corun" true
+    (Smt.corun cfg ~mode:Smt.Finish_both (code, ev) (code, ev)
+    = Smt.corun ~sink:(sink ~threads:2) cfg ~mode:Smt.Finish_both (code, ev) (code, ev))
 
 (* A Cache_stats whose totals agree with the sink, for artifact tests. *)
 let stats_matching sink =
@@ -288,10 +336,10 @@ let stats_matching sink =
 
 let toy_sink () =
   let p = Params.make ~size_bytes:256 ~assoc:2 ~line_bytes:64 in
-  let c = Set_assoc.create p in
   let sink = Profile_sink.create ~params:p () in
+  let c = Set_assoc.create ~sink p in
   List.iter
-    (fun l -> ignore (Set_assoc.access_line_profiled c sink ~thread:0 ~block:l l))
+    (fun l -> ignore (Set_assoc.access_line c ~thread:0 ~block:l l))
     [ 0; 2; 4; 0; 1; 1 ];
   (p, sink)
 

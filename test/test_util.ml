@@ -218,7 +218,7 @@ let ostree_random_prop =
 (* ----------------------------------------------------------------- Heap *)
 
 (* The polymorphic heap survives only inside the seed reduction oracle. *)
-module Heap = Colayout.Kernel_baseline.Heap
+module Heap = Colayout_oracle.Kernel_baseline.Heap
 
 let heap_sort_prop =
   QCheck.Test.make ~name:"heap pops in descending order" ~count:200
