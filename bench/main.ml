@@ -1451,8 +1451,9 @@ let run_serve_bench ~quick ~path =
     (serve_summary.H.Serve.trace_p95_ns /. 1e3)
     (serve_summary.H.Serve.trace_p99_ns /. 1e3);
   (* On a multicore host the best pooled grid cell must at least hold its
-     own against the serial walker (the shard drains are the parallel
-     part; generation is outside this timing). One core: positivity only. *)
+     own against the serial walker (a single walker no longer uses the
+     pool, so this bounds the pool's overhead; generation is outside
+     this timing). One core: positivity only. *)
   if (not quick) && cores_available () >= 2 && best_parallel_vs_serial < 0.8 then begin
     Printf.eprintf
       "FATAL: best pooled ingest is %.2fx serial (< 0.8x) on a %d-core host\n%!"

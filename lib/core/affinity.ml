@@ -70,46 +70,49 @@ let thresholds trace ~wmax =
   let fmask = (1 lsl fb) - 1 and dead = (1 lsl dead_bits) - 1 in
   let wits = Int_pair_tbl.create ~capacity:4096 () in
   let witness a b a_occ fp =
-    let key = pack a b in
-    let v = Int_pair_tbl.find wits key ~default:0 in
+    (* An absent pair reads as 0 and is always overwritten: [a_occ >= 1]. *)
+    let s = Int_pair_tbl.slot wits (pack a b) in
+    let v = Int_pair_tbl.slot_get wits s in
     let last = v lsr (2 * fb) in
     if last < a_occ then begin
       if last + 1 = a_occ then begin
         let cur = (v lsr fb) land fmask and prev = v land fmask in
-        Int_pair_tbl.replace wits key ((a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev)
+        Int_pair_tbl.slot_set wits s ((a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev)
       end
-      else Int_pair_tbl.replace wits key (dead lsl (2 * fb))
+      else Int_pair_tbl.slot_set wits s (dead lsl (2 * fb))
     end
     else if last <> dead && fp < (v lsr fb) land fmask then
-      Int_pair_tbl.replace wits key ((v land lnot (fmask lsl fb)) lor (fp lsl fb))
+      Int_pair_tbl.slot_set wits s ((v land lnot (fmask lsl fb)) lor (fp lsl fb))
   in
-  let stack = Lru_stack.create () in
+  (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
+  let ws = Window_stack.create ~k:(max 1 (min wmax (Trace.num_symbols trace))) in
+  let stk = ws.stk in
   Trace.iter
     (fun y ->
       occ_idx.(y) <- occ_idx.(y) + 1;
       let ky = occ_idx.(y) in
-      (* Walk the stack top-down. A block [x] at 1-based depth [d] has
-         fp<last(x), here> = d + 1, or d if [y]'s previous occurrence lies
-         above [x] (then y is already among the d-1 more-recent blocks).
+      (* Walk the stack top-down. A block [x] at 0-based position [i] has
+         fp<last(x), here> = i + 2, or i + 1 if [y]'s previous occurrence
+         lies above [x] (then y is already among the more-recent blocks).
          The walk and the stack are the same at every window, so cutting
-         this walk at [w] gives the depth-[w] walk's witnesses. *)
-      let y_seen = ref false in
-      Lru_stack.iter_until_depth stack (fun d x ->
-          if x = y then begin
-            y_seen := true;
-            true
-          end
-          else begin
-            let fp = d + if !y_seen then 0 else 1 in
-            if fp <= wmax then begin
-              (* This y-occurrence sees x (backward); x's latest occurrence
-                 sees y (forward). *)
-              witness y x ky fp;
-              witness x y occ_idx.(x) fp
-            end;
-            d < wmax
-          end);
-      Lru_stack.touch stack y)
+         this walk at [w] gives the depth-[w] walk's witnesses. Each
+         position feeds both directions: this y-occurrence sees x
+         (backward); x's latest occurrence sees y (forward). *)
+      let pos = Window_stack.find ws y in
+      let depth = ws.depth in
+      let above = min (if pos >= 0 then pos else depth) (wmax - 1) in
+      for i = 0 to above - 1 do
+        let x = Array.unsafe_get stk i in
+        witness y x ky (i + 2);
+        witness x y occ_idx.(x) (i + 2)
+      done;
+      if pos >= 0 then
+        for i = pos + 1 to depth - 1 do
+          let x = Array.unsafe_get stk i in
+          witness y x ky (i + 1);
+          witness x y occ_idx.(x) (i + 1)
+        done;
+      Window_stack.move_to_front ws ~pos y)
     trace;
   (* A pair is affine at [w] iff both directions witnessed every
      occurrence ([last] reached the occurrence count) and each

@@ -4,15 +4,14 @@ open Colayout_trace
 (* Streaming profile ingest: the online, sharded, multi-walker form of the
    two batch analysis kernels ([Trg.build], [Affinity.affine_pairs]).
 
-   The design splits each kernel into its two halves. The *walk* half —
-   advancing an LRU stack over a trimmed event stream and deciding which
-   pair keys each event touches — is sequential per stream, so each trace
-   is walked by exactly one walker. The *accumulate* half — folding the
-   emitted table operations into flat int-packed open-addressing tables —
-   is where the memory traffic lives, so it is sharded by a hash of the
-   packed pair key and, with [walkers > 1], further privatized per
-   walker: on flush, each walker drains its own per-shard buffers into
-   its own tables with no locks and no cross-walker writes anywhere.
+   Each event costs one walk: the walker keeps the top
+   max(trg_window, affinity_w) entries of its LRU stack in a flat
+   [Window_stack] (no kernel reads deeper), finds the event's symbol with
+   one scan, then runs the TRG loop and the affinity loop over the same
+   array and bumps its tables in place. The tables are flat int-packed
+   open-addressing tables, sharded by a hash of the packed pair key (the
+   caps of bounded mode apply per shard) and, with [walkers > 1],
+   privatized per walker: no locks and no cross-walker writes anywhere.
 
    Stream semantics: every completed trace is an independent stream. Each
    walker resets its LRU stack and trimming state at trace boundaries, so
@@ -45,10 +44,10 @@ open Colayout_trace
    the current trace is staged in memory until [end_trace] assigns it
    round-robin (by completed-trace index — a config-deterministic
    assignment) to a walker queue; queues are drained by [Pool] tasks, one
-   task per walker, whenever every walker has work. Flush points are
-   driven by walker-local op counts and epoch maintenance by the global
-   trace counter, so the pool schedule moves *where* work runs, never
-   what is computed. *)
+   task per walker, whenever every walker has work. Flush points (cap
+   eviction) are driven by walker-local update counts and epoch
+   maintenance by the global trace counter, so the pool schedule moves
+   *where* work runs, never what is computed. *)
 
 type config = {
   num_symbols : int;
@@ -116,17 +115,14 @@ type stats = {
   dead_pruned : int;
 }
 
-(* One independent stream walker: private LRU stack, trim state, op
-   buffers, shard tables, occurrence counts and stat counters. A walker
-   is touched either by the calling domain (walkers = 1) or by exactly
-   one pool task per dispatch (walkers > 1) — never concurrently. *)
+(* One independent stream walker: private window stack, trim state,
+   shard tables, occurrence counts and stat counters. A walker is touched
+   either by the calling domain (walkers = 1) or by exactly one pool task
+   per dispatch (walkers > 1) — never concurrently. *)
 type walker = {
   id : int;
-  stack : Lru_stack.t;
+  stack : Window_stack.t; (* top max(trg_window, affinity_w) LRU entries *)
   occ : int array; (* walker-cumulative occurrence count per symbol *)
-  scratch : Int_vec.t;
-  trg_bufs : Int_vec.t array; (* packed canonical (lo, hi) keys, +1 each *)
-  wit_bufs : Int_vec.t array; (* (packed ordered (a, b) key, a_occ) pairs *)
   shards : shard array;
   queue : int array Queue.t; (* completed traces awaiting this walker *)
   delta : Metrics.t option; (* walker-private registry, folded per dispatch *)
@@ -172,11 +168,9 @@ let make_walker (cfg : config) metrics i : walker =
   in
   {
     id = i;
-    stack = Lru_stack.create ();
+    stack =
+      Window_stack.create ~k:(min (max cfg.trg_window cfg.affinity_w) cfg.num_symbols);
     occ = Array.make cfg.num_symbols 0;
-    scratch = Int_vec.create ~capacity:(min cfg.trg_window 4096) ();
-    trg_bufs = Array.init cfg.shards (fun _ -> Int_vec.create ~capacity:1024 ());
-    wit_bufs = Array.init cfg.shards (fun _ -> Int_vec.create ~capacity:1024 ());
     shards =
       Array.init cfg.shards (fun _ ->
           {
@@ -226,8 +220,8 @@ let create ?pool ?metrics cfg =
 let config_of t = t.cfg
 
 (* splitmix64-style finisher over the packed key. Shard choice must be a
-   pure function of the key (never of arrival order) so one key's ops
-   always serialize through one shard's buffer. *)
+   pure function of the key (never of arrival order) so one key's updates
+   always land in one shard's table. *)
 let mix k =
   let h = k lxor (k lsr 31) in
   let h = h * 0x2545F4914F6CDD1D in
@@ -306,84 +300,51 @@ let prune_dead_tbl occ tbl =
   Int_vec.iter (fun k -> Int_pair_tbl.remove tbl k) dead;
   Int_vec.length dead
 
-type shard_flush = {
-  sf_trg_evicted : int;
-  sf_wits_evicted : int;
-  sf_decay_dropped : int;
-  sf_dead_pruned : int;
-  sf_trg_live : int;
-  sf_wits_live : int;
-}
-
-(* Drain walker [wk]'s shard [s] op buffer into its tables, then run
-   maintenance. Touches only walker-and-shard-private state plus the
-   walker's [occ] array (the walk is parked during a flush). Ops apply in
-   buffer order = stream order, so order-sensitive witness updates see
-   exactly the batch kernel's update sequence. *)
-let apply_shard t (wk : walker) s ~maintain =
-  let sh = wk.shards.(s) in
-  let tb = wk.trg_bufs.(s) and wb = wk.wit_bufs.(s) in
-  let n = Int_vec.length tb in
-  for i = 0 to n - 1 do
-    ignore (Int_pair_tbl.add_to sh.trg (Int_vec.unsafe_get tb i) 1)
-  done;
-  let m = Int_vec.length wb in
-  let i = ref 0 in
-  while !i < m do
-    let key = Int_vec.unsafe_get wb !i in
-    let a_occ = Int_vec.unsafe_get wb (!i + 1) in
-    let p = Int_pair_tbl.find sh.wits key ~default:0 in
-    if Int_pair_tbl.fst_of p < a_occ then
-      Int_pair_tbl.replace sh.wits key (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1));
-    i := !i + 2
-  done;
-  Int_vec.clear tb;
-  Int_vec.clear wb;
-  let decay_dropped =
-    if maintain && t.cfg.decay_shift > 0 then decay_tbl sh.trg t.cfg.decay_shift else 0
-  in
-  let dead_pruned = if maintain && t.cfg.prune_dead then prune_dead_tbl wk.occ sh.wits else 0 in
-  let trg_evicted = evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w) in
-  let wits_evicted =
-    evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p)
-  in
-  {
-    sf_trg_evicted = trg_evicted;
-    sf_wits_evicted = wits_evicted;
-    sf_decay_dropped = decay_dropped;
-    sf_dead_pruned = dead_pruned;
-    sf_trg_live = Int_pair_tbl.length sh.trg;
-    sf_wits_live = Int_pair_tbl.length sh.wits;
-  }
-
-(* Flush one walker's buffers. With a single walker the shards fan out
-   over the pool (the legacy path); inside walker tasks the shards apply
-   inline — the walkers themselves are the parallel axis, and the pool
-   rejects nested submission anyway. *)
+(* A walker's maintenance point. Table updates are applied as the walk
+   emits them, so a flush only runs epoch maintenance (decay, dead-witness
+   pruning) when [maintain], then cap eviction, then records the shard
+   peaks. Bounded-mode results depend only on where flush points fall
+   ([flush_ops] updates, epochs): nothing evicts between two of them, so
+   the tables a flush sees do not depend on when each update landed. *)
 let flush_walker t (wk : walker) ~maintain =
   if wk.pending_ops > 0 || maintain then begin
-    let run s = apply_shard t wk s ~maintain in
-    let idx = Array.init t.cfg.shards Fun.id in
-    let results =
-      match t.pool with
-      | Some pool when t.cfg.walkers = 1 && t.cfg.shards > 1 -> Pool.map_array pool run idx
-      | _ -> Array.map run idx
-    in
-    Array.iter
-      (fun r ->
-        wk.trg_evicted <- wk.trg_evicted + r.sf_trg_evicted;
-        wk.wits_evicted <- wk.wits_evicted + r.sf_wits_evicted;
-        wk.decay_dropped <- wk.decay_dropped + r.sf_decay_dropped;
-        wk.dead_pruned <- wk.dead_pruned + r.sf_dead_pruned;
-        if r.sf_trg_live > wk.trg_peak_shard then wk.trg_peak_shard <- r.sf_trg_live;
-        if r.sf_wits_live > wk.wits_peak_shard then wk.wits_peak_shard <- r.sf_wits_live)
-      results;
+    for s = 0 to t.cfg.shards - 1 do
+      let sh = wk.shards.(s) in
+      if maintain && t.cfg.decay_shift > 0 then
+        wk.decay_dropped <- wk.decay_dropped + decay_tbl sh.trg t.cfg.decay_shift;
+      if maintain && t.cfg.prune_dead then
+        wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl wk.occ sh.wits;
+      wk.trg_evicted <- wk.trg_evicted + evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w);
+      wk.wits_evicted <-
+        wk.wits_evicted
+        + evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p);
+      wk.trg_peak_shard <- max wk.trg_peak_shard (Int_pair_tbl.length sh.trg);
+      wk.wits_peak_shard <- max wk.wits_peak_shard (Int_pair_tbl.length sh.wits)
+    done;
     wk.pending_ops <- 0;
     wk.flushes <- wk.flushes + 1
   end
 
-(* The shared per-event kernel: both batch walks against one walker's
-   state, with table bumps deferred to per-shard ops. *)
+(* Witness update: one more occurrence of [a] seen by [b], counted at most
+   once per occurrence. An absent key reads as 0 and is always
+   overwritten, since [a_occ >= 1]. *)
+let witness tbl key a_occ =
+  let s = Int_pair_tbl.slot tbl key in
+  let p = Int_pair_tbl.slot_get tbl s in
+  if Int_pair_tbl.fst_of p < a_occ then
+    Int_pair_tbl.slot_set tbl s (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1))
+
+(* Both directions for blocks [x] and [y] within footprint w: this
+   x-occurrence sees y (backward); y's latest occurrence sees x (forward). *)
+let witness_both t (wk : walker) x kx y =
+  let kxy = Int_pair_tbl.pack x y and kyx = Int_pair_tbl.pack y x in
+  witness wk.shards.(shard_of t kxy).wits kxy kx;
+  witness wk.shards.(shard_of t kyx).wits kyx wk.occ.(y)
+
+(* The per-event kernel: one scan of the window stack finds [x], then the
+   TRG loop ([Trg.build]'s) and the affinity loop ([Affinity.thresholds]'
+   at the single window w) run over the same array, bumping the walker's
+   shard tables directly. *)
 let walk_event t (wk : walker) x =
   if x <> wk.last_sym then begin
     (* Inline trimming: the batch kernels require a trimmed trace, so the
@@ -393,57 +354,37 @@ let walk_event t (wk : walker) x =
       invalid_arg "Ingest: per-walker stream length >= 2^31 exceeds the packed-payload bound";
     wk.last_sym <- x;
     wk.kept_events <- wk.kept_events + 1;
-    wk.occ.(x) <- wk.occ.(x) + 1;
-    let ops_before = wk.trg_ops + wk.wit_ops in
-    (* TRG walk — [Trg.build]'s loop with the bump deferred to an op. *)
-    Int_vec.clear wk.scratch;
-    let found = ref false in
-    Lru_stack.iter_until_depth wk.stack (fun d y ->
-        if y = x then begin
-          found := true;
-          false
-        end
-        else if d >= t.cfg.trg_window then false
-        else begin
-          Int_vec.push wk.scratch y;
-          true
-        end);
-    if !found then
-      Int_vec.iter
-        (fun y ->
-          let lo = if x < y then x else y in
-          let hi = if x < y then y else x in
-          let key = Int_pair_tbl.pack lo hi in
-          Int_vec.push wk.trg_bufs.(shard_of t key) key;
-          wk.trg_ops <- wk.trg_ops + 1)
-        wk.scratch;
-    (* Affinity walk — [Affinity.affine_pairs]'s loop with both witness
-       directions deferred to ops. *)
+    let occ = wk.occ in
+    occ.(x) <- occ.(x) + 1;
+    let kx = occ.(x) in
+    let ws = wk.stack in
+    let stk = ws.stk in
+    let pos = Window_stack.find ws x in
+    let depth = ws.depth in
+    (* TRG: x recurred within the window; one bump per block above it. *)
+    let ntrg = if pos >= 0 && pos < t.cfg.trg_window then pos else 0 in
+    for i = 0 to ntrg - 1 do
+      let y = Array.unsafe_get stk i in
+      let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
+      ignore (Int_pair_tbl.add_to wk.shards.(shard_of t key).trg key 1)
+    done;
+    (* Affinity at window w: a block at position i has footprint i + 2
+       above x's previous occurrence (or everywhere when x is not on the
+       stack) and i + 1 below it; it is a witness when that is <= w. *)
     let w = t.cfg.affinity_w in
-    let kx = wk.occ.(x) in
-    let x_seen = ref false in
-    Lru_stack.iter_until_depth wk.stack (fun d y ->
-        if y = x then begin
-          x_seen := true;
-          true
-        end
-        else begin
-          let fp = d + if !x_seen then 0 else 1 in
-          if fp <= w then begin
-            let kxy = Int_pair_tbl.pack x y in
-            let buf = wk.wit_bufs.(shard_of t kxy) in
-            Int_vec.push buf kxy;
-            Int_vec.push buf kx;
-            let kyx = Int_pair_tbl.pack y x in
-            let buf = wk.wit_bufs.(shard_of t kyx) in
-            Int_vec.push buf kyx;
-            Int_vec.push buf wk.occ.(y);
-            wk.wit_ops <- wk.wit_ops + 2
-          end;
-          d < w
-        end);
-    Lru_stack.touch wk.stack x;
-    wk.pending_ops <- wk.pending_ops + (wk.trg_ops + wk.wit_ops - ops_before);
+    let above = min (if pos >= 0 then pos else depth) (w - 1) in
+    let below = if pos >= 0 then min depth w else 0 in
+    for i = 0 to above - 1 do
+      witness_both t wk x kx (Array.unsafe_get stk i)
+    done;
+    for i = pos + 1 to below - 1 do
+      witness_both t wk x kx (Array.unsafe_get stk i)
+    done;
+    Window_stack.move_to_front ws ~pos x;
+    let nwit = 2 * (above + max 0 (below - pos - 1)) in
+    wk.trg_ops <- wk.trg_ops + ntrg;
+    wk.wit_ops <- wk.wit_ops + nwit;
+    wk.pending_ops <- wk.pending_ops + ntrg + nwit;
     if wk.pending_ops >= t.cfg.flush_ops then flush_walker t wk ~maintain:false
   end
 
@@ -455,7 +396,7 @@ let walker_drain t (wk : walker) =
   while not (Queue.is_empty wk.queue) do
     let arr = Queue.pop wk.queue in
     let t0 = if Option.is_some wk.delta then t.clock () else 0L in
-    Lru_stack.clear wk.stack;
+    Window_stack.clear wk.stack;
     wk.last_sym <- -1;
     Array.iter (fun x -> walk_event t wk x) arr;
     match wk.wh_trace with
@@ -492,18 +433,15 @@ let dispatch t =
     | None -> ()
   end
 
+(* Walkers flush in parallel (each touches only its own tables); a
+   single walker flushes inline. *)
 let flush_all t ~maintain =
   dispatch t;
-  if t.cfg.walkers = 1 then flush_walker t t.walkers.(0) ~maintain
-  else begin
-    let any = Array.exists (fun (wk : walker) -> wk.pending_ops > 0) t.walkers in
-    if any || maintain then begin
-      let idx = Array.init t.cfg.walkers Fun.id in
-      let run wi = flush_walker t t.walkers.(wi) ~maintain in
-      match t.pool with
-      | Some pool -> ignore (Pool.map_array pool run idx)
-      | None -> Array.iter run idx
-    end
+  if maintain || Array.exists (fun (wk : walker) -> wk.pending_ops > 0) t.walkers then begin
+    let run wk = flush_walker t wk ~maintain in
+    match t.pool with
+    | Some pool when t.cfg.walkers > 1 -> ignore (Pool.map_array pool run t.walkers)
+    | _ -> Array.iter run t.walkers
   end
 
 let flush t = flush_all t ~maintain:false
@@ -542,7 +480,7 @@ let end_trace t =
       t.trace_started <- false
     end;
     (* Per-trace streams: the next trace starts on an empty stack. *)
-    Lru_stack.clear wk.stack;
+    Window_stack.clear wk.stack;
     wk.last_sym <- -1
   end
   else begin

@@ -13,9 +13,15 @@
       every {!end_trace};
     - with [walkers > 1] each completed trace is assigned round-robin (by
       completed-trace index — a config-deterministic assignment) to one
-      of W walker states, each owning a private LRU stack, occurrence
-      array, per-shard op buffers and shard tables; walker queues drain
-      as [Pool] tasks, one task per walker.
+      of W walker states, each owning a private window stack, occurrence
+      array and shard tables; walker queues drain as [Pool] tasks, one
+      task per walker.
+
+    Either way a walker does one walk per kept event: one scan of a flat
+    bounded LRU stack ([Colayout_trace.Window_stack], the top
+    [max trg_window affinity_w] entries) finds the event, then the TRG
+    and affinity loops run over that array and update the walker's shard
+    tables in place.
 
     {!finalize} merges walker-local tables by the witness/occurrence
     algebra: TRG edge weights sum per key; directed witness saturations
@@ -31,7 +37,8 @@
     checkable).
 
     Memory is bounded, deterministically in the config and feed order
-    (never in the pool schedule), by three epoch/flush-time mechanisms:
+    (never in the pool schedule), by three mechanisms that run only at
+    flush points (every [flush_ops] table updates) and epochs:
     per-(walker, shard) table caps (evict smallest (rank, key)), TRG
     weight decay (drop zeros), and exact dead-witness pruning. Pruning
     never changes the final affine set, merged or not; caps and decay
@@ -50,7 +57,10 @@ type config = {
   decay_shift : int;  (** TRG weights decay by [lsr decay_shift] per epoch; 0 = off. *)
   epoch_traces : int;  (** Maintenance every N completed traces; 0 = never. *)
   prune_dead : bool;  (** Exact dead-witness pruning at epochs. *)
-  flush_ops : int;  (** Buffered ops per walker that trigger its flush. *)
+  flush_ops : int;
+      (** Table updates per walker between its flushes. Updates apply as
+          they are emitted; a flush is a maintenance point, where cap
+          eviction runs and shard peaks are recorded. *)
 }
 
 val config :
@@ -74,8 +84,9 @@ val config :
 type t
 
 val create : ?pool:Colayout_util.Pool.t -> ?metrics:Colayout_util.Metrics.t -> config -> t
-(** Without a pool, walkers and shard flushes apply inline on the calling
-    domain (still producing identical results). With metrics, per-trace
+(** Without a pool, walkers and their flushes run inline on the calling
+    domain (still producing identical results); with one walker the pool
+    is not used for ingest. With metrics, per-trace
     walk latency lands in the [ingest.trace_ns] histogram (plus a
     per-walker [ingest.walker.<i>.trace_ns] histogram when
     [walkers > 1]), and merge latency in [ingest.merge_ns]; walker tasks
@@ -116,8 +127,8 @@ val feed_file : t -> path:string -> unit
     materializing it when [walkers = 1]) and {!end_trace}. *)
 
 val flush : t -> unit
-(** Drain queued traces through their walkers, then drain all buffered
-    ops into the walker-local shard tables (no epoch maintenance).
+(** Drain queued traces through their walkers, then run every walker's
+    flush point: cap eviction and shard peaks (no epoch maintenance).
     Called automatically when [flush_ops] is reached and by {!finalize}. *)
 
 type stats = {

@@ -171,34 +171,23 @@ let edges t =
 let build ?(window = max_int) trace =
   if window < 1 then invalid_arg "Trg.build: window must be >= 1";
   if not (Trim.is_trimmed trace) then invalid_arg "Trg.build: trace must be trimmed";
-  let t = create_building (Trace.num_symbols trace) in
-  let stack = Lru_stack.create () in
-  (* One reusable scratch buffer instead of a freshly consed [betweens] list
-     per trace event: the steady state allocates nothing. Each event walks
-     the stack exactly once, capped at the window; [touch] then updates the
-     stack in O(1) instead of [access]'s full-depth counting walk. *)
-  let scratch = Int_vec.create ~capacity:(min window 4096) () in
+  let n = Trace.num_symbols trace in
+  let t = create_building n in
+  (* The walk never reads past depth [window], so the top [window] entries
+     of the LRU stack are all it needs (fewer when the universe is
+     smaller). *)
+  let ws = Window_stack.create ~k:(max 1 (min window n)) in
+  let stk = ws.stk in
   Trace.iter
     (fun x ->
-      (* If x recurs within the window, every block above it on the stack
-         occurred between its two successive occurrences: one potential
-         conflict each. *)
-      Int_vec.clear scratch;
-      let found = ref false in
-      Lru_stack.iter_until_depth stack (fun d y ->
-          if y = x then begin
-            found := true;
-            false
-          end
-          else if d >= window then false
-          else begin
-            Int_vec.push scratch y;
-            true
-          end);
-      (* Only count when x was actually found within the window: the walk
-         must have stopped on x, not on depth exhaustion. *)
-      if !found then Int_vec.iter (fun y -> bump t x y 1) scratch;
-      Lru_stack.touch stack x)
+      (* If x recurs within the window (it is on the bounded stack), every
+         block above it occurred between its two successive occurrences:
+         one potential conflict each. *)
+      let pos = Window_stack.find ws x in
+      for i = 0 to pos - 1 do
+        bump t x (Array.unsafe_get stk i) 1
+      done;
+      Window_stack.move_to_front ws ~pos x)
     trace;
   finalize t;
   t

@@ -9,10 +9,6 @@ let create () = { list = Dlist.create (); nodes = Hashtbl.create 1024 }
 
 let depth t = Dlist.length t.list
 
-let clear t =
-  Dlist.clear t.list;
-  Hashtbl.clear t.nodes
-
 (* 1-based depth by walking from the top. Only used on a hit, where the cost
    is proportional to the distance itself — the same work any list-based
    stack simulation does (Mattson et al. 1970). [Stack_dist] provides the
@@ -35,35 +31,6 @@ let access t sym =
     let node = Dlist.push_front t.list sym in
     Hashtbl.replace t.nodes sym node;
     None
-
-let push_new t sym =
-  let node = Dlist.push_front t.list sym in
-  Hashtbl.replace t.nodes sym node
-
-let access_bounded t ~limit sym =
-  match Hashtbl.find_opt t.nodes sym with
-  | Some node ->
-    (* Walk at most [limit] nodes: windowed clients (TRG construction) never
-       consume depths beyond their window, so the full-depth walk of
-       {!access} would be pure waste on deep reuses. *)
-    let rec from_front n acc =
-      if acc > limit then None
-      else
-        match n with
-        | None -> assert false
-        | Some x -> if x == node then Some acc else from_front (Dlist.next x) (acc + 1)
-    in
-    let d = from_front (Dlist.front t.list) 1 in
-    Dlist.move_to_front t.list node;
-    d
-  | None ->
-    push_new t sym;
-    None
-
-let touch t sym =
-  match Hashtbl.find_opt t.nodes sym with
-  | Some node -> Dlist.move_to_front t.list node
-  | None -> push_new t sym
 
 let iter_top t ~k f =
   let rec loop n i =
@@ -88,14 +55,6 @@ let iter_until t f =
     | Some x -> if f (Dlist.value x) then loop (Dlist.next x)
   in
   loop (Dlist.front t.list)
-
-let iter_until_depth t f =
-  let rec loop n d =
-    match n with
-    | None -> ()
-    | Some x -> if f d (Dlist.value x) then loop (Dlist.next x) (d + 1)
-  in
-  loop (Dlist.front t.list) 1
 
 let position t sym =
   match Hashtbl.find_opt t.nodes sym with

@@ -14,26 +14,11 @@ val create : unit -> t
 val depth : t -> int
 (** Number of distinct blocks currently on the stack. *)
 
-val clear : t -> unit
-(** Drop every block, keeping allocated capacity. The streaming ingest
-    walkers reset their stack at each trace boundary with this. *)
-
 val access : t -> int -> int option
 (** [access t sym] pushes/moves [sym] to the top and returns [Some d] where
     [d] was its 1-based stack depth before the access (d = footprint of the
     window between the two occurrences, counting both endpoints as one
     block), or [None] on first access. *)
-
-val access_bounded : t -> limit:int -> int -> int option
-(** Like {!access} but walks at most [limit] nodes when computing the depth:
-    returns [Some d] only when the previous depth [d <= limit], and [None]
-    both on a first access and on a reuse deeper than [limit] (the stack is
-    updated either way). The windowed kernels use this to cap the per-event
-    walk at their analysis window. *)
-
-val touch : t -> int -> unit
-(** Push/move [sym] to the top without computing its previous depth (and
-    without the O(depth) walk {!access} pays for it). *)
 
 val top_k : t -> k:int -> int list
 (** The [k] most recent distinct blocks, most recent first (includes the
@@ -44,11 +29,6 @@ val iter_top : t -> k:int -> (int -> unit) -> unit
 
 val iter_until : t -> (int -> bool) -> unit
 (** Visit blocks from most recent; stop when the callback returns false. *)
-
-val iter_until_depth : t -> (int -> int -> bool) -> unit
-(** [iter_until_depth t f] is {!iter_until} with the 1-based stack depth
-    passed as [f]'s first argument, sparing callers the mutable depth
-    counter the analysis kernels otherwise thread through the walk. *)
 
 val position : t -> int -> int option
 (** Current 0-based depth of a symbol, O(stack depth). *)

@@ -42,15 +42,19 @@ let hash k =
   let h = h * 0x2545F4914F6CDD1D in
   h lxor (h lsr 29)
 
-(* Slot holding [key], or -1 when absent. *)
+(* Slot holding [key], or -1 when absent. The probe loops here are
+   written with refs rather than local recursive functions: without
+   flambda a local function capturing the table allocates a closure on
+   every call. *)
 let find_slot t key =
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i =
-    let k = Array.unsafe_get keys i in
-    if k = key then i else if k = empty then -1 else probe ((i + 1) land mask)
-  in
-  probe (hash key land mask)
+  let mask = t.mask and keys = t.keys in
+  let i = ref (hash key land mask) in
+  let k = ref (Array.unsafe_get keys !i) in
+  while !k <> key && !k <> empty do
+    i := (!i + 1) land mask;
+    k := Array.unsafe_get keys !i
+  done;
+  if !k = key then !i else -1
 
 let check_key key = if key < 0 then invalid_arg "Int_pair_tbl: negative key"
 
@@ -98,37 +102,48 @@ let maybe_grow t =
   let cap = t.mask + 1 in
   if t.used + 1 > cap - (cap / 4) then resize t
 
-(* Probe for [key]; on a hit set the slot to [merge old], on a miss insert
-   [if_absent] (reusing the first tombstone seen). Returns the stored value.
-   This single probe sequence backs both [replace] and [add_to]. *)
-let upsert t key ~if_absent ~merge =
+(* Slot of [key], inserting it bound to 0 when absent (into the first
+   tombstone on the probe path, if any). One probe sequence; it backs
+   [replace] and [add_to] too. *)
+let slot t key =
   check_key key;
   maybe_grow t;
-  let mask = t.mask in
-  let keys = t.keys in
-  let rec probe i first_tomb =
-    let k = Array.unsafe_get keys i in
-    if k = key then begin
-      let v = merge (Array.unsafe_get t.vals i) in
-      Array.unsafe_set t.vals i v;
-      v
-    end
-    else if k = empty then begin
-      let slot = if first_tomb >= 0 then first_tomb else i in
-      Array.unsafe_set keys slot key;
-      Array.unsafe_set t.vals slot if_absent;
-      t.len <- t.len + 1;
-      if slot = i then t.used <- t.used + 1;
-      if_absent
-    end
-    else if k = tomb && first_tomb < 0 then probe ((i + 1) land mask) i
-    else probe ((i + 1) land mask) first_tomb
-  in
-  probe (hash key land mask) (-1)
+  let mask = t.mask and keys = t.keys in
+  let i = ref (hash key land mask) and first_tomb = ref (-1) in
+  let k = ref (Array.unsafe_get keys !i) in
+  while !k <> key && !k <> empty do
+    if !k = tomb && !first_tomb < 0 then first_tomb := !i;
+    i := (!i + 1) land mask;
+    k := Array.unsafe_get keys !i
+  done;
+  if !k = key then !i
+  else begin
+    let slot = if !first_tomb >= 0 then !first_tomb else !i in
+    Array.unsafe_set keys slot key;
+    Array.unsafe_set t.vals slot 0;
+    t.len <- t.len + 1;
+    if slot = !i then t.used <- t.used + 1;
+    slot
+  end
 
-let replace t key v = ignore (upsert t key ~if_absent:v ~merge:(fun _ -> v))
+let check_slot t i =
+  if i < 0 || i > t.mask || Array.unsafe_get t.keys i < 0 then invalid_arg "Int_pair_tbl: bad slot"
 
-let add_to t key delta = upsert t key ~if_absent:delta ~merge:(fun old -> old + delta)
+let slot_get t i =
+  check_slot t i;
+  Array.unsafe_get t.vals i
+
+let slot_set t i v =
+  check_slot t i;
+  Array.unsafe_set t.vals i v
+
+let replace t key v = Array.unsafe_set t.vals (slot t key) v
+
+let add_to t key delta =
+  let i = slot t key in
+  let v = Array.unsafe_get t.vals i + delta in
+  Array.unsafe_set t.vals i v;
+  v
 
 let remove t key =
   if key >= 0 then begin

@@ -52,6 +52,23 @@ val add_to : t -> int -> int -> int
     absent key as bound to [0]), stores the sum and returns it. One probe
     sequence for the read-modify-write. *)
 
+val slot : t -> int -> int
+(** [slot t key] is the index of [key]'s slot, after inserting [key] bound
+    to [0] when it was absent (into the first tombstone on its probe path,
+    if any). One probe sequence; read and write the value with
+    {!slot_get} and {!slot_set}. The index stays valid until the next
+    insertion of another key (which may resize the table), {!remove} of
+    this key or {!clear}.
+    @raise Invalid_argument on a negative key. *)
+
+val slot_get : t -> int -> int
+(** The value in a slot returned by {!slot}.
+    @raise Invalid_argument when the index holds no live binding. *)
+
+val slot_set : t -> int -> int -> unit
+(** Overwrite the value in a slot returned by {!slot}.
+    @raise Invalid_argument when the index holds no live binding. *)
+
 val remove : t -> int -> unit
 (** No-op when absent. Leaves a tombstone; slots are reclaimed on the next
     resize. *)

@@ -363,28 +363,73 @@ let test_tbl_negative_key_rejected () =
   check Alcotest.bool "mem negative" false (U.Int_pair_tbl.mem t (-3));
   check Alcotest.int "find negative" 0 (U.Int_pair_tbl.find t (-3) ~default:0)
 
-(* --------------------------------------- Lru_stack bounded entry points *)
+(* [slot]: one probe that finds a key or inserts it bound to 0. *)
+let test_tbl_slot () =
+  let t = U.Int_pair_tbl.create ~capacity:0 () in
+  let i = U.Int_pair_tbl.slot t 42 in
+  check Alcotest.int "inserted as 0" 0 (U.Int_pair_tbl.slot_get t i);
+  check Alcotest.int "one binding" 1 (U.Int_pair_tbl.length t);
+  U.Int_pair_tbl.slot_set t i 7;
+  check Alcotest.int "slot_set visible to find" 7 (U.Int_pair_tbl.find t 42 ~default:0);
+  check Alcotest.int "existing key: same slot" i (U.Int_pair_tbl.slot t 42);
+  check Alcotest.int "existing key: value kept" 7 (U.Int_pair_tbl.slot_get t i);
+  check Alcotest.int "still one binding" 1 (U.Int_pair_tbl.length t);
+  Alcotest.check_raises "negative key" (Invalid_argument "Int_pair_tbl: negative key") (fun () ->
+      ignore (U.Int_pair_tbl.slot t (-1)));
+  check Alcotest.int "rejected key not inserted" 1 (U.Int_pair_tbl.length t)
 
-let test_access_bounded () =
-  let s = Lru_stack.create () in
-  List.iter (fun x -> ignore (Lru_stack.access s x)) [ 0; 1; 2; 3 ];
-  (* Stack is now 3 2 1 0; symbol 0 sits at depth 4. *)
-  check (Alcotest.option Alcotest.int) "too deep" None (Lru_stack.access_bounded s ~limit:3 0);
-  (* The bounded miss still moved 0 to the top. *)
-  check (Alcotest.option Alcotest.int) "moved to front" (Some 1)
-    (Lru_stack.access_bounded s ~limit:8 0);
-  check (Alcotest.option Alcotest.int) "within limit" (Some 4)
-    (Lru_stack.access_bounded s ~limit:4 1);
-  check (Alcotest.option Alcotest.int) "first access" None (Lru_stack.access_bounded s ~limit:8 9)
+(* A removed key leaves a tombstone; the next insert whose probe passes
+   it lands there, whether it is the same key or another one. *)
+let test_tbl_slot_tombstone () =
+  let fresh () =
+    let t = U.Int_pair_tbl.create ~capacity:0 () in
+    let s0 = U.Int_pair_tbl.slot t 0 in
+    U.Int_pair_tbl.remove t 0;
+    (t, s0)
+  in
+  let t, s0 = fresh () in
+  let again = U.Int_pair_tbl.slot t 0 in
+  check Alcotest.int "same key reuses its tombstone" s0 again;
+  check Alcotest.int "re-inserted as 0" 0 (U.Int_pair_tbl.slot_get t again);
+  check Alcotest.int "one binding" 1 (U.Int_pair_tbl.length t);
+  (* Some other key hashes to the tombstone's slot in an 8-slot table. *)
+  let rec other k =
+    if k > 10_000 then Alcotest.fail "no key probes through the tombstone"
+    else
+      let t, s0 = fresh () in
+      let i = U.Int_pair_tbl.slot t k in
+      if i = s0 then (t, i) else other (k + 1)
+  in
+  let t, i = other 1 in
+  check Alcotest.int "other key inserted as 0" 0 (U.Int_pair_tbl.slot_get t i);
+  check Alcotest.int "removed key stays gone" 0 (U.Int_pair_tbl.find t 0 ~default:0);
+  check Alcotest.bool "removed key not a member" false (U.Int_pair_tbl.mem t 0);
+  check Alcotest.int "one binding" 1 (U.Int_pair_tbl.length t);
+  Alcotest.check_raises "a tombstone is not a live slot" (Invalid_argument "Int_pair_tbl: bad slot")
+    (fun () ->
+      let t, s0 = fresh () in
+      ignore (U.Int_pair_tbl.slot_get t s0))
 
-let test_touch () =
-  let s = Lru_stack.create () in
-  Lru_stack.touch s 5;
-  Lru_stack.touch s 6;
-  Lru_stack.touch s 5;
-  check (Alcotest.list Alcotest.int) "touch orders like access" [ 5; 6 ] (Lru_stack.contents s);
-  check Alcotest.int "depth" 2 (Lru_stack.depth s);
-  check (Alcotest.option Alcotest.int) "access agrees" (Some 2) (Lru_stack.access s 6)
+(* The insert that crosses the load bound resizes the table; the slot it
+   returns indexes the new arrays, and every earlier binding survives. *)
+let test_tbl_slot_resize () =
+  let t = U.Int_pair_tbl.create ~capacity:0 () in
+  for k = 0 to 5 do
+    U.Int_pair_tbl.slot_set t (U.Int_pair_tbl.slot t (k * 1000)) (k + 1)
+  done;
+  (* 8 slots at load 3/4: the seventh insert resizes. *)
+  let i = U.Int_pair_tbl.slot t 6000 in
+  check Alcotest.int "resizing insert bound to 0" 0 (U.Int_pair_tbl.slot_get t i);
+  U.Int_pair_tbl.slot_set t i 7;
+  check Alcotest.int "seven bindings" 7 (U.Int_pair_tbl.length t);
+  for k = 0 to 6 do
+    check Alcotest.int
+      (Printf.sprintf "binding %d survives" k)
+      (k + 1)
+      (U.Int_pair_tbl.find t (k * 1000) ~default:0)
+  done;
+  Alcotest.check_raises "slot past the arrays" (Invalid_argument "Int_pair_tbl: bad slot")
+    (fun () -> U.Int_pair_tbl.slot_set t 1_000_000 0)
 
 let () =
   Alcotest.run "kernels"
@@ -419,10 +464,8 @@ let () =
           Alcotest.test_case "pack roundtrip" `Quick test_pack_roundtrip;
           QCheck_alcotest.to_alcotest tbl_matches_model;
           Alcotest.test_case "negative keys" `Quick test_tbl_negative_key_rejected;
-        ] );
-      ( "lru-stack",
-        [
-          Alcotest.test_case "access_bounded" `Quick test_access_bounded;
-          Alcotest.test_case "touch" `Quick test_touch;
+          Alcotest.test_case "slot find-or-insert-0" `Quick test_tbl_slot;
+          Alcotest.test_case "slot tombstone reuse" `Quick test_tbl_slot_tombstone;
+          Alcotest.test_case "slot resize" `Quick test_tbl_slot_resize;
         ] );
     ]

@@ -18,6 +18,9 @@ open Colayout
 open Colayout_trace
 module U = Colayout_util
 module H = Colayout_harness
+module E = Colayout_exec
+module W = Colayout_workloads
+module KB = Colayout_oracle.Kernel_baseline
 
 let check = Alcotest.check
 
@@ -217,6 +220,151 @@ let test_per_trace_trimming () =
   check Alcotest.int "kept events" 6 s.kept_events;
   check Alcotest.int "raw events" 10 s.events
 
+(* ---------------------------------------- independent seed-kernel oracle *)
+
+(* [Ingest.batch_digests_parts] runs [Trg.build] and
+   [Affinity.affine_pairs], which share the window stack with the
+   walkers, so ingest == batch cannot catch a bug in that shared walk.
+   This reference recomputes the batch side from the seed [Lru_stack]
+   kernels in [Kernel_baseline], with the same per-part merge algebra:
+   TRG weights sum across parts; a pair is affine for the union iff
+   every part either saturates it or contains neither symbol. *)
+let baseline_digests ~trg_window ~affinity_w traces =
+  let num_symbols = Trace.num_symbols (List.hd traces) in
+  let trimmed = List.map Trim.trim traces in
+  let weights = Hashtbl.create 256 in
+  List.iter
+    (fun tr ->
+      List.iter
+        (fun (x, y, w) ->
+          let old = Option.value ~default:0 (Hashtbl.find_opt weights (x, y)) in
+          Hashtbl.replace weights (x, y) (old + w))
+        (KB.trg_edges (KB.trg_build ~window:trg_window tr)))
+    trimmed;
+  let trg =
+    Trg.of_edges ~num_nodes:num_symbols
+      (Hashtbl.fold (fun (x, y) w acc -> (x, y, w) :: acc) weights [])
+  in
+  let parts =
+    List.map
+      (fun tr ->
+        let present = Array.make num_symbols false in
+        Trace.iter (fun s -> present.(s) <- true) tr;
+        (present, KB.affine_pairs tr ~w:affinity_w))
+      trimmed
+  in
+  let cand = List.sort_uniq compare (List.concat_map snd parts) in
+  let affine =
+    List.filter
+      (fun (a, b) ->
+        List.for_all
+          (fun (present, pairs) -> List.mem (a, b) pairs || ((not present.(a)) && not present.(b)))
+          parts)
+      cand
+    |> List.map (fun (a, b) -> U.Int_pair_tbl.pack a b)
+    |> Array.of_list
+  in
+  Array.sort compare affine;
+  Ingest.consensus_digests { Ingest.trg; affine }
+
+let online_digests ?pool ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
+  let cfg = Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w ~flush_ops:97 () in
+  Ingest.consensus_digests (Ingest.finalize (ingest_all ?pool cfg traces))
+
+let test_ingest_vs_seed_kernels () =
+  let num_symbols = 40 in
+  List.iter
+    (fun seed ->
+      let traces = user_traces ~seed ~users:7 ~num_symbols ~len:260 in
+      let want = baseline_digests ~trg_window:12 ~affinity_w:6 traces in
+      check
+        Alcotest.(pair string string)
+        (Printf.sprintf "batch == seed kernels (seed=%d)" seed)
+        want (batch_of traces);
+      U.Pool.with_pool ~jobs:2 (fun pool ->
+          List.iter
+            (fun walkers ->
+              List.iter
+                (fun shards ->
+                  check
+                    Alcotest.(pair string string)
+                    (Printf.sprintf "ingest == seed kernels (seed=%d walkers=%d shards=%d)" seed
+                       walkers shards)
+                    want
+                    (online_digests ~pool ~walkers ~shards ~trg_window:12 ~affinity_w:6
+                       ~num_symbols traces))
+                [ 1; 2 ])
+            [ 1; 2; 3 ]))
+    [ 3; 19; 77 ]
+
+(* Real user traces: 429.mcf basic-block traces from the interpreter,
+   at the service's default windows. *)
+let test_ingest_vs_seed_kernels_mcf () =
+  let program = W.Spec.build "429.mcf" in
+  let num_symbols = Colayout_ir.Program.num_blocks program in
+  let traces =
+    List.init 6 (fun u ->
+        (E.Interp.run program (E.Interp.test_input ~seed:(1000 + u) ~max_blocks:(600 + (150 * u)) ()))
+          .E.Interp.bb_trace)
+  in
+  let want = baseline_digests ~trg_window:64 ~affinity_w:16 traces in
+  Alcotest.(check bool) "mcf traces yield affine pairs" true
+    (snd want <> snd (Ingest.consensus_digests { Ingest.trg = Trg.of_edges ~num_nodes:1 []; affine = [||] }));
+  List.iter
+    (fun (walkers, shards) ->
+      check
+        Alcotest.(pair string string)
+        (Printf.sprintf "mcf ingest == seed kernels (walkers=%d shards=%d)" walkers shards)
+        want
+        (online_digests ~walkers ~shards ~trg_window:64 ~affinity_w:16 ~num_symbols traces))
+    [ (1, 1); (1, 2); (2, 2); (3, 1) ]
+
+(* Window-shape edge cases, each against the seed kernels: a TRG window
+   narrower than the affinity window (the stack is sized by the wider
+   one), a TRG window of 1 (no block can sit between two occurrences),
+   and windows wider than the symbol universe (the stack holds every
+   symbol). *)
+let test_ingest_window_edges () =
+  let num_symbols = 24 in
+  let traces = user_traces ~seed:41 ~users:5 ~num_symbols ~len:200 in
+  List.iter
+    (fun (trg_window, affinity_w) ->
+      let want = baseline_digests ~trg_window ~affinity_w traces in
+      List.iter
+        (fun walkers ->
+          check
+            Alcotest.(pair string string)
+            (Printf.sprintf "trg_window=%d affinity_w=%d walkers=%d" trg_window affinity_w walkers)
+            want
+            (online_digests ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols traces))
+        [ 1; 2 ])
+    [ (3, 9); (1, 4); (1, 1); (2, 2); (200, 150); (24, 24); (30, 5) ]
+
+(* Once a walker's tables hold every key a trace touches (the same trace
+   fed a second time), the walk allocates nothing per event: the window
+   stack and the table slots are updated in place. The few words left
+   are per call (the iteration closure, the trace-start timestamp). *)
+let test_walk_allocation () =
+  let num_symbols = 64 in
+  let tr = List.hd (user_traces ~seed:5 ~users:1 ~num_symbols ~len:6000) in
+  List.iter
+    (fun shards ->
+      let ing = Ingest.create (Ingest.config ~num_symbols ~shards ~trg_window:16 ~affinity_w:8 ()) in
+      Ingest.ingest_trace ing tr;
+      let kept0 = (Ingest.stats ing).Ingest.kept_events in
+      let w0 = Gc.minor_words () in
+      Ingest.feed_trace ing tr;
+      let words = int_of_float (Gc.minor_words () -. w0) in
+      let kept = (Ingest.stats ing).Ingest.kept_events - kept0 in
+      Alcotest.(check bool) "second feed walked the trace" true (kept > 4000);
+      check Alcotest.int
+        (Printf.sprintf "minor words per kept event (shards=%d, %d words total)" shards words)
+        0 (words / kept);
+      Alcotest.(check bool)
+        (Printf.sprintf "constant per-call allocation (shards=%d): %d words" shards words)
+        true (words <= 64))
+    [ 1; 2 ]
+
 (* ---------------------------------------- walker stats + histograms *)
 
 (* Stats are sums over walkers and a pure function of the config: raw
@@ -364,6 +512,62 @@ let test_bounded_walker_determinism () =
         true
         (again_s = ref_s))
     [ 1; 2; 4 ]
+
+(* Bounded mode pinned: caps + decay + epochs at every walkers x shards
+   point give exactly the digests and eviction / decay / prune / flush
+   counters that the buffered-update ingest (table updates queued until
+   each flush) produced. Updates now land in the tables as the walk emits
+   them; this pins that no cap-eviction point moved. The traces are
+   phrase-structured (fixed 4-block runs plus noise blocks) so the
+   affine set survives the caps and is pinned too. *)
+let phrase_traces ~seed ~users ~len =
+  let prng = U.Prng.create ~seed in
+  List.init users (fun _ ->
+      let t = Trace.create ~num_symbols:64 () in
+      for _ = 1 to len do
+        if U.Prng.bool prng ~p:0.15 then Trace.push t (48 + U.Prng.int prng 16)
+        else begin
+          let p = U.Prng.zipf prng ~n:12 ~s:0.8 in
+          for j = 0 to 3 do
+            Trace.push t ((4 * p) + j)
+          done
+        end
+      done;
+      t)
+
+let bounded_pins =
+  [
+    (1, 1, "b31b4ed77526ddae761ba97effc1e557", "d0a8d2c0cd3b646c137a8e92d1665cf2", (4442, 35782, 76, 911, 250));
+    (1, 2, "4d2df4adb2c467bd0551383101d791f1", "28a790ff6bcda1b006d91925c5ebd8ac", (3746, 28901, 58, 1637, 250));
+    (2, 1, "0e66a988496515d85661b24775a71b4a", "d0a8d2c0cd3b646c137a8e92d1665cf2", (4344, 34556, 82, 2014, 251));
+    (2, 2, "64cbc0b98e1ad91d6f57b481c4cf7cf2", "ba8948cbf3b2e7840626a08781f57bdd", (3428, 27037, 146, 3426, 251));
+    (4, 1, "a066d719c57ee20069efdc560aff066b", "d41d8cd98f00b204e9800998ecf8427e", (4284, 31854, 243, 4098, 256));
+    (4, 2, "dda44771d694cf39c67ce76ea81499e7", "d0a8d2c0cd3b646c137a8e92d1665cf2", (3063, 23668, 755, 6775, 256));
+  ]
+
+let test_bounded_pinned () =
+  let traces = phrase_traces ~seed:31 ~users:16 ~len:100 in
+  U.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (walkers, shards, trg_d, aff_d, counters) ->
+          let cfg =
+            Ingest.config ~num_symbols:64 ~walkers ~shards ~trg_window:12 ~affinity_w:6
+              ~trg_cap:64 ~wits_cap:200 ~decay_shift:1 ~epoch_traces:4 ~flush_ops:256 ()
+          in
+          let ing = ingest_all ~pool cfg traces in
+          let tag = Printf.sprintf "walkers=%d shards=%d" walkers shards in
+          check
+            Alcotest.(pair string string)
+            ("digests " ^ tag) (trg_d, aff_d)
+            (Ingest.consensus_digests (Ingest.finalize ing));
+          let s = Ingest.stats ing in
+          let int5 = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+          let te, we, dd, dp, fl = counters in
+          check int5
+            ("trg_evicted, wits_evicted, decay_dropped, dead_pruned, flushes " ^ tag)
+            (te, (we, (dd, (dp, fl))))
+            (s.trg_evicted, (s.wits_evicted, (s.decay_dropped, (s.dead_pruned, s.flushes)))))
+        bounded_pins)
 
 (* Decay arithmetic on a hand-checked example: one epoch of shift-1 decay
    halves (floor) every TRG weight and forgets weight-1 edges. *)
@@ -520,6 +724,12 @@ let () =
             test_walker_stats_sum;
           Alcotest.test_case "per-walker latency histograms fold" `Quick
             test_walker_histograms;
+          Alcotest.test_case "ingest == seed kernels across walkers x shards" `Quick
+            test_ingest_vs_seed_kernels;
+          Alcotest.test_case "ingest == seed kernels on 429.mcf traces" `Quick
+            test_ingest_vs_seed_kernels_mcf;
+          Alcotest.test_case "window edge cases vs seed kernels" `Quick test_ingest_window_edges;
+          Alcotest.test_case "warm walk allocates nothing per event" `Quick test_walk_allocation;
         ] );
       ( "bounded",
         [
@@ -528,6 +738,7 @@ let () =
           Alcotest.test_case "per-walker-count determinism" `Quick
             test_bounded_walker_determinism;
           Alcotest.test_case "decay example" `Quick test_decay_example;
+          Alcotest.test_case "pinned digests and counters" `Quick test_bounded_pinned;
         ] );
       ( "service",
         [

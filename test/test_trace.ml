@@ -132,6 +132,51 @@ let lru_stack_matches_naive =
           got = expected)
         xs)
 
+(* The bounded window stack against the full LRU stack: after every
+   access it holds exactly the LRU stack's top k, and [find] reports the
+   LRU depth (0-based) whenever that depth is <= k, else absent. Streams
+   mix a skewed distribution with uniform draws and immediate repeats so
+   reuses land at every depth, beyond k included. *)
+let window_stack_matches_lru =
+  QCheck.Test.make ~name:"window stack = top k of the LRU stack" ~count:300
+    QCheck.(triple (int_range 1 70) (int_range 1 300) (int_range 0 1_000_000))
+    (fun (k, universe, seed) ->
+      let prng = Colayout_util.Prng.create ~seed in
+      let ws = Window_stack.create ~k in
+      let lru = Lru_stack.create () in
+      let last = ref 0 in
+      let ok = ref true in
+      for _ = 1 to 400 do
+        let x =
+          match Colayout_util.Prng.int prng 4 with
+          | 0 -> !last
+          | 1 -> Colayout_util.Prng.int prng universe
+          | _ -> Colayout_util.Prng.zipf prng ~n:universe ~s:0.8
+        in
+        last := x;
+        let pos = Window_stack.find ws x in
+        let want = match Lru_stack.access lru x with Some d when d <= k -> d - 1 | _ -> -1 in
+        Window_stack.move_to_front ws ~pos x;
+        if pos <> want || Window_stack.contents ws <> Lru_stack.top_k lru ~k then ok := false
+      done;
+      !ok && ws.Window_stack.depth = min k (Lru_stack.depth lru))
+
+let test_window_stack () =
+  let ws = Window_stack.create ~k:2 in
+  let access x = Window_stack.move_to_front ws ~pos:(Window_stack.find ws x) x in
+  check Alcotest.int "empty: absent" (-1) (Window_stack.find ws 5);
+  List.iter access [ 1; 2; 3 ];
+  check (Alcotest.list Alcotest.int) "deepest dropped" [ 3; 2 ] (Window_stack.contents ws);
+  check Alcotest.int "dropped symbol reads absent" (-1) (Window_stack.find ws 1);
+  check Alcotest.int "depth 2 -> position 1" 1 (Window_stack.find ws 2);
+  access 2;
+  check (Alcotest.list Alcotest.int) "moved to front" [ 2; 3 ] (Window_stack.contents ws);
+  check Alcotest.int "capacity" 2 (Window_stack.capacity ws);
+  Window_stack.clear ws;
+  check (Alcotest.list Alcotest.int) "cleared" [] (Window_stack.contents ws);
+  Alcotest.check_raises "k >= 1" (Invalid_argument "Window_stack.create: k must be >= 1")
+    (fun () -> ignore (Window_stack.create ~k:0))
+
 let test_histogram () =
   let h = Histogram.create () in
   Histogram.add h 3;
@@ -213,6 +258,8 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_lru_stack;
           QCheck_alcotest.to_alcotest lru_stack_matches_naive;
+          Alcotest.test_case "window stack basics" `Quick test_window_stack;
+          QCheck_alcotest.to_alcotest window_stack_matches_lru;
         ] );
       ("histogram", [ Alcotest.test_case "basics" `Quick test_histogram ]);
       ( "stack_dist",
