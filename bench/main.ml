@@ -119,6 +119,12 @@ let host_cpu () =
     close_in ic;
     model
 
+(* Which per-pair counter store the TRG and affinity kernels take at this
+   universe: the dense grid up to [Int_pair_tbl.max_grid_universe], the
+   packed-pair table above. The speedups of one say nothing of the other. *)
+let pair_store num_symbols =
+  if num_symbols <= U.Int_pair_tbl.max_grid_universe then "grid" else "table"
+
 let write_kernels_json ~path ~mode ~t0 ~num_symbols ~trace_len ~w ~slots ~kernels ~speedups
     ~packed_words ~legacy_words =
   let oc = open_out path in
@@ -129,8 +135,9 @@ let write_kernels_json ~path ~mode ~t0 ~num_symbols ~trace_len ~w ~slots ~kernel
   out "  \"mode\": \"%s\",\n" (json_escape mode);
   out "  \"host\": { \"cpu\": \"%s\", \"cores_available\": %d, \"ocaml\": \"%s\" },\n"
     (json_escape (host_cpu ())) (cores_available ()) (json_escape Sys.ocaml_version);
-  out "  \"params\": { \"num_symbols\": %d, \"trace_len\": %d, \"w\": %d, \"window\": %d, \"slots\": %d },\n"
-    num_symbols trace_len w w slots;
+  out
+    "  \"params\": { \"num_symbols\": %d, \"trace_len\": %d, \"w\": %d, \"window\": %d, \"slots\": %d, \"pair_store\": \"%s\" },\n"
+    num_symbols trace_len w w slots (pair_store num_symbols);
   out "  \"kernels\": [\n";
   List.iteri
     (fun i (name, ns) ->
@@ -161,8 +168,8 @@ let run_kernels ~quick ~json_path =
   let trace = kernel_trace ~num_symbols ~len ~seed:0xC0DE in
   Printf.printf
     "== Kernel micro-benchmarks: packed-int/CSR vs seed tuple-Hashtbl ==\n\
-    \   (%d events over %d symbols, w = window = %d, slots = %d)\n%!"
-    (T.Trace.length trace) num_symbols w slots;
+    \   (%d events over %d symbols, w = window = %d, slots = %d, pair store: %s)\n%!"
+    (T.Trace.length trace) num_symbols w slots (pair_store num_symbols);
   let bench name f =
     let ns = time_ns ~budget f in
     Printf.printf "  %-40s %12.1f us/run\n%!" name (ns /. 1e3);

@@ -58,34 +58,52 @@ let thresholds trace ~wmax =
   if wmax < 1 then invalid_arg "Affinity.thresholds: wmax must be >= 1";
   require_trimmed trace;
   check_universe trace;
+  let n = Trace.num_symbols trace in
   let pack = Int_pair_tbl.pack and fst_of = Int_pair_tbl.fst_of and snd_of = Int_pair_tbl.snd_of in
   let imax (a : int) b = if a >= b then a else b in
   let occ = Trace.occurrences trace in
-  let occ_idx = Array.make (Trace.num_symbols trace) 0 in
+  let occ_idx = Array.make n 0 in
   (* fp counts distinct blocks, so it never exceeds the universe either. *)
-  let fb = bits (min wmax (Trace.num_symbols trace)) in
+  let fb = bits (min wmax n) in
   let dead_bits = bits (Array.fold_left imax 0 occ + 1) in
   if dead_bits + (2 * fb) > 62 then
     invalid_arg "Affinity.thresholds: occurrence count and wmax exceed the packed-payload bound";
   let fmask = (1 lsl fb) - 1 and dead = (1 lsl dead_bits) - 1 in
-  let wits = Int_pair_tbl.create ~capacity:4096 () in
-  let witness a b a_occ fp =
-    (* An absent pair reads as 0 and is always overwritten: [a_occ >= 1]. *)
-    let s = Int_pair_tbl.slot wits (pack a b) in
-    let v = Int_pair_tbl.slot_get wits s in
+  (* The payload of a pair after witnessing occurrence [a_occ] at
+     footprint [fp]. An absent pair reads as 0 and is always overwritten:
+     [a_occ >= 1]. *)
+  let next v a_occ fp =
     let last = v lsr (2 * fb) in
-    if last < a_occ then begin
+    if last < a_occ then
       if last + 1 = a_occ then begin
         let cur = (v lsr fb) land fmask and prev = v land fmask in
-        Int_pair_tbl.slot_set wits s ((a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev)
+        (a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev
       end
-      else Int_pair_tbl.slot_set wits s (dead lsl (2 * fb))
-    end
+      else dead lsl (2 * fb)
     else if last <> dead && fp < (v lsr fb) land fmask then
-      Int_pair_tbl.slot_set wits s ((v land lnot (fmask lsl fb)) lor (fp lsl fb))
+      (v land lnot (fmask lsl fb)) lor (fp lsl fb)
+    else v
+  in
+  (* A universe within [Int_pair_tbl.max_grid_universe] keeps the payloads
+     in a dense grid at [a * n + b], where an absent pair is a 0 cell;
+     larger ones in a packed-pair table. Same values either way. *)
+  let dense = n <= Int_pair_tbl.max_grid_universe in
+  let grid = Array.make (if dense then n * n else 0) 0 in
+  let wits = Int_pair_tbl.create ~capacity:(if dense then 0 else 4096) () in
+  let witness a b a_occ fp =
+    if dense then begin
+      let i = (a * n) + b in
+      Array.unsafe_set grid i (next (Array.unsafe_get grid i) a_occ fp)
+    end
+    else begin
+      let s = Int_pair_tbl.slot wits (pack a b) in
+      let v = Int_pair_tbl.slot_get wits s in
+      let v' = next v a_occ fp in
+      if v' <> v then Int_pair_tbl.slot_set wits s v'
+    end
   in
   (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
-  let ws = Window_stack.create ~k:(max 1 (min wmax (Trace.num_symbols trace))) in
+  let ws = Window_stack.create ~k:(max 1 (min wmax n)) in
   let stk = ws.stk in
   Trace.iter
     (fun y ->
@@ -120,15 +138,23 @@ let thresholds trace ~wmax =
      the two directions' maxima. *)
   let table = Int_pair_tbl.create ~capacity:1024 () in
   let bound v = imax ((v lsr fb) land fmask) (v land fmask) in
-  Int_pair_tbl.iter
-    (fun key v ->
-      let a = fst_of key and b = snd_of key in
-      if a < b && v lsr (2 * fb) = occ.(a) then begin
-        let v' = Int_pair_tbl.find wits (pack b a) ~default:0 in
-        if v' lsr (2 * fb) = occ.(b) then
-          Int_pair_tbl.replace table key (imax (bound v) (bound v'))
-      end)
-    wits;
+  let add a b v v' =
+    if v lsr (2 * fb) = occ.(a) && v' lsr (2 * fb) = occ.(b) then
+      Int_pair_tbl.replace table (pack a b) (imax (bound v) (bound v'))
+  in
+  if dense then
+    for a = 0 to n - 1 do
+      for b = a + 1 to n - 1 do
+        let v = Array.unsafe_get grid ((a * n) + b) in
+        if v <> 0 then add a b v (Array.unsafe_get grid ((b * n) + a))
+      done
+    done
+  else
+    Int_pair_tbl.iter
+      (fun key v ->
+        let a = fst_of key and b = snd_of key in
+        if a < b then add a b v (Int_pair_tbl.find wits (pack b a) ~default:0))
+      wits;
   { table; wmax }
 
 let cut th ~w =

@@ -33,7 +33,10 @@ type thresholds
     smallest such window. *)
 
 val thresholds : Colayout_trace.Trace.t -> wmax:int -> thresholds
-(** The one-pass kernel. @raise Invalid_argument if [wmax < 1] or the
+(** The one-pass kernel. Its per-ordered-pair witness payloads live in a
+    dense [n × n] grid when the universe has at most
+    [Int_pair_tbl.max_grid_universe] symbols, in a packed-pair table
+    otherwise; the thresholds are the same either way. @raise Invalid_argument if [wmax < 1] or the
     trace is not trimmed. *)
 
 val cut : thresholds -> w:int -> pair_set

@@ -1,14 +1,16 @@
 open Colayout_util
 open Colayout_trace
 
-(* Two representations. During construction the graph accumulates into one
-   flat packed-key table, each undirected edge stored exactly once under its
-   canonical (min, max) key — no boxed tuples, no per-node hash tables, no
-   symmetric double storage. [finalize] converts to CSR: row [x] holds the
+(* Two construction paths, one finalized form. [build] on a universe of at
+   most [Int_pair_tbl.max_grid_universe] symbols counts into a dense
+   directed grid and emits the CSR straight from it (see [build_grid]).
+   Larger universes, and [of_edges], accumulate into one flat packed-key
+   table, each undirected edge stored exactly once under its canonical
+   (min, max) key — no boxed tuples, no per-node hash tables, no symmetric
+   double storage. [finalize] converts that table to CSR: row [x] holds the
    neighbours [y > x] in ascending order with parallel weights, so point
    queries are a binary search and whole-graph iteration is a contiguous
-   array sweep. The packed table is dropped at that point, which is what
-   halves resident memory versus the old double-stored adjacency. *)
+   array sweep. Neither the grid nor the table outlives construction. *)
 
 type csr = {
   row_ptr : int array; (* length num_nodes + 1 *)
@@ -113,37 +115,62 @@ let iter_edges f t =
     f c.src.(j) c.nbr.(j) c.wt.(j)
   done
 
-(* Bits needed to hold any index below [e]. *)
-let index_bits e =
-  let rec go b = if 1 lsl b >= e then b else go (b + 1) in
+(* Bits needed to write [v >= 0]. *)
+let bit_width v =
+  let rec go b = if v lsr b = 0 then b else go (b + 1) in
   go 0
 
+(* Heaviest first, then the canonical (src, nbr) order — which is the
+   ascending CSR index. One stable LSD radix sort of the identity
+   permutation on the key [wmax - w]: stability keeps equal weights in
+   ascending index order, and the key is non-negative whatever the weight
+   span. The key's width is split into the fewest digits of at most 16
+   bits (one pass while the weight span is below 2^16); each pass
+   scatters the keys beside the indices, so no pass reads the weights
+   through the permutation. *)
 let sorted_edge_index c =
   match c.by_weight with
   | Some idx -> idx
   | None ->
     let e = Array.length c.nbr in
-    (* Heaviest first, then the canonical (src, nbr) order — which is the
-       ascending CSR index, so ties compare by index. Packing [(wmax - w)]
-       above the index turns that order into one ascending int sort, with
-       no closure reading the weight array per comparison. *)
-    let wmax = Array.fold_left max 0 c.wt and wmin = Array.fold_left min max_int c.wt in
-    let bits = index_bits e in
-    let idx =
-      if wmax - wmin <= max_int lsr bits then begin
-        let keys = Array.init e (fun j -> ((wmax - c.wt.(j)) lsl bits) lor j) in
-        Array.stable_sort (fun (a : int) b -> compare a b) keys;
-        let mask = (1 lsl bits) - 1 in
-        Array.map (fun k -> k land mask) keys
-      end
+    let wmax = Array.fold_left max 0 c.wt in
+    let key = Array.make e 0 in
+    for j = 0 to e - 1 do
+      Array.unsafe_set key j (wmax - Array.unsafe_get c.wt j)
+    done;
+    let width = bit_width (Array.fold_left max 0 key) in
+    let passes = (width + 15) / 16 in
+    let digit = if passes = 0 then 0 else (width + passes - 1) / passes in
+    let mask = (1 lsl digit) - 1 in
+    let count = Array.make (mask + 1) 0 in
+    let rec pass p key idx =
+      if p = passes then idx
       else begin
-        let idx = Array.init e Fun.id in
-        Array.sort
-          (fun a b -> if c.wt.(a) <> c.wt.(b) then compare c.wt.(b) c.wt.(a) else compare a b)
-          idx;
-        idx
+        let shift = p * digit in
+        Array.fill count 0 (mask + 1) 0;
+        for j = 0 to e - 1 do
+          let d = (Array.unsafe_get key j lsr shift) land mask in
+          Array.unsafe_set count d (Array.unsafe_get count d + 1)
+        done;
+        let sum = ref 0 in
+        for d = 0 to mask do
+          let n = Array.unsafe_get count d in
+          Array.unsafe_set count d !sum;
+          sum := !sum + n
+        done;
+        let key' = Array.make e 0 and idx' = Array.make e 0 in
+        for j = 0 to e - 1 do
+          let k = Array.unsafe_get key j in
+          let d = (k lsr shift) land mask in
+          let at = Array.unsafe_get count d in
+          Array.unsafe_set count d (at + 1);
+          Array.unsafe_set key' at k;
+          Array.unsafe_set idx' at (Array.unsafe_get idx j)
+        done;
+        pass (p + 1) key' idx'
       end
     in
+    let idx = pass 0 key (Array.init e Fun.id) in
     c.by_weight <- Some idx;
     idx
 
@@ -168,29 +195,86 @@ let edges t =
   iter_edges_by_weight (fun x y w -> acc := (x, y, w) :: !acc) t;
   List.rev !acc
 
+(* The grid path of [build]: [m.(x * n + y)] counts the recurrences of
+   [x] within the window that had [y] above it on the stack, so the
+   undirected weight of [{x, y}] is [m.(x * n + y) + m.(y * n + x)] — the
+   sum of exactly the [bump]s the table path makes under its canonical key.
+   Reading the upper triangle row by row yields the CSR's row-major order
+   directly, with no key sort; the grid is garbage once [build] returns. *)
+let build_grid ~k trace =
+  let n = Trace.num_symbols trace in
+  let m = Array.make (n * n) 0 in
+  let ws = Window_stack.create ~k in
+  let stk = ws.stk in
+  Trace.iter
+    (fun x ->
+      let pos = Window_stack.find ws x in
+      let row = x * n in
+      for i = 0 to pos - 1 do
+        let j = row + Array.unsafe_get stk i in
+        Array.unsafe_set m j (Array.unsafe_get m j + 1)
+      done;
+      Window_stack.move_to_front ws ~pos x)
+    trace;
+  (* Fold the lower triangle onto the upper one, counting edges and
+     degrees on the way. *)
+  let deg = Array.make n 0 and e = ref 0 in
+  for x = 0 to n - 1 do
+    for y = x + 1 to n - 1 do
+      let w = Array.unsafe_get m ((x * n) + y) + Array.unsafe_get m ((y * n) + x) in
+      Array.unsafe_set m ((x * n) + y) w;
+      if w > 0 then begin
+        incr e;
+        deg.(x) <- deg.(x) + 1;
+        deg.(y) <- deg.(y) + 1
+      end
+    done
+  done;
+  let row_ptr = Array.make (n + 1) 0 in
+  let src = Array.make !e 0 and nbr = Array.make !e 0 and wt = Array.make !e 0 in
+  let j = ref 0 in
+  for x = 0 to n - 1 do
+    for y = x + 1 to n - 1 do
+      let w = Array.unsafe_get m ((x * n) + y) in
+      if w > 0 then begin
+        src.(!j) <- x;
+        nbr.(!j) <- y;
+        wt.(!j) <- w;
+        incr j
+      end
+    done;
+    row_ptr.(x + 1) <- !j
+  done;
+  { num_nodes = n; deg; repr = Csr { row_ptr; src; nbr; wt; by_weight = None } }
+
 let build ?(window = max_int) trace =
   if window < 1 then invalid_arg "Trg.build: window must be >= 1";
   if not (Trim.is_trimmed trace) then invalid_arg "Trg.build: trace must be trimmed";
   let n = Trace.num_symbols trace in
-  let t = create_building n in
+  check_universe n;
   (* The walk never reads past depth [window], so the top [window] entries
      of the LRU stack are all it needs (fewer when the universe is
      smaller). *)
-  let ws = Window_stack.create ~k:(max 1 (min window n)) in
-  let stk = ws.stk in
-  Trace.iter
-    (fun x ->
-      (* If x recurs within the window (it is on the bounded stack), every
-         block above it occurred between its two successive occurrences:
-         one potential conflict each. *)
-      let pos = Window_stack.find ws x in
-      for i = 0 to pos - 1 do
-        bump t x (Array.unsafe_get stk i) 1
-      done;
-      Window_stack.move_to_front ws ~pos x)
-    trace;
-  finalize t;
-  t
+  let k = max 1 (min window n) in
+  if n <= Int_pair_tbl.max_grid_universe then build_grid ~k trace
+  else begin
+    let t = create_building n in
+    let ws = Window_stack.create ~k in
+    let stk = ws.stk in
+    Trace.iter
+      (fun x ->
+        (* If x recurs within the window (it is on the bounded stack), every
+           block above it occurred between its two successive occurrences:
+           one potential conflict each. *)
+        let pos = Window_stack.find ws x in
+        for i = 0 to pos - 1 do
+          bump t x (Array.unsafe_get stk i) 1
+        done;
+        Window_stack.move_to_front ws ~pos x)
+      trace;
+    finalize t;
+    t
+  end
 
 let of_edges ~num_nodes edge_list =
   let t = create_building num_nodes in

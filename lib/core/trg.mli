@@ -3,23 +3,27 @@
     Nodes are code blocks; an undirected edge's weight counts potential cache
     conflicts: the number of times two successive occurrences of one endpoint
     are interleaved with at least one occurrence of the other (and vice
-    versa). Construction follows the original algorithm with the paper's
-    hash-table-plus-linked-list speedup: one LRU-stack pass; when a block
-    recurs within the analysis window, every distinct block accessed in
-    between gets its edge incremented.
+    versa). Construction is the original one-pass algorithm: walk an LRU
+    stack bounded at the analysis window; when a block recurs within the
+    window, every distinct block above it on the stack — each one accessed
+    between its two occurrences — gets its edge incremented.
 
     The window [q] bounds how far apart (in distinct blocks) two successive
     occurrences may be and still count — Gloy & Smith recommend a window of
     twice the cache size, which {!recommended_window} computes.
 
-    Representation: construction accumulates each undirected edge once into
-    a flat packed-key table ([Int_pair_tbl], key [(min lsl 31) lor max]);
-    {!finalize} converts to a CSR index (sorted neighbour/weight arrays)
-    that answers {!weight} by binary search in either argument order and
-    iterates edges over contiguous arrays. Both {!build} and {!of_edges}
-    return finalized graphs. The packed coordinates bound the symbol
-    universe: constructors raise [Invalid_argument] when
-    [num_symbols >= 2^31]. *)
+    Representation: every graph is finalized to a CSR index (sorted
+    neighbour/weight arrays) that answers {!weight} by binary search in
+    either argument order and iterates edges over contiguous arrays. On a
+    universe of at most [Int_pair_tbl.max_grid_universe] symbols, {!build}
+    counts each recurrence into a dense [n × n] directed grid and reads the
+    CSR off its upper triangle ([w = m.(x).(y) + m.(y).(x)], [y > x]); on
+    larger universes, and in {!of_edges}, each undirected edge accumulates
+    once into a flat [Int_pair_tbl] under [(min lsl 31) lor max], and
+    {!finalize} sorts the keys into the CSR. Both paths give the same
+    graph, and neither the grid nor the table is kept once it is built.
+    The packed coordinates bound the symbol universe: constructors raise
+    [Invalid_argument] when [num_symbols >= 2^31]. *)
 
 type t
 
@@ -28,8 +32,9 @@ val build : ?window:int -> Colayout_trace.Trace.t -> t
 
 val finalize : t -> unit
 (** Convert to the CSR representation, dropping the construction-time
-    table. Idempotent; called implicitly by the edge iterators and by the
-    constructors, so ordinary callers never need it. *)
+    table (grid-built graphs are born finalized). Idempotent; called
+    implicitly by the edge iterators and by the constructors, so ordinary
+    callers never need it. *)
 
 val num_nodes : t -> int
 (** Size of the symbol universe (not all need occur). *)
@@ -61,7 +66,8 @@ type weight_sorted = {
     The arrays are shared with the graph: read them, never write them. *)
 
 val weight_sorted : t -> weight_sorted
-(** Finalizes if needed; the sorted index is computed once and cached. *)
+(** Finalizes if needed; the sorted index is computed once, by one stable
+    radix sort of the CSR indices on [wmax - w], and cached. *)
 
 val of_edges : num_nodes:int -> (int * int * int) list -> t
 (** Build directly from weighted edges (for tests and the Figure 2 worked

@@ -76,12 +76,31 @@ let reduce ?decisions trg ~slots =
   let { Trg.src; nbr; wt; order = stream } = Trg.weight_sorted trg in
   let e = Array.length stream in
   (* Current edge weights, one entry per canonical pair; an absent pair
-     reads 0. Weights only grow. *)
-  let cur = Int_pair_tbl.create ~capacity:e () in
+     reads 0. Weights only grow. A universe within
+     [Int_pair_tbl.max_grid_universe] keeps them in a dense grid at
+     [lo * n + hi], larger ones in a packed-pair table: the same values
+     either way, so the same decisions. *)
+  let dense = n <= Int_pair_tbl.max_grid_universe in
+  let grid = Array.make (if dense then n * n else 0) 0 in
+  let cell x y = if x < y then (x * n) + y else (y * n) + x in
+  let cur = Int_pair_tbl.create ~capacity:(if dense then 0 else e) () in
   for j = 0 to e - 1 do
-    Int_pair_tbl.replace cur (Int_pair_tbl.pack src.(j) nbr.(j)) wt.(j)
+    if dense then grid.(cell src.(j) nbr.(j)) <- wt.(j)
+    else Int_pair_tbl.replace cur (Int_pair_tbl.pack src.(j) nbr.(j)) wt.(j)
   done;
-  let cur_w x y = Int_pair_tbl.find cur (key x y) ~default:0 in
+  let cur_w x y =
+    if dense then Array.unsafe_get grid (cell x y) else Int_pair_tbl.find cur (key x y) ~default:0
+  in
+  (* Adds [dw] to the weight of [{x, y}] and returns the sum. *)
+  let cur_add x y dw =
+    if dense then begin
+      let i = cell x y in
+      let w = Array.unsafe_get grid i + dw in
+      Array.unsafe_set grid i w;
+      w
+    end
+    else Int_pair_tbl.add_to cur (key x y) dw
+  in
   (* Neighbour lists: the initial graph as symmetric flat rows, plus a
      per-node vector of the slot nodes it gains an edge to through merges.
      Only unplaced nodes' lists are ever read. *)
@@ -160,11 +179,10 @@ let reduce ?decisions trg ~slots =
       iter_neighbours
         (fun nb ->
           if not (placed nb) then begin
-            let wv = Int_pair_tbl.find cur (key v nb) ~default:0 in
-            let kr = key r nb in
-            let w' = Int_pair_tbl.add_to cur kr wv in
+            let wv = cur_w v nb in
+            let w' = cur_add r nb wv in
             if w' = wv then add_neighbour nb r;
-            heap_push heap w' kr
+            heap_push heap w' (key r nb)
           end)
         v
     end
@@ -199,7 +217,7 @@ let reduce ?decisions trg ~slots =
     let x = Int_pair_tbl.fst_of k and y = Int_pair_tbl.snd_of k in
     let px = placed x and py = placed y in
     let stale =
-      (px && not (is_rep x)) || (py && not (is_rep y)) || Int_pair_tbl.find cur k ~default:0 <> w
+      (px && not (is_rep x)) || (py && not (is_rep y)) || cur_w x y <> w
     in
     if not stale then begin
       if not px then begin

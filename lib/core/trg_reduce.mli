@@ -14,9 +14,11 @@
     The paper's worked example (Figure 2, 3 slots) is reproduced: reduction
     order A-B, E-F, then C, giving the sequence [A B E F C].
 
-    The implementation is flat: current weights in one packed-pair table,
+    The implementation is flat: current weights in one dense [n × n] grid
+    when the graph has at most [Int_pair_tbl.max_grid_universe] nodes, in
+    one packed-pair table otherwise (the same values either way);
     candidates merged from the graph's weight-sorted edge index and an int
-    heap of the edges merges create, and a drain that stops once every
+    heap of the edges merges create; and a drain that stops once every
     node with an edge is placed. It makes the same decisions as the seed
     reduction kept as a test oracle ([Kernel_baseline.trg_reduce] in
     [test/oracle/]). *)

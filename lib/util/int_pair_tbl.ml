@@ -7,6 +7,8 @@ let () = assert (Sys.int_size >= 63)
 
 let max_coord = (1 lsl 31) - 1
 
+let max_grid_universe = 2048
+
 let pack x y = (x lsl 31) lor y
 
 let fst_of k = k lsr 31

@@ -21,6 +21,15 @@ type t
 val max_coord : int
 (** [2^31 - 1]: the largest value either pair coordinate may take. *)
 
+val max_grid_universe : int
+(** [2048]: the largest symbol universe [n] for which the pair kernels
+    ([Trg.build], [Trg_reduce.reduce], [Affinity.thresholds]) skip this
+    table and count into one flat [n × n] [int array] indexed
+    [x * n + y]: at most [2048² × 8] bytes = 32 MiB, allocated for the
+    kernel's run and dropped when it returns. Every program in the repo
+    has at most 1,293 blocks, so the paper path always takes the grid;
+    larger universes keep the table. Both paths make the same decisions. *)
+
 val pack : int -> int -> int
 (** [pack x y = (x lsl 31) lor y]. Unchecked: both must be in
     [[0, max_coord]]. *)

@@ -1,5 +1,7 @@
 open Colayout
+open Colayout_oracle
 open Colayout_trace
+module U = Colayout_util
 
 let check = Alcotest.check
 
@@ -169,6 +171,109 @@ let test_members_and_pp () =
   let s = Format.asprintf "%a" Affinity_hierarchy.pp h in
   check Alcotest.bool "pp nonempty" true (String.length s > 0)
 
+(* ------------------------------------------ Grid and table paths *)
+
+(* [Affinity.thresholds] keeps its witness payloads in a dense grid on
+   universes of at most [max_grid_universe] symbols and in a packed-pair
+   table above that. Every cut must equal the seed pass on both sides. *)
+let bound = U.Int_pair_tbl.max_grid_universe
+
+(* A trimmed trace over [k] symbol ids spread across [0, num_symbols),
+   both ends included and shuffled. Half the steps play a run of four
+   consecutive ids, so some pairs are affine at small windows. *)
+let spread_trace ~seed ~num_symbols ~k ~len =
+  let prng = U.Prng.create ~seed in
+  let ids = Array.init k (fun i -> if k = 1 then 0 else i * (num_symbols - 1) / (k - 1)) in
+  U.Prng.shuffle prng ids;
+  let t = Trace.create ~num_symbols () in
+  while Trace.length t < len do
+    let r = U.Prng.zipf prng ~n:k ~s:0.9 in
+    if U.Prng.bool prng ~p:0.5 then Trace.push t ids.(r)
+    else
+      for i = r - (r mod 4) to min (k - 1) ((r - (r mod 4)) + 3) do
+        Trace.push t ids.(i)
+      done
+  done;
+  Trim.trim t
+
+let pairs = Alcotest.list (Alcotest.pair Alcotest.int Alcotest.int)
+
+let check_cuts ~what ~wmax trace =
+  let th = Affinity.thresholds trace ~wmax in
+  for w = 1 to wmax do
+    check pairs
+      (Printf.sprintf "%s: cut at w=%d" what w)
+      (Kernel_baseline.affine_pairs trace ~w)
+      (Affinity.pair_list (Affinity.cut th ~w))
+  done;
+  th
+
+let test_cuts_across_bound () =
+  List.iter
+    (fun num_symbols ->
+      List.iter
+        (fun seed ->
+          let t = spread_trace ~seed ~num_symbols ~k:60 ~len:2_000 in
+          let what = Printf.sprintf "n=%d seed=%d" num_symbols seed in
+          let th = check_cuts ~what ~wmax:16 t in
+          check Alcotest.bool (what ^ ": some affine pairs") true
+            (Affinity.pair_list (Affinity.cut th ~w:16) <> []))
+        [ 1; 2 ])
+    [ bound - 1; bound; bound + 1 ]
+
+(* Small traces at the bound, against the seed pass and Definition 3: the
+   stack algorithm is a sound under-approximation of the definition, so
+   each cut is a subset of the naive pairs. *)
+let test_small_cuts_across_bound () =
+  List.iter
+    (fun num_symbols ->
+      let found = ref 0 in
+      for seed = 1 to 20 do
+        let t = spread_trace ~seed ~num_symbols ~k:6 ~len:30 in
+        let what = Printf.sprintf "n=%d seed=%d" num_symbols seed in
+        let th = check_cuts ~what ~wmax:6 t in
+        for w = 1 to 6 do
+          let exact = Affinity.affine_pairs_naive t ~w in
+          List.iter
+            (fun (x, y) ->
+              incr found;
+              if not (Affinity.is_affine exact x y) then
+                Alcotest.failf "%s: (%d, %d) affine at w=%d but not by Definition 3" what x y w)
+            (Affinity.pair_list (Affinity.cut th ~w))
+        done
+      done;
+      check Alcotest.bool (Printf.sprintf "n=%d: some affine pairs" num_symbols) true (!found > 0))
+    [ bound - 1; bound; bound + 1 ]
+
+let test_cut_edge_cases () =
+  List.iter
+    (fun (what, trace) ->
+      List.iter
+        (fun wmax -> ignore (check_cuts ~what:(Printf.sprintf "%s wmax=%d" what wmax) ~wmax trace))
+        [ 1; 2; Trace.num_symbols trace + 3 ])
+    [
+      ("n=1 empty", Trace.create ~num_symbols:1 ());
+      ("n=1", Trace.of_list ~num_symbols:1 [ 0 ]);
+      ("n=2", Trace.of_list ~num_symbols:2 [ 0; 1; 0; 1 ]);
+      ("n=3", Trace.of_list ~num_symbols:3 [ 0; 1; 2; 0; 1; 2 ]);
+      ("empty at bound", Trace.create ~num_symbols:bound ());
+      ("empty above bound", Trace.create ~num_symbols:(bound + 1) ());
+      ("ends at bound", Trace.of_list ~num_symbols:bound [ bound - 1; 0; bound - 1; 0 ]);
+      ("ends above bound", Trace.of_list ~num_symbols:(bound + 1) [ bound; 0; bound; 0 ]);
+    ]
+
+(* The grid walk allocates nothing per event: a cyclic trace has the same
+   affine pairs at any length past two rounds. *)
+let test_grid_walk_allocation () =
+  let num_symbols = 40 in
+  let minor_words len =
+    let t = Trace.of_array ~num_symbols (Array.init len (fun i -> i mod num_symbols)) in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Affinity.thresholds t ~wmax:8));
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  check Alcotest.int "minor words at 2k and 20k events" (minor_words 2_000) (minor_words 20_000)
+
 let () =
   Alcotest.run "affinity"
     [
@@ -192,5 +297,12 @@ let () =
           QCheck_alcotest.to_alcotest order_is_permutation_of_occurring;
           Alcotest.test_case "bad ws" `Quick test_bad_ws;
           Alcotest.test_case "members/pp" `Quick test_members_and_pp;
+        ] );
+      ( "grid-bound",
+        [
+          Alcotest.test_case "cuts = seed across the bound" `Quick test_cuts_across_bound;
+          Alcotest.test_case "small cuts = seed, within Def 3" `Quick test_small_cuts_across_bound;
+          Alcotest.test_case "cut edge cases = seed" `Quick test_cut_edge_cases;
+          Alcotest.test_case "grid walk allocation" `Quick test_grid_walk_allocation;
         ] );
     ]

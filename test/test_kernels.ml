@@ -1,5 +1,5 @@
 (* Differential tests for the packed-int kernels: the rewritten
-   [Trg.build] (flat packed table + CSR finalization), the flat
+   [Trg.build] (dense grid or flat packed table, then CSR), the flat
    [Trg_reduce.reduce] and the one-pass [Affinity.thresholds] (cut at each
    window by [Affinity.affine_pairs] and [Affinity_hierarchy.build]) must
    produce results identical to the seed implementations, which live on in
@@ -186,6 +186,55 @@ let test_reduce_real_graphs () =
           ("bb", an.Optimizer.bb, config.Optimizer.bb_block_bytes);
         ])
     [ "429.mcf"; "403.gcc" ]
+
+(* Across the grid bound: [Trg_reduce.reduce] keeps its current weights
+   in a dense grid on universes of at most [max_grid_universe] nodes and
+   in a packed-pair table above, and must match the seed on both sides.
+   The symbol ids are spread over the whole universe, so a short trace's
+   graph has nodes in the grid's first and last rows. *)
+let test_reduce_across_bound () =
+  let bound = U.Int_pair_tbl.max_grid_universe in
+  List.iter
+    (fun n ->
+      let prng = U.Prng.create ~seed:n in
+      let ids = Array.init 120 (fun i -> i * (n - 1) / 119) in
+      U.Prng.shuffle prng ids;
+      let t = Trace.create ~num_symbols:n () in
+      for _ = 1 to 3_000 do
+        Trace.push t ids.(U.Prng.zipf prng ~n:120 ~s:0.9)
+      done;
+      let t = Trim.trim t in
+      List.iter
+        (fun (window, slots) ->
+          let g = Trg.build ~window t in
+          let (flat, flat_ev), (seed, seed_ev) = reduce_both g ~slots in
+          let what = Printf.sprintf "n=%d window=%d slots=%d" n window slots in
+          check reduce_result (what ^ ": order and slot lists") seed flat;
+          check Alcotest.bool (what ^ ": decision events") true (flat_ev = seed_ev))
+        [ (1, 4); (16, 1); (16, 8); (64, 8); (64, 200); (n, 32) ])
+    [ bound - 1; bound; bound + 1 ]
+
+let test_reduce_edge_cases () =
+  List.iter
+    (fun (what, g) ->
+      List.iter
+        (fun slots ->
+          let (flat, flat_ev), (seed, seed_ev) = reduce_both g ~slots in
+          check reduce_result (Printf.sprintf "%s slots=%d" what slots) seed flat;
+          check Alcotest.bool (what ^ ": decision events") true (flat_ev = seed_ev))
+        [ 1; 2; 5 ])
+    [
+      ("n=0", Trg.of_edges ~num_nodes:0 []);
+      ("n=1", Trg.of_edges ~num_nodes:1 []);
+      ("n=2", Trg.of_edges ~num_nodes:2 [ (0, 1, 3) ]);
+      ("no edges at the bound", Trg.of_edges ~num_nodes:U.Int_pair_tbl.max_grid_universe []);
+      ( "corner edges at the bound",
+        let b = U.Int_pair_tbl.max_grid_universe in
+        Trg.of_edges ~num_nodes:b [ (0, b - 1, 2); (1, b - 1, 2); (0, 1, 1); (b - 2, b - 1, 5) ] );
+      ( "corner edges above the bound",
+        let b = U.Int_pair_tbl.max_grid_universe + 1 in
+        Trg.of_edges ~num_nodes:b [ (0, b - 1, 2); (1, b - 1, 2); (0, 1, 1); (b - 2, b - 1, 5) ] );
+    ]
 
 (* ------------------------------------- One-pass affinity: cuts vs seed *)
 
@@ -450,6 +499,11 @@ let () =
         [
           QCheck_alcotest.to_alcotest reduce_matches_seed;
           Alcotest.test_case "real mcf and gcc TRGs" `Slow test_reduce_real_graphs;
+        ] );
+      ( "grid-bound",
+        [
+          Alcotest.test_case "reduce = seed across the bound" `Quick test_reduce_across_bound;
+          Alcotest.test_case "reduce edge cases = seed" `Quick test_reduce_edge_cases;
         ] );
       ( "affinity-one-pass",
         [

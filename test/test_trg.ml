@@ -1,5 +1,7 @@
 open Colayout
+open Colayout_oracle
 open Colayout_trace
+module U = Colayout_util
 
 let check = Alcotest.check
 
@@ -55,6 +57,24 @@ let test_edges_sorted_wide_weights () =
     "sorted by weight desc then ids"
     [ (1, 2, big); (2, 3, big); (0, 1, 1); (0, 2, 1) ]
     (Trg.edges g)
+
+(* The weight-sorted index is a radix sort on [wmax - w]: any mix of
+   weight widths, including spans too wide for one digit, must give the
+   comparison order (heaviest first, then ids). *)
+let edges_sorted_any_widths =
+  QCheck.Test.make ~name:"edges sorted, random weight widths" ~count:300
+    QCheck.(list (triple (int_bound 11) (int_bound 11) (pair (int_bound 61) (int_bound 1000))))
+    (fun raw ->
+      let edges =
+        List.filter_map
+          (fun (x, y, (b, r)) ->
+            if x = y then None else Some (min x y, max x y, (1 lsl b) + r))
+          raw
+        |> List.sort_uniq (fun (a, b, _) (c, d, _) -> compare (a, b) (c, d))
+      in
+      let g = Trg.of_edges ~num_nodes:12 edges in
+      Trg.edges g
+      = List.sort (fun (a, b, w) (c, d, v) -> compare (-w, a, b) (-v, c, d)) edges)
 
 let test_of_edges_validation () =
   Alcotest.check_raises "self loop" (Invalid_argument "Trg.of_edges: self loop") (fun () ->
@@ -143,6 +163,99 @@ let test_slots_for () =
   Alcotest.check_raises "bad slots" (Invalid_argument "Trg_reduce.reduce: slots must be >= 1")
     (fun () -> ignore (Trg_reduce.reduce (fig2_trg ()) ~slots:0))
 
+(* ------------------------------------------ Grid and table paths *)
+
+(* [Trg.build] counts into a dense grid on universes of at most
+   [max_grid_universe] symbols and into a packed-pair table above that.
+   Both must give the seed kernel's graph. *)
+let bound = U.Int_pair_tbl.max_grid_universe
+
+let universes = [ bound - 1; bound; bound + 1 ]
+
+(* A trimmed zipf trace over [k] symbol ids spread across
+   [0, num_symbols), both ends included and shuffled, so a short trace
+   touches the first and last rows of a universe at the bound. *)
+let spread_trace ~seed ~num_symbols ~k ~len =
+  let prng = U.Prng.create ~seed in
+  let ids = Array.init k (fun i -> if k = 1 then 0 else i * (num_symbols - 1) / (k - 1)) in
+  U.Prng.shuffle prng ids;
+  let t = Trace.create ~num_symbols () in
+  for _ = 1 to len do
+    Trace.push t ids.(U.Prng.zipf prng ~n:k ~s:0.9)
+  done;
+  Trim.trim t
+
+let edge_list = Alcotest.list (Alcotest.triple Alcotest.int Alcotest.int Alcotest.int)
+
+let check_matches_seed ~what ?window trace =
+  let g = Trg.build ?window trace in
+  let seed = Kernel_baseline.trg_build ?window trace in
+  check edge_list (what ^ ": edges") (Kernel_baseline.trg_edges seed) (Trg.edges g);
+  check Alcotest.int (what ^ ": nodes") (Trace.num_symbols trace) (Trg.num_nodes g);
+  for x = 0 to Trg.num_nodes g - 1 do
+    if Trg.degree g x <> Hashtbl.length seed.Kernel_baseline.adj.(x) then
+      Alcotest.failf "%s: degree of %d is %d, seed %d" what x (Trg.degree g x)
+        (Hashtbl.length seed.Kernel_baseline.adj.(x))
+  done
+
+let test_build_across_bound () =
+  List.iter
+    (fun num_symbols ->
+      List.iter
+        (fun seed ->
+          let t = spread_trace ~seed ~num_symbols ~k:90 ~len:3_000 in
+          List.iter
+            (fun window ->
+              check_matches_seed
+                ~what:(Printf.sprintf "n=%d seed=%d window=%d" num_symbols seed window)
+                ~window t)
+            [ 1; 2; 8; 64; num_symbols; num_symbols + 7 ];
+          check_matches_seed ~what:(Printf.sprintf "n=%d seed=%d unbounded" num_symbols seed) t)
+        [ 1; 2 ])
+    universes
+
+(* A trace's universe is never empty ([Trace.create] rejects
+   [num_symbols = 0]), so the smallest grid here is 1 × 1. *)
+let test_build_edge_cases () =
+  List.iter
+    (fun (what, trace) ->
+      List.iter
+        (fun window -> check_matches_seed ~what:(Printf.sprintf "%s window=%d" what window) ~window trace)
+        [ 1; 2; 1_000_000 ])
+    [
+      ("n=1 empty", Trace.create ~num_symbols:1 ());
+      ("n=1", Trace.of_list ~num_symbols:1 [ 0 ]);
+      ("n=2", Trace.of_list ~num_symbols:2 [ 0; 1; 0; 1 ]);
+      ("empty at bound", Trace.create ~num_symbols:bound ());
+      ("empty above bound", Trace.create ~num_symbols:(bound + 1) ());
+      ("ends at bound", Trace.of_list ~num_symbols:bound [ bound - 1; 0; bound - 1; 0 ]);
+      ("ends above bound", Trace.of_list ~num_symbols:(bound + 1) [ bound; 0; bound; 0 ]);
+    ]
+
+(* The grid is dropped when [build] returns: the graph it yields is the
+   same size as the one the table path builds from the same edges. *)
+let test_grid_not_retained () =
+  let t = spread_trace ~seed:3 ~num_symbols:600 ~k:200 ~len:4_000 in
+  let g = Trg.build ~window:64 t in
+  let grid_words = Obj.reachable_words (Obj.repr g) in
+  let table = Trg.of_edges ~num_nodes:600 (Trg.edges g) in
+  check Alcotest.int "grid-built graph = table-built graph, in words"
+    (Obj.reachable_words (Obj.repr table)) grid_words;
+  check Alcotest.bool "well under one grid" true (grid_words < 600 * 600)
+
+(* The grid walk allocates nothing per event: a cyclic trace has the same
+   edge set at any length past two rounds, so everything [build] allocates
+   on the minor heap is the same at both lengths. *)
+let test_grid_walk_allocation () =
+  let num_symbols = 40 in
+  let minor_words len =
+    let t = Trace.of_array ~num_symbols (Array.init len (fun i -> i mod num_symbols)) in
+    let w0 = Gc.minor_words () in
+    ignore (Sys.opaque_identity (Trg.build ~window:num_symbols t));
+    int_of_float (Gc.minor_words () -. w0)
+  in
+  check Alcotest.int "minor words at 2k and 20k events" (minor_words 2_000) (minor_words 20_000)
+
 let () =
   Alcotest.run "trg"
     [
@@ -154,6 +267,7 @@ let () =
           Alcotest.test_case "trimmed required" `Quick test_build_requires_trimmed;
           Alcotest.test_case "edges sorted" `Quick test_edges_sorted;
           Alcotest.test_case "edges sorted, wide weights" `Quick test_edges_sorted_wide_weights;
+          QCheck_alcotest.to_alcotest edges_sorted_any_widths;
           Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
           Alcotest.test_case "recommended window" `Quick test_recommended_window;
         ] );
@@ -165,5 +279,12 @@ let () =
           QCheck_alcotest.to_alcotest reduce_output_is_duplicate_free;
           QCheck_alcotest.to_alcotest reduce_deterministic;
           Alcotest.test_case "slots_for" `Quick test_slots_for;
+        ] );
+      ( "grid-bound",
+        [
+          Alcotest.test_case "build = seed across the bound" `Quick test_build_across_bound;
+          Alcotest.test_case "build edge cases = seed" `Quick test_build_edge_cases;
+          Alcotest.test_case "grid not retained" `Quick test_grid_not_retained;
+          Alcotest.test_case "grid walk allocation" `Quick test_grid_walk_allocation;
         ] );
     ]
