@@ -31,7 +31,7 @@ let record_span t ~thread ~accesses ~misses =
   t.acc.(thread) <- t.acc.(thread) + accesses;
   t.miss.(thread) <- t.miss.(thread) + misses
 
-let record_prefetch t = t.pf <- t.pf + 1
+let record_prefetches t n = t.pf <- t.pf + n
 
 let set_evictions t n = t.ev_synced <- n
 

@@ -10,7 +10,8 @@ val record : t -> thread:int -> hit:bool -> unit
 val record_span : t -> thread:int -> accesses:int -> misses:int -> unit
 (** [accesses] demand accesses at once, [misses] of them misses. *)
 
-val record_prefetch : t -> unit
+val record_prefetches : t -> int -> unit
+(** [n] prefetch fills: counted apart from demand accesses. *)
 
 val set_evictions : t -> int -> unit
 (** Sync the {e absolute} cumulative eviction count of this object's own

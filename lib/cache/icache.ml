@@ -8,120 +8,56 @@ type layout = {
 let lines_of_block ~params ~layout bid =
   Params.lines_spanned params ~addr:layout.addr.(bid) ~bytes:layout.bytes.(bid)
 
-let access prefetch cache stats ~thread ~block line =
-  let hit = Set_assoc.access_line cache ~thread ~block line in
-  Cache_stats.record stats ~thread ~hit;
-  match prefetch with
-  | Some p when not hit -> Prefetch.on_miss p cache stats line
-  | _ -> ()
+(* The trace as a replay stream. A block without bytes keeps the empty
+   span [0, -1], so only executing it is an error, reported as
+   [Params.lines_spanned] reports it; every other id is checked by the
+   replay itself. *)
+let stream ~params ~layout ~offset trace =
+  let n = Array.length layout.addr in
+  let first = Array.make n 0 and last = Array.make n (-1) in
+  let empty = ref false in
+  for b = 0 to n - 1 do
+    if layout.bytes.(b) > 0 then begin
+      let f, l = lines_of_block ~params ~layout b in
+      first.(b) <- f;
+      last.(b) <- l
+    end
+    else empty := true
+  done;
+  let trace = Int_vec.to_array trace in
+  if !empty then
+    Array.iter
+      (fun b ->
+        if b >= 0 && b < n && layout.bytes.(b) <= 0 then ignore (lines_of_block ~params ~layout b))
+      trace;
+  { Set_assoc.trace; first; last; offset }
 
-(* Without a prefetcher nothing happens between a block's lines, so the
-   whole span goes to the cache in one call; with one, each miss's fills
-   must land before the next line is fetched. *)
-let solo ?prefetch ?sink ~params ~layout trace =
-  let cache = Set_assoc.create ?sink params in
-  let stats = Cache_stats.create ~threads:1 () in
-  Int_vec.iter
-    (fun bid ->
-      let first, last = lines_of_block ~params ~layout bid in
-      match prefetch with
-      | None ->
-        let misses = Set_assoc.access_span cache ~thread:0 ~block:bid ~first ~last in
-        Cache_stats.record_span stats ~thread:0 ~accesses:(last - first + 1) ~misses
-      | Some _ ->
-        for line = first to last do
-          access prefetch cache stats ~thread:0 ~block:bid line
-        done)
-    trace;
+let degree = function None -> 0 | Some p -> Prefetch.degree p
+
+let stats_of cache (r : Set_assoc.tally) =
+  let stats = Cache_stats.create ~threads:(Array.length r.accesses) () in
+  Array.iteri
+    (fun thread accesses ->
+      Cache_stats.record_span stats ~thread ~accesses ~misses:r.misses.(thread))
+    r.accesses;
+  Cache_stats.record_prefetches stats r.fills;
   Cache_stats.set_evictions stats (Set_assoc.evictions cache);
   stats
 
-(* One SMT hardware thread's walk over its block trace, exposed one cache
-   line at a time; [cursor_next] returns -1 only for an empty trace. *)
-type cursor = {
-  trace : Int_vec.t;
-  layout : layout;
-  line_offset : int;
-  mutable pos : int; (* index into trace *)
-  mutable cur_block : int; (* block the next line belongs to *)
-  mutable cur_line : int; (* next line to fetch *)
-  mutable last_line : int; (* last line of current block *)
-  mutable in_block : bool;
-  mutable passes : int;
-}
-
-let cursor_make trace layout ~line_offset =
-  {
-    trace;
-    layout;
-    line_offset;
-    pos = 0;
-    cur_block = -1;
-    cur_line = 0;
-    last_line = -1;
-    in_block = false;
-    passes = 0;
-  }
-
-let rec cursor_next ~params c =
-  if c.in_block && c.cur_line <= c.last_line then begin
-    let l = c.cur_line in
-    c.cur_line <- l + 1;
-    l + c.line_offset
-  end
-  else if c.pos < Int_vec.length c.trace then begin
-    let bid = Int_vec.get c.trace c.pos in
-    c.pos <- c.pos + 1;
-    let first, last = lines_of_block ~params ~layout:c.layout bid in
-    c.cur_block <- bid;
-    c.cur_line <- first;
-    c.last_line <- last;
-    c.in_block <- true;
-    cursor_next ~params c
-  end
-  else begin
-    (* Completed a pass; restart so the peer keeps creating contention. *)
-    c.passes <- c.passes + 1;
-    if Int_vec.length c.trace = 0 then -1
-    else begin
-      c.pos <- 0;
-      c.in_block <- false;
-      cursor_next ~params c
-    end
-  end
+let solo ?prefetch ?sink ~params ~layout trace =
+  let cache = Set_assoc.create ?sink params in
+  let s = stream ~params ~layout ~offset:0 trace in
+  stats_of cache (Set_assoc.replay cache ~prefetch:(degree prefetch) s)
 
 let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
   let r0, r1 = rates in
-  if r0 <= 0.0 || r1 <= 0.0 then invalid_arg "Icache.shared: rates must be positive";
+  let ok r = Float.is_finite r && r > 0.0 in
+  if not (ok r0 && ok r1) then invalid_arg "Icache.shared: rates must be positive";
   let l0, l1 = layouts in
   let cache = Set_assoc.create ?sink params in
-  let stats = Cache_stats.create ~threads:2 () in
   (* Offset thread 1 into a distinct, set-alignment-preserving address
      region: distinct processes cannot share lines, but their set mapping is
      what it would be solo. *)
-  let offset_lines = 1 lsl 40 in
-  let c0 = cursor_make t0 l0 ~line_offset:0 in
-  let c1 = cursor_make t1 l1 ~line_offset:offset_lines in
-  let finished c = c.passes >= 1 in
-  let step cursor ~thread =
-    let line = cursor_next ~params cursor in
-    if line >= 0 then access prefetch cache stats ~thread ~block:cursor.cur_block line
-  in
-  (* Both threads keep fetching (restarting at end of trace) until each has
-     completed at least one full pass, so neither runs contention-free.
-     Credit accounting delivers [r] line fetches per step per thread. *)
-  let credit0 = ref 0.0 and credit1 = ref 0.0 in
-  while not (finished c0 && finished c1) do
-    credit0 := !credit0 +. r0;
-    credit1 := !credit1 +. r1;
-    while !credit0 >= 1.0 do
-      credit0 := !credit0 -. 1.0;
-      step c0 ~thread:0
-    done;
-    while !credit1 >= 1.0 do
-      credit1 := !credit1 -. 1.0;
-      step c1 ~thread:1
-    done
-  done;
-  Cache_stats.set_evictions stats (Set_assoc.evictions cache);
-  stats
+  let s0 = stream ~params ~layout:l0 ~offset:0 t0 in
+  let s1 = stream ~params ~layout:l1 ~offset:(1 lsl 40) t1 in
+  stats_of cache (Set_assoc.corun cache ~prefetch:(degree prefetch) ~rates s0 s1)

@@ -5,17 +5,26 @@
     instruction cache (§III-A). It is address-agnostic above the line level:
     callers pass non-negative line numbers (address / 64). {!Icache},
     {!Hierarchy}, the SMT model and the layout-evaluation engine all
-    decide hit, miss and eviction here — in the shared case two fetch
-    streams simply access the same instance.
+    decide hit, miss and eviction here.
 
     State is one flat tag array ([num_sets * assoc], way 0 of a set is MRU)
-    plus a valid-prefix count per set. Two demand entry points exist
-    because calls between modules are not inlined: {!access_span} walks a
-    whole line span in one call and returns its misses (trace replay),
-    {!access_line} serves callers that act between lines (prefetching,
-    SMT stalls, the co-run interleaving). Both take the accessing thread
-    and block, which only an attached sink reads. Per-set miss counts
-    ({!set_misses}) serve replays that need per-set results. *)
+    plus a valid-prefix count per set. Calls between modules are not
+    inlined, so the loops that drive the core live here, one call per
+    unit of work:
+    - {!replay} replays a whole block trace (solo {!Icache} runs);
+    - {!corun} interleaves two block traces into the one cache (the
+      co-run {!Icache} runs);
+    - {!access_span} walks one line span and returns its misses (the
+      layout-evaluation engine's runs of lines);
+    - {!access_line} serves callers that act between lines (SMT stalls,
+      the {!Hierarchy} levels).
+
+    The span and line entry points take the accessing thread and block,
+    which only an attached sink reads; the replays label each access with
+    its stream's thread (0, or 0 and 1) and the block its line belongs to.
+    The replays also take a next-line prefetch degree and do the fills
+    inline. Per-set miss counts ({!set_misses}) serve replays that need
+    per-set results. *)
 
 type t
 
@@ -35,6 +44,47 @@ val access_line : t -> thread:int -> block:int -> int -> bool
 val access_span : t -> thread:int -> block:int -> first:int -> last:int -> int
 (** Exactly {!access_line} on every line of [first .. last] in order;
     returns the number of misses. *)
+
+(** {1 Trace replays} *)
+
+type stream = {
+  trace : int array;  (** Block ids, in execution order. *)
+  first : int array;  (** First line per block id. *)
+  last : int array;  (** Last line per block id. *)
+  offset : int;  (** Added to every line of the stream. *)
+}
+(** One program's fetch stream: each executed block [b] fetches lines
+    [first.(b) + offset .. last.(b) + offset]. Only the entries of blocks
+    the trace executes are read. *)
+
+type tally = {
+  accesses : int array;  (** Demand accesses per thread. *)
+  misses : int array;  (** Demand misses per thread. *)
+  fills : int;  (** Prefetch fills, all threads. *)
+}
+
+val replay : t -> prefetch:int -> stream -> tally
+(** [replay t ~prefetch s] fetches every line of every block of [s] in
+    order as thread 0: exactly {!access_line} on each, and after each
+    miss on [line] the fills {!prefetch_line} makes for
+    [line+1 .. line+prefetch] ([prefetch = 0]: none). The tally has one
+    thread.
+    @raise Invalid_argument, before any access, if [prefetch < 0], the
+    span tables differ in length, or a trace id is negative, at least
+    [Array.length first], or names a block whose span is empty. *)
+
+val corun : t -> prefetch:int -> rates:float * float -> stream -> stream -> tally
+(** [corun t ~prefetch ~rates:(r0, r1) s0 s1] interleaves two streams
+    into the cache as threads 0 and 1, with {!replay}'s per-line accesses
+    and fills. Each step adds [r0] and [r1] to the threads' credits; then
+    thread 0 fetches one line per whole unit of its credit, then thread 1
+    likewise. A thread whose trace is spent counts a pass and, in the same
+    fetch, restarts at the first line of its block 0; an empty trace
+    counts a pass on each of its fetches and accesses nothing. The replay stops between steps,
+    once both threads have counted a pass, so neither runs contention-free.
+    The tally has two threads.
+    @raise Invalid_argument, before any access, as {!replay} for either
+    stream, or unless both rates are positive and finite. *)
 
 val set_misses : t -> int -> int
 (** [set_misses t s]: demand misses in set [s] since creation or the last

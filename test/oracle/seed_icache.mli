@@ -1,0 +1,28 @@
+(** The per-line instruction-cache replay, kept as the differential oracle
+    for {!Colayout_cache.Icache}. Test-only.
+
+    It drives the library's LRU core one {!Colayout_cache.Set_assoc.access_line}
+    call per line, with a cursor per co-run thread and the next-line
+    prefetcher's fills after each miss: the co-run loop [Icache.shared]
+    ran before its trace loops moved into {!Colayout_cache.Set_assoc.corun},
+    and the per-line loop [Icache.solo] ran with a prefetcher (used here
+    for every solo replay) before {!Colayout_cache.Set_assoc.replay}. The
+    library must agree with it on every {!Colayout_cache.Cache_stats}
+    counter and on every sink report. Rates are not checked here. *)
+
+val solo :
+  ?prefetch:Colayout_cache.Prefetch.t ->
+  ?sink:Colayout_cache.Profile_sink.t ->
+  params:Colayout_cache.Params.t ->
+  layout:Colayout_cache.Icache.layout ->
+  Colayout_util.Int_vec.t ->
+  Colayout_cache.Cache_stats.t
+
+val shared :
+  ?prefetch:Colayout_cache.Prefetch.t ->
+  ?sink:Colayout_cache.Profile_sink.t ->
+  ?rates:float * float ->
+  params:Colayout_cache.Params.t ->
+  layouts:Colayout_cache.Icache.layout * Colayout_cache.Icache.layout ->
+  Colayout_util.Int_vec.t * Colayout_util.Int_vec.t ->
+  Colayout_cache.Cache_stats.t

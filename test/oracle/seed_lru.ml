@@ -86,7 +86,7 @@ let prefetch_on_miss ~degree cache stats line =
   for l = line + 1 to line + degree do
     if not (probe_line cache l) then begin
       fill_line cache l;
-      Cache_stats.record_prefetch stats
+      Cache_stats.record_prefetches stats 1
     end
   done
 

@@ -25,7 +25,7 @@ let test_cache_stats () =
   Cache_stats.record s ~thread:0 ~hit:true;
   Cache_stats.record s ~thread:0 ~hit:false;
   Cache_stats.record s ~thread:1 ~hit:false;
-  Cache_stats.record_prefetch s;
+  Cache_stats.record_prefetches s 1;
   check Alcotest.int "accesses" 3 (Cache_stats.accesses s);
   check Alcotest.int "misses" 2 (Cache_stats.misses s);
   check Alcotest.int "hits" 1 (Cache_stats.hits s);
@@ -280,7 +280,156 @@ let test_core_allocation_free () =
   done;
   let words = Gc.minor_words () -. before in
   check (Alcotest.float 0.) "minor words allocated" 0. words;
-  check Alcotest.bool "stream exercised the cache" true (!hits > 0)
+  check Alcotest.bool "stream exercised the cache" true (!hits > 0);
+  (* The trace replays allocate per call (the tally), never per access:
+     the same minor words at two trace lengths, prefetching or not. *)
+  let nb = 40 in
+  let first = Array.init nb (fun b -> 3 * b) in
+  let last = Array.init nb (fun b -> (3 * b) + (b mod 3)) in
+  let stream n offset =
+    { Set_assoc.trace = Array.init n (fun _ -> Colayout_util.Prng.int prng nb); first; last; offset }
+  in
+  let words_of run =
+    let c = Set_assoc.create p in
+    let before = Gc.minor_words () in
+    ignore (Sys.opaque_identity (run c));
+    Gc.minor_words () -. before
+  in
+  List.iter
+    (fun prefetch ->
+      let short = stream 2_000 0 and long = stream 16_000 0 in
+      let peer_short = stream 2_000 (1 lsl 40) and peer_long = stream 16_000 (1 lsl 40) in
+      check (Alcotest.float 0.)
+        (Printf.sprintf "replay, prefetch %d: words independent of length" prefetch)
+        (words_of (fun c -> Set_assoc.replay c ~prefetch short))
+        (words_of (fun c -> Set_assoc.replay c ~prefetch long));
+      check (Alcotest.float 0.)
+        (Printf.sprintf "corun, prefetch %d: words independent of length" prefetch)
+        (words_of (fun c -> Set_assoc.corun c ~prefetch ~rates:(1.0, 0.4) short peer_short))
+        (words_of (fun c -> Set_assoc.corun c ~prefetch ~rates:(1.0, 0.4) long peer_long)))
+    [ 0; 2 ]
+
+(* The replay entry points against the per-line path they replaced
+   ([Seed_icache]: one [access_line] call per line, cursor records, fills
+   after each miss). Random geometries, two independent layouts with gaps
+   between blocks, traces of 0..200 blocks (either or both empty, so the
+   shorter stream restarts many times), fixed and random rates, prefetch
+   degree 0..2. Bare runs must agree on every counter; runs with a sink
+   must also agree on everything the sink derives, down to each
+   (thread, block) row, so a misplaced thread or block label shows. *)
+let rate_pairs = [ (1.0, 0.4); (0.3, 0.7); (2.5, 1.0); (1.0, 1.0); (0.7, 2.0) ]
+
+type replay_case = {
+  assoc : int;
+  sets : int;
+  layouts : Icache.layout * Icache.layout;
+  traces : int list * int list;
+  rates : float * float;
+  degree : int;
+}
+
+let gen_replay_case =
+  let open QCheck.Gen in
+  let layout =
+    int_range 1 10 >>= fun n ->
+    list_repeat n (pair (int_range 1 200) (int_bound 100)) >>= fun blocks ->
+    let addr = Array.make n 0 and bytes = Array.make n 0 in
+    List.iteri
+      (fun i (size, gap) ->
+        addr.(i) <- (if i = 0 then gap else addr.(i - 1) + bytes.(i - 1) + gap);
+        bytes.(i) <- size)
+      blocks;
+    return { Icache.addr; bytes }
+  in
+  let trace (l : Icache.layout) =
+    let n = Array.length l.Icache.addr in
+    frequency [ (1, return []); (5, list_size (int_range 1 200) (int_bound (n - 1))) ]
+  in
+  let rates =
+    frequency
+      [
+        (3, oneofl rate_pairs);
+        (1, pair (float_range 0.05 3.0) (float_range 0.05 3.0));
+      ]
+  in
+  int_range 0 3 >>= fun assoc_log ->
+  int_range 0 4 >>= fun sets_log ->
+  layout >>= fun l0 ->
+  layout >>= fun l1 ->
+  trace l0 >>= fun t0 ->
+  trace l1 >>= fun t1 ->
+  rates >>= fun rates ->
+  int_range 0 2 >>= fun degree ->
+  return
+    { assoc = 1 lsl assoc_log; sets = 1 lsl sets_log; layouts = (l0, l1); traces = (t0, t1); rates; degree }
+
+let print_replay_case c =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  let layout (l : Icache.layout) =
+    Printf.sprintf "addr=[%s] bytes=[%s]" (ints (Array.to_list l.Icache.addr))
+      (ints (Array.to_list l.Icache.bytes))
+  in
+  Printf.sprintf "assoc=%d sets=%d rates=(%h, %h) degree=%d\nl0: %s\nl1: %s\nt0=[%s]\nt1=[%s]"
+    c.assoc c.sets (fst c.rates) (snd c.rates) c.degree (layout (fst c.layouts))
+    (layout (snd c.layouts)) (ints (fst c.traces)) (ints (snd c.traces))
+
+let replay_params c = Params.make ~size_bytes:(c.sets * c.assoc * 64) ~assoc:c.assoc ~line_bytes:64
+
+let prefetch_of c = if c.degree = 0 then None else Some (Prefetch.create ~degree:c.degree ())
+
+let same_stats ~threads a b =
+  Cache_stats.to_string a = Cache_stats.to_string b
+  && List.for_all
+       (fun i ->
+         Cache_stats.thread_accesses a i = Cache_stats.thread_accesses b i
+         && Cache_stats.thread_misses a i = Cache_stats.thread_misses b i)
+       (List.init threads Fun.id)
+
+(* Everything a sink reports, as one comparable value. *)
+let sink_summary ~threads s =
+  let threads = List.init threads Fun.id in
+  ( [
+      Profile_sink.accesses s;
+      Profile_sink.misses s;
+      Profile_sink.evictions s;
+      Profile_sink.cold_misses s;
+      Profile_sink.capacity_misses s;
+      Profile_sink.conflict_misses s;
+    ],
+    (Profile_sink.ev_matrix s, Profile_sink.miss_matrix s, Profile_sink.first_misses s),
+    List.map
+      (fun thread -> (Profile_sink.defensiveness s ~thread, Profile_sink.politeness s ~thread))
+      threads,
+    Profile_sink.block_rows s )
+
+let corun_matches_per_line =
+  QCheck.Test.make ~name:"Icache.shared = per-line oracle, bare and with a sink" ~count:400
+    (QCheck.make ~print:print_replay_case gen_replay_case) (fun c ->
+      let params = replay_params c and prefetch = prefetch_of c in
+      let t0, t1 = c.traces in
+      let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+      let core sink = Icache.shared ?prefetch ?sink ~rates:c.rates ~params ~layouts:c.layouts traces in
+      let oracle sink =
+        Seed_icache.shared ?prefetch ?sink ~rates:c.rates ~params ~layouts:c.layouts traces
+      in
+      let sink_core = Profile_sink.create ~threads:2 ~params () in
+      let sink_oracle = Profile_sink.create ~threads:2 ~params () in
+      same_stats ~threads:2 (core None) (oracle None)
+      && same_stats ~threads:2 (core (Some sink_core)) (oracle (Some sink_oracle))
+      && sink_summary ~threads:2 sink_core = sink_summary ~threads:2 sink_oracle)
+
+(* Solo: thread 0's stream alone, same comparison. *)
+let solo_matches_per_line =
+  QCheck.Test.make ~name:"Icache.solo = per-line oracle, bare and with a sink" ~count:300
+    (QCheck.make ~print:print_replay_case gen_replay_case) (fun c ->
+      let params = replay_params c and prefetch = prefetch_of c in
+      let layout = fst c.layouts and trace = Colayout_util.Int_vec.of_list (fst c.traces) in
+      let core sink = Icache.solo ?prefetch ?sink ~params ~layout trace in
+      let oracle sink = Seed_icache.solo ?prefetch ?sink ~params ~layout trace in
+      let sink_core = Profile_sink.create ~params () and sink_oracle = Profile_sink.create ~params () in
+      same_stats ~threads:1 (core None) (oracle None)
+      && same_stats ~threads:1 (core (Some sink_core)) (oracle (Some sink_oracle))
+      && sink_summary ~threads:1 sink_core = sink_summary ~threads:1 sink_oracle)
 
 let test_fully_assoc_eviction () =
   let c = Fully_assoc.create ~capacity:2 in
@@ -295,19 +444,19 @@ let test_fully_assoc_eviction () =
   check Alcotest.int "occupancy" 2 (Fully_assoc.occupancy c)
 
 let test_prefetch () =
-  let p = Params.default_l1i in
-  let c = Set_assoc.create p in
-  let s = Cache_stats.create () in
+  let params = Params.default_l1i in
   let pf = Prefetch.create ~degree:2 () in
   check Alcotest.int "degree" 2 (Prefetch.degree pf);
-  Prefetch.on_miss pf c s 10;
-  check Alcotest.int "prefetched" 2 (Cache_stats.prefetches s);
-  check Alcotest.bool "line 11 filled" true (Set_assoc.probe_line c 11);
-  check Alcotest.bool "line 12 filled" true (Set_assoc.probe_line c 12);
-  check Alcotest.bool "line 10 NOT filled by prefetch" false (Set_assoc.probe_line c 10);
-  (* Prefetching an already-resident line is not recounted. *)
-  Prefetch.on_miss pf c s 10;
-  check Alcotest.int "no double prefetch" 2 (Cache_stats.prefetches s)
+  Alcotest.check_raises "degree 0" (Invalid_argument "Prefetch.create") (fun () ->
+      ignore (Prefetch.create ~degree:0 ()));
+  (* Block 0 is line 10, block 1 lines 11-12, block 2 line 9. The miss on
+     10 fills 11 and 12 (not 10 itself: that is the demand fill), so block
+     1 hits; the miss on 9 finds 10 and 11 resident and fills nothing. *)
+  let layout = { Icache.addr = [| 640; 704; 576 |]; bytes = [| 64; 128; 64 |] } in
+  let stats = Icache.solo ~prefetch:pf ~params ~layout (Colayout_util.Int_vec.of_list [ 0; 1; 2 ]) in
+  check Alcotest.int "accesses" 4 (Cache_stats.accesses stats);
+  check Alcotest.int "misses" 2 (Cache_stats.misses stats);
+  check Alcotest.int "no double prefetch" 2 (Cache_stats.prefetches stats)
 
 let layout_of_blocks specs : Icache.layout =
   let addr = Array.map fst specs and bytes = Array.map snd specs in
@@ -349,8 +498,70 @@ let test_icache_shared_rates () =
   let stats = Icache.shared ~rates:(1.0, 0.25) ~params ~layouts:(layout, layout) (mk (), mk ()) in
   (* Both complete a pass regardless of rate. *)
   check Alcotest.bool "slow thread still completes" true (Cache_stats.thread_accesses stats 1 >= 100);
-  Alcotest.check_raises "bad rate" (Invalid_argument "Icache.shared: rates must be positive")
-    (fun () -> ignore (Icache.shared ~rates:(0.0, 1.0) ~params ~layouts:(layout, layout) (mk (), mk ())))
+  (* Zero, negative and non-finite rates are rejected up front: a NaN
+     rate never earns credit and an infinite one never spends it, so
+     either would keep the replay from ending. *)
+  List.iter
+    (fun rates ->
+      Alcotest.check_raises
+        (Printf.sprintf "bad rates (%g, %g)" (fst rates) (snd rates))
+        (Invalid_argument "Icache.shared: rates must be positive")
+        (fun () -> ignore (Icache.shared ~rates ~params ~layouts:(layout, layout) (mk (), mk ()))))
+    [
+      (0.0, 1.0);
+      (1.0, -0.5);
+      (Float.nan, 1.0);
+      (1.0, Float.nan);
+      (Float.infinity, 1.0);
+      (1.0, Float.infinity);
+      (Float.neg_infinity, 1.0);
+    ];
+  let s = { Set_assoc.trace = [| 0 |]; first = [| 0 |]; last = [| 0 |]; offset = 0 } in
+  Alcotest.check_raises "core rejects NaN"
+    (Invalid_argument "Set_assoc.corun: rates must be positive and finite") (fun () ->
+      ignore (Set_assoc.corun (Set_assoc.create params) ~prefetch:0 ~rates:(1.0, Float.nan) s s))
+
+(* Hostile block ids are rejected before any access, solo and co-run:
+   the replay loops read the trace and the span tables unchecked. A
+   zero-byte block is an error only when the trace executes it. *)
+let test_icache_hostile_blocks () =
+  let params = Params.default_l1i in
+  let layout = layout_of_blocks [| (0, 64); (64, 0); (64, 128) |] in
+  let ok = Colayout_util.Int_vec.of_list [ 0; 2; 0; 2 ] in
+  let bad ids = Colayout_util.Int_vec.of_list ids in
+  let solo tr = ignore (Icache.solo ~params ~layout tr) in
+  let corun_self tr = ignore (Icache.shared ~params ~layouts:(layout, layout) (tr, ok)) in
+  let corun_peer tr = ignore (Icache.shared ~params ~layouts:(layout, layout) (ok, tr)) in
+  let raises_invalid what f =
+    match f () with
+    | () -> Alcotest.failf "%s: no exception" what
+    | exception Invalid_argument _ -> ()
+  in
+  List.iter
+    (fun (name, run) ->
+      raises_invalid (name ^ ": negative id") (fun () -> run (bad [ 0; -1 ]));
+      raises_invalid (name ^ ": id = block count") (fun () -> run (bad [ 0; 3 ]));
+      raises_invalid (name ^ ": huge id") (fun () -> run (bad [ max_int ]));
+      Alcotest.check_raises (name ^ ": executed zero-byte block")
+        (Invalid_argument "Params.lines_spanned: bytes must be positive") (fun () -> run (bad [ 0; 1 ]));
+      run ok)
+    [ ("solo", solo); ("co-run self", corun_self); ("co-run peer", corun_peer) ];
+  (* Untouched, the zero-byte block costs nothing: the replay matches the
+     same trace on a layout without it. *)
+  let dense = layout_of_blocks [| (0, 64); (64, 128) |] in
+  check Alcotest.string "zero-byte block untouched"
+    (Cache_stats.to_string (Icache.solo ~params ~layout:dense (bad [ 0; 1; 0; 1 ])))
+    (Cache_stats.to_string (Icache.solo ~params ~layout ok));
+  (* The core checks its own inputs too. *)
+  let c = Set_assoc.create params in
+  let s trace = { Set_assoc.trace; first = [| 0; 1 |]; last = [| 0; 0 |]; offset = 0 } in
+  raises_invalid "core: negative id" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| -1 |])));
+  raises_invalid "core: id past the tables" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| 2 |])));
+  raises_invalid "core: empty span" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| 1 |])));
+  raises_invalid "core: negative degree" (fun () -> ignore (Set_assoc.replay c ~prefetch:(-1) (s [| 0 |])));
+  raises_invalid "core: co-run peer id" (fun () ->
+      ignore (Set_assoc.corun c ~prefetch:0 ~rates:(1.0, 1.0) (s [| 0 |]) (s [| 5 |])));
+  check Alcotest.int "nothing replayed" 0 (Set_assoc.occupancy c)
 
 let test_icache_shared_contention () =
   let params = Params.make ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
@@ -389,6 +600,8 @@ let () =
           QCheck_alcotest.to_alcotest core_matches_seed_lru;
           QCheck_alcotest.to_alcotest icache_solo_matches_seed;
           Alcotest.test_case "allocation-free" `Quick test_core_allocation_free;
+          QCheck_alcotest.to_alcotest corun_matches_per_line;
+          QCheck_alcotest.to_alcotest solo_matches_per_line;
         ] );
       ("fully_assoc", [ Alcotest.test_case "eviction" `Quick test_fully_assoc_eviction ]);
       ("prefetch", [ Alcotest.test_case "next line" `Quick test_prefetch ]);
@@ -399,5 +612,6 @@ let () =
           Alcotest.test_case "shared isolation" `Quick test_icache_shared_threads_isolated_addresses;
           Alcotest.test_case "shared rates" `Quick test_icache_shared_rates;
           Alcotest.test_case "shared contention" `Quick test_icache_shared_contention;
+          Alcotest.test_case "hostile block ids" `Quick test_icache_hostile_blocks;
         ] );
     ]
