@@ -16,9 +16,11 @@ let zigzag n = if n >= 0 then n lsl 1 else ((-n) lsl 1) - 1
 let unzigzag z = if z land 1 = 0 then z lsr 1 else -((z + 1) lsr 1)
 
 (* Streaming varint reader over an input channel with a one-byte interface;
-   buffered by the channel itself. *)
+   buffered by the channel itself. Nine bytes carry all 63 bits of an OCaml
+   int; a tenth would be shifted past the word and wrap. *)
 let read_varint ic =
   let rec go shift acc =
+    if shift > 56 then failwith "Trace_io: varint longer than 63 bits";
     match In_channel.input_char ic with
     | None -> failwith "Trace_io: truncated varint"
     | Some c ->
@@ -65,6 +67,8 @@ let open_reader ~path =
     if m <> magic then failwith "Trace_io: bad magic";
     let num_symbols = read_varint ic in
     let len = read_varint ic in
+    if num_symbols < 0 then failwith "Trace_io: negative num_symbols";
+    if len < 0 then failwith "Trace_io: negative length";
     (num_symbols, len)
   with
   | num_symbols, len ->

@@ -29,7 +29,8 @@ val load : path:string -> Trace.t
 type reader
 
 val open_reader : path:string -> reader
-(** @raise Failure on bad magic or a truncated header;
+(** @raise Failure on bad magic, a truncated header, a varint longer
+    than 63 bits, or a negative symbol count or length;
     @raise Sys_error on I/O failure. The channel is closed on raise. *)
 
 val reader_num_symbols : reader -> int
@@ -43,7 +44,7 @@ val reader_remaining : reader -> int
 val read_chunk : reader -> int array -> int
 (** [read_chunk r buf] fills a prefix of [buf] with the next events and
     returns how many were written — 0 exactly at end of stream.
-    @raise Failure on a truncated body;
+    @raise Failure on a truncated body or a varint longer than 63 bits;
     @raise Invalid_argument after {!close_reader}. *)
 
 val close_reader : reader -> unit

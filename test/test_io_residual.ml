@@ -68,6 +68,26 @@ let test_bad_magic () =
   | _ -> Alcotest.fail "expected Failure");
   Sys.remove path
 
+(* Malformed headers: an over-long varint would wrap its shift, and a
+   negative count would make [load] return an empty trace or drive
+   [read_chunk] past the caller's buffer. Each must raise [Failure]. *)
+let test_malformed_header () =
+  let case name header =
+    let path = tmp ("malformed-" ^ name ^ ".trc") in
+    let oc = open_out_bin path in
+    output_string oc "CLTR1\n";
+    List.iter (fun b -> output_char oc (Char.chr b)) header;
+    close_out oc;
+    (match Trace_io.load ~path with
+    | exception Failure _ -> ()
+    | t -> Alcotest.failf "%s: loaded %d events instead of failing" name (Trace.length t));
+    Sys.remove path
+  in
+  let zeros n = List.init n (fun _ -> 0x80) in
+  case "long num_symbols varint" (zeros 12 @ [ 0x01; 0x00 ]);
+  case "negative length" ([ 0x04 ] @ zeros 8 @ [ 0x60 ]);
+  case "min_int length" ([ 0x04 ] @ zeros 8 @ [ 0x40 ])
+
 (* The chunked streaming reader: header decoded eagerly, events handed
    out through a caller buffer whose size need not divide the stream —
    draining through odd-sized chunks must reproduce the eager load. *)
@@ -249,6 +269,7 @@ let () =
           QCheck_alcotest.to_alcotest trace_roundtrip_prop;
           Alcotest.test_case "real workload" `Quick test_trace_io_real_workload;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
+          Alcotest.test_case "malformed header" `Quick test_malformed_header;
           Alcotest.test_case "streaming reader chunks" `Quick test_streaming_reader_chunks;
           Alcotest.test_case "fold_chunks" `Quick test_fold_chunks;
           Alcotest.test_case "truncated and closed" `Quick test_reader_truncated_and_closed;
