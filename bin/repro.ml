@@ -445,7 +445,7 @@ let profile_cmd =
 let serve_cmd =
   let doc =
     "Run the streaming profile-ingest service: thousands of synthetic users drawn from a \
-     workload's input distribution, folded into sharded online TRG/affinity accumulators \
+     workload's input distribution, folded into online TRG/affinity accumulators \
      with epoch-based consensus merges and incremental layout re-optimization."
   in
   let users =
@@ -460,7 +460,15 @@ let serve_cmd =
           ~doc:"Max block-execution budget per user (each user draws from [fuel/2, fuel])")
   in
   let shards =
-    Arg.(value & opt int 2 & info [ "shards" ] ~docv:"S" ~doc:"Accumulator shards")
+    Arg.(
+      value
+      & opt int 2
+      & info [ "shards" ] ~docv:"S"
+          ~doc:
+            "Shard tables per walker. Only the table walk uses them: bounded runs \
+             ($(b,--trg-cap), $(b,--wits-cap), $(b,--decay)) and exact runs on programs of \
+             more than 2,048 blocks. Exact runs on smaller programs fold into dense pair \
+             grids, where the shard count changes nothing.")
   in
   let walkers =
     Arg.(

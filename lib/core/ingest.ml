@@ -1,43 +1,21 @@
 open Colayout_util
 open Colayout_trace
 
-(* Streaming profile ingest: the online, sharded, multi-walker form of the
-   two batch analysis kernels ([Trg.build], [Affinity.affine_pairs]).
+(* Streaming profile ingest: the online, multi-walker form of the two
+   batch analysis kernels ([Trg.build], [Affinity.affine_pairs]); the
+   interface states the contract and the merge algebra.
 
-   Each event costs one walk: the walker keeps the top
-   max(trg_window, affinity_w) entries of its LRU stack in a flat
-   [Window_stack] (no kernel reads deeper), finds the event's symbol with
-   one scan, then runs the TRG loop and the affinity loop over the same
-   array and bumps its tables in place. The tables are flat int-packed
-   open-addressing tables, sharded by a hash of the packed pair key (the
-   caps of bounded mode apply per shard) and, with [walkers > 1],
-   privatized per walker: no locks and no cross-walker writes anywhere.
-
-   Stream semantics: every completed trace is an independent stream. Each
-   walker resets its LRU stack and trimming state at trace boundaries, so
-   the per-trace walk replicates the batch kernels on that trace alone
-   (occurrence indices are walker-cumulative, which the witness update
-   rule tolerates — see [finalize]). This is what makes the result a pure
-   function of the *multiset* of traces, invariant under how they are
-   partitioned across walkers:
-
-   - TRG edge weights are sums of per-trace window co-occurrence counts,
-     so walker-local tables merge by summing weights per key.
-   - An affinity witness entry for directed (a, b) carries (last_occ,
-     sat): sat counts occurrences of [a] witnessed by [b] within window
-     footprint w. Within one walker, each global occurrence is counted at
-     most once (the [last_occ < a_occ] guard), and since windows never
-     span trace boundaries, sat decomposes as a sum of per-trace
-     saturations. Across walkers sat values therefore merge by summing,
-     and the final test "sat(a,b) = occ(a) in both directions" holds for
-     the merged stream iff it holds per trace — exactly the batch
-     kernels' saturated-pair condition on each part.
-
-   So [finalize] digests are bit-identical at any (walkers, shards, jobs)
-   point, in exact configurations. Bounded memory (caps, decay) is a
-   deterministic function of the config *including* [walkers] — like
-   [shards], the walker count selects which approximation you get, while
-   [jobs] (the pool width) never changes any result.
+   Each kept event costs one walk: one scan of the walker's flat
+   [Window_stack] finds the symbol, then the TRG loop and the affinity
+   loop run over the same array and bump the walker's store in place —
+   dense pair grids in exact mode on small universes ([grid_walk]), shard
+   tables otherwise ([table_walk]). Both apply one witness rule: an
+   occurrence of [a] is counted into sat(a, b) at most once, when [b] sits
+   within footprint w of it ([last_occ < a_occ]). The grid store keeps
+   that state per trace and closes each trace into trace counts
+   ([close_grids]); the table store keeps it per walker, with cumulative
+   occurrence indices, which the rule tolerates because windows never
+   span trace boundaries.
 
    With [walkers = 1] the walker runs inline in [feed_sym] and can stream
    arbitrarily long traces without materializing them. With [walkers > 1]
@@ -93,6 +71,29 @@ let config ?(walkers = 1) ?(shards = 1) ?(trg_window = 256) ?(affinity_w = 16) ?
 
 type shard = { trg : Int_pair_tbl.t; wits : Int_pair_tbl.t }
 
+(* The table store: shard tables plus walker-cumulative occurrence counts
+   (the witness rule and dead-witness pruning read them). *)
+type tables = { shards : shard array; occ : int array }
+
+(* The grid store of one walker, every grid [n * n] and indexed
+   [a * n + b]. [dir] and the trace counts [aff] (upper triangle) and
+   [trc] accumulate over the walker's traces; [wit], [cur_occ] and
+   [present] describe the open trace only and are cleared by
+   [close_grids]. *)
+type grids = {
+  n : int;
+  dir : int array; (* directed TRG counts *)
+  wit : int array; (* per-trace (last_occ, sat) of ordered (a, b), packed *)
+  aff : int array; (* traces that saturated {a, b}, a < b *)
+  trc : int array; (* traces containing each symbol *)
+  cur_occ : int array; (* per-trace occurrence count *)
+  present : int array; (* the open trace's distinct symbols, [0 .. npresent - 1] *)
+  mutable npresent : int;
+  mutable live : int; (* undirected TRG entries: pairs with a nonzero [dir] cell *)
+}
+
+type store = Tables of tables | Grids of grids
+
 (* Declared before [walker] and [t] so their same-named mutable fields
    take label priority; [stats] constructions below are type-annotated. *)
 type stats = {
@@ -116,14 +117,13 @@ type stats = {
 }
 
 (* One independent stream walker: private window stack, trim state,
-   shard tables, occurrence counts and stat counters. A walker is touched
-   either by the calling domain (walkers = 1) or by exactly one pool task
-   per dispatch (walkers > 1) — never concurrently. *)
+   counter store and stat counters. A walker is touched either by the
+   calling domain (walkers = 1) or by exactly one pool task per dispatch
+   (walkers > 1) — never concurrently. *)
 type walker = {
   id : int;
   stack : Window_stack.t; (* top max(trg_window, affinity_w) LRU entries *)
-  occ : int array; (* walker-cumulative occurrence count per symbol *)
-  shards : shard array;
+  store : store;
   queue : int array Queue.t; (* completed traces awaiting this walker *)
   delta : Metrics.t option; (* walker-private registry, folded per dispatch *)
   wh_trace : Metrics.histogram option; (* ingest.trace_ns in [delta] *)
@@ -162,6 +162,39 @@ type t = {
   mutable trace_t0 : int64;
 }
 
+(* The grid store is exact-mode only: caps and decay act on tables at
+   flush points, which a fold over trace counts has no equivalent of. *)
+let uses_grids (cfg : config) =
+  cfg.trg_cap = 0 && cfg.wits_cap = 0 && cfg.decay_shift = 0
+  && cfg.num_symbols <= Int_pair_tbl.max_grid_universe
+
+let make_store (cfg : config) =
+  let n = cfg.num_symbols in
+  if uses_grids cfg then
+    Grids
+      {
+        n;
+        dir = Array.make (n * n) 0;
+        wit = Array.make (n * n) 0;
+        aff = Array.make (n * n) 0;
+        trc = Array.make n 0;
+        cur_occ = Array.make n 0;
+        present = Array.make n 0;
+        npresent = 0;
+        live = 0;
+      }
+  else
+    Tables
+      {
+        shards =
+          Array.init cfg.shards (fun _ ->
+              {
+                trg = Int_pair_tbl.create ~capacity:1024 ();
+                wits = Int_pair_tbl.create ~capacity:1024 ();
+              });
+        occ = Array.make n 0;
+      }
+
 let make_walker (cfg : config) metrics i : walker =
   let delta =
     match metrics with Some _ when cfg.walkers > 1 -> Some (Metrics.create ()) | _ -> None
@@ -170,13 +203,7 @@ let make_walker (cfg : config) metrics i : walker =
     id = i;
     stack =
       Window_stack.create ~k:(min (max cfg.trg_window cfg.affinity_w) cfg.num_symbols);
-    occ = Array.make cfg.num_symbols 0;
-    shards =
-      Array.init cfg.shards (fun _ ->
-          {
-            trg = Int_pair_tbl.create ~capacity:1024 ();
-            wits = Int_pair_tbl.create ~capacity:1024 ();
-          });
+    store = make_store cfg;
     queue = Queue.create ();
     delta;
     wh_trace = Option.map (fun d -> Metrics.histogram d "ingest.trace_ns") delta;
@@ -305,22 +332,28 @@ let prune_dead_tbl occ tbl =
    pruning) when [maintain], then cap eviction, then records the shard
    peaks. Bounded-mode results depend only on where flush points fall
    ([flush_ops] updates, epochs): nothing evicts between two of them, so
-   the tables a flush sees do not depend on when each update landed. *)
+   the tables a flush sees do not depend on when each update landed. The
+   grid store has nothing to maintain, but its flush points fall where the
+   table store's would, so [flushes] counts the same in both. *)
 let flush_walker t (wk : walker) ~maintain =
   if wk.pending_ops > 0 || maintain then begin
-    for s = 0 to t.cfg.shards - 1 do
-      let sh = wk.shards.(s) in
-      if maintain && t.cfg.decay_shift > 0 then
-        wk.decay_dropped <- wk.decay_dropped + decay_tbl sh.trg t.cfg.decay_shift;
-      if maintain && t.cfg.prune_dead then
-        wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl wk.occ sh.wits;
-      wk.trg_evicted <- wk.trg_evicted + evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w);
-      wk.wits_evicted <-
-        wk.wits_evicted
-        + evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p);
-      wk.trg_peak_shard <- max wk.trg_peak_shard (Int_pair_tbl.length sh.trg);
-      wk.wits_peak_shard <- max wk.wits_peak_shard (Int_pair_tbl.length sh.wits)
-    done;
+    (match wk.store with
+    | Grids _ -> ()
+    | Tables tb ->
+      Array.iter
+        (fun sh ->
+          if maintain && t.cfg.decay_shift > 0 then
+            wk.decay_dropped <- wk.decay_dropped + decay_tbl sh.trg t.cfg.decay_shift;
+          if maintain && t.cfg.prune_dead then
+            wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl tb.occ sh.wits;
+          wk.trg_evicted <-
+            wk.trg_evicted + evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w);
+          wk.wits_evicted <-
+            wk.wits_evicted
+            + evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p);
+          wk.trg_peak_shard <- max wk.trg_peak_shard (Int_pair_tbl.length sh.trg);
+          wk.wits_peak_shard <- max wk.wits_peak_shard (Int_pair_tbl.length sh.wits))
+        tb.shards);
     wk.pending_ops <- 0;
     wk.flushes <- wk.flushes + 1
   end
@@ -336,15 +369,97 @@ let witness tbl key a_occ =
 
 (* Both directions for blocks [x] and [y] within footprint w: this
    x-occurrence sees y (backward); y's latest occurrence sees x (forward). *)
-let witness_both t (wk : walker) x kx y =
+let witness_both t tb x kx y =
   let kxy = Int_pair_tbl.pack x y and kyx = Int_pair_tbl.pack y x in
-  witness wk.shards.(shard_of t kxy).wits kxy kx;
-  witness wk.shards.(shard_of t kyx).wits kyx wk.occ.(y)
+  witness tb.shards.(shard_of t kxy).wits kxy kx;
+  witness tb.shards.(shard_of t kyx).wits kyx tb.occ.(y)
+
+(* The table store's bumps for one kept event [x]: [ntrg] TRG bumps, then
+   witness pairs for stack positions [0, above) and (pos, below). *)
+let table_walk t tb stk x ~pos ~ntrg ~above ~below =
+  let occ = tb.occ in
+  occ.(x) <- occ.(x) + 1;
+  let kx = occ.(x) in
+  for i = 0 to ntrg - 1 do
+    let y = Array.unsafe_get stk i in
+    let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
+    ignore (Int_pair_tbl.add_to tb.shards.(shard_of t key).trg key 1)
+  done;
+  for i = 0 to above - 1 do
+    witness_both t tb x kx (Array.unsafe_get stk i)
+  done;
+  for i = pos + 1 to below - 1 do
+    witness_both t tb x kx (Array.unsafe_get stk i)
+  done
+
+(* The grid store's witness cell: (last_occ, sat) packed as
+   [(last_occ lsl 31) lor sat], updated by [witness]'s rule. Per-trace
+   occurrence counts stay below 2^31 (the per-walker bound of [walk_event]). *)
+let sat_mask = (1 lsl 31) - 1
+
+let grid_witness wit j a_occ =
+  let p = Array.unsafe_get wit j in
+  if p lsr 31 < a_occ then Array.unsafe_set wit j ((a_occ lsl 31) lor ((p land sat_mask) + 1))
+
+(* [table_walk] on the grids: the same bumps, as direct array updates. *)
+let grid_walk g stk x ~pos ~ntrg ~above ~below =
+  let n = g.n and occ = g.cur_occ and wit = g.wit and dir = g.dir in
+  let kx = occ.(x) + 1 in
+  occ.(x) <- kx;
+  if kx = 1 then begin
+    g.present.(g.npresent) <- x;
+    g.npresent <- g.npresent + 1
+  end;
+  let row = x * n in
+  for i = 0 to ntrg - 1 do
+    let y = Array.unsafe_get stk i in
+    let c = Array.unsafe_get dir (row + y) in
+    Array.unsafe_set dir (row + y) (c + 1);
+    (* A first bump in either direction makes a new undirected entry. *)
+    if c = 0 && Array.unsafe_get dir ((y * n) + x) = 0 then g.live <- g.live + 1
+  done;
+  for i = 0 to above - 1 do
+    let y = Array.unsafe_get stk i in
+    grid_witness wit (row + y) kx;
+    grid_witness wit ((y * n) + x) (Array.unsafe_get occ y)
+  done;
+  for i = pos + 1 to below - 1 do
+    let y = Array.unsafe_get stk i in
+    grid_witness wit (row + y) kx;
+    grid_witness wit ((y * n) + x) (Array.unsafe_get occ y)
+  done
+
+(* Close the open trace into the trace counts: every present symbol gains
+   a trace, every present pair that the trace saturates in both directions
+   gains an affine trace, and the witness cells and occurrence counts the
+   trace touched (only pairs of present symbols) go back to zero. *)
+let close_grids g =
+  let n = g.n and occ = g.cur_occ and wit = g.wit and present = g.present in
+  let np = g.npresent in
+  for i = 0 to np - 1 do
+    let a = present.(i) in
+    g.trc.(a) <- g.trc.(a) + 1;
+    let oa = occ.(a) in
+    for j = i + 1 to np - 1 do
+      let b = present.(j) in
+      let ab = (a * n) + b and ba = (b * n) + a in
+      if wit.(ab) land sat_mask = oa && wit.(ba) land sat_mask = occ.(b) then begin
+        let k = if a < b then ab else ba in
+        g.aff.(k) <- g.aff.(k) + 1
+      end;
+      wit.(ab) <- 0;
+      wit.(ba) <- 0
+    done
+  done;
+  for i = 0 to np - 1 do
+    occ.(present.(i)) <- 0
+  done;
+  g.npresent <- 0
 
 (* The per-event kernel: one scan of the window stack finds [x], then the
    TRG loop ([Trg.build]'s) and the affinity loop ([Affinity.thresholds]'
    at the single window w) run over the same array, bumping the walker's
-   shard tables directly. *)
+   store directly. *)
 let walk_event t (wk : walker) x =
   if x <> wk.last_sym then begin
     (* Inline trimming: the batch kernels require a trimmed trace, so the
@@ -354,32 +469,20 @@ let walk_event t (wk : walker) x =
       invalid_arg "Ingest: per-walker stream length >= 2^31 exceeds the packed-payload bound";
     wk.last_sym <- x;
     wk.kept_events <- wk.kept_events + 1;
-    let occ = wk.occ in
-    occ.(x) <- occ.(x) + 1;
-    let kx = occ.(x) in
     let ws = wk.stack in
-    let stk = ws.stk in
     let pos = Window_stack.find ws x in
     let depth = ws.depth in
     (* TRG: x recurred within the window; one bump per block above it. *)
     let ntrg = if pos >= 0 && pos < t.cfg.trg_window then pos else 0 in
-    for i = 0 to ntrg - 1 do
-      let y = Array.unsafe_get stk i in
-      let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
-      ignore (Int_pair_tbl.add_to wk.shards.(shard_of t key).trg key 1)
-    done;
     (* Affinity at window w: a block at position i has footprint i + 2
        above x's previous occurrence (or everywhere when x is not on the
        stack) and i + 1 below it; it is a witness when that is <= w. *)
     let w = t.cfg.affinity_w in
     let above = min (if pos >= 0 then pos else depth) (w - 1) in
     let below = if pos >= 0 then min depth w else 0 in
-    for i = 0 to above - 1 do
-      witness_both t wk x kx (Array.unsafe_get stk i)
-    done;
-    for i = pos + 1 to below - 1 do
-      witness_both t wk x kx (Array.unsafe_get stk i)
-    done;
+    (match wk.store with
+    | Grids g -> grid_walk g ws.stk x ~pos ~ntrg ~above ~below
+    | Tables tb -> table_walk t tb ws.stk x ~pos ~ntrg ~above ~below);
     Window_stack.move_to_front ws ~pos x;
     let nwit = 2 * (above + max 0 (below - pos - 1)) in
     wk.trg_ops <- wk.trg_ops + ntrg;
@@ -388,17 +491,23 @@ let walk_event t (wk : walker) x =
     if wk.pending_ops >= t.cfg.flush_ops then flush_walker t wk ~maintain:false
   end
 
-(* Drain one walker's trace queue — the body of a dispatch task. Resets
-   the stack and trim state before each trace (per-trace streams) and
-   records per-trace walk latency into the walker's private histogram
-   registry, folded into the main registry after the dispatch barrier. *)
+(* End the walker's current stream: the next trace starts on an empty
+   stack and fresh trim state, and the grid store closes the trace. *)
+let end_stream (wk : walker) =
+  Window_stack.clear wk.stack;
+  wk.last_sym <- -1;
+  match wk.store with Grids g -> close_grids g | Tables _ -> ()
+
+(* Drain one walker's trace queue — the body of a dispatch task. Ends
+   the walker's stream after each trace (per-trace streams) and records
+   per-trace walk latency into the walker's private histogram registry,
+   folded into the main registry after the dispatch barrier. *)
 let walker_drain t (wk : walker) =
   while not (Queue.is_empty wk.queue) do
     let arr = Queue.pop wk.queue in
     let t0 = if Option.is_some wk.delta then t.clock () else 0L in
-    Window_stack.clear wk.stack;
-    wk.last_sym <- -1;
     Array.iter (fun x -> walk_event t wk x) arr;
+    end_stream wk;
     match wk.wh_trace with
     | Some h ->
       let dt = Int64.to_int (Int64.sub (t.clock ()) t0) in
@@ -472,16 +581,13 @@ let feed_chunk t buf n =
 let end_trace t =
   t.traces <- t.traces + 1;
   if t.cfg.walkers = 1 then begin
-    let wk = t.walkers.(0) in
+    end_stream t.walkers.(0);
     if t.trace_started then begin
       (match t.h_trace with
       | Some h -> Metrics.observe h (Int64.to_int (Int64.sub (t.clock ()) t.trace_t0))
       | None -> ());
       t.trace_started <- false
-    end;
-    (* Per-trace streams: the next trace starts on an empty stack. *)
-    Window_stack.clear wk.stack;
-    wk.last_sym <- -1
+    end
   end
   else begin
     let n = Int_vec.length t.stage in
@@ -506,29 +612,42 @@ let ingest_trace t tr =
   feed_trace t tr;
   end_trace t
 
+(* All or nothing: the whole file is decoded (and range-checked) before
+   its first event is fed, so a truncated or corrupt file raises with [t]
+   untouched and a retry starts from a clean trace. *)
 let feed_file t ~path =
-  Trace_io.with_reader ~path (fun r ->
-      if Trace_io.reader_num_symbols r <> t.cfg.num_symbols then
-        invalid_arg "Ingest.feed_file: trace symbol universe does not match config";
-      let buf = Array.make (1 lsl 16) 0 in
-      let rec go () =
-        let n = Trace_io.read_chunk r buf in
-        if n > 0 then begin
-          feed_chunk t buf n;
-          go ()
-        end
-      in
-      go ());
+  let nsym = t.cfg.num_symbols in
+  let events =
+    Trace_io.with_reader ~path (fun r ->
+        if Trace_io.reader_num_symbols r <> nsym then
+          invalid_arg "Ingest.feed_file: trace symbol universe does not match config";
+        let v = Int_vec.create ~capacity:(min (Trace_io.reader_length r) (1 lsl 16)) () in
+        let buf = Array.make (1 lsl 16) 0 in
+        let rec go () =
+          let n = Trace_io.read_chunk r buf in
+          if n > 0 then begin
+            for i = 0 to n - 1 do
+              let x = buf.(i) in
+              if x < 0 || x >= nsym then invalid_arg "Ingest.feed_file: symbol out of range";
+              Int_vec.push v x
+            done;
+            go ()
+          end
+        in
+        go ();
+        Int_vec.to_array v)
+  in
+  feed_chunk t events (Array.length events);
   end_trace t
 
 let stats t : stats =
   let sum f = Array.fold_left (fun a wk -> a + f wk) 0 t.walkers in
   let maxw f = Array.fold_left (fun a wk -> max a (f wk)) 0 t.walkers in
-  let live sel =
-    Array.fold_left
-      (fun a (wk : walker) ->
-        Array.fold_left (fun a sh -> a + Int_pair_tbl.length (sel sh)) a wk.shards)
-      0 t.walkers
+  let live ~grid sel =
+    sum (fun (wk : walker) ->
+        match wk.store with
+        | Grids g -> grid g
+        | Tables tb -> Array.fold_left (fun a sh -> a + Int_pair_tbl.length (sel sh)) 0 tb.shards)
   in
   {
     traces = t.traces;
@@ -540,8 +659,8 @@ let stats t : stats =
     dispatches = t.dispatches;
     epochs = t.epochs;
     merges = t.merges;
-    trg_live = live (fun sh -> sh.trg);
-    wits_live = live (fun sh -> sh.wits);
+    trg_live = live ~grid:(fun g -> g.live) (fun sh -> sh.trg);
+    wits_live = live ~grid:(fun _ -> 0) (fun sh -> sh.wits);
     trg_peak_shard = maxw (fun wk -> wk.trg_peak_shard);
     wits_peak_shard = maxw (fun wk -> wk.wits_peak_shard);
     trg_evicted = sum (fun wk -> wk.trg_evicted);
@@ -555,93 +674,81 @@ type consensus = { trg : Trg.t; affine : int array }
 let affine_list c =
   Array.to_list (Array.map (fun k -> (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k)) c.affine)
 
-(* Non-destructive merge across walkers and shards. TRG edge weights sum
-   per key; directed witness saturations sum per key; occurrence counts
-   sum per symbol; the batch saturation test then runs against the merged
-   totals. With one walker the sums are identities, so the cheaper direct
-   paths (no accumulator tables) are kept. Accumulation continues
-   afterwards. *)
-let finalize t =
-  flush t;
-  let t0 = t.clock () in
+(* The grid merge: directed TRG counts and both trace counts sum across
+   walkers; a pair is affine iff aff = trc(a) = trc(b) > 0. The ascending
+   (a, b) sweep yields the packed keys sorted. *)
+let merge_grids t pairs =
+  let n = t.cfg.num_symbols in
+  let gs =
+    List.filter_map
+      (fun (wk : walker) -> match wk.store with Grids g -> Some g | Tables _ -> None)
+      (Array.to_list t.walkers)
+  in
+  let dir = Array.make (n * n) 0 and trc = Array.make n 0 in
+  List.iter
+    (fun g ->
+      for i = 0 to (n * n) - 1 do
+        Array.unsafe_set dir i (Array.unsafe_get dir i + Array.unsafe_get g.dir i)
+      done;
+      for s = 0 to n - 1 do
+        trc.(s) <- trc.(s) + g.trc.(s)
+      done)
+    gs;
+  for a = 0 to n - 1 do
+    let ta = trc.(a) in
+    if ta > 0 then
+      for b = a + 1 to n - 1 do
+        if trc.(b) = ta && List.fold_left (fun acc g -> acc + g.aff.((a * n) + b)) 0 gs = ta then
+          Int_vec.push pairs (Int_pair_tbl.pack a b)
+      done
+  done;
+  Trg.of_grid ~num_nodes:n dir
+
+(* The table merge: TRG edge weights sum per key ([Trg.of_edges] adds
+   repeated edges); directed witness
+   saturations sum per key; occurrence counts sum per symbol; the batch
+   saturation test then runs against the merged totals. *)
+let merge_tables t pairs =
   let nsym = t.cfg.num_symbols in
-  let trg =
-    if t.cfg.walkers = 1 then begin
-      let edges = ref [] in
+  let tbs =
+    List.filter_map
+      (fun (wk : walker) -> match wk.store with Tables tb -> Some tb | Grids _ -> None)
+      (Array.to_list t.walkers)
+  in
+  let edges = ref [] and sat = Int_pair_tbl.create ~capacity:1024 () in
+  let occ = Array.make nsym 0 in
+  List.iter
+    (fun tb ->
       Array.iter
         (fun (sh : shard) ->
           Int_pair_tbl.iter
             (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-            sh.trg)
-        t.walkers.(0).shards;
-      Trg.of_edges ~num_nodes:nsym !edges
-    end
-    else begin
-      let acc = Int_pair_tbl.create ~capacity:1024 () in
-      Array.iter
-        (fun (wk : walker) ->
-          Array.iter
-            (fun (sh : shard) -> Int_pair_tbl.iter (fun k w -> ignore (Int_pair_tbl.add_to acc k w)) sh.trg)
-            wk.shards)
-        t.walkers;
-      let edges = ref [] in
-      Int_pair_tbl.iter
-        (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-        acc;
-      Trg.of_edges ~num_nodes:nsym !edges
-    end
-  in
+            sh.trg;
+          Int_pair_tbl.iter
+            (fun k p -> ignore (Int_pair_tbl.add_to sat k (Int_pair_tbl.snd_of p)))
+            sh.wits)
+        tb.shards;
+      Array.iteri (fun i o -> occ.(i) <- occ.(i) + o) tb.occ)
+    tbs;
+  Int_pair_tbl.iter
+    (fun key sat_ab ->
+      let a = Int_pair_tbl.fst_of key in
+      let b = Int_pair_tbl.snd_of key in
+      if a < b then begin
+        let sat_ba = Int_pair_tbl.find sat (Int_pair_tbl.pack b a) ~default:0 in
+        if sat_ab = occ.(a) && sat_ba = occ.(b) && occ.(a) > 0 && occ.(b) > 0 then
+          Int_vec.push pairs key
+      end)
+    sat;
+  Trg.of_edges ~num_nodes:nsym !edges
+
+(* Non-destructive merge across walkers, one path per store. Accumulation
+   continues afterwards. *)
+let finalize t =
+  flush t;
+  let t0 = t.clock () in
   let pairs = Int_vec.create ~capacity:64 () in
-  if t.cfg.walkers = 1 then begin
-    let wk = t.walkers.(0) in
-    Array.iter
-      (fun (sh : shard) ->
-        Int_pair_tbl.iter
-          (fun key p ->
-            let a = Int_pair_tbl.fst_of key in
-            let b = Int_pair_tbl.snd_of key in
-            if a < b then begin
-              let sat_ab = Int_pair_tbl.snd_of p in
-              let rk = Int_pair_tbl.pack b a in
-              let sat_ba =
-                Int_pair_tbl.snd_of
-                  (Int_pair_tbl.find wk.shards.(shard_of t rk).wits rk ~default:0)
-              in
-              if sat_ab = wk.occ.(a) && sat_ba = wk.occ.(b) && wk.occ.(a) > 0 && wk.occ.(b) > 0
-              then Int_vec.push pairs key
-            end)
-          sh.wits)
-      wk.shards
-  end
-  else begin
-    let occ_tot = Array.make nsym 0 in
-    Array.iter
-      (fun (wk : walker) ->
-        for i = 0 to nsym - 1 do
-          occ_tot.(i) <- occ_tot.(i) + wk.occ.(i)
-        done)
-      t.walkers;
-    let sat = Int_pair_tbl.create ~capacity:1024 () in
-    Array.iter
-      (fun (wk : walker) ->
-        Array.iter
-          (fun (sh : shard) ->
-            Int_pair_tbl.iter
-              (fun key p -> ignore (Int_pair_tbl.add_to sat key (Int_pair_tbl.snd_of p)))
-              sh.wits)
-          wk.shards)
-      t.walkers;
-    Int_pair_tbl.iter
-      (fun key sat_ab ->
-        let a = Int_pair_tbl.fst_of key in
-        let b = Int_pair_tbl.snd_of key in
-        if a < b then begin
-          let sat_ba = Int_pair_tbl.find sat (Int_pair_tbl.pack b a) ~default:0 in
-          if sat_ab = occ_tot.(a) && sat_ba = occ_tot.(b) && occ_tot.(a) > 0 && occ_tot.(b) > 0
-          then Int_vec.push pairs key
-        end)
-      sat
-  end;
+  let trg = if uses_grids t.cfg then merge_grids t pairs else merge_tables t pairs in
   let affine = Int_vec.to_array pairs in
   Array.sort compare affine;
   t.merges <- t.merges + 1;
@@ -696,16 +803,11 @@ let batch_digests_parts ~trg_window ~affinity_w traces =
         invalid_arg "Ingest.batch_digests_parts: traces disagree on the symbol universe")
     traces;
   let trimmed = List.map (fun tr -> if Trim.is_trimmed tr then tr else Trim.trim tr) traces in
-  let acc = Int_pair_tbl.create ~capacity:1024 () in
+  let edges = ref [] in
   List.iter
     (fun tr ->
-      let trg = Trg.build ~window:trg_window tr in
-      Trg.iter_edges (fun x y w -> ignore (Int_pair_tbl.add_to acc (Int_pair_tbl.pack x y) w)) trg)
+      Trg.iter_edges (fun x y w -> edges := (x, y, w) :: !edges) (Trg.build ~window:trg_window tr))
     trimmed;
-  let edges = ref [] in
-  Int_pair_tbl.iter
-    (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-    acc;
   let trg = Trg.of_edges ~num_nodes:num_symbols !edges in
   let parts =
     List.map

@@ -1,5 +1,5 @@
-(** Streaming profile ingest: sharded, multi-walker online TRG and
-    affinity accumulation, bit-identical to the batch kernels.
+(** Streaming profile ingest: multi-walker online TRG and affinity
+    accumulation, bit-identical to the batch kernels.
 
     Every completed trace is an independent stream: the walker that
     processes it starts from an empty LRU stack and fresh trimming state,
@@ -13,54 +13,66 @@
       every {!end_trace};
     - with [walkers > 1] each completed trace is assigned round-robin (by
       completed-trace index — a config-deterministic assignment) to one
-      of W walker states, each owning a private window stack, occurrence
-      array and shard tables; walker queues drain as [Pool] tasks, one
-      task per walker.
+      of W walker states, each owning a private window stack and counter
+      store; walker queues drain as [Pool] tasks, one task per walker.
 
     Either way a walker does one walk per kept event: one scan of a flat
     bounded LRU stack ([Colayout_trace.Window_stack], the top
     [max trg_window affinity_w] entries) finds the event, then the TRG
-    and affinity loops run over that array and update the walker's shard
-    tables in place.
+    and affinity loops run over that array and update the walker's store
+    in place. The config alone picks the store:
 
-    {!finalize} merges walker-local tables by the witness/occurrence
-    algebra: TRG edge weights sum per key; directed witness saturations
-    sum per key; occurrence counts sum per symbol; the batch saturated-
-    pair test (sat(a,b) = occ(a) in both directions) then runs on the
-    merged totals. Because windows never span trace boundaries, each
-    walker's saturation is itself a sum of per-trace saturations, with
-    sat <= occ per trace — so the merged sum saturates iff every trace
-    saturates, i.e. exactly the batch condition on each part. Hence the
-    consensus CSR and affine set are bit-identical at any
+    - {b Grids} — exact mode ([trg_cap = wits_cap = 0],
+      [decay_shift = 0]) on at most [Int_pair_tbl.max_grid_universe]
+      symbols. The walk is a fold over dense [n × n] int arrays, about
+      [3·n²·8] bytes per walker: a cumulative directed TRG grid (the
+      bumps of [Trg.build]'s grid path) and per-trace witness state that
+      {!end_trace} closes into trace counts — [trc(s)], the traces
+      containing [s], and [aff(a,b)], the traces that saturate [{a, b}].
+      {!finalize} sums the walkers' grids; a pair is affine iff
+      [aff(a,b) = trc(a) = trc(b) > 0], i.e. every trace that contains
+      either symbol contains both and saturates the pair.
+    - {b Tables} — bounded mode, and exact mode on larger universes.
+      Flat packed-pair tables, [shards] per walker, with walker-cumulative
+      witness saturations and occurrence counts; {!finalize} sums them
+      and runs the saturated-pair test (sat(a,b) = occ(a) in both
+      directions) on the totals. Because windows never span trace
+      boundaries, each saturation is a sum of per-trace saturations with
+      sat <= occ per trace, so the merged sum saturates iff every trace
+      does: the same rule.
+
+    Hence the consensus CSR and affine set are bit-identical at any
     (walkers x shards x jobs) point in exact configurations
     ({!consensus_digests} vs {!batch_digests_parts} makes the contract
     checkable).
 
-    Memory is bounded, deterministically in the config and feed order
-    (never in the pool schedule), by three mechanisms that run only at
-    flush points (every [flush_ops] table updates) and epochs:
+    The table store's memory is bounded, deterministically in the config
+    and feed order (never in the pool schedule), by three mechanisms that
+    run only at flush points (every [flush_ops] updates) and epochs:
     per-(walker, shard) table caps (evict smallest (rank, key)), TRG
     weight decay (drop zeros), and exact dead-witness pruning. Pruning
     never changes the final affine set, merged or not; caps and decay
-    trade exactness for bounded tables, and — like [shards] — the
-    [walkers] count is part of the approximation's definition, while
-    [jobs] never changes any result. *)
+    trade exactness for bounded tables, and [shards] and [walkers] are
+    part of the approximation's definition, while [jobs] never changes
+    any result. [shards] and [prune_dead] shape the table store only. *)
 
 type config = {
   num_symbols : int;
   walkers : int;  (** Parallel stream walkers; traces partition round-robin. *)
-  shards : int;
+  shards : int;  (** Tables per walker; the grid store has none. *)
   trg_window : int;  (** TRG LRU window (distinct blocks). *)
   affinity_w : int;  (** Affinity window footprint bound w. *)
   trg_cap : int;  (** Per-(walker, shard) TRG edge cap; 0 = unbounded. *)
   wits_cap : int;  (** Per-(walker, shard) witness-entry cap; 0 = unbounded. *)
   decay_shift : int;  (** TRG weights decay by [lsr decay_shift] per epoch; 0 = off. *)
   epoch_traces : int;  (** Maintenance every N completed traces; 0 = never. *)
-  prune_dead : bool;  (** Exact dead-witness pruning at epochs. *)
+  prune_dead : bool;  (** Exact dead-witness pruning at epochs (table store). *)
   flush_ops : int;
       (** Table updates per walker between its flushes. Updates apply as
           they are emitted; a flush is a maintenance point, where cap
-          eviction runs and shard peaks are recorded. *)
+          eviction runs and shard peaks are recorded. The grid store
+          counts the same updates and flushes at the same points, with
+          nothing to maintain. *)
 }
 
 val config :
@@ -123,8 +135,12 @@ val ingest_trace : t -> Colayout_trace.Trace.t -> unit
 (** {!feed_trace} then {!end_trace}. *)
 
 val feed_file : t -> path:string -> unit
-(** Stream one trace file through the chunked [Trace_io] reader (without
-    materializing it when [walkers = 1]) and {!end_trace}. *)
+(** Ingest one trace file as one trace, all or nothing: the file is
+    decoded through the chunked [Trace_io] reader and range-checked
+    before its first event is fed, then {!end_trace}. A truncated or
+    corrupt file raises [Failure] (from the reader) or [Invalid_argument]
+    (universe mismatch, out-of-range symbol) and leaves [t] untouched,
+    so a retry starts from a clean trace. *)
 
 val flush : t -> unit
 (** Drain queued traces through their walkers, then run every walker's
@@ -141,16 +157,20 @@ type stats = {
   dispatches : int;  (** Walker-queue dispatch barriers (walkers > 1). *)
   epochs : int;
   merges : int;
-  trg_live : int;  (** Current TRG entries, summed over walkers and shards. *)
-  wits_live : int;
+  trg_live : int;
+      (** Current TRG entries (undirected pairs with a positive count),
+          summed over walkers and shards; the same count in both stores. *)
+  wits_live : int;  (** Witness table entries; 0 in the grid store, which has no tables. *)
   trg_peak_shard : int;
       (** Max per-(walker, shard) TRG entries at any flush boundary — the
-          quantity the per-table caps bound. *)
-  wits_peak_shard : int;
+          quantity the per-table caps bound. 0 in the grid store. *)
+  wits_peak_shard : int;  (** Likewise for witness entries; 0 in the grid store. *)
   trg_evicted : int;  (** Summed over walkers; deterministic in config, not pool schedule. *)
   wits_evicted : int;
   decay_dropped : int;
   dead_pruned : int;
+      (** Witness entries dropped by dead-witness pruning; 0 in the grid
+          store, whose witness state lasts one trace. *)
 }
 
 val stats : t -> stats
@@ -164,8 +184,9 @@ type consensus = { trg : Trg.t; affine : int array }
     sorted array of packed [(a, b)] keys with [a < b]. *)
 
 val finalize : t -> consensus
-(** Drain every walker, then merge all walker-local shard tables into a
-    consensus profile by the weight-sum / witness-occurrence algebra.
+(** Drain every walker, then merge the walkers' stores into a consensus
+    profile by the algebra above. It covers completed traces: call it
+    between traces.
     Non-destructive: accumulation may continue afterwards. With caps and
     decay disabled this is bit-identical to the batch kernels run on
     each trace independently and merged — at any walkers, shards and

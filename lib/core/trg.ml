@@ -195,29 +195,17 @@ let edges t =
   iter_edges_by_weight (fun x y w -> acc := (x, y, w) :: !acc) t;
   List.rev !acc
 
-(* The grid path of [build]: [m.(x * n + y)] counts the recurrences of
-   [x] within the window that had [y] above it on the stack, so the
+(* A directed count grid to the finalized graph: [m.(x * n + y)] counts
+   the recurrences of [x] that had [y] above it on the stack, so the
    undirected weight of [{x, y}] is [m.(x * n + y) + m.(y * n + x)] — the
    sum of exactly the [bump]s the table path makes under its canonical key.
-   Reading the upper triangle row by row yields the CSR's row-major order
-   directly, with no key sort; the grid is garbage once [build] returns. *)
-let build_grid ~k trace =
-  let n = Trace.num_symbols trace in
-  let m = Array.make (n * n) 0 in
-  let ws = Window_stack.create ~k in
-  let stk = ws.stk in
-  Trace.iter
-    (fun x ->
-      let pos = Window_stack.find ws x in
-      let row = x * n in
-      for i = 0 to pos - 1 do
-        let j = row + Array.unsafe_get stk i in
-        Array.unsafe_set m j (Array.unsafe_get m j + 1)
-      done;
-      Window_stack.move_to_front ws ~pos x)
-    trace;
-  (* Fold the lower triangle onto the upper one, counting edges and
-     degrees on the way. *)
+   Folds the lower triangle onto the upper one in place, then reads the
+   upper triangle row by row, which yields the CSR's row-major order
+   directly, with no key sort. *)
+let of_grid ~num_nodes:n m =
+  if n < 0 || Array.length m <> n * n then invalid_arg "Trg.of_grid: grid is not n * n";
+  check_universe n;
+  (* Fold, counting edges and degrees on the way. *)
   let deg = Array.make n 0 and e = ref 0 in
   for x = 0 to n - 1 do
     for y = x + 1 to n - 1 do
@@ -246,6 +234,26 @@ let build_grid ~k trace =
     row_ptr.(x + 1) <- !j
   done;
   { num_nodes = n; deg; repr = Csr { row_ptr; src; nbr; wt; by_weight = None } }
+
+(* The grid path of [build]: one bump of [m.(x * n + y)] per block [y]
+   above a recurring [x], then [of_grid]; the grid is garbage once [build]
+   returns. *)
+let build_grid ~k trace =
+  let n = Trace.num_symbols trace in
+  let m = Array.make (n * n) 0 in
+  let ws = Window_stack.create ~k in
+  let stk = ws.stk in
+  Trace.iter
+    (fun x ->
+      let pos = Window_stack.find ws x in
+      let row = x * n in
+      for i = 0 to pos - 1 do
+        let j = row + Array.unsafe_get stk i in
+        Array.unsafe_set m j (Array.unsafe_get m j + 1)
+      done;
+      Window_stack.move_to_front ws ~pos x)
+    trace;
+  of_grid ~num_nodes:n m
 
 let build ?(window = max_int) trace =
   if window < 1 then invalid_arg "Trg.build: window must be >= 1";

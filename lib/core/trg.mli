@@ -70,9 +70,18 @@ val weight_sorted : t -> weight_sorted
     radix sort of the CSR indices on [wmax - w], and cached. *)
 
 val of_edges : num_nodes:int -> (int * int * int) list -> t
-(** Build directly from weighted edges (for tests and the Figure 2 worked
-    example). @raise Invalid_argument on self loops, non-positive weights or
+(** Build directly from weighted edges (for tests, the Figure 2 worked
+    example and merging graphs); an edge listed more than once weighs the
+    sum of its weights. @raise Invalid_argument on self loops, non-positive weights or
     out-of-range nodes. *)
+
+val of_grid : num_nodes:int -> int array -> t
+(** [of_grid ~num_nodes:n m] is the graph of a directed [n × n] count grid
+    [m.(x * n + y)]: edge [{x, y}] weighs [m.(x * n + y) + m.(y * n + x)]
+    and exists when that is positive. The grid is consumed: its upper
+    triangle is overwritten by the fold. This is {!build}'s grid path
+    after its walk, and how [Ingest] emits its exact-mode consensus.
+    @raise Invalid_argument when [Array.length m <> n * n]. *)
 
 val recommended_window :
   params:Colayout_cache.Params.t -> block_bytes:int -> cache_multiplier:float -> int

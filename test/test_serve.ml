@@ -7,7 +7,9 @@
    is an independent stream — the LRU stack and trim state reset at
    trace boundaries — so the merged profile is a pure function of the
    trace multiset and the round-robin walker partition cannot change
-   it. Bounded-memory mode (caps + decay) is approximate by design but
+   it. Exact mode folds into dense grids on small universes and walks
+   shard tables otherwise; both stores are held to the seed kernels.
+   Bounded-memory mode (caps + decay) is approximate by design but
    must be deterministic given the config (walker count included, pool
    schedule excluded), keep every walker-shard table under its cap at
    flush boundaries, and actually evict under pressure. The service
@@ -61,6 +63,26 @@ let trimmed_len t =
       last := s)
     t;
   !kept
+
+(* Caps no table ever reaches: an otherwise exact config with these
+   leaves the grid store for the table walk, and nothing is evicted. *)
+let never_binding = max_int
+
+(* Which store a run took, read off the stats contract: the grid store
+   has no shard tables, so it reports no witness entries and no peaks;
+   the table walk records a positive TRG peak at its flushes (given any
+   TRG entry) and, under never-binding caps, evicts nothing. *)
+let check_store ~tables tag (s : Ingest.stats) =
+  if tables then
+    Alcotest.(check bool)
+      (tag ^ ": table walk, nothing evicted")
+      true
+      (s.trg_peak_shard > 0 && s.trg_evicted = 0 && s.wits_evicted = 0)
+  else
+    Alcotest.(check bool)
+      (tag ^ ": grid store")
+      true
+      (s.wits_live = 0 && s.trg_peak_shard = 0 && s.wits_peak_shard = 0 && s.dead_pruned = 0)
 
 (* ---------------------------------------- multi-walker online == batch *)
 
@@ -173,8 +195,53 @@ let test_chunked_and_file_feeds () =
             "file-streamed at walkers=2 == whole" whole
             (Ingest.consensus_digests (Ingest.finalize filed))))
 
+(* A spool file cut short is rejected as a whole: [feed_file] raises
+   before feeding any event, so a retry on the complete file ingests one
+   clean trace. *)
+let test_feed_file_all_or_nothing () =
+  let num_symbols = 48 in
+  let prng = U.Prng.create ~seed:71 in
+  let tr = Trace.create ~num_symbols () in
+  for _ = 1 to 100_000 do
+    Trace.push tr (U.Prng.zipf prng ~n:num_symbols ~s:0.9)
+  done;
+  let dir = Filename.temp_file "colayout_cut" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let full = Filename.concat dir "full.trc" and cut = Filename.concat dir "cut.trc" in
+      Trace_io.save ~path:full tr;
+      let bytes = In_channel.with_open_bin full In_channel.input_all in
+      Out_channel.with_open_bin cut (fun oc ->
+          Out_channel.output_string oc (String.sub bytes 0 (String.length bytes - 100)));
+      let want = Ingest.batch_digests_parts ~trg_window:12 ~affinity_w:6 [ tr ] in
+      List.iter
+        (fun walkers ->
+          let tag = Printf.sprintf "walkers=%d" walkers in
+          let ing =
+            Ingest.create (Ingest.config ~num_symbols ~walkers ~trg_window:12 ~affinity_w:6 ())
+          in
+          (match Ingest.feed_file ing ~path:cut with
+          | () -> Alcotest.fail ("truncated file accepted " ^ tag)
+          | exception Failure _ -> ());
+          let s = Ingest.stats ing in
+          check Alcotest.(pair int int) ("nothing fed by the cut file " ^ tag) (0, 0)
+            (s.events, s.traces);
+          Ingest.feed_file ing ~path:full;
+          let s = Ingest.stats ing in
+          check Alcotest.(pair int int) ("one clean trace " ^ tag) (100_000, 1) (s.events, s.traces);
+          check Alcotest.(pair string string) ("digests " ^ tag) want
+            (Ingest.consensus_digests (Ingest.finalize ing)))
+        [ 1; 2 ])
+
 (* Dead-witness pruning is exact: epochs with pruning on must not change
-   the affine set (digests equal to batch), while actually pruning. *)
+   the affine set (digests equal to batch), while actually pruning. Only
+   the table walk prunes (the grid store clears its witness state at every
+   trace end), so the run takes it through never-binding caps. *)
 let test_prune_exactness () =
   let num_symbols = 36 in
   let traces = user_traces ~seed:11 ~users:12 ~num_symbols ~len:220 in
@@ -182,7 +249,7 @@ let test_prune_exactness () =
   let mk prune =
     let cfg =
       Ingest.config ~num_symbols ~shards:2 ~trg_window:10 ~affinity_w:5 ~epoch_traces:3
-        ~prune_dead:prune ()
+        ~prune_dead:prune ~trg_cap:never_binding ~wits_cap:never_binding ()
     in
     ingest_all cfg traces
   in
@@ -192,6 +259,7 @@ let test_prune_exactness () =
   check Alcotest.(pair string string) "no-prune == batch" batch
     (Ingest.consensus_digests (Ingest.finalize (mk false)));
   let s = Ingest.stats pruned in
+  check_store ~tables:true "pruned run" s;
   Alcotest.(check bool) "pruning actually fired" true (s.dead_pruned > 0);
   Alcotest.(check bool)
     "pruned table smaller than unpruned"
@@ -267,9 +335,24 @@ let baseline_digests ~trg_window ~affinity_w traces =
   Array.sort compare affine;
   Ingest.consensus_digests { Ingest.trg; affine }
 
-let online_digests ?pool ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
-  let cfg = Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w ~flush_ops:97 () in
-  Ingest.consensus_digests (Ingest.finalize (ingest_all ?pool cfg traces))
+(* One exact run; [tables] takes the table walk through never-binding
+   caps instead of the grid store. *)
+let online ?pool ?(tables = false) ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
+  let cap = if tables then never_binding else 0 in
+  let cfg =
+    Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w ~trg_cap:cap ~wits_cap:cap
+      ~flush_ops:97 ()
+  in
+  ingest_all ?pool cfg traces
+
+let online_digests ?pool ?tables ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
+  Ingest.consensus_digests
+    (Ingest.finalize
+       (online ?pool ?tables ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces))
+
+let stores = [ false; true ]
+
+let store_name tables = if tables then "tables" else "grids"
 
 let test_ingest_vs_seed_kernels () =
   let num_symbols = 40 in
@@ -283,19 +366,151 @@ let test_ingest_vs_seed_kernels () =
         want (batch_of traces);
       U.Pool.with_pool ~jobs:2 (fun pool ->
           List.iter
+            (fun tables ->
+              List.iter
+                (fun walkers ->
+                  List.iter
+                    (fun shards ->
+                      let tag =
+                        Printf.sprintf "seed=%d %s walkers=%d shards=%d" seed (store_name tables)
+                          walkers shards
+                      in
+                      let ing =
+                        online ~pool ~tables ~walkers ~shards ~trg_window:12 ~affinity_w:6
+                          ~num_symbols traces
+                      in
+                      check
+                        Alcotest.(pair string string)
+                        ("ingest == seed kernels " ^ tag)
+                        want
+                        (Ingest.consensus_digests (Ingest.finalize ing));
+                      check_store ~tables tag (Ingest.stats ing))
+                    [ 1; 2 ])
+                walker_counts)
+            stores))
+    [ 3; 19; 77 ]
+
+(* [finalize] mid-stream: after every k traces the consensus equals the
+   seed kernels on that prefix, at every walkers x shards point in both
+   stores, and accumulation carries on. The stream holds empty and
+   single-event traces: an empty trace counts as a trace but contains no
+   symbol; a single event makes its symbol present with no pair. *)
+let test_seed_kernels_prefixes () =
+  let num_symbols = 32 in
+  let mk l =
+    let t = Trace.create ~num_symbols () in
+    List.iter (Trace.push t) l;
+    t
+  in
+  let users = user_traces ~seed:53 ~users:8 ~num_symbols ~len:150 in
+  let traces =
+    match users with
+    | a :: b :: c :: rest -> (mk [] :: a :: mk [ 3 ] :: b :: c :: mk [ 0 ] :: mk [] :: rest) @ [ mk [ 5; 5 ] ]
+    | _ -> assert false
+  in
+  let k = 3 and trg_window = 10 and affinity_w = 5 in
+  let len = List.length traces in
+  let prefix n = List.filteri (fun i _ -> i < n) traces in
+  let want = Hashtbl.create 8 in
+  let want_at n =
+    match Hashtbl.find_opt want n with
+    | Some d -> d
+    | None ->
+      let d = baseline_digests ~trg_window ~affinity_w (prefix n) in
+      Hashtbl.replace want n d;
+      d
+  in
+  U.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun tables ->
+          List.iter
             (fun walkers ->
               List.iter
                 (fun shards ->
-                  check
-                    Alcotest.(pair string string)
-                    (Printf.sprintf "ingest == seed kernels (seed=%d walkers=%d shards=%d)" seed
-                       walkers shards)
-                    want
-                    (online_digests ~pool ~walkers ~shards ~trg_window:12 ~affinity_w:6
-                       ~num_symbols traces))
+                  let cap = if tables then never_binding else 0 in
+                  let cfg =
+                    Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w
+                      ~trg_cap:cap ~wits_cap:cap ~flush_ops:61 ()
+                  in
+                  let ing = Ingest.create ~pool cfg in
+                  List.iteri
+                    (fun i tr ->
+                      Ingest.ingest_trace ing tr;
+                      let n = i + 1 in
+                      if n mod k = 0 || n = len then
+                        check
+                          Alcotest.(pair string string)
+                          (Printf.sprintf "prefix %d == seed kernels (%s walkers=%d shards=%d)" n
+                             (store_name tables) walkers shards)
+                          (want_at n)
+                          (Ingest.consensus_digests (Ingest.finalize ing)))
+                    traces;
+                  check Alcotest.int "every trace counted" len (Ingest.stats ing).Ingest.traces)
                 [ 1; 2 ])
-            [ 1; 2; 3 ]))
-    [ 3; 19; 77 ]
+            walker_counts)
+        stores)
+
+(* The merge rule on hand-built parts: a pair affine in one part stays
+   affine across parts that contain neither of its symbols, and is lost as
+   soon as one part contains one symbol without the other — each case
+   against the seed kernels and by name. Parts made of empty and
+   single-event traces contribute no pair. *)
+let test_seed_kernels_missing_symbol () =
+  let num_symbols = 6 in
+  let mk l =
+    let t = Trace.create ~num_symbols () in
+    List.iter (Trace.push t) l;
+    t
+  in
+  let a = mk [ 0; 1; 0; 1; 0; 1 ] (* {0, 1} affine *)
+  and b = mk [ 0; 2; 3; 0; 2; 3 ] (* 0 without 1 *)
+  and c = mk [ 2; 3; 2; 3 ] (* neither *)
+  and d = mk [ 1; 4; 1; 4 ] (* 1 without 0 *) in
+  let cases =
+    [
+      ("A C", [ a; c ], Some true);
+      ("A A C", [ a; a; c ], Some true);
+      ("A B", [ a; b ], Some false);
+      ("C A D", [ c; a; d ], Some false);
+      ("empty and single-event", [ mk []; mk [ 5 ]; mk [ 5; 5; 5 ]; mk [] ], None);
+      ("A then empty and single 0", [ a; mk []; mk [ 0 ] ], Some false);
+    ]
+  in
+  List.iter
+    (fun (name, parts, pair01) ->
+      let want = baseline_digests ~trg_window:4 ~affinity_w:3 parts in
+      List.iter
+        (fun tables ->
+          List.iter
+            (fun walkers ->
+              let tag = Printf.sprintf "%s (%s walkers=%d)" name (store_name tables) walkers in
+              let c =
+                Ingest.finalize
+                  (online ~tables ~walkers ~shards:2 ~trg_window:4 ~affinity_w:3 ~num_symbols parts)
+              in
+              check Alcotest.(pair string string) tag want (Ingest.consensus_digests c);
+              match pair01 with
+              | Some affine ->
+                check Alcotest.bool ("{0, 1} affine: " ^ tag) affine
+                  (List.mem (0, 1) (Ingest.affine_list c))
+              | None -> check Alcotest.int ("no affine pair: " ^ tag) 0 (Array.length c.Ingest.affine))
+            [ 1; 2 ])
+        stores)
+    cases
+
+(* One symbol past [Int_pair_tbl.max_grid_universe]: exact mode must take
+   the table walk, and still equal the seed kernels. *)
+let test_seed_kernels_table_universe () =
+  let num_symbols = U.Int_pair_tbl.max_grid_universe + 1 in
+  let traces = user_traces ~seed:61 ~users:4 ~num_symbols ~len:300 in
+  let want = baseline_digests ~trg_window:12 ~affinity_w:6 traces in
+  List.iter
+    (fun walkers ->
+      let tag = Printf.sprintf "%d symbols, walkers=%d" num_symbols walkers in
+      let ing = online ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6 ~num_symbols traces in
+      check Alcotest.(pair string string) tag want (Ingest.consensus_digests (Ingest.finalize ing));
+      check_store ~tables:true tag (Ingest.stats ing))
+    [ 1; 2 ]
 
 (* Real user traces: 429.mcf basic-block traces from the interpreter,
    at the service's default windows. *)
@@ -311,13 +526,14 @@ let test_ingest_vs_seed_kernels_mcf () =
   Alcotest.(check bool) "mcf traces yield affine pairs" true
     (snd want <> snd (Ingest.consensus_digests { Ingest.trg = Trg.of_edges ~num_nodes:1 []; affine = [||] }));
   List.iter
-    (fun (walkers, shards) ->
+    (fun (tables, walkers, shards) ->
       check
         Alcotest.(pair string string)
-        (Printf.sprintf "mcf ingest == seed kernels (walkers=%d shards=%d)" walkers shards)
+        (Printf.sprintf "mcf ingest == seed kernels (%s walkers=%d shards=%d)" (store_name tables)
+           walkers shards)
         want
-        (online_digests ~walkers ~shards ~trg_window:64 ~affinity_w:16 ~num_symbols traces))
-    [ (1, 1); (1, 2); (2, 2); (3, 1) ]
+        (online_digests ~tables ~walkers ~shards ~trg_window:64 ~affinity_w:16 ~num_symbols traces))
+    [ (false, 1, 1); (false, 1, 2); (false, 2, 2); (false, 3, 1); (true, 1, 2); (true, 2, 2) ]
 
 (* Window-shape edge cases, each against the seed kernels: a TRG window
    narrower than the affinity window (the stack is sized by the wider
@@ -331,39 +547,51 @@ let test_ingest_window_edges () =
     (fun (trg_window, affinity_w) ->
       let want = baseline_digests ~trg_window ~affinity_w traces in
       List.iter
-        (fun walkers ->
-          check
-            Alcotest.(pair string string)
-            (Printf.sprintf "trg_window=%d affinity_w=%d walkers=%d" trg_window affinity_w walkers)
-            want
-            (online_digests ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols traces))
-        [ 1; 2 ])
+        (fun tables ->
+          List.iter
+            (fun walkers ->
+              check
+                Alcotest.(pair string string)
+                (Printf.sprintf "trg_window=%d affinity_w=%d %s walkers=%d" trg_window affinity_w
+                   (store_name tables) walkers)
+                want
+                (online_digests ~tables ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols
+                   traces))
+            [ 1; 2 ])
+        stores)
     [ (3, 9); (1, 4); (1, 1); (2, 2); (200, 150); (24, 24); (30, 5) ]
 
-(* Once a walker's tables hold every key a trace touches (the same trace
+(* Once a walker's store holds every cell a trace touches (the same trace
    fed a second time), the walk allocates nothing per event: the window
-   stack and the table slots are updated in place. The few words left
-   are per call (the iteration closure, the trace-start timestamp). *)
+   stack, the grids and the table slots are updated in place. The few
+   words left are per call (the iteration closure, the trace-start
+   timestamp). Checked on the grid store and on the table walk. *)
 let test_walk_allocation () =
   let num_symbols = 64 in
   let tr = List.hd (user_traces ~seed:5 ~users:1 ~num_symbols ~len:6000) in
   List.iter
-    (fun shards ->
-      let ing = Ingest.create (Ingest.config ~num_symbols ~shards ~trg_window:16 ~affinity_w:8 ()) in
+    (fun (tables, shards) ->
+      let cap = if tables then never_binding else 0 in
+      let ing =
+        Ingest.create
+          (Ingest.config ~num_symbols ~shards ~trg_window:16 ~affinity_w:8 ~trg_cap:cap
+             ~wits_cap:cap ())
+      in
       Ingest.ingest_trace ing tr;
       let kept0 = (Ingest.stats ing).Ingest.kept_events in
       let w0 = Gc.minor_words () in
       Ingest.feed_trace ing tr;
       let words = int_of_float (Gc.minor_words () -. w0) in
       let kept = (Ingest.stats ing).Ingest.kept_events - kept0 in
+      let tag = Printf.sprintf "%s shards=%d" (store_name tables) shards in
       Alcotest.(check bool) "second feed walked the trace" true (kept > 4000);
       check Alcotest.int
-        (Printf.sprintf "minor words per kept event (shards=%d, %d words total)" shards words)
+        (Printf.sprintf "minor words per kept event (%s, %d words total)" tag words)
         0 (words / kept);
       Alcotest.(check bool)
-        (Printf.sprintf "constant per-call allocation (shards=%d): %d words" shards words)
+        (Printf.sprintf "constant per-call allocation (%s): %d words" tag words)
         true (words <= 64))
-    [ 1; 2 ]
+    [ (false, 1); (true, 1); (true, 2) ]
 
 (* ---------------------------------------- walker stats + histograms *)
 
@@ -569,6 +797,64 @@ let test_bounded_pinned () =
             (s.trg_evicted, (s.wits_evicted, (s.decay_dropped, (s.dead_pruned, s.flushes)))))
         bounded_pins)
 
+(* The stats contract of the grid store: on this fixed input (phrase
+   traces, one empty trace, two trimming-heavy traces; an epoch every 4
+   traces, a flush every 256 table updates, one mid-stream finalize) the
+   walk-derived counters are pinned, and equal the table walk's on the
+   same input. The table-only fields read zero. *)
+let stats_pins =
+  [
+    (1, (12, 2154, 2104, 3627, 20686), (96, 0, 3, 2, 736));
+    (2, (12, 2154, 2104, 3627, 20686), (97, 7, 3, 2, 992));
+    (4, (12, 2154, 2104, 3627, 20686), (100, 4, 3, 2, 1292));
+  ]
+
+let test_grid_stats_pinned () =
+  let num_symbols = 64 in
+  let traces =
+    match
+      phrase_traces ~seed:37 ~users:9 ~len:60 @ user_traces ~seed:13 ~users:2 ~num_symbols ~len:100
+    with
+    | a :: rest -> a :: Trace.create ~num_symbols () :: rest
+    | [] -> assert false
+  in
+  let int5 = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+  let p5 (a, b, c, d, e) = (a, (b, (c, (d, e)))) in
+  U.Pool.with_pool ~jobs:2 (fun pool ->
+      List.iter
+        (fun (walkers, walk, books) ->
+          List.iter
+            (fun tables ->
+              let cap = if tables then never_binding else 0 in
+              let cfg =
+                Ingest.config ~num_symbols ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6
+                  ~epoch_traces:4 ~flush_ops:256 ~trg_cap:cap ~wits_cap:cap ()
+              in
+              let ing = Ingest.create ~pool cfg in
+              List.iteri
+                (fun i t ->
+                  Ingest.ingest_trace ing t;
+                  if i = 4 then ignore (Ingest.finalize ing))
+                traces;
+              let tag = Printf.sprintf "%s walkers=%d" (store_name tables) walkers in
+              check
+                Alcotest.(pair string string)
+                ("digests " ^ tag)
+                ("26f552b821e8b83801588563c0748d98", "5ce52080c923a574d387c3370b905046")
+                (Ingest.consensus_digests (Ingest.finalize ing));
+              let s = Ingest.stats ing in
+              check int5
+                ("traces, events, kept_events, trg_ops, wit_ops " ^ tag)
+                (p5 walk)
+                (p5 (s.traces, s.events, s.kept_events, s.trg_ops, s.wit_ops));
+              check int5
+                ("flushes, dispatches, epochs, merges, trg_live " ^ tag)
+                (p5 books)
+                (p5 (s.flushes, s.dispatches, s.epochs, s.merges, s.trg_live));
+              check_store ~tables tag s)
+            stores)
+        stats_pins)
+
 (* Decay arithmetic on a hand-checked example: one epoch of shift-1 decay
    halves (floor) every TRG weight and forgets weight-1 edges. *)
 let test_decay_example () =
@@ -718,17 +1004,27 @@ let () =
           QCheck_alcotest.to_alcotest prop_walker_partition;
           Alcotest.test_case "chunked and file feeds equivalent" `Quick
             test_chunked_and_file_feeds;
+          Alcotest.test_case "truncated file leaves ingest untouched" `Quick
+            test_feed_file_all_or_nothing;
           Alcotest.test_case "dead-witness pruning exact" `Quick test_prune_exactness;
           Alcotest.test_case "per-trace trimming" `Quick test_per_trace_trimming;
           Alcotest.test_case "walker stats sum + schedule-invariance" `Quick
             test_walker_stats_sum;
           Alcotest.test_case "per-walker latency histograms fold" `Quick
             test_walker_histograms;
+          Alcotest.test_case "grid-store stats pinned, equal to the table walk's" `Quick
+            test_grid_stats_pinned;
           Alcotest.test_case "ingest == seed kernels across walkers x shards" `Quick
             test_ingest_vs_seed_kernels;
           Alcotest.test_case "ingest == seed kernels on 429.mcf traces" `Quick
             test_ingest_vs_seed_kernels_mcf;
           Alcotest.test_case "window edge cases vs seed kernels" `Quick test_ingest_window_edges;
+          Alcotest.test_case "finalize every k traces == seed kernels on the prefix" `Quick
+            test_seed_kernels_prefixes;
+          Alcotest.test_case "parts missing a symbol of an affine pair vs seed kernels" `Quick
+            test_seed_kernels_missing_symbol;
+          Alcotest.test_case "exact mode past the grid bound takes the table walk" `Quick
+            test_seed_kernels_table_universe;
           Alcotest.test_case "warm walk allocates nothing per event" `Quick test_walk_allocation;
         ] );
       ( "bounded",

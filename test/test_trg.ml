@@ -84,6 +84,23 @@ let test_of_edges_validation () =
   Alcotest.check_raises "out of range" (Invalid_argument "Trg.of_edges: node out of range")
     (fun () -> ignore (Trg.of_edges ~num_nodes:2 [ (0, 5, 1) ]))
 
+(* The two merge-side constructors: [of_edges] adds the weights of an
+   edge listed more than once, in either orientation, and [of_grid] reads
+   a directed grid as the sum of its two cells per pair. *)
+let test_of_edges_and_of_grid () =
+  let g = Trg.of_edges ~num_nodes:4 [ (0, 1, 2); (2, 3, 1); (1, 0, 5); (0, 1, 1) ] in
+  check Alcotest.(list (triple int int int)) "repeated edges sum" [ (0, 1, 8); (2, 3, 1) ]
+    (Trg.edges g);
+  check Alcotest.int "degree counts the edge once" 1 (Trg.degree g 0);
+  let m = Array.make 16 0 in
+  m.((0 * 4) + 1) <- 3;
+  m.((1 * 4) + 0) <- 5;
+  m.((3 * 4) + 2) <- 1;
+  check Alcotest.(list (triple int int int)) "directed cells fold" [ (0, 1, 8); (2, 3, 1) ]
+    (Trg.edges (Trg.of_grid ~num_nodes:4 m));
+  Alcotest.check_raises "grid size" (Invalid_argument "Trg.of_grid: grid is not n * n")
+    (fun () -> ignore (Trg.of_grid ~num_nodes:3 m))
+
 let test_recommended_window () =
   let params = Colayout_cache.Params.default_l1i in
   (* 2 x 32KB / 64B blocks = 1024. *)
@@ -269,6 +286,7 @@ let () =
           Alcotest.test_case "edges sorted, wide weights" `Quick test_edges_sorted_wide_weights;
           QCheck_alcotest.to_alcotest edges_sorted_any_widths;
           Alcotest.test_case "of_edges validation" `Quick test_of_edges_validation;
+          Alcotest.test_case "of_edges sums, of_grid folds" `Quick test_of_edges_and_of_grid;
           Alcotest.test_case "recommended window" `Quick test_recommended_window;
         ] );
       ( "reduction",
