@@ -90,6 +90,10 @@ let kernels =
         let r = get "reduce" (cells m) in
         ensure (str "flat_digest" r = str "seed_digest" r)
           "flat TRG reduction diverges from the seed reduction");
+    gate "trg-reduce-real-matches-seed" (fun m ->
+        let r = get "reduce_real" (cells m) in
+        ensure (str "flat_digest" r = str "seed_digest" r)
+          "flat reduction of the %s bb TRG diverges from the seed reduction" (str "program" r));
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in

@@ -167,8 +167,8 @@ let run_section ~quick ~dir (name, section) =
    Trg_reduce.reduce, the one-pass affinity windows) against the seed
    baselines (Kernel_baseline) on one skewed-popularity trace with enough
    deep reuse to stress the w ≈ 512 window (32 KB / 64 B line). The
-   reduction's output is digested on both paths and the TRG memory
-   footprints compared. *)
+   reduction's output is digested on both paths, here and on the paper
+   workload's own bb TRG, and the TRG memory footprints compared. *)
 
 let kernel_trace ~num_symbols ~len ~seed =
   let prng = U.Prng.create ~seed in
@@ -183,6 +183,59 @@ let kernel_trace ~num_symbols ~len ~seed =
    packed-pair table above. The speedups of one say nothing of the other. *)
 let pair_store num_symbols =
   if num_symbols <= U.Int_pair_tbl.max_grid_universe then "grid" else "table"
+
+(* The timed reductions must agree: same slot lists, same output order. *)
+let reduction_digest r =
+  Digest.to_hex
+    (Digest.string
+       (Marshal.to_string (r.Trg_reduce.order, r.Trg_reduce.slot_lists) [ Marshal.No_sharing ]))
+
+(* The paper workload's own reduction: 445.gobmk's bb TRG (1,293 nodes,
+   so the grid store in every mode), profiled at the harness's Fast test
+   fuel, at the optimizer's default window and slot count. The seed
+   reduction takes seconds here, so it runs once. *)
+let real_reduce_program = "445.gobmk"
+
+let real_reduce ~budget =
+  let config = Optimizer.default_config in
+  let params = config.Optimizer.params in
+  let cache_multiplier = config.Optimizer.cache_multiplier in
+  let block_bytes = config.Optimizer.bb_block_bytes in
+  let fuel = H.Ctx.test_fuel (H.Ctx.create ~scale:H.Ctx.Fast ()) in
+  let run =
+    E.Interp.run (W.Spec.build real_reduce_program) (E.Interp.test_input ~max_blocks:fuel ())
+  in
+  let an =
+    Optimizer.analysis_of_traces ~config ~bb:run.E.Interp.bb_trace ~fn:run.E.Interp.fn_trace ()
+  in
+  let window = Trg.recommended_window ~params ~block_bytes ~cache_multiplier in
+  let slots = Trg_reduce.slots_for ~params ~block_bytes ~cache_multiplier in
+  let g = Trg.build ~window an.Optimizer.bb in
+  let nodes = Trg.num_nodes g in
+  let edges = ref 0 in
+  Trg.iter_edges (fun _ _ _ -> incr edges) g;
+  let flat_ns = per_call ~budget (fun () -> ignore (Trg_reduce.reduce g ~slots)) in
+  let seed, seed_ns = time (fun () -> Kernel_baseline.trg_reduce g ~slots) in
+  let seed_ns = float_of_int seed_ns in
+  Printf.printf "  %-40s %12.1f us/run\n%!" "trg-reduce-real/flat" (flat_ns /. 1e3);
+  Printf.printf "  %-40s %12.1f us/run (one run)\n%!" "trg-reduce-real/seed-baseline"
+    (seed_ns /. 1e3);
+  Printf.printf "  (%s bb TRG: %d nodes, %d edges, %d slots, pair store: %s)\n%!"
+    real_reduce_program nodes !edges slots (pair_store nodes);
+  Out.
+    [
+      ("program", str real_reduce_program);
+      ("level", str "bb");
+      ("nodes", int nodes);
+      ("edges", int !edges);
+      ("slots", int slots);
+      ("pair_store", str (pair_store nodes));
+      ("flat_ns", num flat_ns);
+      ("seed_ns", num seed_ns);
+      ("speedup", num (seed_ns /. flat_ns));
+      ("flat_digest", str (reduction_digest (Trg_reduce.reduce g ~slots)));
+      ("seed_digest", str (reduction_digest seed));
+    ]
 
 let kernels ~quick ~dir:_ =
   let num_symbols = if quick then 1024 else 4096 in
@@ -245,16 +298,10 @@ let kernels ~quick ~dir:_ =
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
-  (* The timed reductions must agree: same slot lists, same output order. *)
-  let reduction_digest r =
-    Digest.to_hex
-      (Digest.string
-         (Marshal.to_string (r.Trg_reduce.order, r.Trg_reduce.slot_lists) [ Marshal.No_sharing ]))
-  in
+  let real = real_reduce ~budget in
   (* Memory-footprint ablation: the CSR stores each undirected edge once;
      the seed adjacency stores it twice, in boxed hash-table cells. Both
-     graphs are measured as built: the weight-sorted index a reduction
-     caches on [trg] (one int per edge) is not part of the comparison. *)
+     graphs are measured as built. *)
   let legacy = Kernel_baseline.trg_build ~window:w trace in
   let packed_words = Obj.reachable_words (Obj.repr (Trg.build ~window:w trace)) in
   let legacy_words = Obj.reachable_words (Obj.repr legacy) in
@@ -287,6 +334,7 @@ let kernels ~quick ~dir:_ =
                 ("flat_digest", str (reduction_digest (Trg_reduce.reduce trg ~slots)));
                 ("seed_digest", str (reduction_digest (Kernel_baseline.trg_reduce trg ~slots)));
               ] );
+          ("reduce_real", obj real);
         ] )
 
 (* ------------------------------------------------------------ harness *)

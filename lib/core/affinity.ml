@@ -20,12 +20,15 @@ let canon_key x y = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y
 let is_affine ps x y =
   x = y || Int_pair_tbl.find ps.thresholds (canon_key x y) ~default:max_int <= ps.w
 
+let iter_pairs f ps =
+  Int_pair_tbl.iter
+    (fun k t -> if t <= ps.w then f (Int_pair_tbl.fst_of k) (Int_pair_tbl.snd_of k))
+    ps.thresholds
+
 let pair_list ps =
-  Int_pair_tbl.fold
-    (fun k t acc ->
-      if t <= ps.w then (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k) :: acc else acc)
-    ps.thresholds []
-  |> List.sort compare
+  let acc = ref [] in
+  iter_pairs (fun x y -> acc := (x, y) :: !acc) ps;
+  List.sort compare !acc
 
 let require_trimmed t =
   if not (Trim.is_trimmed t) then

@@ -28,6 +28,10 @@ val is_affine : pair_set -> int -> int -> bool
 val pair_list : pair_set -> (int * int) list
 (** Affine pairs with [x < y], sorted. *)
 
+val iter_pairs : (int -> int -> unit) -> pair_set -> unit
+(** [iter_pairs f ps] applies [f x y] to each affine pair once ([x < y]),
+    in no particular order, without building a list. *)
+
 type thresholds
 (** For every pair affine at some window up to the kernel's [wmax], the
     smallest such window. *)

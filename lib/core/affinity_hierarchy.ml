@@ -24,7 +24,7 @@ let check_ws ws =
     | [ w ] -> w >= 1
     | w1 :: (w2 :: _ as rest) -> w1 >= 1 && w1 < w2 && ok rest
   in
-  if ws = [] || not (ok ws) then
+  if List.is_empty ws || not (ok ws) then
     invalid_arg "Affinity_hierarchy: ws must be positive and strictly ascending"
 
 (* A working group: the dendrogram node plus its member list and the first
@@ -36,39 +36,71 @@ type work = {
 }
 
 (* A cluster under construction: its first group, the groups that joined,
-   newest first, and their count. *)
+   newest first, their count, and every member of them all. *)
 type cluster = {
   head : work;
   mutable joined : work list;
   mutable count : int;
+  mutable all : int list;
 }
 
-let merge_level ?decisions ?(stage = "affinity") ~w ~affine groups =
-  (* Greedy agglomeration: in first-occurrence order, each group joins the
-     first accumulated cluster with which every cross pair is affine. *)
+(* Each symbol's affine partners in [ps]. *)
+let partner_rows ~n ps =
+  let deg = Array.make n 0 in
+  Affinity.iter_pairs
+    (fun x y ->
+      deg.(x) <- deg.(x) + 1;
+      deg.(y) <- deg.(y) + 1)
+    ps;
+  let rows = Array.map (fun d -> Array.make d 0) deg in
+  Affinity.iter_pairs
+    (fun x y ->
+      deg.(x) <- deg.(x) - 1;
+      rows.(x).(deg.(x)) <- y;
+      deg.(y) <- deg.(y) - 1;
+      rows.(y).(deg.(y)) <- x)
+    ps;
+  rows
+
+(* Greedy agglomeration: in first-occurrence order, each group joins the
+   first accumulated cluster with which every cross pair is affine. Such a
+   cluster holds an affine partner of the group's first member — it is not
+   empty, and its members lie in other groups — so only the clusters of
+   that member's partners are tested, and the smallest compatible index
+   among them is the first compatible cluster overall. [cluster_of] maps
+   each member already placed to its cluster index. *)
+let merge_level ?decisions ~w ~n ps groups =
+  let partners = partner_rows ~n ps in
+  let cluster_of = Array.make n (-1) in
   let clusters = Vec.create () in
   List.iter
     (fun g ->
       let compatible c =
-        List.for_all
-          (fun (g' : work) ->
-            List.for_all (fun a -> List.for_all (fun b -> affine a b) g'.mems) g.mems)
-          (c.head :: c.joined)
+        List.for_all (fun a -> List.for_all (Affinity.is_affine ps a) c.all) g.mems
       in
-      let rec place k =
-        if k = Vec.length clusters then Vec.push clusters { head = g; joined = []; count = 1 }
-        else begin
+      let best = ref max_int in
+      Array.iter
+        (fun b ->
+          let k = cluster_of.(b) in
+          if k >= 0 && k < !best && compatible (Vec.get clusters k) then best := k)
+        partners.(List.hd g.mems);
+      let k = !best in
+      let k =
+        if k < max_int then begin
           let c = Vec.get clusters k in
-          if compatible c then begin
-            Decision_trace.emit decisions ~stage ~action:"join" ~x:(List.hd g.mems)
-              ~y:(List.hd c.head.mems) ~weight:w ~group:k ~size:(c.count + 1) ();
-            c.joined <- g :: c.joined;
-            c.count <- c.count + 1
-          end
-          else place (k + 1)
+          Decision_trace.emit decisions ~stage:"affinity" ~action:"join" ~x:(List.hd g.mems)
+            ~y:(List.hd c.head.mems) ~weight:w ~group:k ~size:(c.count + 1) ();
+          c.joined <- g :: c.joined;
+          c.count <- c.count + 1;
+          c.all <- List.rev_append g.mems c.all;
+          k
+        end
+        else begin
+          Vec.push clusters { head = g; joined = []; count = 1; all = g.mems };
+          Vec.length clusters - 1
         end
       in
-      place 0)
+      List.iter (fun a -> cluster_of.(a) <- k) g.mems)
     groups;
   List.map
     (fun c ->
@@ -79,7 +111,7 @@ let merge_level ?decisions ?(stage = "affinity") ~w ~affine groups =
         {
           node = Group { w; children = List.map (fun g -> g.node) gs };
           mems = List.concat_map (fun g -> g.mems) gs;
-          first_pos = List.fold_left (fun acc g -> min acc g.first_pos) max_int gs;
+          first_pos = List.fold_left (fun acc g -> Int.min acc g.first_pos) max_int gs;
         })
     (Vec.to_list clusters)
 
@@ -87,9 +119,10 @@ let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   check_ws ws;
   if not (Trim.is_trimmed trace) then
     invalid_arg "Affinity_hierarchy.build: trace must be trimmed";
+  let n = Trace.num_symbols trace in
   let first = Trace.first_occurrence trace in
   let present =
-    List.init (Trace.num_symbols trace) Fun.id
+    List.init n Fun.id
     |> List.filter (fun s -> first.(s) >= 0)
     |> List.sort (fun a b -> compare first.(a) first.(b))
   in
@@ -98,7 +131,7 @@ let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   in
   (* The efficient kernel runs once, at the largest window, and every
      level reads its cut; nothing runs when no level has two groups. *)
-  let wmax = List.fold_left max 1 ws in
+  let wmax = List.fold_left Int.max 1 ws in
   let thresholds = lazy (Affinity.thresholds trace ~wmax) in
   List.iter
     (fun w ->
@@ -108,7 +141,7 @@ let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
           | Efficient -> Affinity.cut (Lazy.force thresholds) ~w
           | Exact -> Affinity.affine_pairs_naive trace ~w
         in
-        groups := merge_level ?decisions ~w ~affine:(Affinity.is_affine ps) !groups;
+        groups := merge_level ?decisions ~w ~n ps !groups;
         Decision_trace.emit decisions ~stage:"affinity" ~action:"level" ~weight:w
           ~size:(List.length !groups) ()
       end)

@@ -174,17 +174,6 @@ let sorted_edge_index c =
     c.by_weight <- Some idx;
     idx
 
-type weight_sorted = {
-  src : int array;
-  nbr : int array;
-  wt : int array;
-  order : int array;
-}
-
-let weight_sorted t =
-  let c = csr_of t in
-  { src = c.src; nbr = c.nbr; wt = c.wt; order = sorted_edge_index c }
-
 let iter_edges_by_weight f t =
   let c = csr_of t in
   let idx = sorted_edge_index c in

@@ -54,21 +54,6 @@ val iter_edges_by_weight : (int -> int -> int -> unit) -> t -> unit
 
 val degree : t -> int -> int
 
-type weight_sorted = {
-  src : int array;  (** Smaller endpoint of CSR edge [j]. *)
-  nbr : int array;  (** Larger endpoint of CSR edge [j]. *)
-  wt : int array;  (** Weight of CSR edge [j]. *)
-  order : int array;  (** Edge indices in the {!edges} order. *)
-}
-(** The finalized graph's edge arrays plus its weight-sorted index, as one
-    zero-copy view. CSR index order is canonical [(x, y)] order, so
-    [order] lists the edges heaviest first, then by ascending [(x, y)].
-    The arrays are shared with the graph: read them, never write them. *)
-
-val weight_sorted : t -> weight_sorted
-(** Finalizes if needed; the sorted index is computed once, by one stable
-    radix sort of the CSR indices on [wmax - w], and cached. *)
-
 val of_edges : num_nodes:int -> (int * int * int) list -> t
 (** Build directly from weighted edges (for tests, the Figure 2 worked
     example and merging graphs); an edge listed more than once weighs the

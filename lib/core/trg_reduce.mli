@@ -14,14 +14,21 @@
     The paper's worked example (Figure 2, 3 slots) is reproduced: reduction
     order A-B, E-F, then C, giving the sequence [A B E F C].
 
-    The implementation is flat: current weights in one dense [n × n] grid
-    when the graph has at most [Int_pair_tbl.max_grid_universe] nodes, in
-    one packed-pair table otherwise (the same values either way);
-    candidates merged from the graph's weight-sorted edge index and an int
-    heap of the edges merges create; and a drain that stops once every
+    The implementation is a node tournament. Every edge that can still
+    place a node has an unplaced endpoint, and its other endpoint is
+    unplaced or a slot's node; so the heaviest such edge is the best live
+    edge of some unplaced node. Each unplaced node with an edge sits in an
+    indexed max-heap keyed by its best live edge, and each step pops the
+    top node's edge instead of draining a heap of edges. A merge only ever
+    raises a neighbour's best, except when it kills the neighbour's best
+    and the edge to the slot's node ties it with a larger key: that
+    neighbour's edges are rescanned. Current weights live in one dense
+    [n × n] grid when the graph has at most
+    [Int_pair_tbl.max_grid_universe] nodes, in one packed-pair table
+    otherwise (the same values either way); the drain stops once every
     node with an edge is placed. It makes the same decisions as the seed
     reduction kept as a test oracle ([Kernel_baseline.trg_reduce] in
-    [test/oracle/]). *)
+    [test/oracle/]); DESIGN.md §5.17 gives the argument. *)
 
 type result = {
   order : int list;

@@ -41,6 +41,8 @@ let kernels =
   manifest "kernels"
     [
       ("reduce", o [ ("flat_digest", s "r"); ("seed_digest", s "r") ]);
+      ( "reduce_real",
+        o [ ("program", s "p"); ("flat_digest", s "g"); ("seed_digest", s "g") ] );
       ("memory_words", o [ ("trg_packed_csr", i 10); ("trg_tuple_hashtbl", i 30) ]);
     ]
 
@@ -345,6 +347,9 @@ let ( >> ) p q j = q (p j)
 let perturbations =
   [
     ("kernels", "trg-reduce-matches-seed", set (cells [ "reduce"; "seed_digest" ]) (s "x"));
+    ( "kernels",
+      "trg-reduce-real-matches-seed",
+      set (cells [ "reduce_real"; "flat_digest" ]) (s "x") );
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));

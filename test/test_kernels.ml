@@ -159,19 +159,25 @@ let reduce_matches_seed =
       let flat, seed = reduce_both g ~slots in
       flat = seed)
 
-(* The real fn and bb TRGs of two programs, profiled at the harness's Fast
-   test fuel, at the optimizer's default window and slot count. 403.gcc's
-   bb graph has about four times as many nodes as slots, so most of its
-   placements are merges. *)
-let test_reduce_real_graphs () =
+(* A program's trimmed and pruned fn and bb traces, profiled at the
+   harness's Fast test fuel. *)
+let real_analysis name =
+  let prog = W.Spec.build name in
+  let run = E.Interp.run prog (E.Interp.test_input ~max_blocks:80_000 ()) in
+  Optimizer.analysis_of_traces ~config:Optimizer.default_config ~bb:run.E.Interp.bb_trace
+    ~fn:run.E.Interp.fn_trace ()
+
+(* The real fn and bb TRGs of three programs at the optimizer's default
+   window and slot count. 403.gcc's bb graph has about four times as many
+   nodes as slots, so most of its placements are merges; 445.gobmk's bb
+   graph (1,293 nodes, ~500k edges) is the paper workload's. *)
+let test_reduce_real_graphs names () =
   let config = Optimizer.default_config in
   let params = config.Optimizer.params in
   let cache_multiplier = config.Optimizer.cache_multiplier in
   List.iter
     (fun name ->
-      let prog = W.Spec.build name in
-      let run = E.Interp.run prog (E.Interp.test_input ~max_blocks:80_000 ()) in
-      let an = Optimizer.analysis_of_traces ~config ~bb:run.E.Interp.bb_trace ~fn:run.E.Interp.fn_trace () in
+      let an = real_analysis name in
       List.iter
         (fun (level, trace, block_bytes) ->
           let window = Trg.recommended_window ~params ~block_bytes ~cache_multiplier in
@@ -185,7 +191,23 @@ let test_reduce_real_graphs () =
           ("fn", an.Optimizer.fn, config.Optimizer.func_block_bytes);
           ("bb", an.Optimizer.bb, config.Optimizer.bb_block_bytes);
         ])
-    [ "429.mcf"; "403.gcc" ]
+    names
+
+(* The tournament's rescan: slots 2, reps 2 and 4, then node 1 merges into
+   4's slot. Node 5's best edge was {1, 5}; it dies, and {4, 5} takes its
+   weight 10 with a larger key, so 5 is rescanned and finds {2, 5}. Taking
+   {4, 5} instead would put {3, 6} (weight 10, key between) ahead of node
+   5 and change the slots. *)
+let test_reduce_rescan () =
+  let g =
+    Trg.of_edges ~num_nodes:7 [ (2, 4, 100); (1, 2, 50); (1, 5, 10); (2, 5, 10); (3, 6, 10) ]
+  in
+  let (flat, flat_ev), (seed, seed_ev) = reduce_both g ~slots:2 in
+  check reduce_result "seed's order and slot lists" seed flat;
+  check Alcotest.bool "seed's decision events" true (flat_ev = seed_ev);
+  check reduce_result "5 placed before 3 and 6"
+    ([ 2; 4; 5; 1; 3; 6 ], [| [ 2; 5; 3 ]; [ 4; 1; 6 ] |])
+    flat
 
 (* Across the grid bound: [Trg_reduce.reduce] keeps its current weights
    in a dense grid on universes of at most [max_grid_universe] nodes and
@@ -305,8 +327,9 @@ let reference_hierarchy ~decisions ~ws trace =
   List.iter
     (fun w ->
       if List.length !groups > 1 then begin
-        let pairs = Kernel_baseline.affine_pairs trace ~w in
-        let affine a b = a = b || List.mem (min a b, max a b) pairs in
+        let pairs = Hashtbl.create 1024 in
+        List.iter (fun p -> Hashtbl.replace pairs p ()) (Kernel_baseline.affine_pairs trace ~w);
+        let affine a b = a = b || Hashtbl.mem pairs (min a b, max a b) in
         let clusters = ref [] in
         List.iter
           (fun g ->
@@ -346,22 +369,54 @@ let reference_hierarchy ~decisions ~ws trace =
     ws;
   List.map (fun g -> g.rnode) (List.sort (fun a b -> compare a.rfirst b.rfirst) !groups)
 
+let check_hierarchy what ~ws t =
+  let d = Decision_trace.create () and d_ref = Decision_trace.create () in
+  let h = Affinity_hierarchy.build ~decisions:d ~ws t in
+  let roots = reference_hierarchy ~decisions:d_ref ~ws t in
+  check Alcotest.bool (what ^ ": roots") true (h.Affinity_hierarchy.roots = roots);
+  check Alcotest.bool (what ^ ": decision events") true (events d = events d_ref);
+  check Alcotest.bool (what ^ ": some joins") true (Decision_trace.count d > List.length ws)
+
 let test_hierarchy_matches_reference () =
   List.iter
     (fun (seed, num_symbols, ws) ->
-      let t = phrase_trace ~seed ~num_symbols ~len:1_500 in
-      let d = Decision_trace.create () and d_ref = Decision_trace.create () in
-      let h = Affinity_hierarchy.build ~decisions:d ~ws t in
-      let roots = reference_hierarchy ~decisions:d_ref ~ws t in
-      let what = Printf.sprintf "seed=%d" seed in
-      check Alcotest.bool (what ^ ": roots") true (h.Affinity_hierarchy.roots = roots);
-      check Alcotest.bool (what ^ ": decision events") true (events d = events d_ref);
-      check Alcotest.bool (what ^ ": some joins") true (Decision_trace.count d > List.length ws))
+      check_hierarchy (Printf.sprintf "seed=%d" seed) ~ws
+        (phrase_trace ~seed ~num_symbols ~len:1_500))
     [
       (1, 40, Affinity_hierarchy.default_ws);
       (2, 80, Optimizer.default_config.Optimizer.ws);
       (3, 25, [ 1; 3; 7 ]);
     ]
+
+(* Small random traces with random windows: here a group often has more
+   than one compatible cluster, and must join the first. *)
+let hierarchy_matches_reference =
+  QCheck.Test.make ~name:"random hierarchies = per-window reference" ~count:300
+    QCheck.(
+      pair
+        (list_of_size Gen.(int_range 1 5) (int_range 1 6))
+        (list_of_size Gen.(int_range 2 80) (int_bound 9)))
+    (fun (steps, xs) ->
+      let t = Trim.trim (Trace.of_list ~num_symbols:10 xs) in
+      QCheck.assume (Trace.length t >= 2);
+      (* Strictly ascending windows from positive steps. *)
+      let ws =
+        List.rev (snd (List.fold_left (fun (w, acc) d -> (w + d, (w + d) :: acc)) (0, []) steps))
+      in
+      let d = Decision_trace.create () and d_ref = Decision_trace.create () in
+      let h = Affinity_hierarchy.build ~decisions:d ~ws t in
+      let roots = reference_hierarchy ~decisions:d_ref ~ws t in
+      h.Affinity_hierarchy.roots = roots && events d = events d_ref)
+
+(* The optimizer's bb hierarchies of two programs: about a thousand
+   groups at 445.gobmk's first level, each testing only the clusters of
+   its first member's affine partners. *)
+let test_hierarchy_real_traces () =
+  List.iter
+    (fun name ->
+      check_hierarchy (name ^ " bb") ~ws:Optimizer.default_config.Optimizer.ws
+        (real_analysis name).Optimizer.bb)
+    [ "445.gobmk"; "403.gcc" ]
 
 (* ------------------------------------------- Int_pair_tbl vs a Hashtbl *)
 
@@ -498,7 +553,10 @@ let () =
       ( "reduce-differential",
         [
           QCheck_alcotest.to_alcotest reduce_matches_seed;
-          Alcotest.test_case "real mcf and gcc TRGs" `Slow test_reduce_real_graphs;
+          Alcotest.test_case "real mcf and gcc TRGs" `Slow
+            (test_reduce_real_graphs [ "429.mcf"; "403.gcc" ]);
+          Alcotest.test_case "real gobmk TRGs" `Slow (test_reduce_real_graphs [ "445.gobmk" ]);
+          Alcotest.test_case "tie rescan" `Quick test_reduce_rescan;
         ] );
       ( "grid-bound",
         [
@@ -512,6 +570,9 @@ let () =
           Alcotest.test_case "cut bounds" `Quick test_cut_bounds;
           Alcotest.test_case "hierarchy = per-window reference" `Quick
             test_hierarchy_matches_reference;
+          QCheck_alcotest.to_alcotest hierarchy_matches_reference;
+          Alcotest.test_case "real bb hierarchies = reference" `Slow
+            test_hierarchy_real_traces;
         ] );
       ( "int-pair-tbl",
         [
