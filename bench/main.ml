@@ -1,27 +1,21 @@
-(* Benchmark harness.
+(* Benchmark harness: the manifest sections.
 
-   Part 0 — the manifest sections. Each section times one subsystem
-   against its seed baseline or across pool widths and returns its params
-   plus cells of digests and timings; one writer wraps them in the
-   colayout/bench/v2 envelope (section, mode, host, runtime, params, cells,
-   gate verdicts) as BENCH_<section>.json, and the section's gates
-   (bench/gates.ml) judge the written manifest right away. Part 1 —
-   Bechamel micro-benchmarks: one group per paper artifact, timing the
-   analysis/simulation kernel that regenerates it, plus the §II-F data
-   structures. Part 2 — printed ablation studies for the design choices
-   DESIGN.md calls out (affinity w-range, trace pruning, TRG window scale).
-   Part 3 — the full experiment suite: every table and figure of the paper,
-   regenerated at full scale (this is the output EXPERIMENTS.md quotes).
+   Each section times one subsystem against its seed baseline or across
+   pool widths and returns its params plus cells of digests and timings;
+   one writer wraps them in the colayout/bench/v2 envelope (section, mode,
+   host, runtime, params, cells, gate verdicts) as BENCH_<section>.json,
+   and the section's gates (bench/gates.ml) judge the written manifest
+   right away. The paper's tables and figures, and the ablations of the
+   optimizers' parameters, are registry experiments: `repro run all`.
 
    Run with:
-     dune exec bench/main.exe                          # everything, full size
+     dune exec bench/main.exe                          # every section, full size
      dune exec bench/main.exe -- --quick               # every section, small (CI smoke)
      dune exec bench/main.exe -- --only kernels,obs    # chosen sections, full size
      dune exec bench/main.exe -- --check BENCH_*.json  # re-judge written manifests
    Manifests go to the current directory unless --out DIR says otherwise.
    The run exits 1 if any gate failed; every manifest is written anyway. *)
 
-open Bechamel
 open Colayout
 open Colayout_oracle
 module W = Colayout_workloads
@@ -31,23 +25,6 @@ module U = Colayout_util
 module H = Colayout_harness
 module T = Colayout_trace
 module J = U.Json
-
-let params = C.Params.default_l1i
-
-(* Shared inputs for parts 1-3, prepared once — lazily, so the manifest
-   sections never pay for the workload build and interpreter runs. *)
-let shared =
-  lazy
-    (let program = W.Spec.build "445.gobmk" in
-     let test_run = E.Interp.run program (E.Interp.test_input ~max_blocks:30_000 ()) in
-     let analysis =
-       Optimizer.analysis_of_traces ~bb:test_run.E.Interp.bb_trace
-         ~fn:test_run.E.Interp.fn_trace ()
-     in
-     let ref_trace = Pipeline.reference_trace program (E.Interp.ref_input ~max_blocks:60_000 ()) in
-     let original = Layout.original program in
-     let optimized = Optimizer.layout_for Optimizer.Bb_affinity program analysis in
-     (program, test_run, analysis, ref_trace, original, optimized))
 
 (* ---------------------------------------------------------------- kit *)
 
@@ -1392,233 +1369,25 @@ let sections =
     ("obs", obs);
   ]
 
-(* ------------------------------------------------------------- Part 1 *)
-
-let tests () =
-  let _program, test_run, analysis, ref_trace, original, optimized = Lazy.force shared in
-  let bb_trace = analysis.Optimizer.bb in
-  let fn_trimmed = analysis.Optimizer.fn in
-  let smt_cfg = E.Smt.default_config () in
-  let tiny_trace = T.Trace.of_list ~num_symbols:5 [ 0; 3; 1; 3; 1; 2; 4; 0; 3 ] in
-  ignore test_run;
-  [
-    (* Figure 1 / Figures 5-6 core: the w-window affinity analyses. *)
-    Test.make ~name:"fig1/affinity-hierarchy (paper w-range)"
-      (Staged.stage (fun () ->
-           ignore
-             (Affinity_hierarchy.build ~ws:Optimizer.default_config.Optimizer.ws bb_trace)));
-    Test.make ~name:"fig1/affinity-single-window w=8"
-      (Staged.stage (fun () -> ignore (Affinity.affine_pairs bb_trace ~w:8)));
-    Test.make ~name:"fig1/affinity-exact-oracle (9-event trace)"
-      (Staged.stage (fun () -> ignore (Affinity.affine_pairs_naive tiny_trace ~w:3)));
-    (* Figure 2 / Table II TRG path. *)
-    Test.make ~name:"fig2/trg-build (fn trace)"
-      (Staged.stage (fun () -> ignore (Trg.build ~window:256 fn_trimmed)));
-    Test.make ~name:"fig2/trg-reduce (fn trace, 256 slots)"
-      (let trg = Trg.build ~window:256 fn_trimmed in
-       Staged.stage (fun () -> ignore (Trg_reduce.reduce trg ~slots:256)));
-    (* Table I / Figure 4: trace-driven cache simulation. *)
-    Test.make ~name:"fig4/icache-solo-replay"
-      (Staged.stage (fun () ->
-           ignore (Pipeline.miss_ratio_solo ~params ~layout:original ref_trace)));
-    Test.make ~name:"fig4/icache-shared-replay"
-      (Staged.stage (fun () ->
-           ignore
-             (Pipeline.miss_ratio_corun ~params ~self:(original, ref_trace)
-                ~peer:(optimized, ref_trace) ())));
-    (* Figures 5-7: the SMT timing model. *)
-    Test.make ~name:"fig5/smt-solo"
-      (Staged.stage (fun () ->
-           ignore
-             (E.Smt.solo smt_cfg (Layout.to_smt_code original) (T.Trace.events ref_trace))));
-    Test.make ~name:"fig6-7/smt-corun"
-      (Staged.stage (fun () ->
-           ignore
-             (E.Smt.corun smt_cfg ~mode:E.Smt.Finish_both
-                (Layout.to_smt_code original, T.Trace.events ref_trace)
-                (Layout.to_smt_code optimized, T.Trace.events ref_trace))));
-    (* Eq 1/2: the footprint-theory model. *)
-    Test.make ~name:"eq1/footprint-curve (line trace)"
-      (Staged.stage (fun () ->
-           ignore (Pipeline.footprint_curve ~params ~layout:original ref_trace)));
-    (* §II-F stack structures: hash+linked-list stack vs order-statistic
-       red-black tree. *)
-    Test.make ~name:"stack/lru-list walk"
-      (Staged.stage (fun () ->
-           let s = T.Lru_stack.create () in
-           T.Trace.iter (fun x -> ignore (T.Lru_stack.access s x)) bb_trace));
-    Test.make ~name:"stack/rb-tree distances"
-      (Staged.stage (fun () -> ignore (T.Stack_dist.run bb_trace)));
-    (* The transformation itself. *)
-    Test.make ~name:"transform/bb-layout assignment"
-      (let program, _, analysis, _, _, _ = Lazy.force shared in
-       let order = Optimizer.block_order_for Optimizer.Bb_affinity program analysis in
-       Staged.stage (fun () ->
-           ignore (Layout.of_block_order ~function_stubs:true program order)));
-  ]
-
-let run_benchmarks () =
-  let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
-  let instance = Toolkit.Instance.monotonic_clock in
-  let cfg = Benchmark.cfg ~limit:200 ~quota:(Time.second 0.25) ~stabilize:false () in
-  Printf.printf "== Bechamel micro-benchmarks (one per paper artifact) ==\n%!";
-  List.iter
-    (fun test ->
-      let results = Benchmark.all cfg [ instance ] test in
-      let analyzed = Analyze.all ols instance results in
-      Hashtbl.iter
-        (fun name ols_result ->
-          match Analyze.OLS.estimates ols_result with
-          | Some [ ns ] ->
-            if ns > 1e6 then Printf.printf "  %-48s %10.2f ms/run\n%!" name (ns /. 1e6)
-            else if ns > 1e3 then Printf.printf "  %-48s %10.2f us/run\n%!" name (ns /. 1e3)
-            else Printf.printf "  %-48s %10.2f ns/run\n%!" name ns
-          | _ -> Printf.printf "  %-48s (no estimate)\n%!" name)
-        analyzed)
-    (tests ());
-  print_newline ()
-
-(* ------------------------------------------------------------- Part 2 *)
-
-let miss_with_config config kind =
-  let program, test_run, _, ref_trace, _, _ = Lazy.force shared in
-  let a =
-    Optimizer.analysis_of_traces ~config ~bb:test_run.E.Interp.bb_trace
-      ~fn:test_run.E.Interp.fn_trace ()
-  in
-  let layout = Optimizer.layout_for ~config kind program a in
-  C.Cache_stats.miss_ratio (Pipeline.miss_ratio_solo ~params ~layout ref_trace)
-
-let ablations () =
-  let program, test_run, analysis, ref_trace, original, _ = Lazy.force shared in
-  let base_config = Optimizer.default_config in
-  let t =
-    U.Table.create ~title:"Ablation: affinity window range (bb-affinity on 445.gobmk)"
-      ~columns:[ ("w range", U.Table.Left); ("solo miss ratio", U.Table.Right) ]
-  in
-  List.iter
-    (fun (label, ws) ->
-      let mr = miss_with_config { base_config with Optimizer.ws } Optimizer.Bb_affinity in
-      U.Table.add_row t [ label; U.Table.fmt_pct (100.0 *. mr) ])
-    [
-      ("2..20 (paper)", base_config.Optimizer.ws);
-      ("small only [2;3;4]", [ 2; 3; 4 ]);
-      ("single [8] (TRG-like)", [ 8 ]);
-      ("large only [16;20]", [ 16; 20 ]);
-    ];
-  U.Table.print t;
-  let t2 =
-    U.Table.create ~title:"Ablation: trace pruning threshold (§II-F, top-N hottest blocks)"
-      ~columns:
-        [
-          ("top N", U.Table.Right);
-          ("coverage", U.Table.Right);
-          ("bb-affinity miss", U.Table.Right);
-        ]
-  in
-  List.iter
-    (fun top ->
-      let config = { base_config with Optimizer.prune_top = top } in
-      let a =
-        Optimizer.analysis_of_traces ~config ~bb:test_run.E.Interp.bb_trace
-          ~fn:test_run.E.Interp.fn_trace ()
-      in
-      let layout = Optimizer.layout_for ~config Optimizer.Bb_affinity program a in
-      let mr = C.Cache_stats.miss_ratio (Pipeline.miss_ratio_solo ~params ~layout ref_trace) in
-      U.Table.add_row t2
-        [
-          string_of_int top;
-          U.Table.fmt_pct (100.0 *. a.Optimizer.prune.T.Prune.coverage);
-          U.Table.fmt_pct (100.0 *. mr);
-        ])
-    [ 10_000; 1_000; 300; 100 ];
-  U.Table.print t2;
-  let t3 =
-    U.Table.create
-      ~title:"Ablation: TRG analysis-cache scale (Gloy & Smith recommend 2x; bb-trg)"
-      ~columns:[ ("cache multiplier", U.Table.Right); ("solo miss ratio", U.Table.Right) ]
-  in
-  List.iter
-    (fun m ->
-      let mr =
-        miss_with_config
-          { base_config with Optimizer.cache_multiplier = m }
-          Optimizer.Bb_trg
-      in
-      U.Table.add_row t3 [ U.Table.fmt_float ~decimals:1 m; U.Table.fmt_pct (100.0 *. mr) ])
-    [ 0.5; 1.0; 2.0; 4.0 ];
-  U.Table.print t3;
-  (* The paper's §II-C modification vs the original Gloy-Smith scheme. *)
-  let t4 =
-    U.Table.create
-      ~title:
-        "Ablation: TRG as reordering (the paper) vs original padded TPCM placement \
-         (Gloy & Smith) on 445.gobmk"
-      ~columns:
-        [
-          ("scheme", U.Table.Left);
-          ("code bytes", U.Table.Right);
-          ("solo miss ratio", U.Table.Right);
-        ]
-  in
-  let add_scheme name layout =
-    let mr = C.Cache_stats.miss_ratio (Pipeline.miss_ratio_solo ~params ~layout ref_trace) in
-    U.Table.add_row t4
-      [ name; U.Table.fmt_int layout.Layout.total_bytes; U.Table.fmt_pct (100.0 *. mr) ]
-  in
-  add_scheme "original layout" original;
-  add_scheme "func-trg (reorder, no gaps)" (Optimizer.layout_for Optimizer.Func_trg program analysis);
-  add_scheme "padded TPCM (gaps)" (Trg_place.layout_for program analysis);
-  U.Table.print t4;
-  (* All comparators side by side: the paper's optimizers, the compiler
-     default (intra-procedural), and the classic call-graph baseline. *)
-  let t5 =
-    U.Table.create
-      ~title:"Comparators on 445.gobmk: the paper's optimizers vs classic baselines (solo)"
-      ~columns:[ ("layout", U.Table.Left); ("solo miss ratio", U.Table.Right) ]
-  in
-  let call_trace =
-    (E.Interp.run program (E.Interp.test_input ~max_blocks:30_000 ())).E.Interp.call_trace
-  in
-  let add_cmp name layout =
-    let mr = C.Cache_stats.miss_ratio (Pipeline.miss_ratio_solo ~params ~layout ref_trace) in
-    U.Table.add_row t5 [ name; U.Table.fmt_pct (100.0 *. mr) ]
-  in
-  add_cmp "original" original;
-  add_cmp "intra-procedural BB (compiler default)" (Intra_reorder.layout_for program analysis);
-  add_cmp "Pettis-Hansen call graph" (Pettis_hansen.layout_for program call_trace);
-  add_cmp "CMG reduction (function)" (Cmg.layout_for ~granularity:`Function program analysis);
-  add_cmp "CMG reduction (block)" (Cmg.layout_for ~granularity:`Block program analysis);
-  add_cmp "static (profile-free)" (Static_layout.layout_for program);
-  List.iter
-    (fun kind -> add_cmp (Optimizer.kind_name kind) (Optimizer.layout_for kind program analysis))
-    [ Optimizer.Func_affinity; Optimizer.Bb_affinity ];
-  U.Table.print t5
-
-(* ------------------------------------------------------------- Part 3 *)
-
 let () =
-  let quick = ref false and only = ref [] and out = ref "." and jobs = ref 1 in
+  let quick = ref false and only = ref [] and out = ref "." in
   let check = ref None in
   let names = String.concat "," (List.map fst sections) in
   Arg.parse
     [
-      ("--quick", Arg.Set quick, " small inputs for every section (CI smoke run), no suite");
+      ("--quick", Arg.Set quick, " small inputs for every section (CI smoke run)");
       ( "--only",
         Arg.String (fun s -> only := String.split_on_char ',' s),
-        "NAME,... run only these sections at the chosen size, no suite (" ^ names ^ ")" );
+        "NAME,... run only these sections (" ^ names ^ ")" );
       ( "--out",
         Arg.Set_string out,
         "DIR directory for the BENCH_<section>.json manifests (default .)" );
-      ( "--jobs",
-        Arg.Set_int jobs,
-        "N worker domains for the full experiment suite (0 = machine width)" );
       ( "--check",
         Arg.Rest_all (fun files -> check := Some files),
         "FILE... re-evaluate the gates of written manifests instead of running" );
     ]
     (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
-    "bench/main.exe [--quick] [--only NAME,...] [--out DIR] [--jobs N] | --check FILE...";
+    "bench/main.exe [--quick] [--only NAME,...] [--out DIR] | --check FILE...";
   match !check with
   | Some [] ->
     prerr_endline "bench/main.exe: --check needs at least one manifest";
@@ -1637,23 +1406,11 @@ let () =
               exit 2)
           !only
     in
-    let suite = not (!quick || !only <> []) in
-    H.Report.setup (if suite then H.Report.Normal else H.Report.Quiet);
+    H.Report.setup H.Report.Quiet;
     U.Fsutil.mkdir_p !out;
     let failed =
       List.fold_left (fun n s -> n + run_section ~quick:!quick ~dir:!out s) 0 selected
     in
-    if suite then begin
-      run_benchmarks ();
-      Printf.printf "== Ablation studies (DESIGN.md section 5) ==\n\n%!";
-      ablations ();
-      Printf.printf "== Full experiment suite: every table and figure of the paper ==\n\n%!";
-      let jobs = if !jobs = 0 then U.Pool.default_jobs () else max 1 !jobs in
-      U.Pool.with_pool ~jobs (fun pool ->
-          let ctx = H.Ctx.create ~scale:H.Ctx.Full ~pool () in
-          let results = H.Registry.run_by_ids ctx H.Registry.ids in
-          List.iter (fun (_, tables) -> List.iter U.Table.print tables) results)
-    end;
     if failed > 0 then begin
       Printf.eprintf "bench/main.exe: %d gate(s) failed\n%!" failed;
       exit 1

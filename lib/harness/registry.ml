@@ -85,6 +85,12 @@ let all =
       summary = "big-code co-run where optimizing both sides is synergistic";
       run = Exp_synergy.run;
     };
+    {
+      id = "ablation";
+      paper_ref = "Section II-B/C/F";
+      summary = "affinity w range, prune top-N, TRG cache scale, TRG vs padded TPCM";
+      run = Exp_ablation.run;
+    };
   ]
 
 let find id = List.find_opt (fun e -> e.id = id) all

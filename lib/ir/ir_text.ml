@@ -78,7 +78,9 @@ let parse_int c =
   done;
   if c.pos = start || (c.pos = start + 1 && c.s.[start] = '-') then
     fail c.line "expected integer at column %d" (start + 1);
-  int_of_string (String.sub c.s start (c.pos - start))
+  match int_of_string_opt (String.sub c.s start (c.pos - start)) with
+  | Some n -> n
+  | None -> fail c.line "integer out of range at column %d" (start + 1)
 
 let binop_symbols =
   (* Longest-match order. *)

@@ -3,7 +3,7 @@
 
     The windowed analysis kernels ([Trg.build], [Affinity.thresholds],
     [Ingest]) never look deeper than their window, so the top [k] entries
-    of the full LRU stack ({!Lru_stack}) are all they need. Keeping only
+    of the full, unbounded LRU stack are all they need. Keeping only
     those makes every per-event step a contiguous array scan and shift:
     no allocation, no pointer chasing, no closure call per entry.
 

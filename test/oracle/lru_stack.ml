@@ -32,22 +32,6 @@ let access t sym =
     Hashtbl.replace t.nodes sym node;
     None
 
-let iter_top t ~k f =
-  let rec loop n i =
-    if i < k then
-      match n with
-      | None -> ()
-      | Some x ->
-        f (Dlist.value x);
-        loop (Dlist.next x) (i + 1)
-  in
-  loop (Dlist.front t.list) 0
-
-let top_k t ~k =
-  let acc = ref [] in
-  iter_top t ~k (fun s -> acc := s :: !acc);
-  List.rev !acc
-
 let iter_until t f =
   let rec loop n =
     match n with
@@ -62,3 +46,5 @@ let position t sym =
   | Some node -> Some (stack_depth_of t node - 1)
 
 let contents t = Dlist.to_list t.list
+
+let top_k t ~k = List.filteri (fun i _ -> i < k) (contents t)

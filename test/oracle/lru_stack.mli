@@ -5,7 +5,11 @@
     accessed block. [access] returns the number of *distinct* blocks accessed
     since the previous access to the same block, inclusive of that block —
     i.e. the footprint of the reuse window in block units, which is what both
-    the affinity analysis (fp<a,b>) and TRG construction consume. *)
+    the affinity analysis (fp<a,b>) and TRG construction consume.
+
+    A test oracle: it is the substrate of the seed kernels in
+    {!Kernel_baseline}, and the bounded {!Colayout_trace.Window_stack} of
+    the library kernels is checked against it. *)
 
 type t
 
@@ -23,9 +27,6 @@ val access : t -> int -> int option
 val top_k : t -> k:int -> int list
 (** The [k] most recent distinct blocks, most recent first (includes the
     block just accessed at position 0). *)
-
-val iter_top : t -> k:int -> (int -> unit) -> unit
-(** Like {!top_k} without the intermediate list. *)
 
 val iter_until : t -> (int -> bool) -> unit
 (** Visit blocks from most recent; stop when the callback returns false. *)

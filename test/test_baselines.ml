@@ -70,97 +70,6 @@ let test_ph_from_call_trace () =
         Alcotest.fail "malformed call pair")
     r.E.Interp.call_trace
 
-(* -------------------------------------------------------- Intra_reorder *)
-
-let test_intra_keeps_functions_and_entries () =
-  let p = W.Gen.build { W.Gen.default_profile with pname = "intra"; seed = 41 } in
-  let analysis = Optimizer.analyze p (E.Interp.test_input ~max_blocks:30_000 ()) in
-  let l = Intra_reorder.layout_for p analysis in
-  (* Permutation. *)
-  let sorted = Array.copy l.Layout.order in
-  Array.sort compare sorted;
-  check (Alcotest.array Alcotest.int) "permutation"
-    (Array.init (Colayout_ir.Program.num_blocks p) Fun.id) sorted;
-  (* Functions contiguous, entry first within each. *)
-  let current = ref (-1) in
-  Array.iter
-    (fun bid ->
-      let b = Colayout_ir.Program.block p bid in
-      if b.Colayout_ir.Program.fn <> !current then begin
-        current := b.Colayout_ir.Program.fn;
-        check Alcotest.int
-          (Printf.sprintf "entry first for f%d" b.Colayout_ir.Program.fn)
-          (Colayout_ir.Program.func p b.Colayout_ir.Program.fn).Colayout_ir.Program.entry bid
-      end)
-    l.Layout.order
-
-let test_intra_sorts_hot_first () =
-  let p = W.Gen.build { W.Gen.default_profile with pname = "intra2"; seed = 42 } in
-  let analysis = Optimizer.analyze p (E.Interp.test_input ~max_blocks:30_000 ()) in
-  let order = Intra_reorder.block_order p analysis.Optimizer.bb in
-  let counts = Colayout_trace.Trace.occurrences analysis.Optimizer.bb in
-  (* Within each function, after the entry, counts must be non-increasing. *)
-  let by_func = Hashtbl.create 32 in
-  Array.iter
-    (fun bid ->
-      let fn = (Colayout_ir.Program.block p bid).Colayout_ir.Program.fn in
-      Hashtbl.replace by_func fn
-        (bid :: Option.value ~default:[] (Hashtbl.find_opt by_func fn)))
-    order;
-  Hashtbl.iter
-    (fun fn blocks_rev ->
-      match List.rev blocks_rev with
-      | _entry :: rest ->
-        let rec non_increasing = function
-          | a :: (b :: _ as r) ->
-            if counts.(a) < counts.(b) then
-              Alcotest.failf "f%d: block %d (%d) before hotter %d (%d)" fn a counts.(a) b
-                counts.(b);
-            non_increasing r
-          | _ -> ()
-        in
-        non_increasing rest
-      | [] -> ())
-    by_func
-
-(* ------------------------------------------------------------------ CMG *)
-
-let test_cmg_weights_scale_with_size () =
-  (* Trace a b a: TRG weight would be 1; CMG adds 2*min(lines). *)
-  let tr = Colayout_trace.Trace.of_list ~num_symbols:2 [ 0; 1; 0 ] in
-  let g = Cmg.build ~sizes:[| 256; 640 |] ~line_bytes:64 tr in
-  (* min(4 lines, 10 lines) * 2 = 8. *)
-  check Alcotest.int "size-aware weight" 8 (Trg.weight g 0 1);
-  let g2 = Cmg.build ~sizes:[| 64; 64 |] ~line_bytes:64 tr in
-  check Alcotest.int "one-line blocks give 2" 2 (Trg.weight g2 0 1)
-
-let test_cmg_respects_window () =
-  let tr = Colayout_trace.Trace.of_list ~num_symbols:5 [ 0; 1; 2; 3; 0 ] in
-  let sizes = Array.make 5 64 in
-  let unbounded = Cmg.build ~sizes ~line_bytes:64 tr in
-  check Alcotest.bool "edge exists unbounded" true (Trg.weight unbounded 0 1 > 0);
-  let windowed = Cmg.build ~window:3 ~sizes ~line_bytes:64 tr in
-  check Alcotest.int "windowed drops far reuse" 0 (Trg.weight windowed 0 1)
-
-let test_cmg_validation () =
-  let tr = Colayout_trace.Trace.of_list ~num_symbols:2 [ 0; 1 ] in
-  Alcotest.check_raises "sizes mismatch"
-    (Invalid_argument "Cmg.build: sizes length must match the trace universe")
-    (fun () -> ignore (Cmg.build ~sizes:[| 1 |] ~line_bytes:64 tr))
-
-let test_cmg_layouts () =
-  let p = W.Gen.build { W.Gen.default_profile with pname = "cmg"; seed = 71 } in
-  let analysis = Optimizer.analyze p (E.Interp.test_input ~max_blocks:30_000 ()) in
-  List.iter
-    (fun granularity ->
-      let l = Cmg.layout_for ~granularity p analysis in
-      let sorted = Array.copy l.Layout.order in
-      Array.sort compare sorted;
-      check (Alcotest.array Alcotest.int) "permutation"
-        (Array.init (Colayout_ir.Program.num_blocks p) Fun.id)
-        sorted)
-    [ `Function; `Block ]
-
 (* ----------------------------------------------------------- Stats corr *)
 
 let test_correlations () =
@@ -289,18 +198,6 @@ let () =
           Alcotest.test_case "orientation" `Quick test_ph_orientation;
           Alcotest.test_case "isolated omitted" `Quick test_ph_isolated_omitted;
           Alcotest.test_case "from call trace" `Quick test_ph_from_call_trace;
-        ] );
-      ( "intra_reorder",
-        [
-          Alcotest.test_case "structure" `Quick test_intra_keeps_functions_and_entries;
-          Alcotest.test_case "hot first" `Quick test_intra_sorts_hot_first;
-        ] );
-      ( "cmg",
-        [
-          Alcotest.test_case "size-aware weights" `Quick test_cmg_weights_scale_with_size;
-          Alcotest.test_case "window" `Quick test_cmg_respects_window;
-          Alcotest.test_case "validation" `Quick test_cmg_validation;
-          Alcotest.test_case "layouts" `Quick test_cmg_layouts;
         ] );
       ( "stats",
         [ Alcotest.test_case "correlations" `Quick test_correlations ] );

@@ -7,6 +7,7 @@ module W = Colayout_workloads
 module E = Colayout_exec
 module C = Colayout_cache
 module H = Colayout_harness
+module U = Colayout_util
 
 let check = Alcotest.check
 
@@ -100,7 +101,7 @@ let test_defensiveness_politeness_of_optimized_layout () =
     (opt.Miss_prob.politeness <= orig.Miss_prob.politeness +. 1e-9)
 
 let test_registry () =
-  check Alcotest.int "thirteen experiments" 13 (List.length H.Registry.all);
+  check Alcotest.int "fourteen experiments" 14 (List.length H.Registry.all);
   check Alcotest.bool "find fig6" true (H.Registry.find "fig6" <> None);
   check Alcotest.bool "find unknown" true (H.Registry.find "zzz" = None);
   List.iter
@@ -122,6 +123,68 @@ let test_ctx_memoization () =
   check Alcotest.int "fast ref fuel" 200_000 (H.Ctx.ref_fuel ctx);
   check Alcotest.bool "rate" true (H.Ctx.fetch_rate ctx "429.mcf" > 0.0)
 
+(* The ablation tables by row label: each row's first cell, then the rest.
+   The cells compared below hold no comma. *)
+let ablation_rows ctx =
+  List.map
+    (fun t ->
+      String.split_on_char '\n' (U.Table.to_csv t)
+      |> List.tl
+      |> List.filter (( <> ) "")
+      |> List.map (fun line ->
+             match String.split_on_char ',' line with
+             | label :: cells -> (label, cells)
+             | [] -> assert false))
+    (H.Exp_ablation.run ctx)
+
+let ablation_program = "445.gobmk"
+
+let pct mr = U.Table.fmt_pct (100.0 *. mr)
+
+(* The rows at the paper's settings are the context's memoized solo miss
+   ratios: asking the context for them afterwards computes nothing. *)
+let test_ablation_paper_rows () =
+  let ctx = H.Ctx.create ~scale:H.Ctx.Fast () in
+  let tables = ablation_rows ctx in
+  let cell i label k = List.nth (List.assoc label (List.nth tables i)) k in
+  let misses () =
+    Option.value ~default:0
+      (U.Metrics.find_counter (H.Ctx.metrics ctx) "ctx.memo.solo_cache.misses")
+  in
+  let before = misses () in
+  let solo kind = pct (H.Ctx.solo_miss_ratio ctx ~hw:false ablation_program kind) in
+  check Alcotest.string "w range 2..20" (solo Optimizer.Bb_affinity) (cell 0 "2..20 (paper)" 0);
+  check Alcotest.string "prune top 10000" (solo Optimizer.Bb_affinity) (cell 1 "10000" 1);
+  check Alcotest.string "cache multiplier 2.0" (solo Optimizer.Bb_trg) (cell 2 "2.0" 0);
+  check Alcotest.int "no new solo simulation" before (misses ())
+
+(* Re-pruning the context's analysis equals analyzing the raw test-input
+   traces at the smaller top N, coverage included. *)
+let test_ablation_prune_rows () =
+  let ctx = H.Ctx.create ~scale:H.Ctx.Fast () in
+  let prune_rows = List.nth (ablation_rows ctx) 1 in
+  let program = H.Ctx.program ctx ablation_program in
+  let run = E.Interp.run program (E.Interp.test_input ~max_blocks:(H.Ctx.test_fuel ctx) ()) in
+  List.iter
+    (fun top ->
+      let config = { (H.Ctx.opt_config ctx) with Optimizer.prune_top = top } in
+      let a =
+        Optimizer.analysis_of_traces ~config ~bb:run.E.Interp.bb_trace ~fn:run.E.Interp.fn_trace
+          ()
+      in
+      let layout = Optimizer.layout_for ~config Optimizer.Bb_affinity program a in
+      let mr =
+        C.Cache_stats.miss_ratio
+          (Pipeline.miss_ratio_solo ~params:(H.Ctx.params ctx) ~layout
+             (H.Ctx.ref_trace ctx ablation_program))
+      in
+      check
+        (Alcotest.list Alcotest.string)
+        (Printf.sprintf "top %d" top)
+        [ pct a.Optimizer.prune.Colayout_trace.Prune.coverage; pct mr ]
+        (List.assoc (string_of_int top) prune_rows))
+    [ 1_000; 300; 100 ]
+
 let () =
   Alcotest.run "integration"
     [
@@ -141,5 +204,10 @@ let () =
           Alcotest.test_case "registry" `Quick test_registry;
           Alcotest.test_case "unknown id" `Quick test_registry_rejects_unknown;
           Alcotest.test_case "ctx memo" `Quick test_ctx_memoization;
+        ] );
+      ( "ablation",
+        [
+          Alcotest.test_case "paper rows = ctx memo" `Quick test_ablation_paper_rows;
+          Alcotest.test_case "prune rows = fresh analysis" `Quick test_ablation_prune_rows;
         ] );
     ]

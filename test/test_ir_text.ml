@@ -100,7 +100,16 @@ let test_parse_errors () =
   (* Two mains. *)
   expect_error "func f *\n  block a:\n    halt\nfunc g *\n  block b:\n    halt\n";
   (* Malformed expression. *)
-  expect_error "func f\n  block a:\n    v0 := (1 +\n    halt\n"
+  expect_error "func f\n  block a:\n    v0 := (1 +\n    halt\n";
+  (* Literals past the int range, in an assignment and in rand(...). *)
+  List.iter
+    (fun e -> expect_error ~line:3 (Printf.sprintf "func f\n  block a:\n    v0 := %s\n    halt\n" e))
+    [
+      "99999999999999999999";
+      "-99999999999999999999";
+      "rand(99999999999999999999)";
+      "rand(-99999999999999999999)";
+    ]
 
 let test_expr_corner_cases () =
   let roundtrip s =
@@ -110,7 +119,14 @@ let test_expr_corner_cases () =
     check Alcotest.bool ("expr " ^ s) true (Ir_text.equal_structure p p')
   in
   List.iter roundtrip
-    [ "-42"; "((1 <= 2) ^ (3 != 4))"; "(v63 % rand(9))"; "((v1 & v2) | (v3 >= -1))" ]
+    [
+      "-42";
+      "((1 <= 2) ^ (3 != 4))";
+      "(v63 % rand(9))";
+      "((v1 & v2) | (v3 >= -1))";
+      string_of_int max_int;
+      string_of_int min_int;
+    ]
 
 let test_default_main_is_first () =
   let p = Ir_text.parse "func first\n  block a:\n    halt\nfunc second\n  block b:\n    halt\n" in

@@ -1,5 +1,6 @@
 open Colayout_trace
 module U = Colayout_util
+module Lru_stack = Colayout_oracle.Lru_stack
 
 let check = Alcotest.check
 
@@ -84,16 +85,6 @@ let test_prune_top_larger_than_universe () =
   let pruned, report = Prune.prune t ~top:100 in
   check Alcotest.bool "identity" true (Trace.equal t pruned);
   check (Alcotest.float 1e-9) "full coverage" 1.0 report.Prune.coverage
-
-let test_sample () =
-  let t = Trace.of_list ~num_symbols:10 (List.init 10 Fun.id) in
-  let s = Sample.windows t ~period:5 ~window:2 in
-  check (Alcotest.list Alcotest.int) "windows" [ 0; 1; 5; 6 ] (Trace.to_list s);
-  let p = Sample.prefix t ~n:3 in
-  check (Alcotest.list Alcotest.int) "prefix" [ 0; 1; 2 ] (Trace.to_list p);
-  check (Alcotest.float 1e-9) "ratio" 0.4 (Sample.sampling_ratio ~period:5 ~window:2);
-  Alcotest.check_raises "bad window" (Invalid_argument "Sample.windows: need 0 < window <= period")
-    (fun () -> ignore (Sample.windows t ~period:2 ~window:3))
 
 let test_lru_stack () =
   let s = Lru_stack.create () in
@@ -253,7 +244,6 @@ let () =
           Alcotest.test_case "tie break" `Quick test_prune_hot_symbols_deterministic_ties;
           Alcotest.test_case "top > universe" `Quick test_prune_top_larger_than_universe;
         ] );
-      ("sample", [ Alcotest.test_case "windows/prefix" `Quick test_sample ]);
       ( "lru_stack",
         [
           Alcotest.test_case "basics" `Quick test_lru_stack;

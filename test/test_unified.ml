@@ -1,7 +1,6 @@
 (* Tests for the unified-cache extension: Load/Store instructions, the data
-   trace, the two-level hierarchy, and link-based affinity. *)
+   trace and the two-level hierarchy. *)
 
-open Colayout
 open Colayout_ir
 module E = Colayout_exec
 module C = Colayout_cache
@@ -113,61 +112,6 @@ let test_hierarchy_thread_stats () =
   check Alcotest.int "thread 0" 1 (C.Cache_stats.thread_accesses (C.Hierarchy.l1i_stats h) 0);
   check Alcotest.int "thread 1" 1 (C.Cache_stats.thread_accesses (C.Hierarchy.l1i_stats h) 1)
 
-(* -------------------------------------------------------- Link affinity *)
-
-let fig1_trace () = Colayout_trace.Trace.of_list ~num_symbols:5 [ 0; 3; 1; 3; 1; 2; 4; 0; 3 ]
-
-let test_link_affinity_order_is_permutation () =
-  let t = fig1_trace () in
-  let h = Link_affinity.build ~algo:Affinity_hierarchy.Exact t in
-  check (Alcotest.list Alcotest.int) "permutation" [ 0; 1; 2; 3; 4 ]
-    (List.sort compare (Link_affinity.order h))
-
-let test_link_affinity_proportional_window () =
-  (* At k=1 the window for merging two singletons is 2: only adjacent-pair
-     affinity merges. B3,B5 are adjacent once each: they merge at k=1. *)
-  let t = fig1_trace () in
-  let h = Link_affinity.build ~algo:Affinity_hierarchy.Exact ~ks:[ 1 ] t in
-  let partition = List.map (List.sort compare) (Link_affinity.partition_at h ~k:1) in
-  check Alcotest.bool "B3,B5 merged at k=1" true (List.mem [ 2; 4 ] partition)
-
-let test_link_vs_window_differ () =
-  (* The defining contrast: with a fixed w the pair (B1,B4) needs w=3, but
-     with proportional windows it already merges at k=2 (window 2x2=4 ...
-     actually at k=2 window for two singletons is 4). The models produce
-    different hierarchies on the same trace. *)
-  let t = fig1_trace () in
-  let link = Link_affinity.build ~algo:Affinity_hierarchy.Exact ~ks:[ 1; 2 ] t in
-  let windowed = Affinity_hierarchy.build ~algo:Affinity_hierarchy.Exact ~ws:[ 1; 2 ] t in
-  let plink = List.map (List.sort compare) (Link_affinity.partition_at link ~k:2) in
-  let pwin = List.map (List.sort compare) (Affinity_hierarchy.partition_at windowed ~w:2) in
-  check Alcotest.bool "partitions differ" true (List.sort compare plink <> List.sort compare pwin)
-
-let link_partitions_nest =
-  QCheck.Test.make ~name:"link-affinity partitions nest as k grows" ~count:60
-    QCheck.(list_of_size Gen.(int_range 2 30) (int_bound 5))
-    (fun xs ->
-      let t = Colayout_trace.Trim.trim (Colayout_trace.Trace.of_list ~num_symbols:6 xs) in
-      QCheck.assume (Colayout_trace.Trace.length t >= 2);
-      let h = Link_affinity.build ~ks:[ 1; 2; 3 ] t in
-      List.for_all
-        (fun (k1, k2) ->
-          let p1 = Link_affinity.partition_at h ~k:k1 in
-          let p2 = Link_affinity.partition_at h ~k:k2 in
-          List.for_all
-            (fun g1 -> List.exists (fun g2 -> List.for_all (fun x -> List.mem x g2) g1) p2)
-            p1)
-        [ (1, 2); (2, 3) ])
-
-let test_link_bad_args () =
-  let t = fig1_trace () in
-  Alcotest.check_raises "bad ks"
-    (Invalid_argument "Link_affinity: ks must be positive and strictly ascending")
-    (fun () -> ignore (Link_affinity.build ~ks:[ 2; 1 ] t));
-  Alcotest.check_raises "bad window"
-    (Invalid_argument "Link_affinity: max_window must be >= 2")
-    (fun () -> ignore (Link_affinity.build ~max_window:1 t))
-
 let () =
   Alcotest.run "unified"
     [
@@ -185,13 +129,5 @@ let () =
           Alcotest.test_case "L2 catches evictions" `Quick test_hierarchy_l2_catches_l1_evictions;
           Alcotest.test_case "negative addr" `Quick test_hierarchy_negative_data_addr;
           Alcotest.test_case "thread stats" `Quick test_hierarchy_thread_stats;
-        ] );
-      ( "link_affinity",
-        [
-          Alcotest.test_case "permutation" `Quick test_link_affinity_order_is_permutation;
-          Alcotest.test_case "proportional window" `Quick test_link_affinity_proportional_window;
-          Alcotest.test_case "differs from w-window" `Quick test_link_vs_window_differ;
-          QCheck_alcotest.to_alcotest link_partitions_nest;
-          Alcotest.test_case "bad args" `Quick test_link_bad_args;
         ] );
     ]
