@@ -94,6 +94,12 @@ let kernels =
         let r = get "reduce_real" (cells m) in
         ensure (str "flat_digest" r = str "seed_digest" r)
           "flat reduction of the %s bb TRG diverges from the seed reduction" (str "program" r));
+    gate "corun-matches-seed" (fun m ->
+        let r = get "corun" (cells m) in
+        ensure
+          (str "indexed_digest" r = str "seed_digest" r)
+          "indexed co-run replay of %s vs %s diverges from the per-line oracle" (str "program" r)
+          (str "peer" r));
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in

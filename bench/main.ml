@@ -145,7 +145,8 @@ let run_section ~quick ~dir (name, section) =
    baselines (Kernel_baseline) on one skewed-popularity trace with enough
    deep reuse to stress the w ≈ 512 window (32 KB / 64 B line). The
    reduction's output is digested on both paths, here and on the paper
-   workload's own bb TRG, and the TRG memory footprints compared. *)
+   workload's own bb TRG, and the TRG memory footprints compared. The
+   co-run cache replay is timed against its per-line oracle last. *)
 
 let kernel_trace ~num_symbols ~len ~seed =
   let prng = U.Prng.create ~seed in
@@ -214,6 +215,47 @@ let real_reduce ~budget =
       ("seed_digest", str (reduction_digest seed));
     ]
 
+(* The co-run replay on the cache core (its per-call residency index)
+   against the per-line oracle it replaced ([Seed_icache]), on the
+   paper's co-run pair: 445.gobmk against 403.gcc, original layouts,
+   reference inputs, the programs' fetch rates. Both must report the same
+   counters. *)
+let corun_program = "445.gobmk"
+
+let corun_peer = "403.gcc"
+
+let corun_replay ~quick ~bench =
+  let fuel = if quick then 20_000 else 200_000 in
+  let params = C.Params.default_l1i in
+  let side name =
+    let prog = W.Spec.build name in
+    let l = Layout.original prog in
+    ( { C.Icache.addr = l.Layout.addr; bytes = l.Layout.bytes },
+      T.Trace.events (E.Interp.run prog (E.Interp.ref_input ~max_blocks:fuel ())).E.Interp.bb_trace,
+      (W.Spec.profile name).W.Gen.fetch_rate )
+  in
+  let l0, t0, r0 = side corun_program and l1, t1, r1 = side corun_peer in
+  let rates = (r0, r1) and layouts = (l0, l1) in
+  let indexed () = C.Icache.shared ~rates ~params ~layouts (t0, t1) in
+  let seed () = Seed_icache.shared ~rates ~params ~layouts (t0, t1) in
+  let indexed_cell = bench "cache-replay/corun-indexed" (fun () -> ignore (indexed ())) in
+  let seed_cell = bench "cache-replay/corun-seed-per-line" (fun () -> ignore (seed ())) in
+  let digest st = Digest.to_hex (Digest.string (C.Cache_stats.to_string st)) in
+  let stats = indexed () in
+  Printf.printf "  (%s vs %s, fuel %d: %d accesses)\n%!" corun_program corun_peer fuel
+    (C.Cache_stats.accesses stats);
+  ( indexed_cell,
+    seed_cell,
+    Out.
+      [
+        ("program", str corun_program);
+        ("peer", str corun_peer);
+        ("fuel", int fuel);
+        ("accesses", int (C.Cache_stats.accesses stats));
+        ("indexed_digest", str (digest stats));
+        ("seed_digest", str (digest (seed ())));
+      ] )
+
 let kernels ~quick ~dir:_ =
   let num_symbols = if quick then 1024 else 4096 in
   let len = if quick then 12_000 else 120_000 in
@@ -260,10 +302,11 @@ let kernels ~quick ~dir:_ =
     bench "affinity-windows/per-window" (fun () ->
         List.iter (fun w -> ignore (Affinity.affine_pairs trace ~w)) ws)
   in
+  let corun_indexed, corun_seed, corun = corun_replay ~quick ~bench in
   let kernels =
     [
       trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
-      windows_per_window;
+      windows_per_window; corun_indexed; corun_seed;
     ]
   in
   let speedups =
@@ -272,6 +315,7 @@ let kernels ~quick ~dir:_ =
       ("affine-pairs", snd aff_legacy /. snd aff_packed);
       ("trg-reduce", snd reduce_legacy /. snd reduce);
       ("affinity-windows", snd windows_per_window /. snd windows_one_pass);
+      ("cache-replay", snd corun_seed /. snd corun_indexed);
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
@@ -312,6 +356,7 @@ let kernels ~quick ~dir:_ =
                 ("seed_digest", str (reduction_digest (Kernel_baseline.trg_reduce trg ~slots)));
               ] );
           ("reduce_real", obj real);
+          ("corun", obj corun);
         ] )
 
 (* ------------------------------------------------------------ harness *)

@@ -45,9 +45,14 @@ let write_file path contents =
 let list_cmd =
   let doc = "List the available experiments." in
   let run () =
+    (* The reference column is as wide as the longest reference. *)
+    let width =
+      List.fold_left (fun w (e : H.Registry.experiment) -> max w (String.length e.paper_ref)) 0
+        H.Registry.all
+    in
     List.iter
       (fun (e : H.Registry.experiment) ->
-        Printf.printf "%-8s %-16s %s\n" e.id e.paper_ref e.summary)
+        Printf.printf "%-8s %-*s %s\n" e.id width e.paper_ref e.summary)
       H.Registry.all
   in
   Cmd.v (Cmd.info "list" ~doc) Term.(const run $ const ())

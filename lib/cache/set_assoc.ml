@@ -4,7 +4,9 @@
    ways always form a prefix and one valid count per set replaces per-way
    validity bits. Associativities are small (4 in the paper's
    configuration), so the shifts are open-coded: an [Array.blit] pays a C
-   call per access, more than the one or two moves it performs. *)
+   call per access, more than the one or two moves it performs. The trace
+   replays keep recency as per-slot stamps while they run (see below) and
+   leave every set in this layout when they return. *)
 
 type t = {
   params : Params.t;
@@ -99,27 +101,19 @@ let[@inline] resident (tags : int array) (valid : int array) assoc mask line =
   done;
   !i < k
 
-(* One demand access: -1 on a hit; on a miss, the number of next-line
-   fills it triggered ([degree] 0: none). A fill is {!prefetch_line}:
-   each of [line+1 .. line+degree] not already resident enters at MRU. *)
-let[@inline] demand t tags valid assoc mask set_miss sink degree ~thread ~block line =
+(* One demand access for the span and line entry points: [true] on a
+   hit. A miss counts against its set. *)
+let[@inline] demand t tags valid assoc mask set_miss sink ~thread ~block line =
   let r = touch t tags valid assoc mask line in
   (match sink with None -> () | Some s -> report s ~thread ~block line r);
-  if r = hit then -1
+  if r = hit then true
   else begin
     count_miss set_miss mask line;
-    let fills = ref 0 in
-    for l = line + 1 to line + degree do
-      if not (resident tags valid assoc mask l) then begin
-        ignore (touch t tags valid assoc mask l);
-        incr fills
-      end
-    done;
-    !fills
+    false
   end
 
 let access_line t ~thread ~block line =
-  demand t t.tags t.valid t.assoc t.set_mask t.set_miss t.sink 0 ~thread ~block line < 0
+  demand t t.tags t.valid t.assoc t.set_mask t.set_miss t.sink ~thread ~block line
 
 let access_span t ~thread ~block ~first ~last =
   let tags = t.tags and valid = t.valid and assoc = t.assoc and mask = t.set_mask in
@@ -135,7 +129,7 @@ let access_span t ~thread ~block ~first ~last =
     done
   | Some _ ->
     for line = first to last do
-      if demand t tags valid assoc mask set_miss sink 0 ~thread ~block line >= 0 then incr misses
+      if not (demand t tags valid assoc mask set_miss sink ~thread ~block line) then incr misses
     done);
   !misses
 
@@ -143,7 +137,25 @@ let set_misses t s = t.set_miss.(s)
 
 (* Trace replays. A stream's trace and span tables are checked once up
    front, so the loops below read them without bounds checks; the
-   geometry, the arrays and every cursor live in locals. *)
+   geometry, the arrays and every cursor live in locals.
+
+   Each replay call builds a residency index over the lines its streams
+   can touch: the executed blocks' spans plus [degree] prefetch lines past
+   each. Sorted, those lines fall into maximal runs of consecutive lines,
+   and a run's lines take consecutive ids, so the index has one entry per
+   distinct line whatever the addresses, and a line two streams share has
+   one id. The index maps an id to the slot holding its line (-1: not
+   resident), so a hit test is one array read.
+
+   Inside the call, LRU order is a last-use stamp per slot instead of the
+   slot's position: a hit writes one stamp, a miss fills the set's next
+   free way or evicts the way with the smallest stamp. Stamps are unique
+   and increase, so within a set their descending order is the MRU order
+   the per-line step keeps. The resident ways are imported at entry (MRU
+   rank as stamp; a line outside the index keeps its way, can be evicted
+   and is never hit) and every set is written back MRU-first on the way
+   out, an escaping exception included, so the other entry points see
+   exactly the per-line state. *)
 
 type stream = {
   trace : int array;
@@ -158,132 +170,320 @@ type tally = {
   fills : int;
 }
 
-let check_stream who s =
-  let n = Array.length s.first in
-  if Array.length s.last <> n then invalid_arg (who ^ ": span tables differ in length");
-  Array.iter
-    (fun b ->
-      if b < 0 || b >= n then
-        invalid_arg (Printf.sprintf "%s: block id %d outside the span tables (%d blocks)" who b n);
-      if Array.unsafe_get s.last b < Array.unsafe_get s.first b then
-        invalid_arg (Printf.sprintf "%s: block %d spans no line" who b))
-    s.trace
-
 let check_degree who degree = if degree < 0 then invalid_arg (who ^ ": negative prefetch degree")
 
-let replay t ~prefetch:degree s =
-  check_degree "Set_assoc.replay" degree;
-  check_stream "Set_assoc.replay" s;
-  let trace = s.trace and first = s.first and last = s.last and off = s.offset in
-  let accesses = ref 0 and misses = ref 0 and fills = ref 0 in
-  if degree = 0 then
-    (* Nothing happens between a block's lines: one span walk per block. *)
-    for i = 0 to Array.length trace - 1 do
-      let b = Array.unsafe_get trace i in
-      let lo = Array.unsafe_get first b + off and hi = Array.unsafe_get last b + off in
-      accesses := !accesses + (hi - lo + 1);
-      misses := !misses + access_span t ~thread:0 ~block:b ~first:lo ~last:hi
-    done
-  else begin
-    let tags = t.tags and valid = t.valid and assoc = t.assoc and mask = t.set_mask in
-    let set_miss = t.set_miss and sink = t.sink in
-    for i = 0 to Array.length trace - 1 do
-      let b = Array.unsafe_get trace i in
-      let lo = Array.unsafe_get first b + off and hi = Array.unsafe_get last b + off in
-      accesses := !accesses + (hi - lo + 1);
-      for line = lo to hi do
-        let f = demand t tags valid assoc mask set_miss sink degree ~thread:0 ~block:b line in
-        if f >= 0 then begin
-          incr misses;
-          fills := !fills + f
+(* Check a stream and lay out the span table the loops read: three words
+   per block id, its first and last line (offset applied) and the id of
+   its first line, filled in for executed blocks only (their id word is 1
+   until [build_index] assigns ids). Returns the table and the number of
+   executed blocks. *)
+let check_stream who degree s =
+  let n = Array.length s.first in
+  if Array.length s.last <> n then invalid_arg (who ^ ": span tables differ in length");
+  let spans = Array.make (3 * n) 0 and executed = ref 0 and trace = s.trace in
+  for i = 0 to Array.length trace - 1 do
+    let b = Array.unsafe_get trace i in
+    if b < 0 || b >= n then
+      invalid_arg (Printf.sprintf "%s: block id %d outside the span tables (%d blocks)" who b n);
+    if Array.unsafe_get spans ((3 * b) + 2) = 0 then begin
+      if Array.unsafe_get s.last b < Array.unsafe_get s.first b then
+        invalid_arg (Printf.sprintf "%s: block %d spans no line" who b);
+      let lo = Array.unsafe_get s.first b + s.offset in
+      let hi = Array.unsafe_get s.last b + s.offset in
+      if hi < lo || hi > max_int - degree then
+        invalid_arg (Printf.sprintf "%s: block %d's lines overflow" who b);
+      Array.unsafe_set spans (3 * b) lo;
+      Array.unsafe_set spans ((3 * b) + 1) hi;
+      Array.unsafe_set spans ((3 * b) + 2) 1;
+      incr executed
+    end
+  done;
+  (spans, !executed)
+
+type index = {
+  where : int array; (* id -> slot holding its line, or -1 *)
+  slot_id : int array; (* slot -> id of the line it holds, or -1 *)
+  stamp : int array; (* slot -> last use *)
+  mutable clock : int; (* the next stamp, above every stamp so far *)
+}
+
+(* The index over checked span tables: assigns every executed block its
+   first line's id, then imports the cache's resident ways. *)
+let build_index who t degree tables =
+  (* One interval [lo, hi + degree] per executed block, in line order;
+     [owner] is its table and [at] its block's offset there. *)
+  let m = List.fold_left (fun m (_, k) -> m + k) 0 tables in
+  let owner = Array.make m [||] and at = Array.make m 0 and i = ref 0 in
+  List.iter
+    (fun (spans, _) ->
+      for b = 0 to (Array.length spans / 3) - 1 do
+        if spans.((3 * b) + 2) = 1 then begin
+          owner.(!i) <- spans;
+          at.(!i) <- 3 * b;
+          incr i
         end
-      done
+      done)
+    tables;
+  let lo i = owner.(i).(at.(i)) and hi i = owner.(i).(at.(i) + 1) + degree in
+  let order = Array.init m Fun.id in
+  Array.sort (fun i j -> compare (lo i) (lo j)) order;
+  (* Merge into runs: [starts], [ends] and [bases] (a run's first id). *)
+  let runs = ref 0 and ids = ref 0 in
+  let starts = Array.make m 0 and ends = Array.make m 0 and bases = Array.make m 0 in
+  Array.iter
+    (fun i ->
+      let r = !runs - 1 in
+      if r < 0 || lo i > ends.(r) + 1 then begin
+        starts.(r + 1) <- lo i;
+        ends.(r + 1) <- hi i;
+        bases.(r + 1) <- !ids;
+        incr runs
+      end
+      else if hi i > ends.(r) then ends.(r) <- hi i;
+      let r = !runs - 1 in
+      let len = ends.(r) - starts.(r) + 1 in
+      if len <= 0 || len > Sys.max_array_length - bases.(r) then
+        invalid_arg (who ^ ": the streams touch more lines than an array holds");
+      owner.(i).(at.(i) + 2) <- bases.(r) + (lo i - starts.(r));
+      ids := bases.(r) + len)
+    order;
+  let x =
+    {
+      where = Array.make !ids (-1);
+      slot_id = Array.make (Array.length t.tags) (-1);
+      stamp = Array.make (Array.length t.tags) 0;
+      clock = t.assoc;
+    }
+  in
+  (* A resident line's id, by binary search over the runs; -1 outside. *)
+  let id_of line =
+    let a = ref 0 and b = ref !runs in
+    while !b - !a > 1 do
+      let mid = (!a + !b) / 2 in
+      if starts.(mid) <= line then a := mid else b := mid
+    done;
+    if !runs > 0 && starts.(!a) <= line && line <= ends.(!a) then bases.(!a) + (line - starts.(!a))
+    else -1
+  in
+  for s = 0 to Array.length t.valid - 1 do
+    let base = s * t.assoc and k = t.valid.(s) in
+    for w = 0 to k - 1 do
+      let id = id_of t.tags.(base + w) in
+      x.stamp.(base + w) <- k - 1 - w;
+      x.slot_id.(base + w) <- id;
+      if id >= 0 then x.where.(id) <- base + w
     done
-  end;
+  done;
+  x
+
+(* Write every set back MRU-first: an insertion sort of its valid ways
+   by descending stamp. *)
+let write_back t x =
+  let tags = t.tags and stamp = x.stamp in
+  for s = 0 to Array.length t.valid - 1 do
+    let base = s * t.assoc in
+    for w = base + 1 to base + t.valid.(s) - 1 do
+      let st = stamp.(w) and line = tags.(w) in
+      let j = ref w in
+      while !j > base && stamp.(!j - 1) < st do
+        stamp.(!j) <- stamp.(!j - 1);
+        tags.(!j) <- tags.(!j - 1);
+        decr j
+      done;
+      stamp.(!j) <- st;
+      tags.(!j) <- line
+    done
+  done
+
+(* A miss on [line] (id [id]): fill the set's next free way, or evict the
+   way with the smallest stamp, found without branching on the stamps
+   (which way is oldest is data the predictor cannot learn; stamps are
+   non-negative, so a difference's sign is their order). Returns the
+   victim line, or -1 when a free way was filled. *)
+let[@inline] fill t x line id =
+  let assoc = t.assoc and stamp = x.stamp and tags = t.tags in
+  let s = line land t.set_mask in
+  let base = s * assoc in
+  let k = Array.unsafe_get t.valid s in
+  let w, victim =
+    if k < assoc then begin
+      Array.unsafe_set t.valid s (k + 1);
+      (base + k, -1)
+    end
+    else begin
+      t.evictions <- t.evictions + 1;
+      let w = ref base and oldest = ref (Array.unsafe_get stamp base) in
+      for j = base + 1 to base + assoc - 1 do
+        let sj = Array.unsafe_get stamp j in
+        let older = (sj - !oldest) asr 62 in
+        w := !w lxor ((!w lxor j) land older);
+        oldest := !oldest lxor ((!oldest lxor sj) land older)
+      done;
+      let gone = Array.unsafe_get x.slot_id !w in
+      if gone >= 0 then Array.unsafe_set x.where gone (-1);
+      (!w, Array.unsafe_get tags !w)
+    end
+  in
+  Array.unsafe_set tags w line;
+  Array.unsafe_set x.slot_id w id;
+  Array.unsafe_set x.where id w;
+  Array.unsafe_set stamp w x.clock;
+  x.clock <- x.clock + 1;
+  victim
+
+(* A demand miss: the fill, the sink report, the set's miss count and the
+   next-line fills, each of [line+1 .. line+degree] not resident entering
+   as its set's newest way. Their ids follow [id]: the index extends every
+   span by [degree] lines. Returns the number of fills. *)
+let miss t x sink degree ~thread ~block line id =
+  let victim = fill t x line id in
+  (match sink with None -> () | Some s -> report s ~thread ~block line victim);
+  count_miss t.set_miss t.set_mask line;
+  let fills = ref 0 in
+  for k = 1 to degree do
+    if Array.unsafe_get x.where (id + k) < 0 then begin
+      ignore (fill t x (line + k) (id + k));
+      incr fills
+    end
+  done;
+  !fills
+
+(* One demand access: -1 on a hit, which writes one stamp; on a miss, the
+   number of fills it triggered. *)
+let[@inline] step t x where stamp sink degree ~thread ~block line id =
+  let w = Array.unsafe_get where id in
+  if w >= 0 then begin
+    let c = x.clock in
+    Array.unsafe_set stamp w c;
+    x.clock <- c + 1;
+    (match sink with None -> () | Some s -> report s ~thread ~block line hit);
+    -1
+  end
+  else miss t x sink degree ~thread ~block line id
+
+let replay t ~prefetch:degree s =
+  let who = "Set_assoc.replay" in
+  check_degree who degree;
+  let table = check_stream who degree s in
+  let x = build_index who t degree [ table ] in
+  let spans = fst table and trace = s.trace in
+  let sink = t.sink and where = x.where and stamp = x.stamp in
+  let accesses = ref 0 and misses = ref 0 and fills = ref 0 in
+  (try
+     for i = 0 to Array.length trace - 1 do
+       let b = Array.unsafe_get trace i in
+       let lo = Array.unsafe_get spans (3 * b) and hi = Array.unsafe_get spans ((3 * b) + 1) in
+       let shift = Array.unsafe_get spans ((3 * b) + 2) - lo in
+       accesses := !accesses + (hi - lo + 1);
+       for line = lo to hi do
+         let f = step t x where stamp sink degree ~thread:0 ~block:b line (line + shift) in
+         if f >= 0 then begin
+           incr misses;
+           fills := !fills + f
+         end
+       done
+     done
+   with e ->
+     write_back t x;
+     raise e);
+  write_back t x;
   { accesses = [| !accesses |]; misses = [| !misses |]; fills = !fills }
 
 (* Each step adds a thread's rate to its credit and fetches one line per
    whole unit of credit, thread 0 first. A thread's cursor is the next
-   line [cur] of its current block ([blk], ending at [hi]) and the trace
-   position [pos] of the block after it; [cur > hi] means the block is
-   spent. A fetch past the end of the trace counts a pass and, in the same
-   fetch, restarts at block 0 (an empty trace counts the pass and fetches
-   nothing). The loop ends between steps, once both threads have counted a
-   pass. The two threads' bodies are written out twice so their cursors
-   stay in locals. *)
+   line [cur] of its current block ([blk], ending at [hi], the ids of its
+   lines [shift] above them) and the trace position [pos] of the block
+   after it; [cur > hi] means the block is spent. A fetch past the end of
+   the trace counts a pass and, in the same fetch, restarts at block 0
+   (an empty trace counts the pass and fetches nothing). The loop ends
+   between steps, once both threads have counted a pass. A block's lines
+   count as accesses when it is loaded; the lines the last step left
+   unfetched are taken back at the end. The two threads' bodies are
+   written out twice so their cursors stay in locals. *)
 let corun t ~prefetch:degree ~rates:(r0, r1) s0 s1 =
-  check_degree "Set_assoc.corun" degree;
+  let who = "Set_assoc.corun" in
+  check_degree who degree;
   let ok r = Float.is_finite r && r > 0.0 in
   if not (ok r0 && ok r1) then invalid_arg "Set_assoc.corun: rates must be positive and finite";
-  check_stream "Set_assoc.corun" s0;
-  check_stream "Set_assoc.corun" s1;
-  let tags = t.tags and valid = t.valid and assoc = t.assoc and mask = t.set_mask in
-  let set_miss = t.set_miss and sink = t.sink in
-  let trace0 = s0.trace and first0 = s0.first and last0 = s0.last and off0 = s0.offset in
-  let trace1 = s1.trace and first1 = s1.first and last1 = s1.last and off1 = s1.offset in
+  let table0 = check_stream who degree s0 in
+  let table1 = check_stream who degree s1 in
+  let x = build_index who t degree [ table0; table1 ] in
+  let spans0 = fst table0 and spans1 = fst table1 in
+  let sink = t.sink and where = x.where and stamp = x.stamp in
+  let trace0 = s0.trace and trace1 = s1.trace in
   let n0 = Array.length trace0 and n1 = Array.length trace1 in
-  let pos0 = ref 0 and blk0 = ref 0 and cur0 = ref 0 and hi0 = ref (-1) and passes0 = ref 0 in
-  let pos1 = ref 0 and blk1 = ref 0 and cur1 = ref 0 and hi1 = ref (-1) and passes1 = ref 0 in
+  let pos0 = ref 0 and blk0 = ref 0 and cur0 = ref 0 and hi0 = ref (-1) and shift0 = ref 0 in
+  let pos1 = ref 0 and blk1 = ref 0 and cur1 = ref 0 and hi1 = ref (-1) and shift1 = ref 0 in
+  let passes0 = ref 0 and passes1 = ref 0 in
   let acc0 = ref 0 and miss0 = ref 0 and acc1 = ref 0 and miss1 = ref 0 and fills = ref 0 in
   let credit0 = ref 0.0 and credit1 = ref 0.0 in
-  while !passes0 < 1 || !passes1 < 1 do
-    credit0 := !credit0 +. r0;
-    credit1 := !credit1 +. r1;
-    while !credit0 >= 1.0 do
-      credit0 := !credit0 -. 1.0;
-      if !cur0 > !hi0 then begin
-        if !pos0 = n0 then begin
-          incr passes0;
-          pos0 := 0
-        end;
-        if n0 > 0 then begin
-          let b = Array.unsafe_get trace0 !pos0 in
-          pos0 := !pos0 + 1;
-          blk0 := b;
-          cur0 := Array.unsafe_get first0 b + off0;
-          hi0 := Array.unsafe_get last0 b + off0
-        end
-      end;
-      if !cur0 <= !hi0 then begin
-        let line = !cur0 in
-        cur0 := line + 1;
-        incr acc0;
-        let f = demand t tags valid assoc mask set_miss sink degree ~thread:0 ~block:!blk0 line in
-        if f >= 0 then begin
-          incr miss0;
-          fills := !fills + f
-        end
-      end
-    done;
-    while !credit1 >= 1.0 do
-      credit1 := !credit1 -. 1.0;
-      if !cur1 > !hi1 then begin
-        if !pos1 = n1 then begin
-          incr passes1;
-          pos1 := 0
-        end;
-        if n1 > 0 then begin
-          let b = Array.unsafe_get trace1 !pos1 in
-          pos1 := !pos1 + 1;
-          blk1 := b;
-          cur1 := Array.unsafe_get first1 b + off1;
-          hi1 := Array.unsafe_get last1 b + off1
-        end
-      end;
-      if !cur1 <= !hi1 then begin
-        let line = !cur1 in
-        cur1 := line + 1;
-        incr acc1;
-        let f = demand t tags valid assoc mask set_miss sink degree ~thread:1 ~block:!blk1 line in
-        if f >= 0 then begin
-          incr miss1;
-          fills := !fills + f
-        end
-      end
-    done
-  done;
-  { accesses = [| !acc0; !acc1 |]; misses = [| !miss0; !miss1 |]; fills = !fills }
-
+  (try
+     while !passes0 < 1 || !passes1 < 1 do
+       credit0 := !credit0 +. r0;
+       credit1 := !credit1 +. r1;
+       while !credit0 >= 1.0 do
+         credit0 := !credit0 -. 1.0;
+         if !cur0 > !hi0 then begin
+           if !pos0 = n0 then begin
+             incr passes0;
+             pos0 := 0
+           end;
+           if n0 > 0 then begin
+             let b = Array.unsafe_get trace0 !pos0 in
+             let lo = Array.unsafe_get spans0 (3 * b) in
+             pos0 := !pos0 + 1;
+             blk0 := b;
+             cur0 := lo;
+             hi0 := Array.unsafe_get spans0 ((3 * b) + 1);
+             shift0 := Array.unsafe_get spans0 ((3 * b) + 2) - lo;
+             acc0 := !acc0 + (!hi0 - lo + 1)
+           end
+         end;
+         if !cur0 <= !hi0 then begin
+           let line = !cur0 in
+           cur0 := line + 1;
+           let f = step t x where stamp sink degree ~thread:0 ~block:!blk0 line (line + !shift0) in
+           if f >= 0 then begin
+             incr miss0;
+             fills := !fills + f
+           end
+         end
+       done;
+       while !credit1 >= 1.0 do
+         credit1 := !credit1 -. 1.0;
+         if !cur1 > !hi1 then begin
+           if !pos1 = n1 then begin
+             incr passes1;
+             pos1 := 0
+           end;
+           if n1 > 0 then begin
+             let b = Array.unsafe_get trace1 !pos1 in
+             let lo = Array.unsafe_get spans1 (3 * b) in
+             pos1 := !pos1 + 1;
+             blk1 := b;
+             cur1 := lo;
+             hi1 := Array.unsafe_get spans1 ((3 * b) + 1);
+             shift1 := Array.unsafe_get spans1 ((3 * b) + 2) - lo;
+             acc1 := !acc1 + (!hi1 - lo + 1)
+           end
+         end;
+         if !cur1 <= !hi1 then begin
+           let line = !cur1 in
+           cur1 := line + 1;
+           let f = step t x where stamp sink degree ~thread:1 ~block:!blk1 line (line + !shift1) in
+           if f >= 0 then begin
+             incr miss1;
+             fills := !fills + f
+           end
+         end
+       done
+     done
+   with e ->
+     write_back t x;
+     raise e);
+  write_back t x;
+  let acc0 = !acc0 - (!hi0 - !cur0 + 1) and acc1 = !acc1 - (!hi1 - !cur1 + 1) in
+  { accesses = [| acc0; acc1 |]; misses = [| !miss0; !miss1 |]; fills = !fills }
 
 let probe_line t line = resident t.tags t.valid t.assoc t.set_mask line
 

@@ -13,7 +13,12 @@
     unit of work:
     - {!replay} replays a whole block trace (solo {!Icache} runs);
     - {!corun} interleaves two block traces into the one cache (the
-      co-run {!Icache} runs);
+      co-run {!Icache} runs). Each of the two builds a per-call residency
+      index over the distinct lines its streams can touch (sized by their
+      count, not by their addresses), so a hit test is one array read;
+      while it runs, LRU order is a last-use stamp per way, and on return
+      every set is back in MRU-first order, exactly as the per-line
+      {!access_line} loop would leave it, from a cold or a warm cache;
     - {!access_span} walks one line span and returns its misses (the
       layout-evaluation engine's runs of lines);
     - {!access_line} serves callers that act between lines (SMT stalls,
@@ -69,9 +74,12 @@ val replay : t -> prefetch:int -> stream -> tally
     miss on [line] the fills {!prefetch_line} makes for
     [line+1 .. line+prefetch] ([prefetch = 0]: none). The tally has one
     thread.
+    The call allocates in proportion to the span tables and the distinct
+    lines it can touch, never per access.
     @raise Invalid_argument, before any access, if [prefetch < 0], the
     span tables differ in length, or a trace id is negative, at least
-    [Array.length first], or names a block whose span is empty. *)
+    [Array.length first], or names a block whose span is empty, or whose
+    lines (offset applied, plus [prefetch]) overflow an [int]. *)
 
 val corun : t -> prefetch:int -> rates:float * float -> stream -> stream -> tally
 (** [corun t ~prefetch ~rates:(r0, r1) s0 s1] interleaves two streams

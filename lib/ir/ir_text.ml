@@ -45,12 +45,17 @@ let print program =
 
 (* Tiny recursive-descent parser over a string with a cursor. Grammar:
      expr   ::= int | vN | rand '(' int ')' | '(' expr OP expr ')'
-   OP is one of the binop symbols. *)
+   OP is one of the binop symbols. The text is a piece of a source line
+   starting at column [col + 1], so errors report source-line columns. *)
 type cursor = {
   s : string;
   mutable pos : int;
   line : int;
+  col : int;
 }
+
+(* The source-line column of [c.s.[i]], counting from 1. *)
+let column c i = c.col + i + 1
 
 let peek c = if c.pos < String.length c.s then Some c.s.[c.pos] else None
 
@@ -65,7 +70,7 @@ let expect c ch =
   skip_ws c;
   match peek c with
   | Some x when x = ch -> advance c
-  | _ -> fail c.line "expected '%c' at column %d" ch (c.pos + 1)
+  | _ -> fail c.line "expected '%c' at column %d" ch (column c c.pos)
 
 let is_digit ch = ch >= '0' && ch <= '9'
 
@@ -77,10 +82,10 @@ let parse_int c =
     advance c
   done;
   if c.pos = start || (c.pos = start + 1 && c.s.[start] = '-') then
-    fail c.line "expected integer at column %d" (start + 1);
+    fail c.line "expected integer at column %d" (column c start);
   match int_of_string_opt (String.sub c.s start (c.pos - start)) with
   | Some n -> n
-  | None -> fail c.line "integer out of range at column %d" (start + 1)
+  | None -> fail c.line "integer out of range at column %d" (column c start)
 
 let binop_symbols =
   (* Longest-match order. *)
@@ -101,7 +106,7 @@ let parse_binop c =
   | Some (sym, op) ->
     c.pos <- c.pos + String.length sym;
     op
-  | None -> fail c.line "expected operator at column %d" (c.pos + 1)
+  | None -> fail c.line "expected operator at column %d" (column c c.pos)
 
 let rec parse_expr c =
   skip_ws c;
@@ -129,12 +134,12 @@ let rec parse_expr c =
       expect c ')';
       Types.Rand n
     end
-    else fail c.line "expected 'rand' at column %d" (c.pos + 1)
+    else fail c.line "expected 'rand' at column %d" (column c c.pos)
   | Some ch when is_digit ch || ch = '-' -> Types.Const (parse_int c)
-  | _ -> fail c.line "expected expression at column %d" (c.pos + 1)
+  | _ -> fail c.line "expected expression at column %d" (column c c.pos)
 
-let expr_of_string ~line s =
-  let c = { s; pos = 0; line } in
+let expr_of_string ~line ~col s =
+  let c = { s; pos = 0; line; col } in
   let e = parse_expr c in
   skip_ws c;
   if c.pos <> String.length s then fail line "trailing characters in expression: %S" s;
@@ -171,6 +176,27 @@ let strip_comment line =
 
 let tokens_of line = String.split_on_char ' ' line |> List.filter (fun t -> t <> "")
 
+(* The blanks [String.trim] removes, counted from the front of [s]. *)
+let leading_blanks s =
+  let i = ref 0 in
+  while !i < String.length s && String.contains " \012\n\r\t" s.[!i] do
+    incr i
+  done;
+  !i
+
+(* [String.trim (String.sub s a n)] and the offset in [s] where it starts. *)
+let trimmed_sub s a n =
+  let sub = String.sub s a n in
+  (String.trim sub, a + leading_blanks sub)
+
+(* A load or store operand: the rest of [line] after its [kw]-character
+   keyword, without the surrounding [ ] the printer emits. *)
+let operand line kw =
+  let text, at = trimmed_sub line kw (String.length line - kw) in
+  let n = String.length text in
+  if n >= 2 && text.[0] = '[' && text.[n - 1] = ']' then trimmed_sub line (at + 1) (n - 2)
+  else (text, at)
+
 let parse ?name text =
   let lines = String.split_on_char '\n' text in
   let prog_name = ref "parsed" in
@@ -187,6 +213,9 @@ let parse ?name text =
     (fun i raw_line ->
       let lnum = i + 1 in
       let line = String.trim (strip_comment raw_line) in
+      (* An expression found at offset [at] of [line], parsed with
+         source-line columns. *)
+      let expr (text, at) = expr_of_string ~line:lnum ~col:(leading_blanks raw_line + at) text in
       if line <> "" then begin
         let toks = tokens_of line in
         match toks with
@@ -226,7 +255,7 @@ let parse ?name text =
               match String.index_opt body '?' with
               | None -> fail lnum "branch needs '?'"
               | Some q ->
-                let cond = expr_of_string ~line:lnum (String.trim (String.sub body 0 q)) in
+                let cond = expr (trimmed_sub line 6 q) in
                 let rest = String.sub body (q + 1) (String.length body - q - 1) in
                 (match tokens_of (String.map (fun c -> if c = ':' then ' ' else c) rest) with
                 | [ t; f ] -> set_term (RBranch (cond, t, f))
@@ -236,30 +265,15 @@ let parse ?name text =
               let body = String.sub line 6 (String.length line - 6) in
               match (String.index_opt body '[', String.index_opt body ']') with
               | Some l, Some r when l < r ->
-                let sel = expr_of_string ~line:lnum (String.trim (String.sub body 0 l)) in
+                let sel = expr (trimmed_sub line 6 l) in
                 let targets = tokens_of (String.sub body (l + 1) (r - l - 1)) in
                 let tail = tokens_of (String.sub body (r + 1) (String.length body - r - 1)) in
                 (match tail with
                 | [ "default"; d ] -> set_term (RSwitch (sel, targets, d))
                 | _ -> fail lnum "switch needs 'default TARGET' after the table")
               | _ -> fail lnum "switch needs a [target] table")
-            | "load" :: _ ->
-              let body = String.trim (String.sub line 4 (String.length line - 4)) in
-              (* strip the surrounding [ ] the printer emits *)
-              let body =
-                if String.length body >= 2 && body.[0] = '[' && body.[String.length body - 1] = ']'
-                then String.sub body 1 (String.length body - 2)
-                else body
-              in
-              add_instr (Types.Load (expr_of_string ~line:lnum (String.trim body)))
-            | "store" :: _ ->
-              let body = String.trim (String.sub line 5 (String.length line - 5)) in
-              let body =
-                if String.length body >= 2 && body.[0] = '[' && body.[String.length body - 1] = ']'
-                then String.sub body 1 (String.length body - 2)
-                else body
-              in
-              add_instr (Types.Store (expr_of_string ~line:lnum (String.trim body)))
+            | "load" :: _ -> add_instr (Types.Load (expr (operand line 4)))
+            | "store" :: _ -> add_instr (Types.Store (expr (operand line 5)))
             | v :: ":=" :: _ when String.length v > 1 && v.[0] = 'v' -> (
               match int_of_string_opt (String.sub v 1 (String.length v - 1)) with
               | None -> fail lnum "bad variable %S" v
@@ -267,8 +281,8 @@ let parse ?name text =
                 let idx =
                   match String.index_opt line '=' with Some i -> i | None -> assert false
                 in
-                let rhs = String.sub line (idx + 1) (String.length line - idx - 1) in
-                add_instr (Types.Assign (var, expr_of_string ~line:lnum (String.trim rhs))))
+                let rhs = trimmed_sub line (idx + 1) (String.length line - idx - 1) in
+                add_instr (Types.Assign (var, expr rhs)))
             | t :: _ -> fail lnum "unknown statement %S" t
             | [] -> assert false))
       end)

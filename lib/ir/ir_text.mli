@@ -32,7 +32,9 @@
     operations [(e OP e)]. [#] starts a comment. *)
 
 exception Parse_error of int * string
-(** Line number (1-based) and message. *)
+(** Line number (1-based) and message. A message about an expression
+    names the column (1-based, indentation included, a tab counting as
+    one) on that source line. *)
 
 val print : Program.t -> string
 

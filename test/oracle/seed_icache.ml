@@ -5,7 +5,10 @@
    after each miss. Beyond the code moving, [Prefetch.on_miss] is inlined
    (as [on_miss]), the solo replay always takes the per-line loop (the
    library's old solo path took it only with a prefetcher), and the rate
-   check is dropped: the library checks rates before either path runs. *)
+   check is dropped: the library checks rates before either path runs.
+   Two parameters serve the boundary tests of the indexed replays: [cache]
+   replays into a given (possibly warm) cache instead of a fresh one, and
+   [peer_offset] moves thread 1's lines (default 2^40, as [Icache]). *)
 
 open Colayout_util
 open Colayout_cache
@@ -27,8 +30,8 @@ let access prefetch cache stats ~thread ~block line =
   | Some p when not hit -> on_miss p cache stats line
   | _ -> ()
 
-let solo ?prefetch ?sink ~params ~layout trace =
-  let cache = Set_assoc.create ?sink params in
+let solo ?prefetch ?sink ?cache ~params ~layout trace =
+  let cache = match cache with Some c -> c | None -> Set_assoc.create ?sink params in
   let stats = Cache_stats.create ~threads:1 () in
   Int_vec.iter
     (fun bid ->
@@ -94,12 +97,13 @@ let rec cursor_next ~params c =
     end
   end
 
-let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
+let shared ?prefetch ?sink ?cache ?(peer_offset = 1 lsl 40) ?(rates = (1.0, 1.0)) ~params ~layouts
+    (t0, t1) =
   let r0, r1 = rates in
   let l0, l1 = layouts in
-  let cache = Set_assoc.create ?sink params in
+  let cache = match cache with Some c -> c | None -> Set_assoc.create ?sink params in
   let stats = Cache_stats.create ~threads:2 () in
-  let offset_lines = 1 lsl 40 in
+  let offset_lines = peer_offset in
   let c0 = cursor_make t0 l0 ~line_offset:0 in
   let c1 = cursor_make t1 l1 ~line_offset:offset_lines in
   let finished c = c.passes >= 1 in

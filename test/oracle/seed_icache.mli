@@ -8,11 +8,18 @@
     and the per-line loop [Icache.solo] ran with a prefetcher (used here
     for every solo replay) before {!Colayout_cache.Set_assoc.replay}. The
     library must agree with it on every {!Colayout_cache.Cache_stats}
-    counter and on every sink report. Rates are not checked here. *)
+    counter and on every sink report. Rates are not checked here.
+
+    With [cache], the replay runs in that cache (warm or cold; [sink] is
+    then ignored, the cache's own sink reports) and the returned
+    evictions are its running total. [peer_offset] is thread 1's line
+    offset (default [2^40], as in [Icache.shared]); 0 makes the two
+    threads share lines. *)
 
 val solo :
   ?prefetch:Colayout_cache.Prefetch.t ->
   ?sink:Colayout_cache.Profile_sink.t ->
+  ?cache:Colayout_cache.Set_assoc.t ->
   params:Colayout_cache.Params.t ->
   layout:Colayout_cache.Icache.layout ->
   Colayout_util.Int_vec.t ->
@@ -21,6 +28,8 @@ val solo :
 val shared :
   ?prefetch:Colayout_cache.Prefetch.t ->
   ?sink:Colayout_cache.Profile_sink.t ->
+  ?cache:Colayout_cache.Set_assoc.t ->
+  ?peer_offset:int ->
   ?rates:float * float ->
   params:Colayout_cache.Params.t ->
   layouts:Colayout_cache.Icache.layout * Colayout_cache.Icache.layout ->

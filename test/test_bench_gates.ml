@@ -44,6 +44,9 @@ let kernels =
       ( "reduce_real",
         o [ ("program", s "p"); ("flat_digest", s "g"); ("seed_digest", s "g") ] );
       ("memory_words", o [ ("trg_packed_csr", i 10); ("trg_tuple_hashtbl", i 30) ]);
+      ( "corun",
+        o [ ("program", s "p"); ("peer", s "q"); ("indexed_digest", s "c"); ("seed_digest", s "c") ]
+      );
     ]
 
 let harness = manifest "harness" [ ("stages", a [ o [ ("name", s "interp"); ("total_ns", i 5) ] ]) ]
@@ -350,6 +353,7 @@ let perturbations =
     ( "kernels",
       "trg-reduce-real-matches-seed",
       set (cells [ "reduce_real"; "flat_digest" ]) (s "x") );
+    ("kernels", "corun-matches-seed", set (cells [ "corun"; "indexed_digest" ]) (s "x"));
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));

@@ -431,6 +431,191 @@ let solo_matches_per_line =
       && same_stats ~threads:1 (core (Some sink_core)) (oracle (Some sink_oracle))
       && sink_summary ~threads:1 sink_core = sink_summary ~threads:1 sink_oracle)
 
+(* The indexed replays at their boundary. They import the cache's
+   resident ways at entry and write every set back MRU-first at exit, so
+   a warm cache, a random [access_line] prefix before the call and a
+   random suffix after it must see exactly what the per-line oracle
+   ([Seed_icache] on the same kind of cache) sees: the same hit/miss
+   sequence before and after, the same replay counters, and after each
+   phase the same resident lines, occupancy, eviction count and per-set
+   miss counts. The prefix and suffix lines fall on thread 0's lines,
+   thread 1's (offset 2^40) and lines no stream touches, which the
+   replay must keep resident, be able to evict and never hit. *)
+let stream_of ~params (l : Icache.layout) ~offset trace =
+  let n = Array.length l.Icache.addr in
+  let first = Array.make n 0 and last = Array.make n (-1) in
+  for b = 0 to n - 1 do
+    if l.Icache.bytes.(b) > 0 then begin
+      let f, la = Icache.lines_of_block ~params ~layout:l b in
+      first.(b) <- f;
+      last.(b) <- la
+    end
+  done;
+  { Set_assoc.trace = Array.of_list trace; first; last; offset }
+
+let far = 1 lsl 40
+
+let unused = 5000
+
+let probe_universe =
+  List.concat_map (fun base -> List.init 72 (fun l -> base + l)) [ 0; far; unused ]
+
+(* Everything the other entry points can read of a cache. *)
+let observe c =
+  ( List.filter (Set_assoc.probe_line c) probe_universe,
+    Set_assoc.occupancy c,
+    Set_assoc.evictions c,
+    List.init (Set_assoc.params c).Params.num_sets (Set_assoc.set_misses c) )
+
+let tally_of_stats ~threads st =
+  ( List.init threads (Cache_stats.thread_accesses st),
+    List.init threads (Cache_stats.thread_misses st),
+    Cache_stats.prefetches st )
+
+let tally_of_core (r : Set_assoc.tally) = (Array.to_list r.accesses, Array.to_list r.misses, r.fills)
+
+(* Run [replay] on a fresh cache between the prefix and the suffix. *)
+let warm_run ~params ~threads ~sink ~prefix ~suffix replay =
+  let sink = if sink then Some (Profile_sink.create ~threads ~params ()) else None in
+  let c = Set_assoc.create ?sink params in
+  let touch lines = List.map (fun l -> Set_assoc.access_line c ~thread:0 ~block:0 l) lines in
+  let before = touch prefix in
+  let entry = observe c in
+  let tally = replay c in
+  let exit = observe c in
+  let after = touch suffix in
+  (before, entry, tally, exit, after, observe c, Option.map (sink_summary ~threads) sink)
+
+let gen_warm_case =
+  let open QCheck.Gen in
+  let line =
+    frequency
+      [
+        (3, int_bound 63);
+        (3, map (fun l -> far + l) (int_bound 63));
+        (1, map (fun l -> unused + l) (int_bound 63));
+      ]
+  in
+  gen_replay_case >>= fun c ->
+  list_size (int_range 0 80) line >>= fun prefix ->
+  list_size (int_range 0 40) line >>= fun suffix -> return (c, prefix, suffix)
+
+let print_warm_case (c, prefix, suffix) =
+  let ints l = String.concat ";" (List.map string_of_int l) in
+  Printf.sprintf "%s\nprefix=[%s]\nsuffix=[%s]" (print_replay_case c) (ints prefix) (ints suffix)
+
+(* [Set_assoc.corun] against [Seed_icache.shared], thread 1's lines
+   [peer_offset] above their layout. *)
+let corun_agrees ~peer_offset ~prefix ~suffix c =
+  let params = replay_params c and prefetch = prefetch_of c in
+  let l0, l1 = c.layouts and t0, t1 = c.traces in
+  let s0 = stream_of ~params l0 ~offset:0 t0 and s1 = stream_of ~params l1 ~offset:peer_offset t1 in
+  let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+  List.for_all
+    (fun sink ->
+      let run = warm_run ~params ~threads:2 ~sink ~prefix ~suffix in
+      run (fun cache ->
+          tally_of_core (Set_assoc.corun cache ~prefetch:c.degree ~rates:c.rates s0 s1))
+      = run (fun cache ->
+            tally_of_stats ~threads:2
+              (Seed_icache.shared ?prefetch ~cache ~peer_offset ~rates:c.rates ~params
+                 ~layouts:c.layouts traces)))
+    [ false; true ]
+
+let warm_corun_matches_per_line =
+  QCheck.Test.make ~name:"Set_assoc.corun from a warm cache = per-line oracle" ~count:300
+    (QCheck.make ~print:print_warm_case gen_warm_case) (fun (c, prefix, suffix) ->
+      corun_agrees ~peer_offset:far ~prefix ~suffix c)
+
+let warm_solo_matches_per_line =
+  QCheck.Test.make ~name:"Set_assoc.replay from a warm cache = per-line oracle" ~count:300
+    (QCheck.make ~print:print_warm_case gen_warm_case) (fun (c, prefix, suffix) ->
+      let params = replay_params c and prefetch = prefetch_of c in
+      let layout = fst c.layouts and trace = fst c.traces in
+      let s = stream_of ~params layout ~offset:0 trace in
+      let vec = Colayout_util.Int_vec.of_list trace in
+      List.for_all
+        (fun sink ->
+          let run = warm_run ~params ~threads:1 ~sink ~prefix ~suffix in
+          run (fun cache -> tally_of_core (Set_assoc.replay cache ~prefetch:c.degree s))
+          = run (fun cache ->
+                tally_of_stats ~threads:1 (Seed_icache.solo ?prefetch ~cache ~params ~layout vec)))
+        [ false; true ])
+
+(* Two streams at the same offset whose spans overlap (half the cases run
+   one layout on both threads) share lines: one line, one index id, hit
+   by either thread. *)
+let shared_lines_corun_matches_per_line =
+  QCheck.Test.make ~name:"Set_assoc.corun on streams sharing lines = per-line oracle" ~count:300
+    (QCheck.make
+       ~print:(fun (same, w) -> Printf.sprintf "one layout: %b\n%s" same (print_warm_case w))
+       QCheck.Gen.(pair bool gen_warm_case))
+    (fun (same, (c, prefix, suffix)) ->
+      let c =
+        if same then
+          let l0 = fst c.layouts in
+          let n = Array.length l0.Icache.addr in
+          { c with layouts = (l0, l0); traces = (fst c.traces, List.map (fun b -> b mod n) (snd c.traces)) }
+        else c
+      in
+      corun_agrees ~peer_offset:0 ~prefix ~suffix c)
+
+(* A block at line 2^40 replays correctly and costs the replay no more
+   memory than the same blocks packed next to each other: the index is
+   sized by the number of distinct lines, not by their range. *)
+let test_sparse_stream () =
+  let params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+  let prng = Colayout_util.Prng.create ~seed:11 in
+  let trace = Array.init 3_000 (fun _ -> Colayout_util.Prng.int prng 3) in
+  (* Blocks of 3, 2 and 3 lines, the last at line [at]. *)
+  let layout at = { Icache.addr = [| 0; 5 * 64; at * 64 |]; bytes = [| 3 * 64; 2 * 64; 3 * 64 |] } in
+  let stream at = stream_of ~params (layout at) ~offset:0 (Array.to_list trace) in
+  let vec = Colayout_util.Int_vec.of_array trace in
+  List.iter
+    (fun degree ->
+      let prefetch = if degree = 0 then None else Some (Prefetch.create ~degree ()) in
+      check Alcotest.string
+        (Printf.sprintf "block at 2^40, prefetch %d: = per-line oracle" degree)
+        (Cache_stats.to_string (Seed_icache.solo ?prefetch ~params ~layout:(layout far) vec))
+        (Cache_stats.to_string (Icache.solo ?prefetch ~params ~layout:(layout far) vec));
+      let words at =
+        let c = Set_assoc.create params in
+        let s = stream at in
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (Set_assoc.replay c ~prefetch:degree s));
+        Gc.minor_words () -. before
+      in
+      check (Alcotest.float 0.)
+        (Printf.sprintf "prefetch %d: words at 2^40 = words packed at line 10" degree)
+        (words 10) (words far))
+    [ 0; 2 ]
+
+(* A sink that raises mid-replay (a one-thread sink meeting thread 1)
+   still leaves the cache as the per-line loop leaves it at that access. *)
+let test_replay_interrupted () =
+  let params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+  let layout = { Icache.addr = Array.init 6 (fun i -> i * 96); bytes = Array.make 6 80 } in
+  let trace = List.init 50 (fun i -> (i * 5) mod 6) in
+  let run replay =
+    let c = Set_assoc.create ~sink:(Profile_sink.create ~threads:1 ~params ()) params in
+    List.iter (fun l -> ignore (Set_assoc.access_line c ~thread:0 ~block:0 l)) [ 3; 9; 4; unused ];
+    (match replay c with
+    | () -> Alcotest.fail "the one-thread sink accepted thread 1"
+    | exception Invalid_argument _ -> ());
+    (* Recency shows in what a suffix evicts. *)
+    let after = List.init 40 (fun i -> Set_assoc.probe_line c i) in
+    let suffix = List.init 60 (fun i -> Set_assoc.access_line c ~thread:0 ~block:0 (i * 7 mod 24)) in
+    (after, observe c, suffix, observe c)
+  in
+  let s0 = stream_of ~params layout ~offset:0 trace and s1 = stream_of ~params layout ~offset:far trace in
+  let vec = Colayout_util.Int_vec.of_list trace in
+  check Alcotest.bool "state at the raising access" true
+    (run (fun c -> ignore (Set_assoc.corun c ~prefetch:1 ~rates:(1.0, 0.5) s0 s1))
+    = run (fun cache ->
+          ignore
+            (Seed_icache.shared ~prefetch:(Prefetch.create ~degree:1 ()) ~cache ~peer_offset:far
+               ~rates:(1.0, 0.5) ~params ~layouts:(layout, layout) (vec, vec))))
+
 let test_fully_assoc_eviction () =
   let c = Fully_assoc.create ~capacity:2 in
   ignore (Fully_assoc.access_line c 1);
@@ -561,6 +746,16 @@ let test_icache_hostile_blocks () =
   raises_invalid "core: negative degree" (fun () -> ignore (Set_assoc.replay c ~prefetch:(-1) (s [| 0 |])));
   raises_invalid "core: co-run peer id" (fun () ->
       ignore (Set_assoc.corun c ~prefetch:0 ~rates:(1.0, 1.0) (s [| 0 |]) (s [| 5 |])));
+  (* Spans the residency index cannot number: lines past [max_int] once
+     the offset or the prefetch lines are added, and more lines than an
+     array holds. *)
+  let span ~first ~last ~offset = { Set_assoc.trace = [| 0 |]; first = [| first |]; last = [| last |]; offset } in
+  raises_invalid "core: prefetch lines overflow" (fun () ->
+      ignore (Set_assoc.replay c ~prefetch:2 (span ~first:(max_int - 1) ~last:max_int ~offset:0)));
+  raises_invalid "core: offset lines overflow" (fun () ->
+      ignore (Set_assoc.replay c ~prefetch:0 (span ~first:0 ~last:5 ~offset:(max_int - 2))));
+  raises_invalid "core: more lines than an array holds" (fun () ->
+      ignore (Set_assoc.replay c ~prefetch:0 (span ~first:0 ~last:Sys.max_array_length ~offset:0)));
   check Alcotest.int "nothing replayed" 0 (Set_assoc.occupancy c)
 
 let test_icache_shared_contention () =
@@ -602,6 +797,11 @@ let () =
           Alcotest.test_case "allocation-free" `Quick test_core_allocation_free;
           QCheck_alcotest.to_alcotest corun_matches_per_line;
           QCheck_alcotest.to_alcotest solo_matches_per_line;
+          QCheck_alcotest.to_alcotest warm_corun_matches_per_line;
+          QCheck_alcotest.to_alcotest warm_solo_matches_per_line;
+          QCheck_alcotest.to_alcotest shared_lines_corun_matches_per_line;
+          Alcotest.test_case "sparse stream" `Quick test_sparse_stream;
+          Alcotest.test_case "interrupted replay" `Quick test_replay_interrupted;
         ] );
       ("fully_assoc", [ Alcotest.test_case "eviction" `Quick test_fully_assoc_eviction ]);
       ("prefetch", [ Alcotest.test_case "next line" `Quick test_prefetch ]);

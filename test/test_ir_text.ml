@@ -111,6 +111,43 @@ let test_parse_errors () =
       "rand(-99999999999999999999)";
     ]
 
+(* Expression errors report the column on the source line, counted
+   from 1 across the indentation, not from the start of the operand. *)
+let test_error_columns () =
+  let column_of msg =
+    let key = "at column " in
+    let k = String.length key in
+    let rec find i =
+      if i + k > String.length msg then Alcotest.failf "no column in %S" msg
+      else if String.sub msg i k = key then int_of_string (String.sub msg (i + k) (String.length msg - i - k))
+      else find (i + 1)
+    in
+    find 0
+  in
+  List.iter
+    (fun (stmt, col) ->
+      let text = Printf.sprintf "func f\n  block a:\n%s\n    halt\n" stmt in
+      match Ir_text.parse text with
+      | exception Ir_text.Parse_error (l, msg) ->
+        check Alcotest.int (stmt ^ ": line") 3 l;
+        check Alcotest.int (stmt ^ ": column") col (column_of msg)
+      | _ -> Alcotest.failf "%S parsed" stmt)
+    [
+      ("    v0 := 99999999999999999999", 11);
+      ("    v0 := -99999999999999999999", 11);
+      ("    v0 :=    99999999999999999999", 14);
+      ("\tv0 := 99999999999999999999", 8);
+      ("    v0 := rand(99999999999999999999)", 16);
+      ("    v0 := rand 7", 16);
+      ("    v0 := (1 +", 15);
+      ("    v0 := (1 @ 2)", 14);
+      ("    branch (v0 < ) ? a : a", 18);
+      ("    switch (v0 ? 1) [a] default a", 16);
+      ("    load [ (v0 $ 1) ]", 16);
+      ("    store (v0 $ 1)", 15);
+      ("    load x", 10);
+    ]
+
 let test_expr_corner_cases () =
   let roundtrip s =
     let text = Printf.sprintf "func f\n  block a:\n    v0 := %s\n    halt\n" s in
@@ -139,6 +176,7 @@ let () =
         [
           Alcotest.test_case "sample" `Quick test_parse_sample;
           Alcotest.test_case "errors" `Quick test_parse_errors;
+          Alcotest.test_case "error columns" `Quick test_error_columns;
           Alcotest.test_case "default main" `Quick test_default_main_is_first;
         ] );
       ( "roundtrip",
