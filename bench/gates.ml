@@ -100,6 +100,20 @@ let kernels =
           (str "indexed_digest" r = str "seed_digest" r)
           "indexed co-run replay of %s vs %s diverges from the per-line oracle" (str "program" r)
           (str "peer" r));
+    gate "solo-matches-seed" (fun m ->
+        let r = get "solo" (cells m) in
+        ensure
+          (str "indexed_digest" r = str "seed_digest" r)
+          "indexed solo replay of %s diverges from the per-line oracle" (str "program" r));
+    (* The replays read their traces in place: a steady-state co-run call
+       allocating a trace's worth of major words is copying one. *)
+    gate "corun-no-trace-copy" (fun m ->
+        let r = get "corun" (cells m) in
+        let major = num "major_words" (get "indexed" (get "gc_per_call" r)) in
+        let traces = int "trace_words" r in
+        ensure
+          (major < float_of_int traces)
+          "a co-run call allocates %.0f major words, no fewer than its traces' %d" major traces);
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in

@@ -215,16 +215,42 @@ let real_reduce ~budget =
       ("seed_digest", str (reduction_digest seed));
     ]
 
-(* The co-run replay on the cache core (its per-call residency index)
-   against the per-line oracle it replaced ([Seed_icache]), on the
-   paper's co-run pair: 445.gobmk against 403.gcc, original layouts,
-   reference inputs, the programs' fetch rates. Both must report the same
-   counters. *)
+(* The trace replays on the cache core (their per-call residency index;
+   the co-run over flat line-id streams) against the per-line oracle they
+   replaced ([Seed_icache]), on the paper's co-run pair: 445.gobmk
+   against 403.gcc, original layouts, reference inputs, the programs'
+   fetch rates; the solo replay on 445.gobmk alone. Both paths must
+   report the same counters. Each timed path also records what one call
+   allocates, from [Gc.quick_stat] deltas over steady-state calls: the
+   replays read their traces in place, so a co-run call allocates fewer
+   major-heap words than its two traces hold. *)
 let corun_program = "445.gobmk"
 
 let corun_peer = "403.gcc"
 
-let corun_replay ~quick ~bench =
+(* Mean [Gc.quick_stat] deltas over [calls] calls of [f], after one
+   warm-up call (a first co-run on a domain sizes its buffers). Minor
+   words come from [Gc.minor_words], which counts the words still in the
+   minor heap: [quick_stat]'s count moves only at minor collections. *)
+let gc_per_call ?(calls = 5) f =
+  f ();
+  let g0 = Gc.quick_stat () and w0 = Gc.minor_words () in
+  for _ = 1 to calls do
+    f ()
+  done;
+  let g1 = Gc.quick_stat () and w1 = Gc.minor_words () in
+  let per x0 x1 = (x1 -. x0) /. float_of_int calls in
+  let per_int x0 x1 = per (float_of_int x0) (float_of_int x1) in
+  Out.(
+    obj
+      [
+        ("minor_words", num (per w0 w1));
+        ("major_words", num (per g0.Gc.major_words g1.Gc.major_words));
+        ("minor_collections", num (per_int g0.Gc.minor_collections g1.Gc.minor_collections));
+        ("major_collections", num (per_int g0.Gc.major_collections g1.Gc.major_collections));
+      ])
+
+let cache_replay ~quick ~bench =
   let fuel = if quick then 20_000 else 200_000 in
   let params = C.Params.default_l1i in
   let side name =
@@ -236,25 +262,45 @@ let corun_replay ~quick ~bench =
   in
   let l0, t0, r0 = side corun_program and l1, t1, r1 = side corun_peer in
   let rates = (r0, r1) and layouts = (l0, l1) in
-  let indexed () = C.Icache.shared ~rates ~params ~layouts (t0, t1) in
-  let seed () = Seed_icache.shared ~rates ~params ~layouts (t0, t1) in
-  let indexed_cell = bench "cache-replay/corun-indexed" (fun () -> ignore (indexed ())) in
-  let seed_cell = bench "cache-replay/corun-seed-per-line" (fun () -> ignore (seed ())) in
   let digest st = Digest.to_hex (Digest.string (C.Cache_stats.to_string st)) in
-  let stats = indexed () in
-  Printf.printf "  (%s vs %s, fuel %d: %d accesses)\n%!" corun_program corun_peer fuel
-    (C.Cache_stats.accesses stats);
-  ( indexed_cell,
-    seed_cell,
-    Out.
-      [
-        ("program", str corun_program);
-        ("peer", str corun_peer);
-        ("fuel", int fuel);
-        ("accesses", int (C.Cache_stats.accesses stats));
-        ("indexed_digest", str (digest stats));
-        ("seed_digest", str (digest (seed ())));
-      ] )
+  (* One replay, timed and digested on both paths. *)
+  let cell what ~indexed ~seed fields =
+    let run f () = ignore (f ()) in
+    let indexed_cell = bench ("cache-replay/" ^ what ^ "-indexed") (run indexed) in
+    let seed_cell = bench ("cache-replay/" ^ what ^ "-seed-per-line") (run seed) in
+    let stats = indexed () in
+    ( (indexed_cell, seed_cell),
+      Out.(
+        obj
+          (fields
+          @ [
+              ("fuel", int fuel);
+              ("accesses", int (C.Cache_stats.accesses stats));
+              ("indexed_digest", str (digest stats));
+              ("seed_digest", str (digest (seed ())));
+              ( "gc_per_call",
+                obj [ ("indexed", gc_per_call (run indexed)); ("seed", gc_per_call (run seed)) ] );
+            ])) )
+  in
+  let corun_cells, corun =
+    cell "corun"
+      ~indexed:(fun () -> C.Icache.shared ~rates ~params ~layouts (t0, t1))
+      ~seed:(fun () -> Seed_icache.shared ~rates ~params ~layouts (t0, t1))
+      Out.
+        [
+          ("program", str corun_program);
+          ("peer", str corun_peer);
+          ("trace_words", int (U.Int_vec.length t0 + U.Int_vec.length t1));
+        ]
+  in
+  let solo_cells, solo =
+    cell "solo"
+      ~indexed:(fun () -> C.Icache.solo ~params ~layout:l0 t0)
+      ~seed:(fun () -> Seed_icache.solo ~params ~layout:l0 t0)
+      Out.[ ("program", str corun_program); ("trace_words", int (U.Int_vec.length t0)) ]
+  in
+  Printf.printf "  (%s vs %s, fuel %d)\n%!" corun_program corun_peer fuel;
+  (corun_cells, corun, solo_cells, solo)
 
 let kernels ~quick ~dir:_ =
   let num_symbols = if quick then 1024 else 4096 in
@@ -302,11 +348,13 @@ let kernels ~quick ~dir:_ =
     bench "affinity-windows/per-window" (fun () ->
         List.iter (fun w -> ignore (Affinity.affine_pairs trace ~w)) ws)
   in
-  let corun_indexed, corun_seed, corun = corun_replay ~quick ~bench in
+  let (corun_indexed, corun_seed), corun, (solo_indexed, solo_seed), solo =
+    cache_replay ~quick ~bench
+  in
   let kernels =
     [
       trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
-      windows_per_window; corun_indexed; corun_seed;
+      windows_per_window; corun_indexed; corun_seed; solo_indexed; solo_seed;
     ]
   in
   let speedups =
@@ -316,6 +364,7 @@ let kernels ~quick ~dir:_ =
       ("trg-reduce", snd reduce_legacy /. snd reduce);
       ("affinity-windows", snd windows_per_window /. snd windows_one_pass);
       ("cache-replay", snd corun_seed /. snd corun_indexed);
+      ("cache-replay-solo", snd solo_seed /. snd solo_indexed);
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
@@ -356,7 +405,8 @@ let kernels ~quick ~dir:_ =
                 ("seed_digest", str (reduction_digest (Kernel_baseline.trg_reduce trg ~slots)));
               ] );
           ("reduce_real", obj real);
-          ("corun", obj corun);
+          ("corun", corun);
+          ("solo", solo);
         ] )
 
 (* ------------------------------------------------------------ harness *)

@@ -8,10 +8,10 @@ type layout = {
 let lines_of_block ~params ~layout bid =
   Params.lines_spanned params ~addr:layout.addr.(bid) ~bytes:layout.bytes.(bid)
 
-(* The trace as a replay stream. A block without bytes keeps the empty
-   span [0, -1], so only executing it is an error, reported as
-   [Params.lines_spanned] reports it; every other id is checked by the
-   replay itself. *)
+(* The trace as a replay stream: a view of the vector's backing array,
+   not a copy. A block without bytes keeps the empty span [0, -1], so
+   only executing it is an error, reported as [Params.lines_spanned]
+   reports it; every other id is checked by the replay itself. *)
 let stream ~params ~layout ~offset trace =
   let n = Array.length layout.addr in
   let first = Array.make n 0 and last = Array.make n (-1) in
@@ -24,13 +24,12 @@ let stream ~params ~layout ~offset trace =
     end
     else empty := true
   done;
-  let trace = Int_vec.to_array trace in
   if !empty then
-    Array.iter
+    Int_vec.iter
       (fun b ->
         if b >= 0 && b < n && layout.bytes.(b) <= 0 then ignore (lines_of_block ~params ~layout b))
       trace;
-  { Set_assoc.trace; first; last; offset }
+  { Set_assoc.trace = Int_vec.backing trace; length = Int_vec.length trace; first; last; offset }
 
 let degree = function None -> 0 | Some p -> Prefetch.degree p
 

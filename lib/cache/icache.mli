@@ -9,6 +9,14 @@
     ({!Set_assoc.replay}, {!Set_assoc.corun}); this module builds the
     per-block line-span tables once per call and fills {!Cache_stats}.
 
+    Neither mode copies its trace: the core reads the vector's backing
+    array in place ({!Colayout_util.Int_vec.backing}), so the trace must
+    not be pushed to while a replay runs. A call allocates in proportion
+    to the layouts' block counts and the distinct lines the trace can
+    touch, never in proportion to the trace; a co-run also expands each
+    trace's lines into buffers its domain keeps between calls (see
+    {!Set_assoc.corun}).
+
     Both modes check the trace before any access: a block id that is
     negative or at least [Array.length addr] raises [Invalid_argument], and
     so does executing a block of zero bytes (as {!Params.lines_spanned}

@@ -135,8 +135,8 @@ let access_span t ~thread ~block ~first ~last =
 
 let set_misses t s = t.set_miss.(s)
 
-(* Trace replays. A stream's trace and span tables are checked once up
-   front, so the loops below read them without bounds checks; the
+(* Trace replays. A stream's trace view and span tables are checked once
+   up front, so the loops below read them without bounds checks; the
    geometry, the arrays and every cursor live in locals.
 
    Each replay call builds a residency index over the lines its streams
@@ -145,7 +145,7 @@ let set_misses t s = t.set_miss.(s)
    and a run's lines take consecutive ids, so the index has one entry per
    distinct line whatever the addresses, and a line two streams share has
    one id. The index maps an id to the slot holding its line (-1: not
-   resident), so a hit test is one array read.
+   resident), so a hit test is one array read, and back to its line.
 
    Inside the call, LRU order is a last-use stamp per slot instead of the
    slot's position: a hit writes one stamp, a miss fills the set's next
@@ -159,6 +159,7 @@ let set_misses t s = t.set_miss.(s)
 
 type stream = {
   trace : int array;
+  length : int;
   first : int array;
   last : int array;
   offset : int;
@@ -180,8 +181,13 @@ let check_degree who degree = if degree < 0 then invalid_arg (who ^ ": negative 
 let check_stream who degree s =
   let n = Array.length s.first in
   if Array.length s.last <> n then invalid_arg (who ^ ": span tables differ in length");
-  let spans = Array.make (3 * n) 0 and executed = ref 0 and trace = s.trace in
-  for i = 0 to Array.length trace - 1 do
+  let trace = s.trace in
+  if s.length < 0 || s.length > Array.length trace then
+    invalid_arg
+      (Printf.sprintf "%s: trace length %d outside its array of %d" who s.length
+         (Array.length trace));
+  let spans = Array.make (3 * n) 0 and executed = ref 0 in
+  for i = 0 to s.length - 1 do
     let b = Array.unsafe_get trace i in
     if b < 0 || b >= n then
       invalid_arg (Printf.sprintf "%s: block id %d outside the span tables (%d blocks)" who b n);
@@ -202,9 +208,9 @@ let check_stream who degree s =
 
 type index = {
   where : int array; (* id -> slot holding its line, or -1 *)
+  line_of : int array; (* id -> its line *)
   slot_id : int array; (* slot -> id of the line it holds, or -1 *)
   stamp : int array; (* slot -> last use *)
-  mutable clock : int; (* the next stamp, above every stamp so far *)
 }
 
 (* The index over checked span tables: assigns every executed block its
@@ -250,11 +256,16 @@ let build_index who t degree tables =
   let x =
     {
       where = Array.make !ids (-1);
+      line_of = Array.make !ids 0;
       slot_id = Array.make (Array.length t.tags) (-1);
       stamp = Array.make (Array.length t.tags) 0;
-      clock = t.assoc;
     }
   in
+  for r = 0 to !runs - 1 do
+    for k = 0 to ends.(r) - starts.(r) do
+      x.line_of.(bases.(r) + k) <- starts.(r) + k
+    done
+  done;
   (* A resident line's id, by binary search over the runs; -1 outside. *)
   let id_of line =
     let a = ref 0 and b = ref !runs in
@@ -295,12 +306,12 @@ let write_back t x =
     done
   done
 
-(* A miss on [line] (id [id]): fill the set's next free way, or evict the
-   way with the smallest stamp, found without branching on the stamps
-   (which way is oldest is data the predictor cannot learn; stamps are
-   non-negative, so a difference's sign is their order). Returns the
-   victim line, or -1 when a free way was filled. *)
-let[@inline] fill t x line id =
+(* A miss on [line] (id [id]), stamped [now]: fill the set's next free
+   way, or evict the way with the smallest stamp, found without branching
+   on the stamps (which way is oldest is data the predictor cannot learn;
+   stamps are non-negative, so a difference's sign is their order).
+   Returns the victim line, or -1 when a free way was filled. *)
+let[@inline] fill t x line id now =
   let assoc = t.assoc and stamp = x.stamp and tags = t.tags in
   let s = line land t.set_mask in
   let base = s * assoc in
@@ -327,79 +338,232 @@ let[@inline] fill t x line id =
   Array.unsafe_set tags w line;
   Array.unsafe_set x.slot_id w id;
   Array.unsafe_set x.where id w;
-  Array.unsafe_set stamp w x.clock;
-  x.clock <- x.clock + 1;
+  Array.unsafe_set stamp w now;
   victim
 
-(* A demand miss: the fill, the sink report, the set's miss count and the
-   next-line fills, each of [line+1 .. line+degree] not resident entering
-   as its set's newest way. Their ids follow [id]: the index extends every
-   span by [degree] lines. Returns the number of fills. *)
-let miss t x sink degree ~thread ~block line id =
-  let victim = fill t x line id in
-  (match sink with None -> () | Some s -> report s ~thread ~block line victim);
-  count_miss t.set_miss t.set_mask line;
-  let fills = ref 0 in
-  for k = 1 to degree do
-    if Array.unsafe_get x.where (id + k) < 0 then begin
-      ignore (fill t x (line + k) (id + k));
-      incr fills
-    end
-  done;
-  !fills
-
-(* One demand access: -1 on a hit, which writes one stamp; on a miss, the
-   number of fills it triggered. *)
-let[@inline] step t x where stamp sink degree ~thread ~block line id =
+(* One demand access, to the line with id [id], at stamp [now]: -1 on a
+   hit, which writes one stamp; on a miss, the number [f] of prefetch
+   fills it made. A miss takes its line from the index, fills it, counts
+   against its set and fills each of [line+1 .. line+degree] not resident
+   as its set's newest way, stamped [now + 1 ..]; their ids follow [id],
+   since the index extends every span by [degree] lines. The caller keeps
+   the clock in a local: the next access's stamp is [now + 1], or
+   [now + 1 + f] after a miss. Inlined into each replay loop, miss path
+   included: every instance has [sink_on] constant, so in a sinkless loop
+   the sink reports fold away and the loop body makes no call, which
+   would spill every loop variable around it. *)
+let[@inline] access ~sink_on t x where stamp sink degree ~thread ~block ~now id =
   let w = Array.unsafe_get where id in
   if w >= 0 then begin
-    let c = x.clock in
-    Array.unsafe_set stamp w c;
-    x.clock <- c + 1;
-    (match sink with None -> () | Some s -> report s ~thread ~block line hit);
+    Array.unsafe_set stamp w now;
+    (if sink_on then
+       match sink with
+       | None -> ()
+       | Some s -> report s ~thread ~block (Array.unsafe_get x.line_of id) hit);
     -1
   end
-  else miss t x sink degree ~thread ~block line id
+  else begin
+    let line = Array.unsafe_get x.line_of id in
+    let victim = fill t x line id now in
+    (if sink_on then match sink with None -> () | Some s -> report s ~thread ~block line victim);
+    count_miss t.set_miss t.set_mask line;
+    let fills = ref 0 in
+    for k = 1 to degree do
+      if Array.unsafe_get where (id + k) < 0 then begin
+        incr fills;
+        ignore (fill t x (line + k) (id + k) (now + !fills))
+      end
+    done;
+    !fills
+  end
+
+(* The solo loop, block by block: a block's lines have consecutive ids
+   from its span entry's third word. *)
+let[@inline] replay_loop ~sink_on t degree spans s x =
+  let sink = t.sink and where = x.where and stamp = x.stamp and trace = s.trace in
+  let accesses = ref 0 and misses = ref 0 and fills = ref 0 and clock = ref t.assoc in
+  for i = 0 to s.length - 1 do
+    let b = Array.unsafe_get trace i in
+    let span = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) in
+    let id0 = Array.unsafe_get spans ((3 * b) + 2) in
+    accesses := !accesses + span + 1;
+    for id = id0 to id0 + span do
+      let f = access ~sink_on t x where stamp sink degree ~thread:0 ~block:b ~now:!clock id in
+      clock := !clock + 1;
+      if f >= 0 then begin
+        incr misses;
+        fills := !fills + f;
+        clock := !clock + f
+      end
+    done
+  done;
+  { accesses = [| !accesses |]; misses = [| !misses |]; fills = !fills }
 
 let replay t ~prefetch:degree s =
   let who = "Set_assoc.replay" in
   check_degree who degree;
   let table = check_stream who degree s in
   let x = build_index who t degree [ table ] in
-  let spans = fst table and trace = s.trace in
-  let sink = t.sink and where = x.where and stamp = x.stamp in
-  let accesses = ref 0 and misses = ref 0 and fills = ref 0 in
-  (try
-     for i = 0 to Array.length trace - 1 do
-       let b = Array.unsafe_get trace i in
-       let lo = Array.unsafe_get spans (3 * b) and hi = Array.unsafe_get spans ((3 * b) + 1) in
-       let shift = Array.unsafe_get spans ((3 * b) + 2) - lo in
-       accesses := !accesses + (hi - lo + 1);
-       for line = lo to hi do
-         let f = step t x where stamp sink degree ~thread:0 ~block:b line (line + shift) in
-         if f >= 0 then begin
-           incr misses;
-           fills := !fills + f
-         end
-       done
-     done
-   with e ->
-     write_back t x;
-     raise e);
-  write_back t x;
-  { accesses = [| !accesses |]; misses = [| !misses |]; fills = !fills }
+  let spans = fst table in
+  match
+    if Option.is_some t.sink then replay_loop ~sink_on:true t degree spans s x
+    else replay_loop ~sink_on:false t degree spans s x
+  with
+  | r ->
+    write_back t x;
+    r
+  | exception e ->
+    write_back t x;
+    raise e
+
+(* Co-run streams, flat. Once per call each stream is expanded into the
+   ids of the lines one pass fetches, in fetch order, so the loop keeps
+   one position per thread instead of a block cursor; with a sink, a
+   parallel buffer holds each line's block for the reports. The buffers
+   are off-heap ([Bigarray]) and belong to the calling domain: they grow
+   geometrically to the longest stream co-run in their thread slot and
+   are never shrunk, so a steady state allocates nothing for them, and
+   co-runs on different domains never share one. A busy flag refuses a
+   co-run nested inside another on the same domain, which would
+   overwrite the outer call's streams. *)
+type lines = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+type buffers = {
+  ids : lines array; (* per thread slot: the line ids of its stream *)
+  blocks : lines array; (* per thread slot: the block of each line *)
+  mutable busy : bool;
+}
+
+let no_lines () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
+
+let domain_buffers =
+  Domain.DLS.new_key (fun () ->
+      { ids = [| no_lines (); no_lines () |]; blocks = [| no_lines (); no_lines () |]; busy = false })
+
+(* Run [f] holding the domain's buffers; release them however it ends. *)
+let hold who f =
+  let b = Domain.DLS.get domain_buffers in
+  if b.busy then invalid_arg (who ^ ": a co-run is already running on this domain");
+  b.busy <- true;
+  match f b with
+  | r ->
+    b.busy <- false;
+    r
+  | exception e ->
+    b.busy <- false;
+    raise e
+
+let with_corun_buffers f = hold "Set_assoc.with_corun_buffers" (fun _ -> f ())
+
+(* Slot [i] of [bufs], with room for at least [n] entries. *)
+let reserve (bufs : lines array) i n =
+  let cap = Bigarray.Array1.dim bufs.(i) in
+  if cap < n then bufs.(i) <- Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n (2 * cap));
+  bufs.(i)
+
+(* The number of lines one pass of a checked stream fetches. *)
+let pass_lines who spans s =
+  let n = ref 0 in
+  for i = 0 to s.length - 1 do
+    let b = Array.unsafe_get s.trace i in
+    let k = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) + 1 in
+    if k > Sys.max_array_length - !n then
+      invalid_arg (who ^ ": a pass fetches more lines than a buffer holds");
+    n := !n + k
+  done;
+  !n
+
+(* Expand a checked, indexed stream into slot [i] of the buffers: its
+   line ids and, when [labels], each line's block. Returns the count. *)
+let expand who spans s bufs i ~labels =
+  let n = pass_lines who spans s in
+  let ids = reserve bufs.ids i n in
+  let blocks = if labels then reserve bufs.blocks i n else bufs.blocks.(i) in
+  let p = ref 0 in
+  for j = 0 to s.length - 1 do
+    let b = Array.unsafe_get s.trace j in
+    let span = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) in
+    let id0 = Array.unsafe_get spans ((3 * b) + 2) in
+    for k = 0 to span do
+      Bigarray.Array1.unsafe_set ids (!p + k) (id0 + k)
+    done;
+    if labels then
+      for k = 0 to span do
+        Bigarray.Array1.unsafe_set blocks (!p + k) b
+      done;
+    p := !p + span + 1
+  done;
+  n
 
 (* Each step adds a thread's rate to its credit and fetches one line per
-   whole unit of credit, thread 0 first. A thread's cursor is the next
-   line [cur] of its current block ([blk], ending at [hi], the ids of its
-   lines [shift] above them) and the trace position [pos] of the block
-   after it; [cur > hi] means the block is spent. A fetch past the end of
-   the trace counts a pass and, in the same fetch, restarts at block 0
-   (an empty trace counts the pass and fetches nothing). The loop ends
-   between steps, once both threads have counted a pass. A block's lines
-   count as accesses when it is loaded; the lines the last step left
-   unfetched are taken back at the end. The two threads' bodies are
-   written out twice so their cursors stay in locals. *)
+   whole unit of credit, thread 0 first. A thread's cursor is its
+   position [p] in its flat stream of [n] lines; a fetch at [p = n]
+   counts a pass and, in the same fetch, restarts at position 0, the
+   first line of its block 0 (an empty stream counts the pass and
+   fetches nothing). The loop ends between steps, once both threads have
+   counted a pass, and a thread's accesses are [passes * n + p]. The two
+   threads' bodies are written out twice so their cursors stay in
+   locals. *)
+let[@inline] corun_loop ~sink_on t degree r0 r1 (ids0 : lines) (blocks0 : lines) n0
+    (ids1 : lines) (blocks1 : lines) n1 x =
+  let sink = t.sink and where = x.where and stamp = x.stamp in
+  let p0 = ref 0 and passes0 = ref 0 and miss0 = ref 0 and credit0 = ref 0.0 in
+  let p1 = ref 0 and passes1 = ref 0 and miss1 = ref 0 and credit1 = ref 0.0 in
+  let fills = ref 0 and clock = ref t.assoc in
+  while !passes0 < 1 || !passes1 < 1 do
+    credit0 := !credit0 +. r0;
+    credit1 := !credit1 +. r1;
+    while !credit0 >= 1.0 do
+      credit0 := !credit0 -. 1.0;
+      if !p0 = n0 then begin
+        incr passes0;
+        p0 := 0
+      end;
+      if n0 > 0 then begin
+        let p = !p0 in
+        p0 := p + 1;
+        let block = if sink_on then Bigarray.Array1.unsafe_get blocks0 p else 0 in
+        let f =
+          access ~sink_on t x where stamp sink degree ~thread:0 ~block ~now:!clock
+            (Bigarray.Array1.unsafe_get ids0 p)
+        in
+        clock := !clock + 1;
+        if f >= 0 then begin
+          incr miss0;
+          fills := !fills + f;
+          clock := !clock + f
+        end
+      end
+    done;
+    while !credit1 >= 1.0 do
+      credit1 := !credit1 -. 1.0;
+      if !p1 = n1 then begin
+        incr passes1;
+        p1 := 0
+      end;
+      if n1 > 0 then begin
+        let p = !p1 in
+        p1 := p + 1;
+        let block = if sink_on then Bigarray.Array1.unsafe_get blocks1 p else 0 in
+        let f =
+          access ~sink_on t x where stamp sink degree ~thread:1 ~block ~now:!clock
+            (Bigarray.Array1.unsafe_get ids1 p)
+        in
+        clock := !clock + 1;
+        if f >= 0 then begin
+          incr miss1;
+          fills := !fills + f;
+          clock := !clock + f
+        end
+      end
+    done
+  done;
+  {
+    accesses = [| (!passes0 * n0) + !p0; (!passes1 * n1) + !p1 |];
+    misses = [| !miss0; !miss1 |];
+    fills = !fills;
+  }
+
 let corun t ~prefetch:degree ~rates:(r0, r1) s0 s1 =
   let who = "Set_assoc.corun" in
   check_degree who degree;
@@ -407,83 +571,23 @@ let corun t ~prefetch:degree ~rates:(r0, r1) s0 s1 =
   if not (ok r0 && ok r1) then invalid_arg "Set_assoc.corun: rates must be positive and finite";
   let table0 = check_stream who degree s0 in
   let table1 = check_stream who degree s1 in
-  let x = build_index who t degree [ table0; table1 ] in
-  let spans0 = fst table0 and spans1 = fst table1 in
-  let sink = t.sink and where = x.where and stamp = x.stamp in
-  let trace0 = s0.trace and trace1 = s1.trace in
-  let n0 = Array.length trace0 and n1 = Array.length trace1 in
-  let pos0 = ref 0 and blk0 = ref 0 and cur0 = ref 0 and hi0 = ref (-1) and shift0 = ref 0 in
-  let pos1 = ref 0 and blk1 = ref 0 and cur1 = ref 0 and hi1 = ref (-1) and shift1 = ref 0 in
-  let passes0 = ref 0 and passes1 = ref 0 in
-  let acc0 = ref 0 and miss0 = ref 0 and acc1 = ref 0 and miss1 = ref 0 and fills = ref 0 in
-  let credit0 = ref 0.0 and credit1 = ref 0.0 in
-  (try
-     while !passes0 < 1 || !passes1 < 1 do
-       credit0 := !credit0 +. r0;
-       credit1 := !credit1 +. r1;
-       while !credit0 >= 1.0 do
-         credit0 := !credit0 -. 1.0;
-         if !cur0 > !hi0 then begin
-           if !pos0 = n0 then begin
-             incr passes0;
-             pos0 := 0
-           end;
-           if n0 > 0 then begin
-             let b = Array.unsafe_get trace0 !pos0 in
-             let lo = Array.unsafe_get spans0 (3 * b) in
-             pos0 := !pos0 + 1;
-             blk0 := b;
-             cur0 := lo;
-             hi0 := Array.unsafe_get spans0 ((3 * b) + 1);
-             shift0 := Array.unsafe_get spans0 ((3 * b) + 2) - lo;
-             acc0 := !acc0 + (!hi0 - lo + 1)
-           end
-         end;
-         if !cur0 <= !hi0 then begin
-           let line = !cur0 in
-           cur0 := line + 1;
-           let f = step t x where stamp sink degree ~thread:0 ~block:!blk0 line (line + !shift0) in
-           if f >= 0 then begin
-             incr miss0;
-             fills := !fills + f
-           end
-         end
-       done;
-       while !credit1 >= 1.0 do
-         credit1 := !credit1 -. 1.0;
-         if !cur1 > !hi1 then begin
-           if !pos1 = n1 then begin
-             incr passes1;
-             pos1 := 0
-           end;
-           if n1 > 0 then begin
-             let b = Array.unsafe_get trace1 !pos1 in
-             let lo = Array.unsafe_get spans1 (3 * b) in
-             pos1 := !pos1 + 1;
-             blk1 := b;
-             cur1 := lo;
-             hi1 := Array.unsafe_get spans1 ((3 * b) + 1);
-             shift1 := Array.unsafe_get spans1 ((3 * b) + 2) - lo;
-             acc1 := !acc1 + (!hi1 - lo + 1)
-           end
-         end;
-         if !cur1 <= !hi1 then begin
-           let line = !cur1 in
-           cur1 := line + 1;
-           let f = step t x where stamp sink degree ~thread:1 ~block:!blk1 line (line + !shift1) in
-           if f >= 0 then begin
-             incr miss1;
-             fills := !fills + f
-           end
-         end
-       done
-     done
-   with e ->
-     write_back t x;
-     raise e);
-  write_back t x;
-  let acc0 = !acc0 - (!hi0 - !cur0 + 1) and acc1 = !acc1 - (!hi1 - !cur1 + 1) in
-  { accesses = [| acc0; acc1 |]; misses = [| !miss0; !miss1 |]; fills = !fills }
+  hold who (fun bufs ->
+      let x = build_index who t degree [ table0; table1 ] in
+      let labels = Option.is_some t.sink in
+      let n0 = expand who (fst table0) s0 bufs 0 ~labels in
+      let n1 = expand who (fst table1) s1 bufs 1 ~labels in
+      let ids0 = bufs.ids.(0) and blocks0 = bufs.blocks.(0) in
+      let ids1 = bufs.ids.(1) and blocks1 = bufs.blocks.(1) in
+      match
+        if labels then corun_loop ~sink_on:true t degree r0 r1 ids0 blocks0 n0 ids1 blocks1 n1 x
+        else corun_loop ~sink_on:false t degree r0 r1 ids0 blocks0 n0 ids1 blocks1 n1 x
+      with
+      | r ->
+        write_back t x;
+        r
+      | exception e ->
+        write_back t x;
+        raise e)
 
 let probe_line t line = resident t.tags t.valid t.assoc t.set_mask line
 

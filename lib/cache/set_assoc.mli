@@ -13,7 +13,9 @@
     unit of work:
     - {!replay} replays a whole block trace (solo {!Icache} runs);
     - {!corun} interleaves two block traces into the one cache (the
-      co-run {!Icache} runs). Each of the two builds a per-call residency
+      co-run {!Icache} runs), each expanded once per call into a flat
+      stream of line ids that the loop walks one position per thread.
+      Each of the two builds a per-call residency
       index over the distinct lines its streams can touch (sized by their
       count, not by their addresses), so a hit test is one array read;
       while it runs, LRU order is a last-use stamp per way, and on return
@@ -53,14 +55,17 @@ val access_span : t -> thread:int -> block:int -> first:int -> last:int -> int
 (** {1 Trace replays} *)
 
 type stream = {
-  trace : int array;  (** Block ids, in execution order. *)
+  trace : int array;  (** Block ids, in execution order, in its first [length] entries. *)
+  length : int;  (** Executed blocks: the trace is a view of [trace]'s prefix. *)
   first : int array;  (** First line per block id. *)
   last : int array;  (** Last line per block id. *)
   offset : int;  (** Added to every line of the stream. *)
 }
 (** One program's fetch stream: each executed block [b] fetches lines
     [first.(b) + offset .. last.(b) + offset]. Only the entries of blocks
-    the trace executes are read. *)
+    the trace executes are read, and only the trace's first [length]
+    entries: a growable vector's backing array serves without a copy
+    ({!Colayout_util.Int_vec.backing}). The replays only read a stream. *)
 
 type tally = {
   accesses : int array;  (** Demand accesses per thread. *)
@@ -75,9 +80,10 @@ val replay : t -> prefetch:int -> stream -> tally
     [line+1 .. line+prefetch] ([prefetch = 0]: none). The tally has one
     thread.
     The call allocates in proportion to the span tables and the distinct
-    lines it can touch, never per access.
+    lines it can touch, never per access, and never copies the trace.
     @raise Invalid_argument, before any access, if [prefetch < 0], the
-    span tables differ in length, or a trace id is negative, at least
+    span tables differ in length, [length] lies outside [0 .. Array.length
+    trace], or a trace id is negative, at least
     [Array.length first], or names a block whose span is empty, or whose
     lines (offset applied, plus [prefetch]) overflow an [int]. *)
 
@@ -91,8 +97,27 @@ val corun : t -> prefetch:int -> rates:float * float -> stream -> stream -> tall
     counts a pass on each of its fetches and accesses nothing. The replay stops between steps,
     once both threads have counted a pass, so neither runs contention-free.
     The tally has two threads.
+
+    {b Memory.} The call expands each stream's pass into the ids of the
+    lines it fetches, in off-heap buffers the calling domain keeps
+    between calls, one per thread slot: 8 bytes per line of one pass of
+    the longest stream the domain has co-run in that slot, and as much
+    again for the lines' block labels once it has co-run with a sink. A
+    buffer that is too small grows to at least twice its size and is
+    never shrunk, so a domain holds up to twice those sizes; for
+    445.gobmk against 403.gcc at 200,000 blocks that is ~3–3.5 MB per
+    thread slot. Beyond them the call allocates as {!replay} does.
     @raise Invalid_argument, before any access, as {!replay} for either
-    stream, or unless both rates are positive and finite. *)
+    stream, unless both rates are positive and finite, or when called
+    inside another co-run on the same domain (see {!with_corun_buffers}). *)
+
+val with_corun_buffers : (unit -> 'a) -> 'a
+(** [with_corun_buffers f] runs [f] holding the calling domain's co-run
+    buffers, as {!corun} holds them for its whole call, and releases them
+    when [f] returns or raises. A {!corun} on the same domain inside [f]
+    raises [Invalid_argument] instead of overwriting the holder's
+    streams. No replay nests today (sinks do not call back); this lets
+    the guard be exercised. *)
 
 val set_misses : t -> int -> int
 (** [set_misses t s]: demand misses in set [s] since creation or the last

@@ -72,6 +72,8 @@ let of_list l =
 
 let to_array v = Array.sub v.data 0 v.len
 
+let backing v = v.data
+
 let of_array a =
   let v = create ~capacity:(max 1 (Array.length a)) () in
   Array.iter (push v) a;

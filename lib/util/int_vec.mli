@@ -37,6 +37,12 @@ val of_list : int list -> t
 
 val to_array : t -> int array
 
+val backing : t -> int array
+(** The backing array itself, not a copy: entries [0 .. length v - 1] are
+    the vector's, the rest is slack. It stays the vector's storage until
+    a [push] grows it, and writing to it writes the vector. For read-only
+    views of long vectors that must not pay a copy. *)
+
 val of_array : int array -> t
 
 val append : t -> t -> unit

@@ -45,8 +45,16 @@ let kernels =
         o [ ("program", s "p"); ("flat_digest", s "g"); ("seed_digest", s "g") ] );
       ("memory_words", o [ ("trg_packed_csr", i 10); ("trg_tuple_hashtbl", i 30) ]);
       ( "corun",
-        o [ ("program", s "p"); ("peer", s "q"); ("indexed_digest", s "c"); ("seed_digest", s "c") ]
-      );
+        o
+          [
+            ("program", s "p");
+            ("peer", s "q");
+            ("trace_words", i 400);
+            ("indexed_digest", s "c");
+            ("seed_digest", s "c");
+            ("gc_per_call", o [ ("indexed", o [ ("major_words", f 40.0) ]) ]);
+          ] );
+      ("solo", o [ ("program", s "p"); ("indexed_digest", s "d"); ("seed_digest", s "d") ]);
     ]
 
 let harness = manifest "harness" [ ("stages", a [ o [ ("name", s "interp"); ("total_ns", i 5) ] ]) ]
@@ -354,6 +362,10 @@ let perturbations =
       "trg-reduce-real-matches-seed",
       set (cells [ "reduce_real"; "flat_digest" ]) (s "x") );
     ("kernels", "corun-matches-seed", set (cells [ "corun"; "indexed_digest" ]) (s "x"));
+    ("kernels", "solo-matches-seed", set (cells [ "solo"; "seed_digest" ]) (s "x"));
+    ( "kernels",
+      "corun-no-trace-copy",
+      set (cells [ "corun"; "gc_per_call"; "indexed"; "major_words" ]) (f 400.0) );
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));

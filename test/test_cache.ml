@@ -287,7 +287,8 @@ let test_core_allocation_free () =
   let first = Array.init nb (fun b -> 3 * b) in
   let last = Array.init nb (fun b -> (3 * b) + (b mod 3)) in
   let stream n offset =
-    { Set_assoc.trace = Array.init n (fun _ -> Colayout_util.Prng.int prng nb); first; last; offset }
+    let trace = Array.init n (fun _ -> Colayout_util.Prng.int prng nb) in
+    { Set_assoc.trace; length = n; first; last; offset }
   in
   let words_of run =
     let c = Set_assoc.create p in
@@ -303,6 +304,11 @@ let test_core_allocation_free () =
         (Printf.sprintf "replay, prefetch %d: words independent of length" prefetch)
         (words_of (fun c -> Set_assoc.replay c ~prefetch short))
         (words_of (fun c -> Set_assoc.replay c ~prefetch long));
+      (* A co-run grows the domain's flat-stream buffers once, to the
+         longest streams it has run (a new Bigarray header each), and
+         keeps them: one warm-up call at the long size first, so both
+         measured calls run on buffers that are already big enough. *)
+      ignore (Set_assoc.corun (Set_assoc.create p) ~prefetch ~rates:(1.0, 0.4) long peer_long);
       check (Alcotest.float 0.)
         (Printf.sprintf "corun, prefetch %d: words independent of length" prefetch)
         (words_of (fun c -> Set_assoc.corun c ~prefetch ~rates:(1.0, 0.4) short peer_short))
@@ -402,21 +408,23 @@ let sink_summary ~threads s =
       threads,
     Profile_sink.block_rows s )
 
+(* [Icache.shared] against [Seed_icache.shared] on the same inputs, bare
+   and with a sink. *)
+let shared_agrees ~params ?prefetch ~rates ~layouts (t0, t1) =
+  let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+  let core sink = Icache.shared ?prefetch ?sink ~rates ~params ~layouts traces in
+  let oracle sink = Seed_icache.shared ?prefetch ?sink ~rates ~params ~layouts traces in
+  let sink_core = Profile_sink.create ~threads:2 ~params () in
+  let sink_oracle = Profile_sink.create ~threads:2 ~params () in
+  same_stats ~threads:2 (core None) (oracle None)
+  && same_stats ~threads:2 (core (Some sink_core)) (oracle (Some sink_oracle))
+  && sink_summary ~threads:2 sink_core = sink_summary ~threads:2 sink_oracle
+
 let corun_matches_per_line =
   QCheck.Test.make ~name:"Icache.shared = per-line oracle, bare and with a sink" ~count:400
     (QCheck.make ~print:print_replay_case gen_replay_case) (fun c ->
-      let params = replay_params c and prefetch = prefetch_of c in
-      let t0, t1 = c.traces in
-      let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
-      let core sink = Icache.shared ?prefetch ?sink ~rates:c.rates ~params ~layouts:c.layouts traces in
-      let oracle sink =
-        Seed_icache.shared ?prefetch ?sink ~rates:c.rates ~params ~layouts:c.layouts traces
-      in
-      let sink_core = Profile_sink.create ~threads:2 ~params () in
-      let sink_oracle = Profile_sink.create ~threads:2 ~params () in
-      same_stats ~threads:2 (core None) (oracle None)
-      && same_stats ~threads:2 (core (Some sink_core)) (oracle (Some sink_oracle))
-      && sink_summary ~threads:2 sink_core = sink_summary ~threads:2 sink_oracle)
+      shared_agrees ~params:(replay_params c) ?prefetch:(prefetch_of c) ~rates:c.rates
+        ~layouts:c.layouts c.traces)
 
 (* Solo: thread 0's stream alone, same comparison. *)
 let solo_matches_per_line =
@@ -451,7 +459,7 @@ let stream_of ~params (l : Icache.layout) ~offset trace =
       last.(b) <- la
     end
   done;
-  { Set_assoc.trace = Array.of_list trace; first; last; offset }
+  { Set_assoc.trace = Array.of_list trace; length = List.length trace; first; last; offset }
 
 let far = 1 lsl 40
 
@@ -616,6 +624,133 @@ let test_replay_interrupted () =
             (Seed_icache.shared ~prefetch:(Prefetch.create ~degree:1 ()) ~cache ~peer_offset:far
                ~rates:(1.0, 0.5) ~params ~layouts:(layout, layout) (vec, vec))))
 
+(* The flat co-run streams live in buffers each domain keeps between
+   calls, grown to the longest streams it has run and never shrunk. Each
+   co-run must read only its own prefix of them: after a longer one, a
+   stale tail (a wrong pass length, block labels left from the longer
+   stream) would show against the oracle, in the counters or in a sink's
+   (thread, block) rows. Lengths alternate long and short, either thread
+   longer, empty traces included. *)
+let flat_layout =
+  {
+    Icache.addr = Array.init 24 (fun i -> (i * 150) + (i mod 3 * 40));
+    bytes = Array.init 24 (fun i -> 40 + (i * 37 mod 200));
+  }
+
+let flat_params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64
+
+let flat_traces ~seed lengths =
+  let prng = Colayout_util.Prng.create ~seed in
+  let n = Array.length flat_layout.Icache.addr in
+  let trace len = List.init len (fun _ -> Colayout_util.Prng.int prng n) in
+  List.map (fun (l0, l1) -> (trace l0, trace l1)) lengths
+
+let flat_lengths = [ (3000, 2500); (7, 3); (1, 0); (2800, 40); (0, 5); (12, 2900); (2, 2); (0, 0) ]
+
+let test_flat_buffers_reused () =
+  List.iteri
+    (fun i ((t0, t1) as traces) ->
+      let prefetch = if i mod 2 = 0 then None else Some (Prefetch.create ~degree:1 ()) in
+      check Alcotest.bool
+        (Printf.sprintf "co-run %d: %d x %d blocks = per-line oracle" i (List.length t0)
+           (List.length t1))
+        true
+        (shared_agrees ~params:flat_params ?prefetch ~rates:(1.0, 0.7)
+           ~layouts:(flat_layout, flat_layout) traces))
+    (flat_traces ~seed:5 flat_lengths)
+
+(* The same co-runs on two domains at once, through the pool: each
+   domain has its own buffers, so the results equal the sequential ones
+   (and the oracle's), bare and through a sink. *)
+let test_flat_buffers_per_domain () =
+  let run (t0, t1) =
+    let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+    let layouts = (flat_layout, flat_layout) and rates = (0.8, 1.3) in
+    let sink = Profile_sink.create ~threads:2 ~params:flat_params () in
+    let bare = Icache.shared ~rates ~params:flat_params ~layouts traces in
+    let sunk = Icache.shared ~sink ~rates ~params:flat_params ~layouts traces in
+    (Cache_stats.to_string bare, tally_of_stats ~threads:2 bare, Cache_stats.to_string sunk,
+     sink_summary ~threads:2 sink)
+  in
+  let cases = flat_traces ~seed:9 (flat_lengths @ List.rev flat_lengths) in
+  let sequential = List.map run cases in
+  let parallel = Colayout_util.Pool.with_pool ~jobs:2 (fun pool -> Colayout_util.Pool.map pool run cases) in
+  check Alcotest.bool "jobs 2 = sequential" true (parallel = sequential);
+  let oracle (t0, t1) =
+    let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+    Cache_stats.to_string
+      (Seed_icache.shared ~rates:(0.8, 1.3) ~params:flat_params ~layouts:(flat_layout, flat_layout)
+         traces)
+  in
+  check Alcotest.bool "sequential = per-line oracle" true
+    (List.for_all2 (fun (bare, _, _, _) case -> bare = oracle case) sequential cases)
+
+(* Restarts on flat streams: a pass ends when the position reaches the
+   stream's line count, and accesses are passes x lines + position.
+   One-block traces restart on every pass, an empty trace counts a pass
+   on each fetch, and lopsided rates make one thread wrap many times (or
+   not at all) while the other finishes. Per-thread accesses, misses and
+   fills against the oracle. *)
+let test_flat_restarts () =
+  let params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+  (* Blocks 0, 1 and 2 span 1, 2 and 3 lines. *)
+  let layout = { Icache.addr = [| 0; 64; 4 * 64 |]; bytes = [| 64; 128; 192 |] } in
+  let counts prefetch rates (t0, t1) =
+    let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+    let layouts = (layout, layout) in
+    ( tally_of_stats ~threads:2 (Icache.shared ?prefetch ~rates ~params ~layouts traces),
+      tally_of_stats ~threads:2 (Seed_icache.shared ?prefetch ~rates ~params ~layouts traces) )
+  in
+  List.iter
+    (fun rates ->
+      List.iter
+        (fun traces ->
+          List.iter
+            (fun degree ->
+              let prefetch = if degree = 0 then None else Some (Prefetch.create ~degree ()) in
+              let core, oracle = counts prefetch rates traces in
+              check Alcotest.bool
+                (Printf.sprintf "rates (%g, %g), [%s] x [%s], prefetch %d" (fst rates) (snd rates)
+                   (String.concat ";" (List.map string_of_int (fst traces)))
+                   (String.concat ";" (List.map string_of_int (snd traces)))
+                   degree)
+                true (core = oracle))
+            [ 0; 1 ])
+        [ ([ 2 ], [ 0 ]); ([ 0 ], [ 1 ]); ([ 1 ], []); ([], [ 2 ]); ([], []); ([ 2; 0 ], [ 1 ]) ])
+    [ (2.5, 1.0); (0.01, 1.0) ];
+  (* By hand: block 2 (3 lines) at rate 2.5 against block 0 (1 line) at
+     1.0. Step 1 fetches lines 1-2 and 1; step 2 fetches line 3, wraps
+     (pass 1) and fetches lines 1-2, and thread 1 wraps and fetches its
+     line again: accesses 1 x 3 + 2 and 1 x 1 + 1, a miss per distinct
+     line. *)
+  let core, _ = counts None (2.5, 1.0) ([ 2 ], [ 0 ]) in
+  check
+    Alcotest.(triple (list int) (list int) int)
+    "one-block streams by hand" ([ 5; 2 ], [ 3; 1 ], 0) core
+
+(* Nested co-runs on one domain would overwrite the outer call's
+   streams; none happens today (sinks do not call back), and the guard
+   refuses one before it touches the cache. The hold is per domain and
+   released however it ends. *)
+let test_nested_corun_guard () =
+  let params = Params.make ~size_bytes:512 ~assoc:2 ~line_bytes:64 in
+  let s = { Set_assoc.trace = [| 0 |]; length = 1; first = [| 0 |]; last = [| 0 |]; offset = 0 } in
+  let corun c = Set_assoc.corun c ~prefetch:0 ~rates:(1.0, 1.0) s s in
+  let c = Set_assoc.create params in
+  Alcotest.check_raises "co-run inside a held domain"
+    (Invalid_argument "Set_assoc.corun: a co-run is already running on this domain") (fun () ->
+      Set_assoc.with_corun_buffers (fun () -> ignore (corun c)));
+  check Alcotest.int "the refused co-run touched nothing" 0 (Set_assoc.occupancy c);
+  Alcotest.check_raises "hold inside a hold"
+    (Invalid_argument "Set_assoc.with_corun_buffers: a co-run is already running on this domain")
+    (fun () -> Set_assoc.with_corun_buffers (fun () -> Set_assoc.with_corun_buffers ignore));
+  let on_other_domain =
+    Set_assoc.with_corun_buffers (fun () ->
+        Domain.join (Domain.spawn (fun () -> (corun (Set_assoc.create params)).Set_assoc.accesses)))
+  in
+  check Alcotest.(array int) "another domain co-runs meanwhile" [| 2; 2 |] on_other_domain;
+  check Alcotest.(array int) "released after the refusal" [| 2; 2 |] (corun c).Set_assoc.accesses
+
 let test_fully_assoc_eviction () =
   let c = Fully_assoc.create ~capacity:2 in
   ignore (Fully_assoc.access_line c 1);
@@ -701,7 +836,7 @@ let test_icache_shared_rates () =
       (1.0, Float.infinity);
       (Float.neg_infinity, 1.0);
     ];
-  let s = { Set_assoc.trace = [| 0 |]; first = [| 0 |]; last = [| 0 |]; offset = 0 } in
+  let s = { Set_assoc.trace = [| 0 |]; length = 1; first = [| 0 |]; last = [| 0 |]; offset = 0 } in
   Alcotest.check_raises "core rejects NaN"
     (Invalid_argument "Set_assoc.corun: rates must be positive and finite") (fun () ->
       ignore (Set_assoc.corun (Set_assoc.create params) ~prefetch:0 ~rates:(1.0, Float.nan) s s))
@@ -739,17 +874,40 @@ let test_icache_hostile_blocks () =
     (Cache_stats.to_string (Icache.solo ~params ~layout ok));
   (* The core checks its own inputs too. *)
   let c = Set_assoc.create params in
-  let s trace = { Set_assoc.trace; first = [| 0; 1 |]; last = [| 0; 0 |]; offset = 0 } in
+  let s trace =
+    { Set_assoc.trace; length = Array.length trace; first = [| 0; 1 |]; last = [| 0; 0 |]; offset = 0 }
+  in
   raises_invalid "core: negative id" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| -1 |])));
   raises_invalid "core: id past the tables" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| 2 |])));
   raises_invalid "core: empty span" (fun () -> ignore (Set_assoc.replay c ~prefetch:0 (s [| 1 |])));
   raises_invalid "core: negative degree" (fun () -> ignore (Set_assoc.replay c ~prefetch:(-1) (s [| 0 |])));
   raises_invalid "core: co-run peer id" (fun () ->
       ignore (Set_assoc.corun c ~prefetch:0 ~rates:(1.0, 1.0) (s [| 0 |]) (s [| 5 |])));
+  (* A stream is a view of its array's first [length] entries: a length
+     outside the array is refused, and entries past it are never read. *)
+  Alcotest.check_raises "core: view longer than its array"
+    (Invalid_argument "Set_assoc.replay: trace length 2 outside its array of 1") (fun () ->
+      ignore (Set_assoc.replay c ~prefetch:0 { (s [| 0 |]) with length = 2 }));
+  Alcotest.check_raises "core: negative view length"
+    (Invalid_argument "Set_assoc.corun: trace length -1 outside its array of 1") (fun () ->
+      ignore
+        (Set_assoc.corun c ~prefetch:0 ~rates:(1.0, 1.0) (s [| 0 |]) { (s [| 0 |]) with length = -1 }));
+  let tally r = (r.Set_assoc.accesses, r.Set_assoc.misses, r.Set_assoc.fills) in
+  check Alcotest.bool "a view reads its prefix only" true
+    (tally (Set_assoc.replay (Set_assoc.create params) ~prefetch:1 { (s [| 0; 0; -1; 7 |]) with length = 2 })
+     = tally (Set_assoc.replay (Set_assoc.create params) ~prefetch:1 (s [| 0; 0 |]))
+    && tally
+         (Set_assoc.corun (Set_assoc.create params) ~prefetch:1 ~rates:(1.0, 0.5)
+            { (s [| 0; -3 |]) with length = 1 } { (s [| 0; 0; 9 |]) with length = 2 })
+       = tally
+           (Set_assoc.corun (Set_assoc.create params) ~prefetch:1 ~rates:(1.0, 0.5) (s [| 0 |])
+              (s [| 0; 0 |])));
   (* Spans the residency index cannot number: lines past [max_int] once
      the offset or the prefetch lines are added, and more lines than an
      array holds. *)
-  let span ~first ~last ~offset = { Set_assoc.trace = [| 0 |]; first = [| first |]; last = [| last |]; offset } in
+  let span ~first ~last ~offset =
+    { Set_assoc.trace = [| 0 |]; length = 1; first = [| first |]; last = [| last |]; offset }
+  in
   raises_invalid "core: prefetch lines overflow" (fun () ->
       ignore (Set_assoc.replay c ~prefetch:2 (span ~first:(max_int - 1) ~last:max_int ~offset:0)));
   raises_invalid "core: offset lines overflow" (fun () ->
@@ -802,6 +960,10 @@ let () =
           QCheck_alcotest.to_alcotest shared_lines_corun_matches_per_line;
           Alcotest.test_case "sparse stream" `Quick test_sparse_stream;
           Alcotest.test_case "interrupted replay" `Quick test_replay_interrupted;
+          Alcotest.test_case "flat buffers reused" `Quick test_flat_buffers_reused;
+          Alcotest.test_case "flat buffers per domain" `Quick test_flat_buffers_per_domain;
+          Alcotest.test_case "flat restarts" `Quick test_flat_restarts;
+          Alcotest.test_case "nested co-run guard" `Quick test_nested_corun_guard;
         ] );
       ("fully_assoc", [ Alcotest.test_case "eviction" `Quick test_fully_assoc_eviction ]);
       ("prefetch", [ Alcotest.test_case "next line" `Quick test_prefetch ]);

@@ -61,6 +61,11 @@ let test_int_vec () =
   check (Alcotest.option Alcotest.int) "max" (Some (999 * 999)) (Int_vec.max_element v);
   let v2 = Int_vec.of_array (Int_vec.to_array v) in
   check Alcotest.bool "roundtrip equal" true (Int_vec.equal v v2);
+  (* The backing array is the storage itself: its prefix is the vector. *)
+  let b = Int_vec.backing v in
+  check Alcotest.bool "backing prefix" true
+    (Array.length b >= 1000 && Array.sub b 0 1000 = Int_vec.to_array v);
+  check Alcotest.bool "backing is not a copy" true (b == Int_vec.backing v);
   Int_vec.set v2 0 (-5);
   check Alcotest.bool "not equal after set" false (Int_vec.equal v v2)
 
