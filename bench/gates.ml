@@ -114,6 +114,20 @@ let kernels =
         ensure
           (major < float_of_int traces)
           "a co-run call allocates %.0f major words, no fewer than its traces' %d" major traces);
+    (* The pair kernels count on one reused per-domain grid: a
+       steady-state call allocating n² major words is allocating a grid
+       of its own. *)
+    gate "pair-grid-no-alloc" (fun m ->
+        let r = get "pair_grid" (cells m) in
+        let grid = int "grid_cells" r in
+        List.iter
+          (fun k ->
+            let major = num "major_words" (get "gc_per_call" k) in
+            ensure
+              (major < float_of_int grid)
+              "a %s call allocates %.0f major words, no fewer than its %d grid cells"
+              (str "name" k) major grid)
+          (nonempty "pair_grid kernels" (list "kernels" r)));
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in

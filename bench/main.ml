@@ -174,7 +174,9 @@ let reduction_digest r =
    reduction takes seconds here, so it runs once. *)
 let real_reduce_program = "445.gobmk"
 
-let real_reduce ~budget =
+(* The program's bb trace and TRG at the optimizer's defaults, with the
+   reduction's slot count. *)
+let real_bb () =
   let config = Optimizer.default_config in
   let params = config.Optimizer.params in
   let cache_multiplier = config.Optimizer.cache_multiplier in
@@ -188,7 +190,9 @@ let real_reduce ~budget =
   in
   let window = Trg.recommended_window ~params ~block_bytes ~cache_multiplier in
   let slots = Trg_reduce.slots_for ~params ~block_bytes ~cache_multiplier in
-  let g = Trg.build ~window an.Optimizer.bb in
+  (an.Optimizer.bb, window, Trg.build ~window an.Optimizer.bb, slots)
+
+let real_reduce ~budget (_, _, g, slots) =
   let nodes = Trg.num_nodes g in
   let edges = ref 0 in
   Trg.iter_edges (fun _ _ _ -> incr edges) g;
@@ -249,6 +253,36 @@ let gc_per_call ?(calls = 5) f =
         ("minor_collections", num (per_int g0.Gc.minor_collections g1.Gc.minor_collections));
         ("major_collections", num (per_int g0.Gc.major_collections g1.Gc.major_collections));
       ])
+
+(* The three pair kernels on the same bb profile, each a steady-state
+   call on the domain's reused [Pair_grid]: time per call and what one
+   call allocates. A call that allocated its own n × n grid would show
+   n² major words. *)
+let pair_grid_kernels ~bench (trace, window, g, slots) =
+  let wmax = List.fold_left max 1 Optimizer.default_config.Optimizer.ws in
+  let n = Trg.num_nodes g in
+  let cell name f =
+    let run () = ignore (f ()) in
+    let name, ns = bench ("pair-grid/" ^ name) run in
+    ( (name, ns),
+      Out.(obj [ ("name", str name); ("ns_per_op", num ns); ("gc_per_call", gc_per_call run) ]) )
+  in
+  let build = cell "trg-build" (fun () -> Trg.build ~window trace) in
+  let thresholds = cell "affinity-thresholds" (fun () -> Affinity.thresholds trace ~wmax) in
+  let reduce = cell "trg-reduce" (fun () -> Trg_reduce.reduce g ~slots) in
+  let cells = [ build; thresholds; reduce ] in
+  Printf.printf "  (%s bb: %d symbols, window %d, wmax %d, %d slots, pair store: %s)\n%!"
+    real_reduce_program n window wmax slots (pair_store n);
+  ( List.map fst cells,
+    Out.
+      [
+        ("program", str real_reduce_program);
+        ("level", str "bb");
+        ("nodes", int n);
+        ("grid_cells", int (n * n));
+        ("pair_store", str (pair_store n));
+        ("kernels", arr snd cells);
+      ] )
 
 let cache_replay ~quick ~bench =
   let fuel = if quick then 20_000 else 200_000 in
@@ -351,11 +385,14 @@ let kernels ~quick ~dir:_ =
   let (corun_indexed, corun_seed), corun, (solo_indexed, solo_seed), solo =
     cache_replay ~quick ~bench
   in
+  let bb = real_bb () in
+  let grid_timed, pair_grid = pair_grid_kernels ~bench bb in
   let kernels =
     [
       trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
       windows_per_window; corun_indexed; corun_seed; solo_indexed; solo_seed;
     ]
+    @ grid_timed
   in
   let speedups =
     [
@@ -368,7 +405,7 @@ let kernels ~quick ~dir:_ =
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
-  let real = real_reduce ~budget in
+  let real = real_reduce ~budget bb in
   (* Memory-footprint ablation: the CSR stores each undirected edge once;
      the seed adjacency stores it twice, in boxed hash-table cells. Both
      graphs are measured as built. *)
@@ -405,6 +442,7 @@ let kernels ~quick ~dir:_ =
                 ("seed_digest", str (reduction_digest (Kernel_baseline.trg_reduce trg ~slots)));
               ] );
           ("reduce_real", obj real);
+          ("pair_grid", obj pair_grid);
           ("corun", corun);
           ("solo", solo);
         ] )

@@ -25,10 +25,12 @@ let iter_pairs f ps =
     (fun k t -> if t <= ps.w then f (Int_pair_tbl.fst_of k) (Int_pair_tbl.snd_of k))
     ps.thresholds
 
+let int_order (a : int) b = if a < b then -1 else if a > b then 1 else 0
+
 let pair_list ps =
   let acc = ref [] in
   iter_pairs (fun x y -> acc := (x, y) :: !acc) ps;
-  List.sort compare !acc
+  List.sort (fun (x, y) (x', y') -> if x <> x' then int_order x x' else int_order y y') !acc
 
 let require_trimmed t =
   if not (Trim.is_trimmed t) then
@@ -57,107 +59,160 @@ let bits n =
   let rec go b = if 1 lsl b > n then b else go (b + 1) in
   go 0
 
+let imin (a : int) b = if a <= b then a else b
+
+let imax (a : int) b = if a >= b then a else b
+
+(* The payload of a pair after witnessing occurrence [a_occ] at
+   footprint [fp], in the layout above: [fb] bits per footprint field
+   ([fmask] their mask) and [dead] the saturated [last]. An absent pair
+   reads as 0 and is always overwritten: [a_occ >= 1]. *)
+let[@inline] next ~fb ~fmask ~dead v a_occ fp =
+  let last = v lsr (2 * fb) in
+  if last < a_occ then
+    if last + 1 = a_occ then begin
+      let cur = (v lsr fb) land fmask and prev = v land fmask in
+      (a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev
+    end
+    else dead lsl (2 * fb)
+  else if last <> dead && fp < (v lsr fb) land fmask then
+    (v land lnot (fmask lsl fb)) lor (fp lsl fb)
+  else v
+
+(* The grid cell of ordered pair (a, b), [a <> b]: the pairs of the lower
+   triangle in row-major order, two adjacent cells each, (lo, hi) first
+   and (hi, lo) second. Both directions of a pair share a cache line,
+   and one walk step writes both; the cells fill [n * (n - 1)] of the
+   [n * n] grid. *)
+let[@inline] pair_cell a b =
+  if a < b then 2 * ((b * (b - 1) / 2) + a) else (2 * ((a * (a - 1) / 2) + b)) + 1
+
+(* One witness of the ordered pair (a, b). A universe within
+   [Int_pair_tbl.max_grid_universe] keeps the payloads in the domain's
+   [Pair_grid] at [pair_cell a b], where an absent pair is a 0 cell;
+   larger ones in a packed-pair table. Same values either way. [dense] is
+   a literal at each use, so the grid instance is one array update. *)
+let[@inline] witness ~dense (grid : Pair_grid.t) wits ~fb ~fmask ~dead a b a_occ fp =
+  if dense then begin
+    let i = pair_cell a b in
+    Bigarray.Array1.unsafe_set grid i
+      (next ~fb ~fmask ~dead (Bigarray.Array1.unsafe_get grid i) a_occ fp)
+  end
+  else begin
+    let s = Int_pair_tbl.slot wits (Int_pair_tbl.pack a b) in
+    let v = Int_pair_tbl.slot_get wits s in
+    let v' = next ~fb ~fmask ~dead v a_occ fp in
+    if v' <> v then Int_pair_tbl.slot_set wits s v'
+  end
+
+(* The walk over the trace's events, in place. [occ_idx] counts each
+   symbol's occurrences so far. *)
+let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
+  let ev = Int_vec.backing (Trace.events trace) in
+  (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
+  let ws = Window_stack.create ~k:(imax 1 (imin wmax n)) in
+  let stk = ws.stk in
+  for t = 0 to Trace.length trace - 1 do
+    let y = Array.unsafe_get ev t in
+    let ky = occ_idx.(y) + 1 in
+    occ_idx.(y) <- ky;
+    (* Walk the stack top-down. A block [x] at 0-based position [i] has
+       fp<last(x), here> = i + 2, or i + 1 if [y]'s previous occurrence
+       lies above [x] (then y is already among the more-recent blocks).
+       The walk and the stack are the same at every window, so cutting
+       this walk at [w] gives the depth-[w] walk's witnesses. Each
+       position feeds both directions: this y-occurrence sees x
+       (backward); x's latest occurrence sees y (forward). *)
+    let pos = Window_stack.find ws y in
+    let depth = ws.depth in
+    let above = imin (if pos >= 0 then pos else depth) (wmax - 1) in
+    for i = 0 to above - 1 do
+      let x = Array.unsafe_get stk i in
+      witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 2);
+      witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 2)
+    done;
+    if pos >= 0 then
+      for i = pos + 1 to depth - 1 do
+        let x = Array.unsafe_get stk i in
+        witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 1);
+        witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 1)
+      done;
+    Window_stack.move_to_front ws ~pos y
+  done
+
+(* A pair is affine at [w] iff both directions witnessed every
+   occurrence ([last] reached the occurrence count) and each occurrence's
+   smallest [fp] is <= [w]: its threshold is the larger of the two
+   directions' maxima. [v] is (a, b)'s payload and [v'] (b, a)'s; 0 when
+   the pair is not affine at any window up to [wmax] (a threshold is at
+   least 1). *)
+let[@inline] threshold occ ~fb ~fmask a b v v' =
+  if v lsr (2 * fb) = occ.(a) && v' lsr (2 * fb) = occ.(b) then
+    let bound v = imax ((v lsr fb) land fmask) (v land fmask) in
+    imax (bound v) (bound v')
+  else 0
+
+(* The grid's read-out, which leaves it zeroed. One sequential pass reads
+   both cells of each pair and zeroes them, keeping each affine pair's
+   threshold in its first cell and its key in [keys]; the thresholds then
+   go into [table] in ascending (a, b) order, so which slot each takes
+   does not depend on the grid's cell order. *)
+let read_grid (grid : Pair_grid.t) n occ ~fb ~fmask table =
+  let keys = Int_vec.create ~capacity:1024 () in
+  for hi = 1 to n - 1 do
+    for lo = 0 to hi - 1 do
+      let i = 2 * ((hi * (hi - 1) / 2) + lo) in
+      let v = Bigarray.Array1.unsafe_get grid i and v' = Bigarray.Array1.unsafe_get grid (i + 1) in
+      if v' <> 0 then Bigarray.Array1.unsafe_set grid (i + 1) 0;
+      if v <> 0 then begin
+        let t = threshold occ ~fb ~fmask lo hi v v' in
+        Bigarray.Array1.unsafe_set grid i t;
+        if t <> 0 then Int_vec.push keys (Int_pair_tbl.pack lo hi)
+      end
+    done
+  done;
+  let keys = Int_vec.to_array keys in
+  Array.sort (fun (a : int) b -> if a < b then -1 else if a > b then 1 else 0) keys;
+  Array.iter
+    (fun k ->
+      let i = pair_cell (Int_pair_tbl.fst_of k) (Int_pair_tbl.snd_of k) in
+      Int_pair_tbl.replace table k (Bigarray.Array1.unsafe_get grid i);
+      Bigarray.Array1.unsafe_set grid i 0)
+    keys
+
 let thresholds trace ~wmax =
   if wmax < 1 then invalid_arg "Affinity.thresholds: wmax must be >= 1";
   require_trimmed trace;
   check_universe trace;
   let n = Trace.num_symbols trace in
-  let pack = Int_pair_tbl.pack and fst_of = Int_pair_tbl.fst_of and snd_of = Int_pair_tbl.snd_of in
-  let imax (a : int) b = if a >= b then a else b in
   let occ = Trace.occurrences trace in
   let occ_idx = Array.make n 0 in
   (* fp counts distinct blocks, so it never exceeds the universe either. *)
-  let fb = bits (min wmax n) in
+  let fb = bits (imin wmax n) in
   let dead_bits = bits (Array.fold_left imax 0 occ + 1) in
   if dead_bits + (2 * fb) > 62 then
     invalid_arg "Affinity.thresholds: occurrence count and wmax exceed the packed-payload bound";
   let fmask = (1 lsl fb) - 1 and dead = (1 lsl dead_bits) - 1 in
-  (* The payload of a pair after witnessing occurrence [a_occ] at
-     footprint [fp]. An absent pair reads as 0 and is always overwritten:
-     [a_occ >= 1]. *)
-  let next v a_occ fp =
-    let last = v lsr (2 * fb) in
-    if last < a_occ then
-      if last + 1 = a_occ then begin
-        let cur = (v lsr fb) land fmask and prev = v land fmask in
-        (a_occ lsl (2 * fb)) lor (fp lsl fb) lor imax cur prev
-      end
-      else dead lsl (2 * fb)
-    else if last <> dead && fp < (v lsr fb) land fmask then
-      (v land lnot (fmask lsl fb)) lor (fp lsl fb)
-    else v
-  in
-  (* A universe within [Int_pair_tbl.max_grid_universe] keeps the payloads
-     in a dense grid at [a * n + b], where an absent pair is a 0 cell;
-     larger ones in a packed-pair table. Same values either way. *)
-  let dense = n <= Int_pair_tbl.max_grid_universe in
-  let grid = Array.make (if dense then n * n else 0) 0 in
-  let wits = Int_pair_tbl.create ~capacity:(if dense then 0 else 4096) () in
-  let witness a b a_occ fp =
-    if dense then begin
-      let i = (a * n) + b in
-      Array.unsafe_set grid i (next (Array.unsafe_get grid i) a_occ fp)
-    end
-    else begin
-      let s = Int_pair_tbl.slot wits (pack a b) in
-      let v = Int_pair_tbl.slot_get wits s in
-      let v' = next v a_occ fp in
-      if v' <> v then Int_pair_tbl.slot_set wits s v'
-    end
-  in
-  (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
-  let ws = Window_stack.create ~k:(max 1 (min wmax n)) in
-  let stk = ws.stk in
-  Trace.iter
-    (fun y ->
-      occ_idx.(y) <- occ_idx.(y) + 1;
-      let ky = occ_idx.(y) in
-      (* Walk the stack top-down. A block [x] at 0-based position [i] has
-         fp<last(x), here> = i + 2, or i + 1 if [y]'s previous occurrence
-         lies above [x] (then y is already among the more-recent blocks).
-         The walk and the stack are the same at every window, so cutting
-         this walk at [w] gives the depth-[w] walk's witnesses. Each
-         position feeds both directions: this y-occurrence sees x
-         (backward); x's latest occurrence sees y (forward). *)
-      let pos = Window_stack.find ws y in
-      let depth = ws.depth in
-      let above = min (if pos >= 0 then pos else depth) (wmax - 1) in
-      for i = 0 to above - 1 do
-        let x = Array.unsafe_get stk i in
-        witness y x ky (i + 2);
-        witness x y occ_idx.(x) (i + 2)
-      done;
-      if pos >= 0 then
-        for i = pos + 1 to depth - 1 do
-          let x = Array.unsafe_get stk i in
-          witness y x ky (i + 1);
-          witness x y occ_idx.(x) (i + 1)
-        done;
-      Window_stack.move_to_front ws ~pos y)
-    trace;
-  (* A pair is affine at [w] iff both directions witnessed every
-     occurrence ([last] reached the occurrence count) and each
-     occurrence's smallest [fp] is <= [w]: its threshold is the larger of
-     the two directions' maxima. *)
   let table = Int_pair_tbl.create ~capacity:1024 () in
-  let bound v = imax ((v lsr fb) land fmask) (v land fmask) in
-  let add a b v v' =
-    if v lsr (2 * fb) = occ.(a) && v' lsr (2 * fb) = occ.(b) then
-      Int_pair_tbl.replace table (pack a b) (imax (bound v) (bound v'))
-  in
-  if dense then
-    for a = 0 to n - 1 do
-      for b = a + 1 to n - 1 do
-        let v = Array.unsafe_get grid ((a * n) + b) in
-        if v <> 0 then add a b v (Array.unsafe_get grid ((b * n) + a))
-      done
-    done
-  else
+  if n <= Int_pair_tbl.max_grid_universe then
+    Pair_grid.with_grid "Affinity.thresholds" ~n (fun grid ->
+        let wits = Int_pair_tbl.create ~capacity:0 () in
+        walk ~dense:true grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
+        read_grid grid n occ ~fb ~fmask table)
+  else begin
+    let wits = Int_pair_tbl.create ~capacity:4096 () in
+    let no_grid = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
+    walk ~dense:false no_grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
     Int_pair_tbl.iter
       (fun key v ->
-        let a = fst_of key and b = snd_of key in
-        if a < b then add a b v (Int_pair_tbl.find wits (pack b a) ~default:0))
-      wits;
+        let a = Int_pair_tbl.fst_of key and b = Int_pair_tbl.snd_of key in
+        if a < b then begin
+          let v' = Int_pair_tbl.find wits (Int_pair_tbl.pack b a) ~default:0 in
+          let t = threshold occ ~fb ~fmask a b v v' in
+          if t <> 0 then Int_pair_tbl.replace table key t
+        end)
+      wits
+  end;
   { table; wmax }
 
 let cut th ~w =
@@ -170,7 +225,7 @@ let affine_pairs trace ~w =
   cut (thresholds trace ~wmax:w) ~w
 
 let window_footprint trace a b =
-  let lo = min a b and hi = max a b in
+  let lo = imin a b and hi = imax a b in
   if lo < 0 || hi >= Trace.length trace then invalid_arg "Affinity.window_footprint";
   let seen = Hashtbl.create 16 in
   for i = lo to hi do
@@ -218,7 +273,7 @@ let partition trace ~w =
   let present =
     List.init (Trace.num_symbols trace) Fun.id
     |> List.filter (fun s -> first.(s) >= 0)
-    |> List.sort (fun a b -> compare first.(a) first.(b))
+    |> List.sort (fun a b -> int_order first.(a) first.(b))
   in
   (* Algorithm 1's greedy grouping: each block joins the first existing group
      in which it is affine with every member. *)

@@ -37,11 +37,13 @@ type thresholds
     smallest such window. *)
 
 val thresholds : Colayout_trace.Trace.t -> wmax:int -> thresholds
-(** The one-pass kernel. Its per-ordered-pair witness payloads live in a
-    dense [n × n] grid when the universe has at most
+(** The one-pass kernel. Its per-ordered-pair witness payloads live in
+    the calling domain's [Pair_grid] (both directions of a pair in
+    adjacent cells) when the universe has at most
     [Int_pair_tbl.max_grid_universe] symbols, in a packed-pair table
     otherwise; the thresholds are the same either way. @raise Invalid_argument if [wmax < 1] or the
-    trace is not trimmed. *)
+    trace is not trimmed, or on the grid path when the calling domain's
+    [Pair_grid] is already held. *)
 
 val cut : thresholds -> w:int -> pair_set
 (** The pairs affine at window [w]: exactly [affine_pairs trace ~w]. O(1);

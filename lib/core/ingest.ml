@@ -676,7 +676,8 @@ let affine_list c =
 
 (* The grid merge: directed TRG counts and both trace counts sum across
    walkers; a pair is affine iff aff = trc(a) = trc(b) > 0. The ascending
-   (a, b) sweep yields the packed keys sorted. *)
+   (a, b) sweep yields the packed keys sorted. The TRG counts sum into the
+   domain's [Pair_grid], which [Trg.of_grid] reads and leaves zeroed. *)
 let merge_grids t pairs =
   let n = t.cfg.num_symbols in
   let gs =
@@ -684,12 +685,9 @@ let merge_grids t pairs =
       (fun (wk : walker) -> match wk.store with Grids g -> Some g | Tables _ -> None)
       (Array.to_list t.walkers)
   in
-  let dir = Array.make (n * n) 0 and trc = Array.make n 0 in
+  let trc = Array.make n 0 in
   List.iter
     (fun g ->
-      for i = 0 to (n * n) - 1 do
-        Array.unsafe_set dir i (Array.unsafe_get dir i + Array.unsafe_get g.dir i)
-      done;
       for s = 0 to n - 1 do
         trc.(s) <- trc.(s) + g.trc.(s)
       done)
@@ -702,7 +700,15 @@ let merge_grids t pairs =
           Int_vec.push pairs (Int_pair_tbl.pack a b)
       done
   done;
-  Trg.of_grid ~num_nodes:n dir
+  Pair_grid.with_grid "Ingest.finalize" ~n (fun dir ->
+      List.iter
+        (fun g ->
+          for i = 0 to (n * n) - 1 do
+            Bigarray.Array1.unsafe_set dir i
+              (Bigarray.Array1.unsafe_get dir i + Array.unsafe_get g.dir i)
+          done)
+        gs;
+      Trg.of_grid ~num_nodes:n dir)
 
 (* The table merge: TRG edge weights sum per key ([Trg.of_edges] adds
    repeated edges); directed witness

@@ -29,7 +29,8 @@
       bumps of [Trg.build]'s grid path) and per-trace witness state that
       {!end_trace} closes into trace counts — [trc(s)], the traces
       containing [s], and [aff(a,b)], the traces that saturate [{a, b}].
-      {!finalize} sums the walkers' grids; a pair is affine iff
+      {!finalize} sums the walkers' TRG grids into the domain's
+      [Pair_grid] (no [n × n] allocation per merge); a pair is affine iff
       [aff(a,b) = trc(a) = trc(b) > 0], i.e. every trace that contains
       either symbol contains both and saturates the pair.
     - {b Tables} — bounded mode, and exact mode on larger universes.

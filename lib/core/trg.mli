@@ -16,19 +16,23 @@
     neighbour/weight arrays) that answers {!weight} by binary search in
     either argument order and iterates edges over contiguous arrays. On a
     universe of at most [Int_pair_tbl.max_grid_universe] symbols, {!build}
-    counts each recurrence into a dense [n × n] directed grid and reads the
-    CSR off its upper triangle ([w = m.(x).(y) + m.(y).(x)], [y > x]); on
+    counts each recurrence into the domain's dense [n × n] directed
+    [Pair_grid] and reads the CSR off its upper triangle
+    ([w = m.(x).(y) + m.(y).(x)], [y > x]); on
     larger universes, and in {!of_edges}, each undirected edge accumulates
     once into a flat [Int_pair_tbl] under [(min lsl 31) lor max], and
     {!finalize} sorts the keys into the CSR. Both paths give the same
-    graph, and neither the grid nor the table is kept once it is built.
+    graph; the table is dropped once the graph is built, and the grid goes
+    back to its domain zeroed.
     The packed coordinates bound the symbol universe: constructors raise
     [Invalid_argument] when [num_symbols >= 2^31]. *)
 
 type t
 
 val build : ?window:int -> Colayout_trace.Trace.t -> t
-(** [window] in blocks; default unbounded. The trace must be trimmed. *)
+(** [window] in blocks; default unbounded. The trace must be trimmed.
+    @raise Invalid_argument on the grid path when the calling domain's
+    [Pair_grid] is already held (see [Pair_grid.with_grid]). *)
 
 val finalize : t -> unit
 (** Convert to the CSR representation, dropping the construction-time
@@ -60,13 +64,22 @@ val of_edges : num_nodes:int -> (int * int * int) list -> t
     sum of its weights. @raise Invalid_argument on self loops, non-positive weights or
     out-of-range nodes. *)
 
-val of_grid : num_nodes:int -> int array -> t
+val of_grid : num_nodes:int -> Colayout_util.Pair_grid.t -> t
 (** [of_grid ~num_nodes:n m] is the graph of a directed [n × n] count grid
-    [m.(x * n + y)]: edge [{x, y}] weighs [m.(x * n + y) + m.(y * n + x)]
-    and exists when that is positive. The grid is consumed: its upper
-    triangle is overwritten by the fold. This is {!build}'s grid path
-    after its walk, and how [Ingest] emits its exact-mode consensus.
-    @raise Invalid_argument when [Array.length m <> n * n]. *)
+    [m.{x * n + y}]: edge [{x, y}] weighs [m.{x * n + y} + m.{y * n + x}]
+    and exists when that is positive. The grid is consumed: every cell is
+    0 when it returns, as a [Pair_grid] holder must leave it. This is
+    {!build}'s grid path after its walk, and how [Ingest] emits its
+    exact-mode consensus.
+    @raise Invalid_argument when [m] does not hold exactly [n * n] cells. *)
+
+val csr : t -> int array * int array * int array
+(** [(row_ptr, nbr, wt)]: the finalized graph's CSR arrays, shared, not
+    copied, and not to be mutated. Row [x] is
+    [nbr.(row_ptr.(x) .. row_ptr.(x + 1) - 1)], the neighbours [y > x] in
+    ascending order, with parallel weights in [wt]; {!iter_edges} visits
+    the same edges in the same order. For kernels that walk every edge
+    without a call per edge. *)
 
 val recommended_window :
   params:Colayout_cache.Params.t -> block_bytes:int -> cache_multiplier:float -> int

@@ -10,8 +10,6 @@ type result = {
    deterministic. *)
 let ahead (w1 : int) (k1 : int) (w2 : int) (k2 : int) = w1 > w2 || (w1 = w2 && k1 < k2)
 
-let key x y = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x
-
 (* The node tournament: an indexed max-heap (per [ahead]) of the unplaced
    nodes that have a live edge, each keyed by its best live edge — one
    whose other endpoint is unplaced or a slot's representative. The
@@ -69,183 +67,234 @@ let rekey t u w k =
   t.bk.(u) <- k;
   if up then sift_up t t.pos.(u) u else sift_down t t.pos.(u) u
 
-let reduce ?decisions trg ~slots =
-  if slots < 1 then invalid_arg "Trg_reduce.reduce: slots must be >= 1";
-  let n = Trg.num_nodes trg in
-  (* Current edge weights, one entry per canonical pair; an absent pair
-     reads 0. Weights only grow. A universe within
-     [Int_pair_tbl.max_grid_universe] keeps them in a dense grid at
-     [lo * n + hi], larger ones in a packed-pair table: the same values
-     either way, so the same decisions. *)
-  let dense = n <= Int_pair_tbl.max_grid_universe in
-  let grid = Array.make (if dense then n * n else 0) 0 in
-  let cell x y = if x < y then (x * n) + y else (y * n) + x in
+(* The reduction's state. Current edge weights, one entry per canonical
+   pair, where an absent pair reads 0; weights only grow. A universe
+   within [Int_pair_tbl.max_grid_universe] keeps them in the domain's
+   [Pair_grid] at [lo * n + hi], larger ones in a packed-pair table: the
+   same values either way, so the same decisions. *)
+type state = {
+  n : int;
+  grid : Pair_grid.t; (* dense: the weights *)
+  cur : Int_pair_tbl.t; (* otherwise: the weights *)
   (* Neighbour lists: the initial graph as symmetric flat rows, plus a
-     per-node vector of the slot nodes it gains an edge to through merges.
-     Only unplaced nodes' lists are ever read. *)
+     per-node vector of the slot nodes it gains an edge to through
+     merges. Only unplaced nodes' lists are ever read. *)
+  row : int array;
+  adj : int array;
+  no_extra : Int_vec.t;
+  extra : Int_vec.t array;
+  t : tournament;
+  slot_of : int array;
+  rep_of_slot : int array;
+  mutable filled : int;
+  slot_vecs : Int_vec.t array;
+  decisions : Decision_trace.t option;
+}
+
+(* [Int_pair_tbl.pack] of the canonical pair, open-coded: a call across
+   modules is never inlined under [-opaque], and the merge loop makes
+   this one per neighbour. *)
+let[@inline] key x y = if x < y then (x lsl 31) lor y else (y lsl 31) lor x
+
+let[@inline] key_fst k = k lsr 31
+
+let[@inline] key_snd k = k land Int_pair_tbl.max_coord
+
+let[@inline] cell st x y = if x < y then (x * st.n) + y else (y * st.n) + x
+
+let[@inline] cur_w ~dense st x y =
+  if dense then Bigarray.Array1.unsafe_get st.grid (cell st x y)
+  else Int_pair_tbl.find st.cur (key x y) ~default:0
+
+(* Adds [dw] to the weight of [{x, y}] and returns the sum. *)
+let[@inline] cur_add ~dense st x y dw =
+  if dense then begin
+    let i = cell st x y in
+    let w = Bigarray.Array1.unsafe_get st.grid i + dw in
+    Bigarray.Array1.unsafe_set st.grid i w;
+    w
+  end
+  else Int_pair_tbl.add_to st.cur (key x y) dw
+
+let add_neighbour st x y =
+  if st.extra.(x) == st.no_extra then st.extra.(x) <- Int_vec.create ~capacity:8 ();
+  Int_vec.push st.extra.(x) y
+
+let[@inline] placed st v = Array.unsafe_get st.slot_of v >= 0
+
+let[@inline] live st v = (not (placed st v)) || st.rep_of_slot.(st.slot_of.(v)) = v
+
+let create trg ~slots ~grid ~decisions =
+  let n = Trg.num_nodes trg in
   let row = Array.make (n + 1) 0 in
   for x = 0 to n - 1 do
     row.(x + 1) <- row.(x) + Trg.degree trg x
   done;
-  let adj = Array.make row.(n) 0 in
-  let fill = Array.sub row 0 n in
   let no_extra = Int_vec.create ~capacity:1 () in
-  let extra = Array.make n no_extra in
-  let add_neighbour x y =
-    if extra.(x) == no_extra then extra.(x) <- Int_vec.create ~capacity:8 ();
-    Int_vec.push extra.(x) y
-  in
-  let iter_neighbours f v =
-    for i = row.(v) to row.(v + 1) - 1 do
-      f adj.(i)
-    done;
-    Int_vec.iter f extra.(v)
-  in
-  let cur = Int_pair_tbl.create ~capacity:(if dense then 0 else row.(n) / 2) () in
-  let cur_w x y =
-    if dense then Array.unsafe_get grid (cell x y) else Int_pair_tbl.find cur (key x y) ~default:0
-  in
-  (* Adds [dw] to the weight of [{x, y}] and returns the sum. *)
-  let cur_add x y dw =
-    if dense then begin
-      let i = cell x y in
-      let w = Array.unsafe_get grid i + dw in
-      Array.unsafe_set grid i w;
-      w
-    end
-    else Int_pair_tbl.add_to cur (key x y) dw
-  in
-  (* Every node starts unplaced, so its best live edge is its heaviest
-     edge. *)
-  let t =
-    {
-      bw = Array.make n 0;
-      bk = Array.make n 0;
-      heap = Array.make n 0;
-      pos = Array.make n (-1);
-      len = 0;
-    }
-  in
-  let offer x w k =
-    if ahead w k t.bw.(x) t.bk.(x) then begin
-      t.bw.(x) <- w;
-      t.bk.(x) <- k
-    end
-  in
-  Trg.iter_edges
-    (fun x y w ->
-      if dense then grid.((x * n) + y) <- w else Int_pair_tbl.replace cur (Int_pair_tbl.pack x y) w;
+  {
+    n;
+    grid;
+    cur =
+      Int_pair_tbl.create
+        ~capacity:(if n <= Int_pair_tbl.max_grid_universe then 0 else row.(n) / 2)
+        ();
+    row;
+    adj = Array.make row.(n) 0;
+    no_extra;
+    extra = Array.make n no_extra;
+    (* Every node starts unplaced, so its best live edge is its heaviest
+       edge. *)
+    t =
+      {
+        bw = Array.make n 0;
+        bk = Array.make n 0;
+        heap = Array.make n 0;
+        pos = Array.make n (-1);
+        len = 0;
+      };
+    slot_of = Array.make n (-1);
+    rep_of_slot = Array.make slots (-1);
+    filled = 0;
+    slot_vecs = Array.init slots (fun _ -> Int_vec.create ());
+    decisions;
+  }
+
+let[@inline] offer t x w k =
+  if ahead w k t.bw.(x) t.bk.(x) then begin
+    t.bw.(x) <- w;
+    t.bk.(x) <- k
+  end
+
+(* The weights, adjacency rows and every node's best edge from the CSR,
+   in its edge order, then the tournament heapified. *)
+let[@inline] setup ~dense st trg =
+  let row_ptr, nbr, wt = Trg.csr trg in
+  let n = st.n and adj = st.adj and t = st.t in
+  let fill = Array.sub st.row 0 n in
+  for x = 0 to n - 1 do
+    for j = row_ptr.(x) to row_ptr.(x + 1) - 1 do
+      let y = Array.unsafe_get nbr j and w = Array.unsafe_get wt j in
+      if dense then Bigarray.Array1.unsafe_set st.grid ((x * n) + y) w
+      else Int_pair_tbl.replace st.cur (key x y) w;
       adj.(fill.(x)) <- y;
       fill.(x) <- fill.(x) + 1;
       adj.(fill.(y)) <- x;
       fill.(y) <- fill.(y) + 1;
-      let k = Int_pair_tbl.pack x y in
-      offer x w k;
-      offer y w k)
-    trg;
+      let k = key x y in
+      offer t x w k;
+      offer t y w k
+    done
+  done;
   for x = 0 to n - 1 do
-    if row.(x + 1) > row.(x) then begin
+    if st.row.(x + 1) > st.row.(x) then begin
       put t t.len x;
       t.len <- t.len + 1
     end
   done;
   for i = (t.len / 2) - 1 downto 0 do
     sift_down t i t.heap.(i)
+  done
+
+(* Slots fill in index order, so the first empty slot (which wins
+   outright) is [filled]; otherwise the strict minimum conflict weight
+   against each slot's merged node, first slot on ties. *)
+let[@inline] choose_slot ~dense st v =
+  let slots = Array.length st.rep_of_slot in
+  if st.filled < slots then st.filled
+  else begin
+    let best = ref 0 and best_w = ref (cur_w ~dense st v st.rep_of_slot.(0)) in
+    for k = 1 to slots - 1 do
+      let w = cur_w ~dense st v st.rep_of_slot.(k) in
+      if w < !best_w then begin
+        best := k;
+        best_w := w
+      end
+    done;
+    !best
+  end
+
+(* [u]'s best live edge, from scratch, starting from the live edge
+   [(w, k)]: its initial neighbours, then the slot nodes it gained. *)
+let[@inline] rescan ~dense st u w k =
+  let bw = ref w and bk = ref k in
+  let e = st.extra.(u) and last = st.row.(u + 1) in
+  for i = st.row.(u) to last + Int_vec.length e - 1 do
+    let m = if i < last then st.adj.(i) else Int_vec.unsafe_get e (i - last) in
+    if live st m then begin
+      let w = cur_w ~dense st u m and k = key u m in
+      if ahead w k !bw !bk then begin
+        bw := w;
+        bk := k
+      end
+    end
   done;
-  let slot_of = Array.make n (-1) in
-  let rep_of_slot = Array.make slots (-1) in
-  let filled = ref 0 in
-  let slot_vecs = Array.init slots (fun _ -> Int_vec.create ()) in
-  let placed v = slot_of.(v) >= 0 in
-  let live v = (not (placed v)) || rep_of_slot.(slot_of.(v)) = v in
-  let choose_slot v =
-    (* Slots fill in index order, so the first empty slot (which wins
-       outright) is [!filled]; otherwise the strict minimum conflict weight
-       against each slot's merged node, first slot on ties. *)
-    if !filled < slots then !filled
-    else begin
-      let best = ref 0 and best_w = ref (cur_w v rep_of_slot.(0)) in
-      for k = 1 to slots - 1 do
-        let w = cur_w v rep_of_slot.(k) in
-        if w < !best_w then begin
-          best := k;
-          best_w := w
+  rekey st.t u !bw !bk
+
+(* Steps 19-21 drop the edges between slots, and a merge drops the merged
+   node's edges. Both only ever remove edges whose endpoints are both
+   placed, and no decision depends on such an edge: the tournament holds
+   only unplaced nodes and their live edges; [choose_slot] asks about an
+   unplaced node; a merge reads the unplaced neighbours of the node being
+   placed. So the dropped edges are simply left behind, and every weight
+   a decision reads is the seed's. *)
+let[@inline] place ~dense st ~w v =
+  let t = st.t in
+  remove t v;
+  let k = choose_slot ~dense st v in
+  Int_vec.push st.slot_vecs.(k) v;
+  st.slot_of.(v) <- k;
+  if st.rep_of_slot.(k) < 0 then begin
+    (* A new representative keeps every edge live. *)
+    st.rep_of_slot.(k) <- v;
+    st.filled <- st.filled + 1;
+    Decision_trace.emit st.decisions ~stage:"trg-reduce" ~action:"place" ~x:v ~weight:w ~group:k
+      ~size:(Int_vec.length st.slot_vecs.(k)) ()
+  end
+  else begin
+    (* Merge v into the slot's node r: v's edge to each unplaced
+       neighbour dies, and its weight moves onto that neighbour's edge
+       to r. The replacement is never lighter than the dying edge, so a
+       neighbour's best only moves up — except when the dying edge was
+       its best and the new edge to r only ties it with a larger key:
+       then some other edge of the same weight may lead, and the
+       neighbour is rescanned. Only v's initial neighbours can be
+       unplaced: the slot nodes it gained are placed. *)
+    let r = st.rep_of_slot.(k) in
+    Decision_trace.emit st.decisions ~stage:"trg-reduce" ~action:"merge" ~x:v ~y:r ~weight:w
+      ~group:k ~size:(Int_vec.length st.slot_vecs.(k)) ();
+    for i = st.row.(v) to st.row.(v + 1) - 1 do
+      let nb = Array.unsafe_get st.adj i in
+      if not (placed st nb) then begin
+        let wv = cur_w ~dense st v nb in
+        let w' = cur_add ~dense st r nb wv in
+        if w' = wv then add_neighbour st nb r;
+        let kr = key r nb in
+        if t.bk.(nb) = key v nb then begin
+          if w' > wv || kr < t.bk.(nb) then rekey t nb w' kr else rescan ~dense st nb w' kr
         end
-      done;
-      !best
-    end
-  in
-  (* [u]'s best live edge, from scratch, starting from the live edge
-     [(w, k)]. *)
-  let rescan u w k =
-    let bw = ref w and bk = ref k in
-    iter_neighbours
-      (fun m ->
-        if live m then begin
-          let w = cur_w u m and k = key u m in
-          if ahead w k !bw !bk then begin
-            bw := w;
-            bk := k
-          end
-        end)
-      u;
-    rekey t u !bw !bk
-  in
-  (* Steps 19-21 drop the edges between slots, and a merge drops the merged
-     node's edges. Both only ever remove edges whose endpoints are both
-     placed, and no decision depends on such an edge: the tournament holds
-     only unplaced nodes and their live edges; [choose_slot] asks about an
-     unplaced node; a merge reads the unplaced neighbours of the node being
-     placed. So the dropped edges are simply left behind, and every weight
-     a decision reads is the seed's. *)
-  let place ~w v =
-    remove t v;
-    let k = choose_slot v in
-    Int_vec.push slot_vecs.(k) v;
-    slot_of.(v) <- k;
-    if rep_of_slot.(k) < 0 then begin
-      (* A new representative keeps every edge live. *)
-      rep_of_slot.(k) <- v;
-      incr filled;
-      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"place" ~x:v ~weight:w ~group:k
-        ~size:(Int_vec.length slot_vecs.(k)) ()
-    end
-    else begin
-      (* Merge v into the slot's node r: v's edge to each unplaced
-         neighbour dies, and its weight moves onto that neighbour's edge
-         to r. The replacement is never lighter than the dying edge, so a
-         neighbour's best only moves up — except when the dying edge was
-         its best and the new edge to r only ties it with a larger key:
-         then some other edge of the same weight may lead, and the
-         neighbour is rescanned. *)
-      let r = rep_of_slot.(k) in
-      Decision_trace.emit decisions ~stage:"trg-reduce" ~action:"merge" ~x:v ~y:r ~weight:w
-        ~group:k ~size:(Int_vec.length slot_vecs.(k)) ();
-      iter_neighbours
-        (fun nb ->
-          if not (placed nb) then begin
-            let wv = cur_w v nb in
-            let w' = cur_add r nb wv in
-            if w' = wv then add_neighbour nb r;
-            let kr = key r nb in
-            if t.bk.(nb) = key v nb then begin
-              if w' > wv || kr < t.bk.(nb) then rekey t nb w' kr else rescan nb w' kr
-            end
-            else if ahead w' kr t.bw.(nb) t.bk.(nb) then rekey t nb w' kr
-          end)
-        v
-    end
-  in
-  (* Nodes without edges never enter the tournament, so they are never
-     placed; the drain stops once every other node is. *)
+        else if ahead w' kr t.bw.(nb) t.bk.(nb) then rekey t nb w' kr
+      end
+    done
+  end
+
+let place_dense st ~w v = place ~dense:true st ~w v
+
+let place_table st ~w v = place ~dense:false st ~w v
+
+(* Nodes without edges never enter the tournament, so they are never
+   placed; the drain stops once every other node is. *)
+let[@inline] drain ~dense st =
+  let t = st.t in
   while t.len > 0 do
     let u = t.heap.(0) in
     let w = t.bw.(u) and k = t.bk.(u) in
-    let x = Int_pair_tbl.fst_of k and y = Int_pair_tbl.snd_of k in
-    if not (placed x) then place ~w x;
-    if not (placed y) then place ~w y
-  done;
-  let slot_arrays = Array.map Int_vec.to_array slot_vecs in
+    let x = key_fst k and y = key_snd k in
+    if not (placed st x) then if dense then place_dense st ~w x else place_table st ~w x;
+    if not (placed st y) then if dense then place_dense st ~w y else place_table st ~w y
+  done
+
+let result st =
+  let slot_arrays = Array.map Int_vec.to_array st.slot_vecs in
   let slot_lists = Array.map Array.to_list slot_arrays in
   (* Round-robin output: one head per non-empty list per round. *)
   let rounds = Array.fold_left (fun acc a -> Int.max acc (Array.length a)) 0 slot_arrays in
@@ -254,6 +303,27 @@ let reduce ?decisions trg ~slots =
     Array.iter (fun a -> if i < Array.length a then order := a.(i) :: !order) slot_arrays
   done;
   { order = List.rev !order; slot_lists }
+
+let reduce ?decisions trg ~slots =
+  if slots < 1 then invalid_arg "Trg_reduce.reduce: slots must be >= 1";
+  let n = Trg.num_nodes trg in
+  if n <= Int_pair_tbl.max_grid_universe then
+    Pair_grid.with_grid "Trg_reduce.reduce" ~n (fun grid ->
+        let st = create trg ~slots ~grid ~decisions in
+        setup ~dense:true st trg;
+        drain ~dense:true st;
+        (* The reduction has no read-out pass over its cells: one fill
+           zeroes them, ~4x faster than revisiting the ~2E scattered
+           cells it wrote. *)
+        Bigarray.Array1.fill grid 0;
+        result st)
+  else begin
+    let grid = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
+    let st = create trg ~slots ~grid ~decisions in
+    setup ~dense:false st trg;
+    drain ~dense:false st;
+    result st
+  end
 
 let slots_for ~params ~block_bytes ~cache_multiplier =
   if block_bytes <= 0 then invalid_arg "Trg_reduce.slots_for";

@@ -22,8 +22,8 @@
     top node's edge instead of draining a heap of edges. A merge only ever
     raises a neighbour's best, except when it kills the neighbour's best
     and the edge to the slot's node ties it with a larger key: that
-    neighbour's edges are rescanned. Current weights live in one dense
-    [n × n] grid when the graph has at most
+    neighbour's edges are rescanned. Current weights live in the calling
+    domain's dense [n × n] [Pair_grid] when the graph has at most
     [Int_pair_tbl.max_grid_universe] nodes, in one packed-pair table
     otherwise (the same values either way); the drain stops once every
     node with an edge is placed. It makes the same decisions as the seed
@@ -39,7 +39,8 @@ type result = {
 }
 
 val reduce : ?decisions:Decision_trace.t -> Trg.t -> slots:int -> result
-(** @raise Invalid_argument if [slots < 1]. Deterministic: edge ties break
+(** @raise Invalid_argument if [slots < 1], or on the grid path when the
+    calling domain's [Pair_grid] is already held. Deterministic: edge ties break
     toward smaller node ids. With [decisions], emits a ["trg-reduce"] event
     per placement ([place] into an empty slot, [merge] into a slot's node),
     carrying the driving edge weight and the slot index. *)

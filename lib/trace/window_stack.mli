@@ -1,10 +1,11 @@
 (** A bounded LRU stack: the [k] most recent distinct symbols, most recent
     first, in one flat [int array].
 
-    The windowed analysis kernels ([Trg.build], [Affinity.thresholds],
-    [Ingest]) never look deeper than their window, so the top [k] entries
-    of the full, unbounded LRU stack are all they need. Keeping only
-    those makes every per-event step a contiguous array scan and shift:
+    The windowed analysis kernels ([Trg.build]'s table path,
+    [Affinity.thresholds], [Ingest]) never look deeper than their
+    window, so the top [k] entries of the full, unbounded LRU stack are
+    all they need. Keeping only those makes every per-event step a
+    contiguous array scan and shift:
     no allocation, no pointer chasing, no closure call per entry.
 
     The array is exposed read-only so a kernel runs its own loop over

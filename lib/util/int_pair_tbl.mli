@@ -24,9 +24,9 @@ val max_coord : int
 val max_grid_universe : int
 (** [2048]: the largest symbol universe [n] for which the pair kernels
     ([Trg.build], [Trg_reduce.reduce], [Affinity.thresholds]) skip this
-    table and count into one flat [n × n] [int array] indexed
-    [x * n + y]: at most [2048² × 8] bytes = 32 MiB, allocated for the
-    kernel's run and dropped when it returns. Every program in the repo
+    table and count into the calling domain's flat [n × n] [Pair_grid]:
+    at most [2048² × 8] bytes = 32 MiB, kept by the domain and reused
+    from call to call. Every program in the repo
     has at most 1,293 blocks, so the paper path always takes the grid;
     larger universes keep the table. Both paths make the same decisions. *)
 

@@ -55,6 +55,17 @@ let kernels =
             ("gc_per_call", o [ ("indexed", o [ ("major_words", f 40.0) ]) ]);
           ] );
       ("solo", o [ ("program", s "p"); ("indexed_digest", s "d"); ("seed_digest", s "d") ]);
+      ( "pair_grid",
+        o
+          [
+            ("grid_cells", i 100);
+            ( "kernels",
+              a
+                (List.map
+                   (fun name ->
+                     o [ ("name", s name); ("gc_per_call", o [ ("major_words", f 20.0) ]) ])
+                   [ "trg-build"; "affinity-thresholds"; "trg-reduce" ]) );
+          ] );
     ]
 
 let harness = manifest "harness" [ ("stages", a [ o [ ("name", s "interp"); ("total_ns", i 5) ] ]) ]
@@ -366,6 +377,9 @@ let perturbations =
     ( "kernels",
       "corun-no-trace-copy",
       set (cells [ "corun"; "gc_per_call"; "indexed"; "major_words" ]) (f 400.0) );
+    ( "kernels",
+      "pair-grid-no-alloc",
+      set (cells [ "pair_grid"; "kernels"; "2"; "gc_per_call"; "major_words" ]) (f 100.0) );
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));

@@ -418,6 +418,146 @@ let test_hierarchy_real_traces () =
         (real_analysis name).Optimizer.bb)
     [ "445.gobmk"; "403.gcc" ]
 
+(* ------------------------------------------------ The reused pair grid *)
+
+(* The three grid kernels hold one [Pair_grid] per domain, lent zeroed and
+   handed back zeroed. Stale cells from a larger universe would land in a
+   smaller one's rows (and the reverse), so each kernel runs at 445.gobmk's
+   1,293 symbols and at 40, in both orders, against the seed kernels. The
+   zipf traces make symbols 0 and 1 the hottest: the cells a smaller
+   universe reuses are the ones a larger call writes most. *)
+let gobmk_symbols = 1293
+
+let grid_windows = [ 2; 8; 20 ]
+
+(* TRG edges, the reduction (order, slot lists, decision events) and
+   affine pairs at each window. *)
+let grid_kernels (t, window, slots) =
+  let g = Trg.build ~window t in
+  let d = Decision_trace.create () in
+  let r = Trg_reduce.reduce ~decisions:d g ~slots in
+  let th = Affinity.thresholds t ~wmax:(List.fold_left max 1 grid_windows) in
+  ( Trg.edges g,
+    (r.Trg_reduce.order, r.Trg_reduce.slot_lists, events d),
+    List.map (fun w -> Affinity.pair_list (Affinity.cut th ~w)) grid_windows )
+
+(* The same from the seed kernels; the reduction reads a graph built from
+   the seed's edges through the table path. *)
+let seed_kernels (t, window, slots) =
+  let legacy = Kernel_baseline.trg_build ~window t in
+  let g = Trg.of_edges ~num_nodes:(Trace.num_symbols t) (Kernel_baseline.trg_edges legacy) in
+  let d = Decision_trace.create () in
+  let r = Kernel_baseline.trg_reduce ~decisions:d g ~slots in
+  ( Kernel_baseline.trg_edges legacy,
+    (r.Trg_reduce.order, r.Trg_reduce.slot_lists, events d),
+    List.map (fun w -> Kernel_baseline.affine_pairs t ~w) grid_windows )
+
+let grid_cases () =
+  [
+    (random_trace ~seed:31 ~num_symbols:gobmk_symbols ~len:6_000, 1024, 64);
+    (random_trace ~seed:32 ~num_symbols:40 ~len:1_500, 16, 4);
+    (phrase_trace ~seed:33 ~num_symbols:gobmk_symbols ~len:6_000, 64, 256);
+    (phrase_trace ~seed:34 ~num_symbols:40 ~len:1_500, 40, 8);
+  ]
+
+let check_grid_zeroed what =
+  U.Pair_grid.with_grid "test" ~n:gobmk_symbols (fun g ->
+      let dirty = ref 0 in
+      for i = 0 to Bigarray.Array1.dim g - 1 do
+        if g.{i} <> 0 then incr dirty
+      done;
+      check Alcotest.int (what ^ ": grid handed back zeroed") 0 !dirty)
+
+let test_grid_reuse_across_universes () =
+  let cases = grid_cases () in
+  let seeds = List.map seed_kernels cases in
+  (* Large, small, large, small; then small, large, small, large. *)
+  List.iter
+    (fun order ->
+      List.iter
+        (fun i ->
+          let case = List.nth cases i in
+          let t, window, slots = case in
+          let what =
+            Printf.sprintf "n=%d window=%d slots=%d" (Trace.num_symbols t) window slots
+          in
+          check Alcotest.bool (what ^ ": = seed kernels") true
+            (grid_kernels case = List.nth seeds i);
+          check_grid_zeroed what)
+        order)
+    [ [ 0; 1; 2; 3 ]; [ 1; 0; 3; 2 ] ];
+  check Alcotest.bool "the grid grew to the largest universe" true
+    (U.Pair_grid.capacity () >= gobmk_symbols * gobmk_symbols)
+
+(* Each domain holds its own grid: the kernels through the pool at two
+   jobs equal the sequential results. *)
+let test_grid_per_domain () =
+  let cases = grid_cases () in
+  let cases = cases @ List.rev cases in
+  let sequential = List.map grid_kernels cases in
+  let parallel = U.Pool.with_pool ~jobs:2 (fun pool -> U.Pool.map pool grid_kernels cases) in
+  check Alcotest.bool "jobs 2 = sequential" true (parallel = sequential)
+
+(* A kernel called while its domain holds the grid is refused, and the
+   holder's cells are untouched; another domain runs meanwhile; a holder
+   that raises hands the grid back zeroed and released. *)
+let test_grid_nested_guard () =
+  let t = random_trace ~seed:35 ~num_symbols:30 ~len:400 in
+  let g = Trg.build ~window:8 t in
+  let held who = Invalid_argument (who ^ ": the pair grid is already held on this domain") in
+  U.Pair_grid.with_grid "test" ~n:4 (fun m ->
+      m.{5} <- 7;
+      Alcotest.check_raises "Trg.build" (held "Trg.build") (fun () ->
+          ignore (Trg.build ~window:8 t));
+      Alcotest.check_raises "Affinity.thresholds" (held "Affinity.thresholds") (fun () ->
+          ignore (Affinity.thresholds t ~wmax:4));
+      Alcotest.check_raises "Trg_reduce.reduce" (held "Trg_reduce.reduce") (fun () ->
+          ignore (Trg_reduce.reduce g ~slots:4));
+      Alcotest.check_raises "hold inside a hold" (held "inner") (fun () ->
+          U.Pair_grid.with_grid "inner" ~n:4 ignore);
+      check Alcotest.int "the holder's cell is untouched" 7 m.{5};
+      let other = Domain.join (Domain.spawn (fun () -> Trg.edges (Trg.build ~window:8 t))) in
+      check edge_list "another domain builds meanwhile" (Trg.edges g) other;
+      m.{5} <- 0);
+  Alcotest.check_raises "a raising holder" (Failure "holder") (fun () ->
+      U.Pair_grid.with_grid "test" ~n:gobmk_symbols (fun m ->
+          m.{0} <- 1;
+          m.{(gobmk_symbols * gobmk_symbols) - 1} <- 2;
+          failwith "holder"));
+  check_grid_zeroed "after a raising holder";
+  check edge_list "released after the raise"
+    (Kernel_baseline.trg_edges (Kernel_baseline.trg_build ~window:8 t))
+    (Trg.edges (Trg.build ~window:8 t))
+
+(* The grid TRG walk keeps a per-symbol on-stack flag instead of scanning
+   the stack. Window 1, windows below and above the distinct-symbol
+   count (below it, blocks drop off the bottom and their flag must
+   clear), and universes with cold symbols between the hot ones. *)
+let trg_walk_matches_seed =
+  QCheck.Test.make ~name:"flagged grid TRG walk = seed TRG" ~count:500
+    QCheck.(
+      quad (int_range 1 12) (int_range 0 3) (int_range 0 6)
+        (list_of_size Gen.(int_range 0 150) (int_bound 11)))
+    (fun (used, gap, wsel, xs) ->
+      (* Hot symbols at multiples of [gap + 1]; the ids between are cold. *)
+      let n = used * (gap + 1) in
+      let t =
+        Trim.trim (Trace.of_list ~num_symbols:n (List.map (fun x -> x mod used * (gap + 1)) xs))
+      in
+      let distinct = Trace.distinct_count t in
+      let window =
+        match wsel with
+        | 0 -> 1
+        | 1 -> 2
+        | 2 -> max 1 (distinct - 1)
+        | 3 -> max 1 (distinct / 2)
+        | 4 -> n
+        | 5 -> n + 3
+        | _ -> max_int
+      in
+      Trg.edges (Trg.build ~window t)
+      = Kernel_baseline.trg_edges (Kernel_baseline.trg_build ~window t))
+
 (* ------------------------------------------- Int_pair_tbl vs a Hashtbl *)
 
 let test_pack_roundtrip () =
@@ -573,6 +713,14 @@ let () =
           QCheck_alcotest.to_alcotest hierarchy_matches_reference;
           Alcotest.test_case "real bb hierarchies = reference" `Slow
             test_hierarchy_real_traces;
+        ] );
+      ( "pair-grid",
+        [
+          Alcotest.test_case "reuse across universes = seed" `Quick
+            test_grid_reuse_across_universes;
+          Alcotest.test_case "one grid per domain" `Quick test_grid_per_domain;
+          Alcotest.test_case "nested-use guard" `Quick test_grid_nested_guard;
+          QCheck_alcotest.to_alcotest trg_walk_matches_seed;
         ] );
       ( "int-pair-tbl",
         [

@@ -86,20 +86,24 @@ let test_of_edges_validation () =
 
 (* The two merge-side constructors: [of_edges] adds the weights of an
    edge listed more than once, in either orientation, and [of_grid] reads
-   a directed grid as the sum of its two cells per pair. *)
+   a directed grid, lent by [Pair_grid], as the sum of its two cells per
+   pair and hands it back zeroed. *)
 let test_of_edges_and_of_grid () =
   let g = Trg.of_edges ~num_nodes:4 [ (0, 1, 2); (2, 3, 1); (1, 0, 5); (0, 1, 1) ] in
   check Alcotest.(list (triple int int int)) "repeated edges sum" [ (0, 1, 8); (2, 3, 1) ]
     (Trg.edges g);
   check Alcotest.int "degree counts the edge once" 1 (Trg.degree g 0);
-  let m = Array.make 16 0 in
-  m.((0 * 4) + 1) <- 3;
-  m.((1 * 4) + 0) <- 5;
-  m.((3 * 4) + 2) <- 1;
-  check Alcotest.(list (triple int int int)) "directed cells fold" [ (0, 1, 8); (2, 3, 1) ]
-    (Trg.edges (Trg.of_grid ~num_nodes:4 m));
-  Alcotest.check_raises "grid size" (Invalid_argument "Trg.of_grid: grid is not n * n")
-    (fun () -> ignore (Trg.of_grid ~num_nodes:3 m))
+  Colayout_util.Pair_grid.with_grid "test" ~n:4 (fun m ->
+      m.{(0 * 4) + 1} <- 3;
+      m.{(1 * 4) + 0} <- 5;
+      m.{(3 * 4) + 2} <- 1;
+      check Alcotest.(list (triple int int int)) "directed cells fold" [ (0, 1, 8); (2, 3, 1) ]
+        (Trg.edges (Trg.of_grid ~num_nodes:4 m));
+      for i = 0 to 15 do
+        check Alcotest.int (Printf.sprintf "cell %d left zeroed" i) 0 m.{i}
+      done;
+      Alcotest.check_raises "grid size" (Invalid_argument "Trg.of_grid: grid is not n * n")
+        (fun () -> ignore (Trg.of_grid ~num_nodes:3 m)))
 
 let test_recommended_window () =
   let params = Colayout_cache.Params.default_l1i in
