@@ -529,6 +529,60 @@ let test_grid_nested_guard () =
     (Kernel_baseline.trg_edges (Kernel_baseline.trg_build ~window:8 t))
     (Trg.edges (Trg.build ~window:8 t))
 
+let grid_sum g =
+  let s = ref 0 in
+  for i = 0 to Bigarray.Array1.dim g - 1 do
+    s := !s + abs g.{i}
+  done;
+  !s
+
+(* The view is exactly n * n cells, zeroed; the domain's grid grows to
+   the largest n² and is never shrunk; sides outside the bound are
+   refused. *)
+let test_pair_grid_view () =
+  U.Pair_grid.with_grid "test" ~n:0 (fun g -> check Alcotest.int "n = 0" 0 (Bigarray.Array1.dim g));
+  U.Pair_grid.with_grid "test" ~n:12 (fun g ->
+      check Alcotest.int "n * n cells" 144 (Bigarray.Array1.dim g);
+      check Alcotest.int "zeroed" 0 (grid_sum g));
+  let cap = U.Pair_grid.capacity () in
+  check Alcotest.bool "grew to 144" true (cap >= 144);
+  U.Pair_grid.with_grid "test" ~n:5 (fun g ->
+      check Alcotest.int "a smaller view" 25 (Bigarray.Array1.dim g));
+  check Alcotest.int "never shrunk" cap (U.Pair_grid.capacity ());
+  let bad n =
+    Invalid_argument (Printf.sprintf "test: grid side %d outside [0, max_grid_universe]" n)
+  in
+  Alcotest.check_raises "negative side" (bad (-1)) (fun () ->
+      U.Pair_grid.with_grid "test" ~n:(-1) ignore);
+  let over = U.Int_pair_tbl.max_grid_universe + 1 in
+  Alcotest.check_raises "side over the bound" (bad over) (fun () ->
+      U.Pair_grid.with_grid "test" ~n:over ignore)
+
+(* One holder per domain: a nested hold is refused with the inner
+   caller's name and leaves the holder's cells alone; another domain
+   holds its own grid meanwhile; a holder that raises gets its cells
+   zeroed and the grid released. *)
+let test_pair_grid_hold () =
+  U.Pair_grid.with_grid "outer" ~n:3 (fun g ->
+      g.{4} <- 9;
+      Alcotest.check_raises "nested hold"
+        (Invalid_argument "inner: the pair grid is already held on this domain") (fun () ->
+          U.Pair_grid.with_grid "inner" ~n:3 (fun h -> h.{4} <- 1));
+      check Alcotest.int "holder's cell kept" 9 g.{4};
+      let other =
+        Domain.join
+          (Domain.spawn (fun () -> U.Pair_grid.with_grid "other" ~n:3 (fun h -> grid_sum h)))
+      in
+      check Alcotest.int "another domain's grid is its own, zeroed" 0 other;
+      g.{4} <- 0);
+  Alcotest.check_raises "raising holder" Exit (fun () ->
+      U.Pair_grid.with_grid "test" ~n:7 (fun g ->
+          g.{0} <- 3;
+          g.{48} <- -2;
+          raise Exit));
+  U.Pair_grid.with_grid "test" ~n:7 (fun g ->
+      check Alcotest.int "zeroed after the raise" 0 (grid_sum g))
+
 (* The grid TRG walk keeps a per-symbol on-stack flag instead of scanning
    the stack. Window 1, windows below and above the distinct-symbol
    count (below it, blocks drop off the bottom and their flag must
@@ -720,6 +774,8 @@ let () =
             test_grid_reuse_across_universes;
           Alcotest.test_case "one grid per domain" `Quick test_grid_per_domain;
           Alcotest.test_case "nested-use guard" `Quick test_grid_nested_guard;
+          Alcotest.test_case "view" `Quick test_pair_grid_view;
+          Alcotest.test_case "hold" `Quick test_pair_grid_hold;
           QCheck_alcotest.to_alcotest trg_walk_matches_seed;
         ] );
       ( "int-pair-tbl",

@@ -78,62 +78,6 @@ let test_int_vec_sub_append () =
   Alcotest.check_raises "sub oob" (Invalid_argument "Int_vec.sub") (fun () ->
       ignore (Int_vec.sub v ~pos:3 ~len:2))
 
-(* ------------------------------------------------------------ Pair_grid *)
-
-let grid_sum g =
-  let s = ref 0 in
-  for i = 0 to Bigarray.Array1.dim g - 1 do
-    s := !s + abs g.{i}
-  done;
-  !s
-
-(* The view is exactly n * n cells, zeroed; the domain's grid grows to
-   the largest n² and is never shrunk; sides outside the bound are
-   refused. *)
-let test_pair_grid_view () =
-  Pair_grid.with_grid "test" ~n:0 (fun g -> check Alcotest.int "n = 0" 0 (Bigarray.Array1.dim g));
-  Pair_grid.with_grid "test" ~n:12 (fun g ->
-      check Alcotest.int "n * n cells" 144 (Bigarray.Array1.dim g);
-      check Alcotest.int "zeroed" 0 (grid_sum g));
-  let cap = Pair_grid.capacity () in
-  check Alcotest.bool "grew to 144" true (cap >= 144);
-  Pair_grid.with_grid "test" ~n:5 (fun g ->
-      check Alcotest.int "a smaller view" 25 (Bigarray.Array1.dim g));
-  check Alcotest.int "never shrunk" cap (Pair_grid.capacity ());
-  let bad n =
-    Invalid_argument (Printf.sprintf "test: grid side %d outside [0, max_grid_universe]" n)
-  in
-  Alcotest.check_raises "negative side" (bad (-1)) (fun () ->
-      Pair_grid.with_grid "test" ~n:(-1) ignore);
-  let over = Int_pair_tbl.max_grid_universe + 1 in
-  Alcotest.check_raises "side over the bound" (bad over) (fun () ->
-      Pair_grid.with_grid "test" ~n:over ignore)
-
-(* One holder per domain: a nested hold is refused with the inner
-   caller's name and leaves the holder's cells alone; another domain
-   holds its own grid meanwhile; a holder that raises gets its cells
-   zeroed and the grid released. *)
-let test_pair_grid_hold () =
-  Pair_grid.with_grid "outer" ~n:3 (fun g ->
-      g.{4} <- 9;
-      Alcotest.check_raises "nested hold"
-        (Invalid_argument "inner: the pair grid is already held on this domain") (fun () ->
-          Pair_grid.with_grid "inner" ~n:3 (fun h -> h.{4} <- 1));
-      check Alcotest.int "holder's cell kept" 9 g.{4};
-      let other =
-        Domain.join
-          (Domain.spawn (fun () -> Pair_grid.with_grid "other" ~n:3 (fun h -> grid_sum h)))
-      in
-      check Alcotest.int "another domain's grid is its own, zeroed" 0 other;
-      g.{4} <- 0);
-  Alcotest.check_raises "raising holder" Exit (fun () ->
-      Pair_grid.with_grid "test" ~n:7 (fun g ->
-          g.{0} <- 3;
-          g.{48} <- -2;
-          raise Exit));
-  Pair_grid.with_grid "test" ~n:7 (fun g ->
-      check Alcotest.int "zeroed after the raise" 0 (grid_sum g))
-
 (* ----------------------------------------------------------------- Prng *)
 
 let test_prng_determinism () =
@@ -358,11 +302,6 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_int_vec;
           Alcotest.test_case "sub/append" `Quick test_int_vec_sub_append;
-        ] );
-      ( "pair_grid",
-        [
-          Alcotest.test_case "view" `Quick test_pair_grid_view;
-          Alcotest.test_case "hold" `Quick test_pair_grid_hold;
         ] );
       ( "prng",
         [
