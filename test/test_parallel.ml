@@ -397,8 +397,43 @@ let render_suite ~jobs =
         (fun (id, tables) -> (id, List.map U.Table.render tables))
         (H.Registry.run_by_ids ctx H.Registry.ids))
 
+(* The committed golden digests: one MD5 per experiment id, of its
+   jobs = 1 tables. The golden file's header and the digests this run
+   computed go to [digests.actual] in the working directory, so an
+   intended change regenerates the golden file by copying that one over
+   it (the command is in the file's header). *)
+let golden_file = "golden/digests.txt"
+
+let digest_lines suite =
+  List.map
+    (fun (id, tables) -> Printf.sprintf "%s %s" id (Digest.to_hex (Digest.string (String.concat "\n" tables))))
+    suite
+
+let check_golden suite =
+  let actual = digest_lines suite in
+  let header, expected =
+    In_channel.with_open_text golden_file In_channel.input_all
+    |> String.split_on_char '\n'
+    |> List.filter (fun l -> l <> "")
+    |> List.partition (fun l -> l.[0] = '#')
+  in
+  Out_channel.with_open_text "digests.actual" (fun oc ->
+      List.iter (fun l -> Out_channel.output_string oc (l ^ "\n")) (header @ actual));
+  let id_of l = match String.index_opt l ' ' with Some i -> String.sub l 0 i | None -> l in
+  let rec first_diff = function
+    | e :: es, a :: as_ -> if e = a then first_diff (es, as_) else Some (id_of e, e, a)
+    | e :: _, [] -> Some (id_of e, e, "(missing)")
+    | [], a :: _ -> Some (id_of a, "(missing)", a)
+    | [], [] -> None
+  in
+  match first_diff (expected, actual) with
+  | None -> ()
+  | Some (id, e, a) ->
+    Alcotest.failf "golden digests differ first at %s: committed %S, rendered %S" id e a
+
 let test_determinism_all_experiments () =
   let seq = render_suite ~jobs:1 in
+  check_golden seq;
   let par = render_suite ~jobs:4 in
   List.iter2
     (fun (id, seq_tables) (id', par_tables) ->
