@@ -181,7 +181,7 @@ val stats : t -> stats
     the pool schedule never moves them. *)
 
 type consensus = { trg : Trg.t; affine : int array }
-(** The merged profile: a finalized CSR TRG plus the affine pairs as a
+(** The merged profile: a CSR TRG plus the affine pairs as a
     sorted array of packed [(a, b)] keys with [a < b]. *)
 
 val finalize : t -> consensus

@@ -1,39 +1,30 @@
 open Colayout_util
 open Colayout_trace
 
-(* Two construction paths, one finalized form. [build] on a universe of at
-   most [Int_pair_tbl.max_grid_universe] symbols counts into the domain's
-   dense directed [Pair_grid] and emits the CSR straight from it (see
-   [build_grid]).
-   Larger universes, and [of_edges], accumulate into one flat packed-key
-   table, each undirected edge stored exactly once under its canonical
-   (min, max) key — no boxed tuples, no per-node hash tables, no symmetric
-   double storage. [finalize] converts that table to CSR: row [x] holds the
+(* Two construction paths, one form: CSR, where row [x] holds the
    neighbours [y > x] in ascending order with parallel weights, so point
    queries are a binary search and whole-graph iteration is a contiguous
-   array sweep. The table does not outlive construction, and the grid
-   goes back to its domain zeroed. *)
+   array sweep. [build] on a universe of at most
+   [Int_pair_tbl.max_grid_universe] symbols counts into the domain's
+   dense directed [Pair_grid] and emits the CSR straight from it (see
+   [build_grid]). Larger universes, and [of_edges], accumulate into one
+   local flat packed-key table, each undirected edge stored exactly once
+   under its canonical (min, max) key — no boxed tuples, no per-node hash
+   tables, no symmetric double storage — which [of_table] sorts into the
+   CSR. The table does not outlive construction, and the grid goes back
+   to its domain zeroed. *)
 
 let imin (a : int) b = if a <= b then a else b
 
 let imax (a : int) b = if a >= b then a else b
 
-type csr = {
+type t = {
+  num_nodes : int;
+  deg : int array; (* undirected degree *)
   row_ptr : int array; (* length num_nodes + 1 *)
-  src : int array; (* length E: the smaller endpoint of each edge *)
   nbr : int array; (* length E: the larger endpoint, ascending within a row *)
   wt : int array; (* length E *)
   mutable by_weight : int array option; (* edge indices, heaviest first; lazy *)
-}
-
-type repr =
-  | Building of Int_pair_tbl.t
-  | Csr of csr
-
-type t = {
-  num_nodes : int;
-  deg : int array; (* undirected degree, maintained in both representations *)
-  mutable repr : repr;
 }
 
 let num_nodes t = t.num_nodes
@@ -42,87 +33,71 @@ let check_universe n =
   if n > Int_pair_tbl.max_coord then
     invalid_arg "Trg: num_symbols >= 2^31 exceeds the packed-key coordinate bound"
 
-let create_building n =
-  check_universe n;
-  { num_nodes = n; deg = Array.make n 0; repr = Building (Int_pair_tbl.create ~capacity:1024 ()) }
+(* Add [dw] to edge [{x, y}] in a construction table, counting a new
+   edge in both endpoints' degrees. *)
+let bump tbl deg x y dw =
+  let lo = if x < y then x else y in
+  let hi = if x < y then y else x in
+  let w' = Int_pair_tbl.add_to tbl (Int_pair_tbl.pack lo hi) dw in
+  if w' = dw then begin
+    (* First occurrence of this edge. *)
+    deg.(x) <- deg.(x) + 1;
+    deg.(y) <- deg.(y) + 1
+  end
 
-let bump t x y dw =
-  match t.repr with
-  | Csr _ -> invalid_arg "Trg.bump: graph already finalized"
-  | Building tbl ->
-    let lo = if x < y then x else y in
-    let hi = if x < y then y else x in
-    let w' = Int_pair_tbl.add_to tbl (Int_pair_tbl.pack lo hi) dw in
-    if w' = dw then begin
-      (* First occurrence of this edge. *)
-      t.deg.(x) <- t.deg.(x) + 1;
-      t.deg.(y) <- t.deg.(y) + 1
-    end
-
-let finalize t =
-  match t.repr with
-  | Csr _ -> ()
-  | Building tbl ->
-    let e = Int_pair_tbl.length tbl in
-    let keys = Array.make (imax e 1) 0 in
-    let cursor = ref 0 in
-    Int_pair_tbl.iter
-      (fun k _ ->
-        keys.(!cursor) <- k;
-        incr cursor)
-      tbl;
-    let keys = if e = Array.length keys then keys else Array.sub keys 0 e in
-    (* Canonical packed keys sort as (src, nbr) lexicographically, so one
-       int sort yields row-major CSR order directly. *)
-    Array.sort (fun (a : int) b -> compare a b) keys;
-    let row_ptr = Array.make (t.num_nodes + 1) 0 in
-    let src = Array.make e 0 and nbr = Array.make e 0 and wt = Array.make e 0 in
-    Array.iteri
-      (fun j k ->
-        let x = Int_pair_tbl.fst_of k in
-        src.(j) <- x;
-        nbr.(j) <- Int_pair_tbl.snd_of k;
-        wt.(j) <- Int_pair_tbl.find tbl k ~default:0;
-        row_ptr.(x + 1) <- row_ptr.(x + 1) + 1)
-      keys;
-    for x = 1 to t.num_nodes do
-      row_ptr.(x) <- row_ptr.(x) + row_ptr.(x - 1)
-    done;
-    t.repr <- Csr { row_ptr; src; nbr; wt; by_weight = None }
+(* The graph of a construction table and its degrees. *)
+let of_table n deg tbl =
+  let e = Int_pair_tbl.length tbl in
+  let keys = Array.make (imax e 1) 0 in
+  let cursor = ref 0 in
+  Int_pair_tbl.iter
+    (fun k _ ->
+      keys.(!cursor) <- k;
+      incr cursor)
+    tbl;
+  let keys = if e = Array.length keys then keys else Array.sub keys 0 e in
+  (* Canonical packed keys sort as (x, y) lexicographically, so one int
+     sort yields row-major CSR order directly. *)
+  Array.sort (fun (a : int) b -> compare a b) keys;
+  let row_ptr = Array.make (n + 1) 0 in
+  let nbr = Array.make e 0 and wt = Array.make e 0 in
+  Array.iteri
+    (fun j k ->
+      let x = Int_pair_tbl.fst_of k in
+      nbr.(j) <- Int_pair_tbl.snd_of k;
+      wt.(j) <- Int_pair_tbl.find tbl k ~default:0;
+      row_ptr.(x + 1) <- row_ptr.(x + 1) + 1)
+    keys;
+  for x = 1 to n do
+    row_ptr.(x) <- row_ptr.(x) + row_ptr.(x - 1)
+  done;
+  { num_nodes = n; deg; row_ptr; nbr; wt; by_weight = None }
 
 let weight t x y =
   if x = y then 0
   else
     let lo = if x < y then x else y in
     let hi = if x < y then y else x in
-    match t.repr with
-    | Building tbl -> Int_pair_tbl.find tbl (Int_pair_tbl.pack lo hi) ~default:0
-    | Csr c ->
-      let rec search l r =
-        if l >= r then 0
-        else
-          let m = (l + r) / 2 in
-          let v = Array.unsafe_get c.nbr m in
-          if v = hi then Array.unsafe_get c.wt m
-          else if v < hi then search (m + 1) r
-          else search l m
-      in
-      search c.row_ptr.(lo) c.row_ptr.(lo + 1)
+    let rec search l r =
+      if l >= r then 0
+      else
+        let m = (l + r) / 2 in
+        let v = Array.unsafe_get t.nbr m in
+        if v = hi then Array.unsafe_get t.wt m
+        else if v < hi then search (m + 1) r
+        else search l m
+    in
+    search t.row_ptr.(lo) t.row_ptr.(lo + 1)
 
 let degree t x = t.deg.(x)
 
-let csr_of t =
-  finalize t;
-  match t.repr with Csr c -> c | Building _ -> assert false
-
-let csr t =
-  let c = csr_of t in
-  (c.row_ptr, c.nbr, c.wt)
+let csr t = (t.row_ptr, t.nbr, t.wt)
 
 let iter_edges f t =
-  let c = csr_of t in
-  for j = 0 to Array.length c.nbr - 1 do
-    f c.src.(j) c.nbr.(j) c.wt.(j)
+  for x = 0 to t.num_nodes - 1 do
+    for j = t.row_ptr.(x) to t.row_ptr.(x + 1) - 1 do
+      f x t.nbr.(j) t.wt.(j)
+    done
   done
 
 (* Bits needed to write [v >= 0]. *)
@@ -139,7 +114,7 @@ let array_max (a : int array) =
   done;
   !m
 
-(* Heaviest first, then the canonical (src, nbr) order — which is the
+(* Heaviest first, then the canonical (x, y) order — which is the
    ascending CSR index. One stable LSD radix sort of the identity
    permutation on the key [wmax - w]: stability keeps equal weights in
    ascending index order, and the key is non-negative whatever the weight
@@ -193,10 +168,17 @@ let sorted_edge_index c =
     c.by_weight <- Some idx;
     idx
 
+(* The row of edge [j]: the last [x] with [row_ptr.(x) <= j]. *)
+let row_of t j =
+  let a = ref 0 and b = ref t.num_nodes in
+  while !b - !a > 1 do
+    let m = (!a + !b) / 2 in
+    if t.row_ptr.(m) <= j then a := m else b := m
+  done;
+  !a
+
 let iter_edges_by_weight f t =
-  let c = csr_of t in
-  let idx = sorted_edge_index c in
-  Array.iter (fun j -> f c.src.(j) c.nbr.(j) c.wt.(j)) idx
+  Array.iter (fun j -> f (row_of t j) t.nbr.(j) t.wt.(j)) (sorted_edge_index t)
 
 let edges t =
   let acc = ref [] in
@@ -206,7 +188,7 @@ let edges t =
 (* Side of the square tiles [of_grid] folds the grid in. *)
 let grid_tile = 32
 
-(* A directed count grid to the finalized graph: [m.{x * n + y}] counts
+(* A directed count grid to its graph: [m.{x * n + y}] counts
    the recurrences of [x] that had [y] above it on the stack, so the
    undirected weight of [{x, y}] is [m.{x * n + y} + m.{y * n + x}] — the
    sum of exactly the [bump]s the table path makes under its canonical key.
@@ -260,7 +242,7 @@ let of_grid ~num_nodes:n (m : Pair_grid.t) =
     x0 := x1
   done;
   let row_ptr = Array.make (n + 1) 0 in
-  let src = Array.make !e 0 and nbr = Array.make !e 0 and wt = Array.make !e 0 in
+  let nbr = Array.make !e 0 and wt = Array.make !e 0 in
   let j = ref 0 in
   for x = 0 to n - 1 do
     for y = x + 1 to n - 1 do
@@ -269,7 +251,6 @@ let of_grid ~num_nodes:n (m : Pair_grid.t) =
       if w <> 0 then begin
         Bigarray.Array1.unsafe_set m i 0;
         if w > 0 then begin
-          Array.unsafe_set src !j x;
           Array.unsafe_set nbr !j y;
           Array.unsafe_set wt !j w;
           incr j
@@ -278,7 +259,7 @@ let of_grid ~num_nodes:n (m : Pair_grid.t) =
     done;
     row_ptr.(x + 1) <- !j
   done;
-  { num_nodes = n; deg; repr = Csr { row_ptr; src; nbr; wt; by_weight = None } }
+  { num_nodes = n; deg; row_ptr; nbr; wt; by_weight = None }
 
 (* The grid path of [build], on the domain's [Pair_grid]: one bump of
    [m.{x * n + y}] per block [y] above a recurring [x], then [of_grid],
@@ -343,7 +324,7 @@ let build ?(window = max_int) trace =
   let k = imax 1 (imin window n) in
   if n <= Int_pair_tbl.max_grid_universe then build_grid ~k trace
   else begin
-    let t = create_building n in
+    let tbl = Int_pair_tbl.create ~capacity:1024 () and deg = Array.make n 0 in
     let ws = Window_stack.create ~k in
     let stk = ws.stk in
     Trace.iter
@@ -353,26 +334,25 @@ let build ?(window = max_int) trace =
            one potential conflict each. *)
         let pos = Window_stack.find ws x in
         for i = 0 to pos - 1 do
-          bump t x (Array.unsafe_get stk i) 1
+          bump tbl deg x (Array.unsafe_get stk i) 1
         done;
         Window_stack.move_to_front ws ~pos x)
       trace;
-    finalize t;
-    t
+    of_table n deg tbl
   end
 
 let of_edges ~num_nodes edge_list =
-  let t = create_building num_nodes in
+  check_universe num_nodes;
+  let tbl = Int_pair_tbl.create ~capacity:1024 () and deg = Array.make num_nodes 0 in
   List.iter
     (fun (x, y, w) ->
       if x = y then invalid_arg "Trg.of_edges: self loop";
       if w <= 0 then invalid_arg "Trg.of_edges: non-positive weight";
       if x < 0 || y < 0 || x >= num_nodes || y >= num_nodes then
         invalid_arg "Trg.of_edges: node out of range";
-      bump t x y w)
+      bump tbl deg x y w)
     edge_list;
-  finalize t;
-  t
+  of_table num_nodes deg tbl
 
 let recommended_window ~params ~block_bytes ~cache_multiplier =
   if block_bytes <= 0 then invalid_arg "Trg.recommended_window";

@@ -12,18 +12,17 @@
     occurrences may be and still count — Gloy & Smith recommend a window of
     twice the cache size, which {!recommended_window} computes.
 
-    Representation: every graph is finalized to a CSR index (sorted
-    neighbour/weight arrays) that answers {!weight} by binary search in
-    either argument order and iterates edges over contiguous arrays. On a
-    universe of at most [Int_pair_tbl.max_grid_universe] symbols, {!build}
-    counts each recurrence into the domain's dense [n × n] directed
-    [Pair_grid] and reads the CSR off its upper triangle
-    ([w = m.(x).(y) + m.(y).(x)], [y > x]); on
-    larger universes, and in {!of_edges}, each undirected edge accumulates
-    once into a flat [Int_pair_tbl] under [(min lsl 31) lor max], and
-    {!finalize} sorts the keys into the CSR. Both paths give the same
-    graph; the table is dropped once the graph is built, and the grid goes
-    back to its domain zeroed.
+    Representation: every graph is a CSR index (sorted neighbour/weight
+    arrays) that answers {!weight} by binary search in either argument
+    order and iterates edges over contiguous arrays. On a universe of at
+    most [Int_pair_tbl.max_grid_universe] symbols, {!build} counts each
+    recurrence into the domain's dense [n × n] directed [Pair_grid] and
+    reads the CSR off its upper triangle ([w = m.(x).(y) + m.(y).(x)],
+    [y > x]); on larger universes, and in {!of_edges}, each undirected
+    edge accumulates once into a flat [Int_pair_tbl] under
+    [(min lsl 31) lor max], whose sorted keys give the CSR. Both paths
+    give the same graph; the table is dropped once the graph is built,
+    and the grid goes back to its domain zeroed.
     The packed coordinates bound the symbol universe: constructors raise
     [Invalid_argument] when [num_symbols >= 2^31]. *)
 
@@ -33,12 +32,6 @@ val build : ?window:int -> Colayout_trace.Trace.t -> t
 (** [window] in blocks; default unbounded. The trace must be trimmed.
     @raise Invalid_argument on the grid path when the calling domain's
     [Pair_grid] is already held (see [Pair_grid.with_grid]). *)
-
-val finalize : t -> unit
-(** Convert to the CSR representation, dropping the construction-time
-    table (grid-built graphs are born finalized). Idempotent; called
-    implicitly by the edge iterators and by the constructors, so ordinary
-    callers never need it. *)
 
 val num_nodes : t -> int
 (** Size of the symbol universe (not all need occur). *)
@@ -74,7 +67,7 @@ val of_grid : num_nodes:int -> Colayout_util.Pair_grid.t -> t
     @raise Invalid_argument when [m] does not hold exactly [n * n] cells. *)
 
 val csr : t -> int array * int array * int array
-(** [(row_ptr, nbr, wt)]: the finalized graph's CSR arrays, shared, not
+(** [(row_ptr, nbr, wt)]: the graph's CSR arrays, shared, not
     copied, and not to be mutated. Row [x] is
     [nbr.(row_ptr.(x) .. row_ptr.(x + 1) - 1)], the neighbours [y > x] in
     ascending order, with parallel weights in [wt]; {!iter_edges} visits

@@ -160,10 +160,9 @@ let trg_reduce ?decisions trg ~slots : Trg_reduce.result =
   in
   let cur_w x y = Option.value ~default:0 (Hashtbl.find_opt adj.(x) y) in
   let heap = Heap.create ~cmp:edge_cmp () in
-  (* Seed the working adjacency and the heap straight from the finalized CSR
-     arrays; the heap's total order on (w, x, y) makes the pop sequence
+  (* Seed the working adjacency and the heap straight from the CSR arrays;
+     the heap's total order on (w, x, y) makes the pop sequence
      independent of insertion order, so no pre-sorted edge list is needed. *)
-  Trg.finalize trg;
   Trg.iter_edges
     (fun x y w ->
       set_w x y w;
