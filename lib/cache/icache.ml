@@ -49,9 +49,6 @@ let solo ?prefetch ?sink ~params ~layout trace =
   stats_of cache (Set_assoc.replay cache ~prefetch:(degree prefetch) s)
 
 let shared ?prefetch ?sink ?(rates = (1.0, 1.0)) ~params ~layouts (t0, t1) =
-  let r0, r1 = rates in
-  let ok r = Float.is_finite r && r > 0.0 in
-  if not (ok r0 && ok r1) then invalid_arg "Icache.shared: rates must be positive";
   let l0, l1 = layouts in
   let cache = Set_assoc.create ?sink params in
   (* Offset thread 1 into a distinct, set-alignment-preserving address

@@ -71,8 +71,8 @@ val shared :
     address spaces keep the shadow classifier's line universe disjoint
     while the per-set heatmap folds both threads onto the physical sets
     they share.
-    @raise Invalid_argument ["Icache.shared: rates must be positive"]
-    unless both rates are positive and finite. *)
+    @raise Invalid_argument as {!Set_assoc.corun} does, for either
+    stream or unless both rates lie in [\[2{^-10}, 2{^10}\]]. *)
 
 val lines_of_block : params:Params.t -> layout:layout -> int -> int * int
 (** [(first_line, last_line)] of a block id under a layout. *)

@@ -439,16 +439,18 @@ let solo_matches_per_line =
       && same_stats ~threads:1 (core (Some sink_core)) (oracle (Some sink_oracle))
       && sink_summary ~threads:1 sink_core = sink_summary ~threads:1 sink_oracle)
 
-(* The indexed replays at their boundary. They import the cache's
-   resident ways at entry and write every set back MRU-first at exit, so
-   a warm cache, a random [access_line] prefix before the call and a
-   random suffix after it must see exactly what the per-line oracle
-   ([Seed_icache] on the same kind of cache) sees: the same hit/miss
-   sequence before and after, the same replay counters, and after each
-   phase the same resident lines, occupancy, eviction count and per-set
-   miss counts. The prefix and suffix lines fall on thread 0's lines,
-   thread 1's (offset 2^40) and lines no stream touches, which the
-   replay must keep resident, be able to evict and never hit. *)
+(* The indexed replays at their boundary. They run on the cache's own
+   stamps and clock, so a warm cache, a random [access_line] prefix
+   before the call and a random suffix after it must see exactly what the
+   per-line oracle ([Seed_icache] on the same kind of cache) sees: the
+   same hit/miss sequence before and after, the same replay counters, and
+   after each phase the same resident lines, occupancy, eviction count
+   and per-set miss counts. The prefix and suffix lines fall on thread
+   0's lines, thread 1's (offset 2^40) and lines no stream touches, which
+   the replay must keep resident, be able to evict and never hit. The
+   co-run cases also run a solo replay and a co-run back to back, in
+   either order, so the clock the first leaves must order the second's
+   stamps after its own. *)
 let stream_of ~params (l : Icache.layout) ~offset trace =
   let n = Array.length l.Icache.addr in
   let first = Array.make n 0 and last = Array.make n (-1) in
@@ -519,15 +521,26 @@ let corun_agrees ~peer_offset ~prefix ~suffix c =
   let l0, l1 = c.layouts and t0, t1 = c.traces in
   let s0 = stream_of ~params l0 ~offset:0 t0 and s1 = stream_of ~params l1 ~offset:peer_offset t1 in
   let traces = (Colayout_util.Int_vec.of_list t0, Colayout_util.Int_vec.of_list t1) in
+  let corun cache = tally_of_core (Set_assoc.corun cache ~prefetch:c.degree ~rates:c.rates s0 s1) in
+  let solo cache = tally_of_core (Set_assoc.replay cache ~prefetch:c.degree s0) in
+  let seed_corun cache =
+    tally_of_stats ~threads:2
+      (Seed_icache.shared ?prefetch ~cache ~peer_offset ~rates:c.rates ~params ~layouts:c.layouts
+         traces)
+  in
+  let seed_solo cache =
+    tally_of_stats ~threads:1 (Seed_icache.solo ?prefetch ~cache ~params ~layout:l0 (fst traces))
+  in
+  let chain first second cache =
+    let a = first cache in
+    (a, second cache)
+  in
   List.for_all
     (fun sink ->
-      let run = warm_run ~params ~threads:2 ~sink ~prefix ~suffix in
-      run (fun cache ->
-          tally_of_core (Set_assoc.corun cache ~prefetch:c.degree ~rates:c.rates s0 s1))
-      = run (fun cache ->
-            tally_of_stats ~threads:2
-              (Seed_icache.shared ?prefetch ~cache ~peer_offset ~rates:c.rates ~params
-                 ~layouts:c.layouts traces)))
+      let run replay = warm_run ~params ~threads:2 ~sink ~prefix ~suffix replay in
+      run corun = run seed_corun
+      && run (chain solo corun) = run (chain seed_solo seed_corun)
+      && run (chain corun solo) = run (chain seed_corun seed_solo))
     [ false; true ]
 
 let warm_corun_matches_per_line =
@@ -617,12 +630,20 @@ let test_replay_interrupted () =
   in
   let s0 = stream_of ~params layout ~offset:0 trace and s1 = stream_of ~params layout ~offset:far trace in
   let vec = Colayout_util.Int_vec.of_list trace in
-  check Alcotest.bool "state at the raising access" true
-    (run (fun c -> ignore (Set_assoc.corun c ~prefetch:1 ~rates:(1.0, 0.5) s0 s1))
-    = run (fun cache ->
-          ignore
-            (Seed_icache.shared ~prefetch:(Prefetch.create ~degree:1 ()) ~cache ~peer_offset:far
-               ~rates:(1.0, 0.5) ~params ~layouts:(layout, layout) (vec, vec))))
+  (* At rate 0.05 thread 1 first fetches after thread 0's 20th line, so
+     the suffix's first stamps would collide with the replay's unless the
+     raising replay still advanced the clock. *)
+  List.iter
+    (fun rates ->
+      check Alcotest.bool
+        (Printf.sprintf "state at the raising access, rates (%g, %g)" (fst rates) (snd rates))
+        true
+        (run (fun c -> ignore (Set_assoc.corun c ~prefetch:1 ~rates s0 s1))
+        = run (fun cache ->
+              ignore
+                (Seed_icache.shared ~prefetch:(Prefetch.create ~degree:1 ()) ~cache
+                   ~peer_offset:far ~rates ~params ~layouts:(layout, layout) (vec, vec)))))
+    [ (1.0, 0.5); (1.0, 0.05) ]
 
 (* The flat co-run streams live in buffers each domain keeps between
    calls, grown to the longest streams it has run and never shrunk. Each
@@ -818,14 +839,15 @@ let test_icache_shared_rates () =
   let stats = Icache.shared ~rates:(1.0, 0.25) ~params ~layouts:(layout, layout) (mk (), mk ()) in
   (* Both complete a pass regardless of rate. *)
   check Alcotest.bool "slow thread still completes" true (Cache_stats.thread_accesses stats 1 >= 100);
-  (* Zero, negative and non-finite rates are rejected up front: a NaN
-     rate never earns credit and an infinite one never spends it, so
-     either would keep the replay from ending. *)
+  (* Rates outside [2^-10, 2^10] are rejected up front: a NaN rate never
+     earns credit and an infinite one never spends it, a credit at or
+     above 2^53 never drops by 1.0, and a tiny rate spins through empty
+     steps, so each would keep the replay from ending. *)
   List.iter
     (fun rates ->
       Alcotest.check_raises
         (Printf.sprintf "bad rates (%g, %g)" (fst rates) (snd rates))
-        (Invalid_argument "Icache.shared: rates must be positive")
+        (Invalid_argument "Set_assoc.corun: rates must lie in [2^-10, 2^10]")
         (fun () -> ignore (Icache.shared ~rates ~params ~layouts:(layout, layout) (mk (), mk ()))))
     [
       (0.0, 1.0);
@@ -835,10 +857,13 @@ let test_icache_shared_rates () =
       (Float.infinity, 1.0);
       (1.0, Float.infinity);
       (Float.neg_infinity, 1.0);
+      (1e17, 1.0);
+      (1.0, 1e15);
+      (1e-300, 1.0);
     ];
   let s = { Set_assoc.trace = [| 0 |]; length = 1; first = [| 0 |]; last = [| 0 |]; offset = 0 } in
   Alcotest.check_raises "core rejects NaN"
-    (Invalid_argument "Set_assoc.corun: rates must be positive and finite") (fun () ->
+    (Invalid_argument "Set_assoc.corun: rates must lie in [2^-10, 2^10]") (fun () ->
       ignore (Set_assoc.corun (Set_assoc.create params) ~prefetch:0 ~rates:(1.0, Float.nan) s s))
 
 (* Hostile block ids are rejected before any access, solo and co-run:

@@ -3,7 +3,8 @@
    Metrics + merge, per-domain Span recording with exception safety across
    domain boundaries, Ctx memo single-flight under concurrency, and the
    harness-wide determinism contract — every registry experiment renders
-   byte-identical tables at jobs=1 and jobs=4. *)
+   byte-identical tables at jobs=1 and jobs=4, whose digests match the
+   committed golden/digests.txt. *)
 
 module U = Colayout_util
 module H = Colayout_harness
@@ -406,7 +407,8 @@ let golden_file = "golden/digests.txt"
 
 let digest_lines suite =
   List.map
-    (fun (id, tables) -> Printf.sprintf "%s %s" id (Digest.to_hex (Digest.string (String.concat "\n" tables))))
+    (fun (id, tables) ->
+      Printf.sprintf "%s %s" id (Digest.to_hex (Digest.string (String.concat "\n" tables))))
     suite
 
 let check_golden suite =
