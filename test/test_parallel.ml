@@ -402,8 +402,10 @@ let render_suite ~jobs =
    jobs = 1 tables. The golden file's header and the digests this run
    computed go to [digests.actual] in the working directory, so an
    intended change regenerates the golden file by copying that one over
-   it (the command is in the file's header). *)
-let golden_file = "golden/digests.txt"
+   it (the command is in the file's header). [dune runtest] runs the
+   suite in test/, [dune exec] from the repository root. *)
+let golden_file =
+  if Sys.file_exists "golden/digests.txt" then "golden/digests.txt" else "test/golden/digests.txt"
 
 let digest_lines suite =
   List.map
