@@ -1,37 +1,33 @@
-(* One flat tag array holds every set: set [s] owns the [assoc] ways from
-   [s * assoc]. LRU order is a last-use stamp per way, taken from one
-   clock that every access, fill and replay advances: a hit writes its
-   way's stamp, a miss fills the set's next free way or evicts the way
-   with the smallest stamp. Stamps are unique and only increase, so
-   within a set their descending order is the MRU order. Lines fill a set
-   from way 0, so its valid ways are always a prefix, counted per set in
-   place of per-way validity bits; a free way holds tag -1. *)
+(* One flat tag array holds every set: set [s] owns the [assoc] slots from
+   [s * assoc], way 0 is MRU and recency decreases with the way index.
+   Lines only enter a set at the MRU slot and shift down, so a set's valid
+   ways always form a prefix and one valid count per set replaces per-way
+   validity bits. Associativities are small (4 in the paper's
+   configuration), so the shifts are open-coded: an [Array.blit] pays a C
+   call per access, more than the one or two moves it performs. The trace
+   replays keep recency as per-slot stamps while they run (see below) and
+   leave every set in this layout when they return. *)
 
 type t = {
   params : Params.t;
   assoc : int;
   set_mask : int;
-  tags : int array; (* num_sets * assoc; -1 in a free way *)
-  stamp : int array; (* num_sets * assoc: last use *)
+  tags : int array; (* num_sets * assoc *)
   valid : int array; (* num_sets: valid-prefix length *)
   set_miss : int array; (* num_sets: demand misses since last emptied *)
   sink : Profile_sink.t option;
-  mutable clock : int; (* above every stamp *)
   mutable evictions : int;
 }
 
 let create ?sink params =
-  let ways = params.Params.num_sets * params.Params.assoc in
   {
     params;
     assoc = params.Params.assoc;
     set_mask = params.Params.num_sets - 1;
-    tags = Array.make ways (-1);
-    stamp = Array.make ways 0;
+    tags = Array.make (params.Params.num_sets * params.Params.assoc) (-1);
     valid = Array.make params.Params.num_sets 0;
     set_miss = Array.make params.Params.num_sets 0;
     sink;
-    clock = 0;
     evictions = 0;
   }
 
@@ -39,63 +35,57 @@ let evictions t = t.evictions
 
 let params t = t.params
 
+(* Shift ways [0, n) of the set at [base] down by one, freeing way 0. *)
+let[@inline] shift_down (tags : int array) base n =
+  let j = ref n in
+  while !j > 0 do
+    Array.unsafe_set tags (base + !j) (Array.unsafe_get tags (base + !j - 1));
+    decr j
+  done
+
 let hit = -2
 
-(* The way a miss in set [s] (ways from [base]) takes: the next free way,
-   or in a full set the way with the smallest stamp, found without
-   branching on the stamps (which way is oldest is data the predictor
-   cannot learn; stamps are non-negative, so a difference's sign is their
-   order). *)
-let[@inline] claim t s base =
-  let k = Array.unsafe_get t.valid s in
-  if k < t.assoc then begin
-    Array.unsafe_set t.valid s (k + 1);
-    base + k
+(* Insert a line that is not resident at MRU of set [s] (slots from
+   [base], [k] of them valid), evicting the LRU way of a full set.
+   Returns the victim line, or -1 when an invalid way was filled. *)
+let[@inline] insert t (tags : int array) (valid : int array) assoc s base k line =
+  if k = assoc then begin
+    t.evictions <- t.evictions + 1;
+    let victim = Array.unsafe_get tags (base + k - 1) in
+    shift_down tags base (k - 1);
+    Array.unsafe_set tags base line;
+    victim
   end
   else begin
-    t.evictions <- t.evictions + 1;
-    let stamp = t.stamp in
-    let w = ref base and oldest = ref (Array.unsafe_get stamp base) in
-    for j = base + 1 to base + t.assoc - 1 do
-      let sj = Array.unsafe_get stamp j in
-      let older = (sj - !oldest) asr 62 in
-      w := !w lxor ((!w lxor j) land older);
-      oldest := !oldest lxor ((!oldest lxor sj) land older)
-    done;
-    !w
+    Array.unsafe_set valid s (k + 1);
+    shift_down tags base k;
+    Array.unsafe_set tags base line;
+    -1
   end
 
-(* Put [line] in way [w], stamped [now]; returns the line the way held,
-   -1 for a free way. *)
-let[@inline] put t w line now =
-  let victim = Array.unsafe_get t.tags w in
-  Array.unsafe_set t.tags w line;
-  Array.unsafe_set t.stamp w now;
-  victim
-
-(* The way of the set at [base] holding [line] among its [k] valid ways,
-   or -1. The scan stays inside the valid prefix, so every read is in
-   bounds. *)
-let[@inline] way_of (tags : int array) base k line =
-  let i = ref base in
-  while !i < base + k && Array.unsafe_get tags !i <> line do
-    incr i
-  done;
-  if !i < base + k then !i else -1
-
-(* The per-line replacement step at stamp [now]: returns [hit], or on a
-   miss the victim line ([-1] when a free way was filled). The arrays and
-   geometry come in as arguments so a span loop can hoist them out of its
-   body; the caller advances the clock. *)
-let[@inline] touch t (tags : int array) (stamp : int array) (valid : int array) assoc mask now line =
+(* The one replacement step: a hit promotes the line to MRU; a miss
+   inserts it. Returns [hit], or on a miss [insert]'s victim. The arrays
+   and geometry come in as arguments so a span loop can hoist them out
+   of its body. *)
+let[@inline] touch t (tags : int array) (valid : int array) assoc mask line =
   let s = line land mask in
   let base = s * assoc in
-  let w = way_of tags base (Array.unsafe_get valid s) line in
-  if w >= 0 then begin
-    Array.unsafe_set stamp w now;
-    hit
+  let k = Array.unsafe_get valid s in
+  (* MRU fast path: sequential code re-touches the line a fall-through
+     neighbour just ended in, and a way-0 hit changes no state. *)
+  if k > 0 && Array.unsafe_get tags base = line then hit
+  else begin
+    let i = ref 1 in
+    while !i < k && Array.unsafe_get tags (base + !i) <> line do
+      incr i
+    done;
+    if !i < k then begin
+      shift_down tags base !i;
+      Array.unsafe_set tags base line;
+      hit
+    end
+    else insert t tags valid assoc s base k line
   end
-  else put t (claim t s base) line now
 
 let report sink ~thread ~block line r =
   Profile_sink.record sink ~thread ~block ~line ~hit:(r = hit) ~victim:(if r = hit then -1 else r)
@@ -104,37 +94,47 @@ let[@inline] count_miss (set_miss : int array) mask line =
   let s = line land mask in
   Array.unsafe_set set_miss s (Array.unsafe_get set_miss s + 1)
 
-(* A miss counts against its set. *)
-let access_line t ~thread ~block line =
-  let now = t.clock in
-  t.clock <- now + 1;
-  let r = touch t t.tags t.stamp t.valid t.assoc t.set_mask now line in
-  (match t.sink with None -> () | Some s -> report s ~thread ~block line r);
+(* Hit test without state change. The set index is masked and the scan
+   stays inside the set's valid prefix, so every read is in bounds. *)
+let[@inline] resident (tags : int array) (valid : int array) assoc mask line =
+  let s = line land mask in
+  let base = s * assoc in
+  let k = Array.unsafe_get valid s in
+  let i = ref 0 in
+  while !i < k && Array.unsafe_get tags (base + !i) <> line do
+    incr i
+  done;
+  !i < k
+
+(* One demand access for the span and line entry points: [true] on a
+   hit. A miss counts against its set. *)
+let[@inline] demand t tags valid assoc mask set_miss sink ~thread ~block line =
+  let r = touch t tags valid assoc mask line in
+  (match sink with None -> () | Some s -> report s ~thread ~block line r);
   if r = hit then true
   else begin
-    count_miss t.set_miss t.set_mask line;
+    count_miss set_miss mask line;
     false
   end
 
-(* Without a sink nothing in the loop can raise, so the clock lives in a
-   local and is stored once at the end. *)
+let access_line t ~thread ~block line =
+  demand t t.tags t.valid t.assoc t.set_mask t.set_miss t.sink ~thread ~block line
+
 let access_span t ~thread ~block ~first ~last =
+  let tags = t.tags and valid = t.valid and assoc = t.assoc and mask = t.set_mask in
+  let set_miss = t.set_miss and sink = t.sink in
   let misses = ref 0 in
-  (match t.sink with
+  (match sink with
   | None ->
-    let tags = t.tags and stamp = t.stamp and valid = t.valid and assoc = t.assoc in
-    let mask = t.set_mask and set_miss = t.set_miss and clock = ref t.clock in
     for line = first to last do
-      if touch t tags stamp valid assoc mask !clock line <> hit then begin
+      if touch t tags valid assoc mask line <> hit then begin
         count_miss set_miss mask line;
         incr misses
-      end;
-      incr clock
-    done;
-    t.clock <- !clock
+      end
+    done
   | Some _ ->
     for line = first to last do
-      if not (access_line t ~thread ~block line) then incr misses
+      if not (demand t tags valid assoc mask set_miss sink ~thread ~block line) then incr misses
     done);
   !misses
 
@@ -149,13 +149,18 @@ let set_misses t s = t.set_miss.(s)
    each. Sorted, those lines fall into maximal runs of consecutive lines,
    and a run's lines take consecutive ids, so the index has one entry per
    distinct line whatever the addresses, and a line two streams share has
-   one id. The index maps an id to the way holding its line (-1: not
-   resident), so a hit test is one array read, and back to its line. The
-   resident ways are entered at the start (a line outside the index keeps
-   its way and stamp, can be evicted and is never hit). Hits, fills and
-   evictions are the per-line step's, on the cache's own stamps; the
-   loops keep the clock in a local, and on the way out, an escaping
-   exception included, the cache's clock moves past the newest stamp. *)
+   one id. The index maps an id to the slot holding its line (-1: not
+   resident), so a hit test is one array read, and back to its line.
+
+   Inside the call, LRU order is a last-use stamp per slot instead of the
+   slot's position: a hit writes one stamp, a miss fills the set's next
+   free way or evicts the way with the smallest stamp. Stamps are unique
+   and increase, so within a set their descending order is the MRU order
+   the per-line step keeps. The resident ways are imported at entry (MRU
+   rank as stamp; a line outside the index keeps its way, can be evicted
+   and is never hit) and every set is written back MRU-first on the way
+   out, an escaping exception included, so the other entry points see
+   exactly the per-line state. *)
 
 type stream = {
   trace : int array;
@@ -207,13 +212,14 @@ let check_stream who degree s =
   (spans, !executed)
 
 type index = {
-  where : int array; (* id -> way holding its line, or -1 *)
+  where : int array; (* id -> slot holding its line, or -1 *)
   line_of : int array; (* id -> its line *)
-  way_id : int array; (* way -> id of the line it holds, or -1 *)
+  slot_id : int array; (* slot -> id of the line it holds, or -1 *)
+  stamp : int array; (* slot -> last use *)
 }
 
 (* The index over checked span tables: assigns every executed block its
-   first line's id, then enters the cache's resident ways. *)
+   first line's id, then imports the cache's resident ways. *)
 let build_index who t degree tables =
   (* One interval [lo, hi + degree] per executed block, in line order;
      [owner] is its table and [at] its block's offset there. *)
@@ -256,7 +262,8 @@ let build_index who t degree tables =
     {
       where = Array.make !ids (-1);
       line_of = Array.make !ids 0;
-      way_id = Array.make (Array.length t.tags) (-1);
+      slot_id = Array.make (Array.length t.tags) (-1);
+      stamp = Array.make (Array.length t.tags) 0;
     }
   in
   for r = 0 to !runs - 1 do
@@ -275,30 +282,69 @@ let build_index who t degree tables =
     else -1
   in
   for s = 0 to Array.length t.valid - 1 do
-    let base = s * t.assoc in
-    for w = base to base + t.valid.(s) - 1 do
-      let id = id_of t.tags.(w) in
-      x.way_id.(w) <- id;
-      if id >= 0 then x.where.(id) <- w
+    let base = s * t.assoc and k = t.valid.(s) in
+    for w = 0 to k - 1 do
+      let id = id_of t.tags.(base + w) in
+      x.stamp.(base + w) <- k - 1 - w;
+      x.slot_id.(base + w) <- id;
+      if id >= 0 then x.where.(id) <- base + w
     done
   done;
   x
 
-(* Move the cache's clock past every stamp a replay wrote. *)
-let advance_clock t =
-  Array.iter (fun st -> if st >= t.clock then t.clock <- st + 1) t.stamp
+(* Write every set back MRU-first: an insertion sort of its valid ways
+   by descending stamp. *)
+let write_back t x =
+  let tags = t.tags and stamp = x.stamp in
+  for s = 0 to Array.length t.valid - 1 do
+    let base = s * t.assoc in
+    for w = base + 1 to base + t.valid.(s) - 1 do
+      let st = stamp.(w) and line = tags.(w) in
+      let j = ref w in
+      while !j > base && stamp.(!j - 1) < st do
+        stamp.(!j) <- stamp.(!j - 1);
+        tags.(!j) <- tags.(!j - 1);
+        decr j
+      done;
+      stamp.(!j) <- st;
+      tags.(!j) <- line
+    done
+  done
 
-(* A miss on [line] (id [id]), stamped [now]: the per-line step's fill,
-   which also moves the index. Returns the victim line, or -1 when a free
-   way was filled. *)
+(* A miss on [line] (id [id]), stamped [now]: fill the set's next free
+   way, or evict the way with the smallest stamp, found without branching
+   on the stamps (which way is oldest is data the predictor cannot learn;
+   stamps are non-negative, so a difference's sign is their order).
+   Returns the victim line, or -1 when a free way was filled. *)
 let[@inline] fill t x line id now =
+  let assoc = t.assoc and stamp = x.stamp and tags = t.tags in
   let s = line land t.set_mask in
-  let w = claim t s (s * t.assoc) in
-  let gone = Array.unsafe_get x.way_id w in
-  if gone >= 0 then Array.unsafe_set x.where gone (-1);
-  Array.unsafe_set x.way_id w id;
+  let base = s * assoc in
+  let k = Array.unsafe_get t.valid s in
+  let w, victim =
+    if k < assoc then begin
+      Array.unsafe_set t.valid s (k + 1);
+      (base + k, -1)
+    end
+    else begin
+      t.evictions <- t.evictions + 1;
+      let w = ref base and oldest = ref (Array.unsafe_get stamp base) in
+      for j = base + 1 to base + assoc - 1 do
+        let sj = Array.unsafe_get stamp j in
+        let older = (sj - !oldest) asr 62 in
+        w := !w lxor ((!w lxor j) land older);
+        oldest := !oldest lxor ((!oldest lxor sj) land older)
+      done;
+      let gone = Array.unsafe_get x.slot_id !w in
+      if gone >= 0 then Array.unsafe_set x.where gone (-1);
+      (!w, Array.unsafe_get tags !w)
+    end
+  in
+  Array.unsafe_set tags w line;
+  Array.unsafe_set x.slot_id w id;
   Array.unsafe_set x.where id w;
-  put t w line now
+  Array.unsafe_set stamp w now;
+  victim
 
 (* One demand access, to the line with id [id], at stamp [now]: -1 on a
    hit, which writes one stamp; on a miss, the number [f] of prefetch
@@ -339,8 +385,8 @@ let[@inline] access ~sink_on t x where stamp sink degree ~thread ~block ~now id 
 (* The solo loop, block by block: a block's lines have consecutive ids
    from its span entry's third word. *)
 let[@inline] replay_loop ~sink_on t degree spans s x =
-  let sink = t.sink and where = x.where and stamp = t.stamp and trace = s.trace in
-  let accesses = ref 0 and misses = ref 0 and fills = ref 0 and clock = ref t.clock in
+  let sink = t.sink and where = x.where and stamp = x.stamp and trace = s.trace in
+  let accesses = ref 0 and misses = ref 0 and fills = ref 0 and clock = ref t.assoc in
   for i = 0 to s.length - 1 do
     let b = Array.unsafe_get trace i in
     let span = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) in
@@ -369,10 +415,10 @@ let replay t ~prefetch:degree s =
     else replay_loop ~sink_on:false t degree spans s x
   with
   | r ->
-    advance_clock t;
+    write_back t x;
     r
   | exception e ->
-    advance_clock t;
+    write_back t x;
     raise e
 
 (* Co-run streams, flat. Once per call each stream is expanded into the
@@ -465,10 +511,10 @@ let expand who spans s bufs i ~labels =
    locals. *)
 let[@inline] corun_loop ~sink_on t degree r0 r1 (ids0 : lines) (blocks0 : lines) n0
     (ids1 : lines) (blocks1 : lines) n1 x =
-  let sink = t.sink and where = x.where and stamp = t.stamp in
+  let sink = t.sink and where = x.where and stamp = x.stamp in
   let p0 = ref 0 and passes0 = ref 0 and miss0 = ref 0 and credit0 = ref 0.0 in
   let p1 = ref 0 and passes1 = ref 0 and miss1 = ref 0 and credit1 = ref 0.0 in
-  let fills = ref 0 and clock = ref t.clock in
+  let fills = ref 0 and clock = ref t.assoc in
   while !passes0 < 1 || !passes1 < 1 do
     credit0 := !credit0 +. r0;
     credit1 := !credit1 +. r1;
@@ -550,27 +596,23 @@ let corun t ~prefetch:degree ~rates:(r0, r1) s0 s1 =
         else corun_loop ~sink_on:false t degree r0 r1 ids0 blocks0 n0 ids1 blocks1 n1 x
       with
       | r ->
-        advance_clock t;
+        write_back t x;
         r
       | exception e ->
-        advance_clock t;
+        write_back t x;
         raise e)
 
-let probe_line t line =
-  let s = line land t.set_mask in
-  way_of t.tags (s * t.assoc) (Array.unsafe_get t.valid s) line >= 0
+let probe_line t line = resident t.tags t.valid t.assoc t.set_mask line
 
 let prefetch_line t line =
   if probe_line t line then false
   else begin
-    let now = t.clock in
-    t.clock <- now + 1;
-    ignore (touch t t.tags t.stamp t.valid t.assoc t.set_mask now line);
+    let s = line land t.set_mask in
+    ignore (insert t t.tags t.valid t.assoc s (s * t.assoc) (Array.unsafe_get t.valid s) line);
     true
   end
 
 let invalidate_all t =
-  Array.fill t.tags 0 (Array.length t.tags) (-1);
   Array.fill t.valid 0 (Array.length t.valid) 0;
   Array.fill t.set_miss 0 (Array.length t.set_miss) 0
 

@@ -7,22 +7,20 @@
     {!Hierarchy}, the SMT model and the layout-evaluation engine all
     decide hit, miss and eviction here.
 
-    State is one flat tag array ([num_sets * assoc]) with a last-use
-    stamp per way, from one clock every access advances, plus a
-    valid-prefix count per set. LRU order is the stamp order: a hit
-    stamps its way, a miss fills the set's next free way or evicts the
-    way with the smallest stamp. Every entry point takes this same step.
-    Calls between modules are not inlined, so the loops that drive the
-    core live here, one call per unit of work:
+    State is one flat tag array ([num_sets * assoc], way 0 of a set is MRU)
+    plus a valid-prefix count per set. Calls between modules are not
+    inlined, so the loops that drive the core live here, one call per
+    unit of work:
     - {!replay} replays a whole block trace (solo {!Icache} runs);
     - {!corun} interleaves two block traces into the one cache (the
       co-run {!Icache} runs), each expanded once per call into a flat
       stream of line ids that the loop walks one position per thread.
       Each of the two builds a per-call residency
       index over the distinct lines its streams can touch (sized by their
-      count, not by their addresses), so a hit test is one array read,
-      and leaves the cache exactly as the per-line {!access_line} loop
-      would, from a cold or a warm cache;
+      count, not by their addresses), so a hit test is one array read;
+      while it runs, LRU order is a last-use stamp per way, and on return
+      every set is back in MRU-first order, exactly as the per-line
+      {!access_line} loop would leave it, from a cold or a warm cache;
     - {!access_span} walks one line span and returns its misses (the
       layout-evaluation engine's runs of lines);
     - {!access_line} serves callers that act between lines (SMT stalls,
@@ -47,9 +45,8 @@ val params : t -> Params.t
 
 val access_line : t -> thread:int -> block:int -> int -> bool
 (** [access_line t ~thread ~block line] touches a line; returns [true] on
-    hit. A hit makes the line its set's most recently used; a miss fills
-    the set's next free way, or evicts its least recently used way when
-    the set is full. *)
+    hit. A hit promotes the line to MRU; a miss fills it at MRU, evicting
+    the set's LRU way when the set is full. *)
 
 val access_span : t -> thread:int -> block:int -> first:int -> last:int -> int
 (** Exactly {!access_line} on every line of [first .. last] in order;
@@ -134,17 +131,17 @@ val probe_line : t -> int -> bool
 (** Hit test without state change. *)
 
 val prefetch_line : t -> int -> bool
-(** Fill a line as its set's most recently used if it is absent — a
-    prefetch fill: a resident line is left as it is; not a demand access,
-    never reported to the sink. Returns whether it inserted. *)
+(** Insert a line at MRU if it is absent — a prefetch fill: no promotion
+    of a resident line, not a demand access, never reported to the sink.
+    Returns whether it inserted. *)
 
 val evictions : t -> int
 (** Cumulative count of valid lines replaced (by demand misses and
     prefetch fills) since creation. *)
 
 val invalidate_all : t -> unit
-(** Empty every set and zero the per-set miss counts
-    (O(num_sets * assoc)); the eviction count is kept. *)
+(** Empty every set and zero the per-set miss counts (O(num_sets)); the
+    eviction count is kept. *)
 
 val occupancy : t -> int
 (** Number of valid lines. *)

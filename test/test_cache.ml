@@ -439,18 +439,18 @@ let solo_matches_per_line =
       && same_stats ~threads:1 (core (Some sink_core)) (oracle (Some sink_oracle))
       && sink_summary ~threads:1 sink_core = sink_summary ~threads:1 sink_oracle)
 
-(* The indexed replays at their boundary. They run on the cache's own
-   stamps and clock, so a warm cache, a random [access_line] prefix
-   before the call and a random suffix after it must see exactly what the
-   per-line oracle ([Seed_icache] on the same kind of cache) sees: the
-   same hit/miss sequence before and after, the same replay counters, and
-   after each phase the same resident lines, occupancy, eviction count
-   and per-set miss counts. The prefix and suffix lines fall on thread
-   0's lines, thread 1's (offset 2^40) and lines no stream touches, which
-   the replay must keep resident, be able to evict and never hit. The
-   co-run cases also run a solo replay and a co-run back to back, in
-   either order, so the clock the first leaves must order the second's
-   stamps after its own. *)
+(* The indexed replays at their boundary. They import the cache's
+   resident ways at entry and write every set back MRU-first at exit, so
+   a warm cache, a random [access_line] prefix before the call and a
+   random suffix after it must see exactly what the per-line oracle
+   ([Seed_icache] on the same kind of cache) sees: the same hit/miss
+   sequence before and after, the same replay counters, and after each
+   phase the same resident lines, occupancy, eviction count and per-set
+   miss counts. The prefix and suffix lines fall on thread 0's lines,
+   thread 1's (offset 2^40) and lines no stream touches, which the
+   replay must keep resident, be able to evict and never hit. The co-run
+   cases also run a solo replay and a co-run back to back, in either
+   order, so the second call imports what the first wrote back. *)
 let stream_of ~params (l : Icache.layout) ~offset trace =
   let n = Array.length l.Icache.addr in
   let first = Array.make n 0 and last = Array.make n (-1) in
@@ -631,8 +631,7 @@ let test_replay_interrupted () =
   let s0 = stream_of ~params layout ~offset:0 trace and s1 = stream_of ~params layout ~offset:far trace in
   let vec = Colayout_util.Int_vec.of_list trace in
   (* At rate 0.05 thread 1 first fetches after thread 0's 20th line, so
-     the suffix's first stamps would collide with the replay's unless the
-     raising replay still advanced the clock. *)
+     the replay raises after ten times the fills it makes at 0.5. *)
   List.iter
     (fun rates ->
       check Alcotest.bool
