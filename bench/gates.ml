@@ -206,6 +206,11 @@ let layout_eval =
           (str "engine_digest" (st m) = str "seed_digest" (st m))
           "engine miss ratios diverge from the seed evaluator");
     gate "batch-jobs-invariant" (jobs_invariant "batch");
+    gate "fitting-engine-matches-seed" (fun m ->
+        let c = get "fitting" (cells m) in
+        ensure
+          (str "engine_digest" c = str "seed_digest" c)
+          "engine miss ratios diverge from the seed evaluator where every set fits");
     gate "timings-positive" (fun m ->
         List.iter
           (fun k -> positive_num ("single_thread." ^ k) (num k (st m)))

@@ -19,7 +19,13 @@
     - the cache is the library's one LRU core
       ({!Colayout_cache.Set_assoc}), created once and emptied between
       candidates instead of reallocated; each block's line span reaches it
-      in one call.
+      in one call;
+    - a candidate none of whose cache sets is mapped more distinct
+      executed lines than it has ways is not replayed at all: a cold LRU
+      set within its ways never evicts, so each such line misses once and
+      every other access hits, and the engine counts both from the
+      per-block occurrence counts fixed at construction. The check stops
+      at the first set that overflows, and that candidate is replayed.
 
     Results are bit-equal to the seed evaluator
     ([Kernel_baseline.miss_ratio_of_function_order], a test oracle under
@@ -39,7 +45,9 @@ val create :
   Colayout_trace.Trace.t ->
   t
 (** Precompile [program] and [trace] against the cache geometry [params].
-    O(num_blocks + trace length) time and space, paid once. When [pool] is
+    O(num_blocks + trace length) time, paid once. The engine reads the
+    trace's events in place, not a copy: the first [Trace.length trace]
+    of them, which a later [Trace.push] leaves as they are. When [pool] is
     given, {!eval_batch} fans candidates across its worker domains (one
     lazily-built engine clone per {e worker}); without it, batches run
     sequentially on the caller.
@@ -105,8 +113,13 @@ val clones_built : t -> int
     address mapping of a handful of blocks, yet {!miss_ratio_of_order}
     re-streams the whole trace. A {!Delta.session} instead keeps the
     candidate's geometry and a {e per-cache-set} access/miss ledger alive
-    between moves and, on each move, re-simulates only the trace events
-    that touch a {e dirty} set.
+    between moves and, on each move, recounts only the {e dirty} sets.
+    Each block the move shifts takes its occurrences out of the accesses
+    of the sets its old lines map to and adds them to those of its new
+    ones, keeping every set's accesses and distinct executed lines
+    current; a dirty set whose lines fit its ways takes their count as
+    its misses, and only an overfull one is replayed, from the trace
+    events of the blocks that cover it.
 
     {b Exactness.} With power-of-two set indexing, the hit/miss outcome of
     each line access depends only on the subsequence of accesses mapping
@@ -114,12 +127,14 @@ val clones_built : t -> int
     from an emptied cache). Total misses are therefore a sum of
     independent per-set counts, and a set's subsequence changes only when
     some block's coverage of it changed — which the session detects by
-    diffing the recomputed geometry. Re-simulating exactly the dirty sets
+    diffing the recomputed geometry. Recounting exactly the dirty sets
     reproduces the full recompute {b bit for bit}: same integer totals,
     same float division, no error bound. The periodic resync (every
     [resync_interval] {e committed} moves, default 64) is an invariant
-    audit — it recounts every set from scratch and fails loudly if the
-    incremental ledger ever diverges — not error control.
+    audit — it recounts every set from the geometry alone, without the
+    line counts, incidence lists, dirty log or ledger the moves maintain,
+    and fails loudly if any of the per-set counts ever diverges — not
+    error control.
 
     A session shares the engine's immutable precompiled state and its LRU
     scratch, so do not interleave a session call with a concurrent
@@ -135,17 +150,24 @@ module Delta : sig
     accepted : int;  (** {!commit}s. *)
     undone : int;  (** {!undo}s. *)
     resyncs : int;  (** Full recount audits run. *)
-    replayed_events : int;  (** Trace events visited by the delta path. *)
-    full_walks : int;  (** Moves that fell back to a filtered full walk. *)
+    replayed_events : int;  (** Trace events the moves replayed. *)
+    full_walks : int;  (** Moves whose replay walked the whole trace. *)
     dirty_blocks : int;  (** Cumulative blocks whose geometry changed. *)
-    dirty_sets : int;  (** Cumulative cache sets re-simulated. *)
+    dirty_sets : int;
+        (** Cumulative cache sets recounted: those an executed block of a
+            move left or entered. *)
+    fit_sets : int;
+        (** Cumulative dirty sets counted without a replay: their
+            distinct executed lines fit the ways, so those lines are
+            their misses. *)
   }
 
   val start : ?resync_interval:int -> t -> int array -> session
   (** Open a session on [order] (a function permutation, copied): lowers
-      the geometry, runs one full cold simulation to seed the per-set
-      ledger, and builds the engine's per-block touch-lists on first use
-      (O(trace length), amortized across all sessions of the engine).
+      the geometry and counts every set to seed the per-set ledger,
+      replaying only if a set overflows its ways. The engine's per-block
+      touch-lists (O(trace length), amortized across all sessions of the
+      engine) are built by the first replay of a subset of the trace.
       [resync_interval] is the number of {e committed} moves between
       automatic full-recount audits (default 64).
 
@@ -165,7 +187,7 @@ module Delta : sig
 
   val apply_swap : session -> int -> int -> float
   (** [apply_swap s a b] exchanges the functions at positions [a] and [b],
-      splices the re-simulated dirty sets into the ledger and returns the
+      splices the recounted dirty sets into the ledger and returns the
       new miss ratio. The move is {e pending} until {!commit} or {!undo};
       only one move may be pending.
 
@@ -180,8 +202,9 @@ module Delta : sig
 
   val undo : session -> unit
   (** Revert the pending move: inverse permutation, geometry and per-set
-      counters restored from the undo log — O(dirty blocks + dirty sets),
-      no re-simulation.
+      counters restored from the undo log, each changed block moved back
+      in the line counts — O(lines of the dirty blocks + dirty sets), no
+      replay.
 
       @raise Invalid_argument if no move is pending. *)
 
@@ -193,8 +216,9 @@ module Delta : sig
 
   val resync : session -> float
   (** Full cold recount of every per-set counter under the current
-      geometry, compared against the incremental ledger. Returns the
-      (unchanged) miss ratio.
+      geometry, from the executed blocks alone (overfull sets replayed),
+      compared against the incremental ledger. Returns the (unchanged)
+      miss ratio.
 
       @raise Failure if any per-set count or the running totals diverge —
       the dirty-tracking invariant is broken and the session must not be
@@ -204,5 +228,6 @@ module Delta : sig
 
   val stats : session -> stats
   (** Cumulative work counters, for honest benchmarking: the delta bench
-      reports measured dirty-% and replayed-event fractions from these. *)
+      reports measured dirty-%, fitting-set and replayed-event fractions
+      from these. *)
 end

@@ -348,6 +348,25 @@ let miss_ratio_of_block_order ?function_stubs ~params program trace order =
   Colayout_cache.Cache_stats.miss_ratio
     (Seed_lru.solo ~params ~layout:(Layout.to_icache layout) (Colayout_trace.Trace.events trace))
 
+let lines_per_set ~params layout trace =
+  let per_set = Array.make params.Colayout_cache.Params.num_sets 0 in
+  let seen = Hashtbl.create 256 in
+  Trace.iter
+    (fun bid ->
+      let first, last =
+        Colayout_cache.Params.lines_spanned params ~addr:layout.Layout.addr.(bid)
+          ~bytes:layout.Layout.bytes.(bid)
+      in
+      for line = first to last do
+        if not (Hashtbl.mem seen line) then begin
+          Hashtbl.add seen line ();
+          let s = Colayout_cache.Params.set_of_line params line in
+          per_set.(s) <- per_set.(s) + 1
+        end
+      done)
+    trace;
+  per_set
+
 let anneal_search ?(seed = 1) ?(steps = 300) ?initial ~params program trace =
   if steps <= 0 then invalid_arg "Anneal.search: steps must be positive";
   let nf = Colayout_ir.Program.num_funcs program in

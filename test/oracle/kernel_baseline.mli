@@ -94,6 +94,13 @@ val miss_ratio_of_block_order :
 (** Seed evaluation of an arbitrary block order (with optional entry
     stubs), the oracle for {!Layout_eval.miss_ratio_of_block_order}. *)
 
+val lines_per_set :
+  params:Colayout_cache.Params.t -> Layout.t -> Colayout_trace.Trace.t -> int array
+(** Distinct executed lines each cache set receives under the layout,
+    counted with a hash set over the trace: the footprint on which
+    [Layout_eval] decides whether a set fits its ways, computed without
+    it. *)
+
 val anneal_search :
   ?seed:int ->
   ?steps:int ->

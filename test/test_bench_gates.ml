@@ -115,6 +115,7 @@ let layout_eval =
           ] );
       ("anneal", o [ ("seed_wall_ns", i 10); ("engine_wall_ns", i 5) ]);
       ("batch", jobs_runs);
+      ("fitting", o [ ("engine_digest", s "f"); ("seed_digest", s "f") ]);
     ]
 
 let layout_eval_delta =
@@ -397,6 +398,9 @@ let perturbations =
       >> set (cells [ "workloads"; "0"; "conflict_drop" ]) (i 0) );
     ("layout-eval", "engine-matches-seed", set (cells [ "single_thread"; "seed_digest" ]) (s "x"));
     ("layout-eval", "batch-jobs-invariant", set (cells [ "batch"; "1"; "digest" ]) (s "x"));
+    ( "layout-eval",
+      "fitting-engine-matches-seed",
+      set (cells [ "fitting"; "engine_digest" ]) (s "x") );
     ("layout-eval", "timings-positive", set (cells [ "anneal"; "engine_wall_ns" ]) (i 0));
     ("layout-eval", "single-thread-speedup-5x", set (cells [ "single_thread"; "speedup" ]) (f 4.0));
     ("layout-eval", "single-thread-speedup-1x", set (cells [ "single_thread"; "speedup" ]) (f 0.9));

@@ -319,6 +319,123 @@ let test_rejects_foreign_trace () =
     (fun () ->
       ignore (Layout_eval.create ~params:(List.hd geometries) program foreign))
 
+(* ------------------------------------------------ sets that fit *)
+
+type regime = All_fit | Some_overflow | All_overflow
+
+let regime_of ~params layout trace =
+  let per_set = Kernel_baseline.lines_per_set ~params layout trace in
+  let most = Array.fold_left max 0 per_set and fewest = Array.fold_left min max_int per_set in
+  if most <= params.C.Params.assoc then All_fit
+  else if fewest > params.C.Params.assoc then All_overflow
+  else Some_overflow
+
+(* Shapes chosen so small generated programs land in every regime: a
+   large highly associative cache where every set fits, the paper's L1I
+   and a 1 KB 2-way cache in between, and four one-way sets every executed
+   line competes for. *)
+let footprint_shapes =
+  [
+    C.Params.make ~size_bytes:65_536 ~assoc:16 ~line_bytes:64;
+    C.Params.default_l1i;
+    C.Params.make ~size_bytes:1024 ~assoc:2 ~line_bytes:64;
+    C.Params.make ~size_bytes:256 ~assoc:1 ~line_bytes:64;
+  ]
+
+let solo_ratio ~params layout trace =
+  C.Cache_stats.miss_ratio
+    (C.Icache.solo ~params ~layout:(Layout.to_icache layout) (Colayout_trace.Trace.events trace))
+
+(* One generated program and trace against every shape: function orders,
+   block orders with and without entry stubs, and [eval_batch] at jobs 2,
+   each bit-equal to the seed evaluator and to [Icache.solo]. Returns the
+   regimes the candidates fell in. *)
+let check_footprint_case (seed, phases, arms, fuel) =
+  let program =
+    W.Gen.build
+      {
+        W.Gen.default_profile with
+        pname = Printf.sprintf "footprint-%d" seed;
+        seed;
+        phases;
+        funcs_per_phase = 2;
+        shared_funcs = 1;
+        arms;
+        arm_blocks = 2;
+        arm_work = 8 + (seed mod 30);
+        cold_funcs = 1;
+        iters_per_phase = 10;
+      }
+  in
+  let trace = Pipeline.reference_trace program (E.Interp.ref_input ~max_blocks:fuel ()) in
+  let nf = Colayout_ir.Program.num_funcs program in
+  let nb = Colayout_ir.Program.num_blocks program in
+  let prng = U.Prng.create ~seed in
+  let regimes = ref [] in
+  let seen params layout = regimes := regime_of ~params layout trace :: !regimes in
+  List.iter
+    (fun params ->
+      let what = C.Params.to_string params in
+      let engine = Layout_eval.create ~params program trace in
+      let forders = Array.init 3 (fun _ -> random_perm prng nf) in
+      Array.iter
+        (fun order ->
+          let layout = Layout.of_function_order program order in
+          seen params layout;
+          let got = Layout_eval.miss_ratio_of_order engine order in
+          check_bit_equal ("function order = seed, " ^ what)
+            (Kernel_baseline.miss_ratio_of_function_order ~params program trace order)
+            got;
+          check_bit_equal ("function order = Icache.solo, " ^ what)
+            (solo_ratio ~params layout trace) got)
+        forders;
+      let border = random_perm prng nb in
+      List.iter
+        (fun function_stubs ->
+          let layout = Layout.of_block_order ~function_stubs program border in
+          seen params layout;
+          let got = Layout_eval.miss_ratio_of_block_order ~function_stubs engine border in
+          check_bit_equal
+            (Printf.sprintf "block order (stubs=%b) = seed, %s" function_stubs what)
+            (Kernel_baseline.miss_ratio_of_block_order ~function_stubs ~params program trace
+               border)
+            got;
+          check_bit_equal
+            (Printf.sprintf "block order (stubs=%b) = Icache.solo, %s" function_stubs what)
+            (solo_ratio ~params layout trace) got)
+        [ false; true ];
+      U.Pool.with_pool ~jobs:2 (fun pool ->
+          let pooled = Layout_eval.create ~pool ~params program trace in
+          Array.iteri
+            (fun i got ->
+              check_bit_equal (Printf.sprintf "eval_batch jobs=2 candidate %d, %s" i what)
+                (Layout_eval.miss_ratio_of_order engine forders.(i))
+                got)
+            (Layout_eval.eval_batch pooled forders)))
+    footprint_shapes;
+  !regimes
+
+let footprint_property =
+  QCheck.Test.make ~name:"engine = seed = Icache.solo whether sets fit or overflow" ~count:25
+    QCheck.(quad (int_range 1 10_000) (int_range 1 3) (int_range 1 4) (int_range 200 3_000))
+    (fun case ->
+      ignore (check_footprint_case case);
+      true)
+
+(* The shapes put fixed cases in all three regimes, so the property's
+   inputs do reach each of them. *)
+let test_footprint_regimes_covered () =
+  let regimes =
+    List.concat_map check_footprint_case [ (7, 1, 2, 400); (1234, 3, 4, 3_000) ]
+  in
+  List.iter
+    (fun (regime, name) -> check Alcotest.bool name true (List.mem regime regimes))
+    [
+      (All_fit, "every set fits");
+      (Some_overflow, "some sets overflow");
+      (All_overflow, "every set overflows");
+    ]
+
 (* ------------------------------------------------------------ allocation *)
 
 (* The header's allocation-free promise, measured with [Gc.minor_words]:
@@ -386,6 +503,12 @@ let () =
             test_rejects_bad_orders;
           Alcotest.test_case "foreign trace rejected at create" `Quick
             test_rejects_foreign_trace;
+        ] );
+      ( "footprint",
+        [
+          QCheck_alcotest.to_alcotest footprint_property;
+          Alcotest.test_case "fixed cases reach every regime" `Quick
+            test_footprint_regimes_covered;
         ] );
       ( "allocation",
         [

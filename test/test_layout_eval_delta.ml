@@ -148,6 +148,108 @@ let test_property_drive_dispatch () =
     ~params:(C.Params.make ~size_bytes:4096 ~assoc:2 ~line_bytes:64)
     ~program ~trace ~moves:1_500 ~resync_interval:8 ~seed:7
 
+(* ------------------------------------------ across the assoc boundary *)
+
+let per_set_lines ~params program trace order =
+  Kernel_baseline.lines_per_set ~params (Layout.of_function_order program order) trace
+
+(* Moves whose dirty sets cross between fitting their ways and
+   overflowing them, in both directions, with a resync after every commit:
+   the running ratio must equal a full recompute after every move, commit
+   and undo alike. *)
+let test_assoc_boundary () =
+  let program = program_of ~seed:41 ~style:W.Gen.default_profile.W.Gen.style in
+  let trace = trace_of program in
+  let params = C.Params.make ~size_bytes:4096 ~assoc:4 ~line_bytes:64 in
+  let engine = Layout_eval.create ~params program trace in
+  let nf = Layout_eval.num_funcs engine in
+  let prng = U.Prng.create ~seed:23 in
+  let sess = Delta.start ~resync_interval:1 engine (Array.init nf Fun.id) in
+  let lines = ref (per_set_lines ~params program trace (Delta.order sess)) in
+  let to_overfull = ref 0 and to_fit = ref 0 in
+  for i = 1 to 400 do
+    let a = U.Prng.int prng nf in
+    let b = ref (U.Prng.int prng nf) in
+    while !b = a do
+      b := U.Prng.int prng nf
+    done;
+    let mr =
+      if U.Prng.bool prng ~p:0.5 then Delta.apply_swap sess a !b else Delta.apply_relocate sess a !b
+    in
+    let order = Delta.order sess in
+    check_bit_equal (Printf.sprintf "move %d = full eval" i)
+      (Layout_eval.miss_ratio_of_order engine order)
+      mr;
+    if U.Prng.bool prng ~p:0.6 then begin
+      let now = per_set_lines ~params program trace order in
+      Array.iteri
+        (fun s l ->
+          let was = !lines.(s) > params.C.Params.assoc and is = l > params.C.Params.assoc in
+          if is && not was then incr to_overfull;
+          if was && not is then incr to_fit)
+        now;
+      lines := now;
+      Delta.commit sess
+    end
+    else Delta.undo sess;
+    check_bit_equal (Printf.sprintf "after move %d = full eval" i)
+      (Layout_eval.miss_ratio_of_order engine (Delta.order sess))
+      (Delta.miss_ratio sess)
+  done;
+  check_bit_equal "final = Kernel_baseline"
+    (Kernel_baseline.miss_ratio_of_function_order ~params program trace (Delta.order sess))
+    (Delta.miss_ratio sess);
+  let st = Delta.stats sess in
+  check Alcotest.int "a resync after every commit" st.Delta.accepted st.Delta.resyncs;
+  check Alcotest.bool
+    (Printf.sprintf "sets went overfull (%d)" !to_overfull)
+    true (!to_overfull > 0);
+  check Alcotest.bool (Printf.sprintf "sets came back within their ways (%d)" !to_fit) true
+    (!to_fit > 0);
+  check Alcotest.bool "some dirty sets were counted without a replay" true
+    (st.Delta.fit_sets > 0);
+  check Alcotest.bool "some were replayed" true (st.Delta.fit_sets < st.Delta.dirty_sets)
+
+(* The shortcut's counter: every dirty set of a cache the program fits in
+   is counted without a replay, and none of a cache whose every set is
+   overfull under any order. *)
+let test_fit_counter () =
+  let program = program_of ~seed:41 ~style:W.Gen.default_profile.W.Gen.style in
+  let trace = trace_of program in
+  let run params =
+    let engine = Layout_eval.create ~params program trace in
+    let nf = Layout_eval.num_funcs engine in
+    let prng = U.Prng.create ~seed:5 in
+    let sess = Delta.start ~resync_interval:4 engine (Array.init nf Fun.id) in
+    let most = ref 0 and fewest = ref max_int in
+    for _ = 1 to 60 do
+      let a = U.Prng.int prng nf in
+      let b = (a + 1 + U.Prng.int prng (nf - 1)) mod nf in
+      ignore (Delta.apply_relocate sess a b);
+      let per_set = per_set_lines ~params program trace (Delta.order sess) in
+      most := max !most (Array.fold_left max 0 per_set);
+      fewest := min !fewest (Array.fold_left min max_int per_set);
+      Delta.commit sess
+    done;
+    check_bit_equal "final = full eval"
+      (Layout_eval.miss_ratio_of_order engine (Delta.order sess))
+      (Delta.resync sess);
+    (Delta.stats sess, !most, !fewest)
+  in
+  let big = C.Params.make ~size_bytes:65_536 ~assoc:16 ~line_bytes:64 in
+  let st, most, _ = run big in
+  check Alcotest.bool (Printf.sprintf "every set fits (at most %d lines)" most) true (most <= 16);
+  check Alcotest.bool "dirty sets recounted" true (st.Delta.dirty_sets > 0);
+  check Alcotest.int "all of them without a replay" st.Delta.dirty_sets st.Delta.fit_sets;
+  check Alcotest.int "no event replayed" 0 st.Delta.replayed_events;
+  let tiny = C.Params.make ~size_bytes:256 ~assoc:1 ~line_bytes:64 in
+  let st, _, fewest = run tiny in
+  check Alcotest.bool (Printf.sprintf "every set overflows (at least %d lines)" fewest) true
+    (fewest > 1);
+  check Alcotest.bool "dirty sets recounted" true (st.Delta.dirty_sets > 0);
+  check Alcotest.int "none without a replay" 0 st.Delta.fit_sets;
+  check Alcotest.bool "events replayed" true (st.Delta.replayed_events > 0)
+
 (* --------------------------------------------------- API discipline *)
 
 let test_move_api_discipline () =
@@ -283,6 +385,11 @@ let () =
         [
           Alcotest.test_case "10k+ move sequences across geometries" `Slow test_property_drive;
           Alcotest.test_case "dispatch trace, tight resync" `Slow test_property_drive_dispatch;
+        ] );
+      ( "boundary",
+        [
+          Alcotest.test_case "delta = full across the assoc boundary" `Quick test_assoc_boundary;
+          Alcotest.test_case "fit_sets: all fit, none fit" `Quick test_fit_counter;
         ] );
       ( "discipline",
         [ Alcotest.test_case "undo/commit/pending rules" `Quick test_move_api_discipline ] );
