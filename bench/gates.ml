@@ -105,6 +105,15 @@ let kernels =
         ensure
           (str "indexed_digest" r = str "seed_digest" r)
           "indexed solo replay of %s diverges from the per-line oracle" (str "program" r));
+    gate "ingest-walk-matches-oracle" (fun m ->
+        let r = get "ingest_walk" (cells m) in
+        List.iter
+          (fun what ->
+            ensure
+              (str ("flagged_" ^ what ^ "_digest") r = str ("scanning_" ^ what ^ "_digest") r)
+              "the %s ingest walk's %s digest diverges from the scanning oracle's"
+              (str "program" r) what)
+          [ "trg"; "affine" ]);
     (* The replays read their traces in place: a steady-state co-run call
        allocating a trace's worth of major words is copying one. *)
     gate "corun-no-trace-copy" (fun m ->

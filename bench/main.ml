@@ -217,7 +217,7 @@ let real_reduce ~budget (_, _, g, slots) =
   let nodes = Trg.num_nodes g in
   let edges = ref 0 in
   Trg.iter_edges (fun _ _ _ -> incr edges) g;
-  let flat_ns = per_call ~budget (fun () -> ignore (Trg_reduce.reduce g ~slots)) in
+  let flat_ns = per_call_min ~budget (fun () -> ignore (Trg_reduce.reduce g ~slots)) in
   let seed, seed_ns = time (fun () -> Kernel_baseline.trg_reduce g ~slots) in
   let seed_ns = float_of_int seed_ns in
   Printf.printf "  %-40s %12.1f us/run\n%!" "trg-reduce-real/flat" (flat_ns /. 1e3);
@@ -357,6 +357,58 @@ let cache_replay ~quick ~bench =
   Printf.printf "  (%s vs %s, fuel %d)\n%!" corun_program corun_peer fuel;
   (corun_cells, corun, solo_cells, solo)
 
+(* `repro serve`'s users: each user's input seed and fuel (in
+   [max_fuel / 2, max_fuel]) come from the user's own Prng stream, as in
+   [Serve]; the basic-block traces of [program]. *)
+let serve_users program ~users ~max_fuel ~seed =
+  List.init users (fun u ->
+      let prng = U.Prng.create ~seed:(seed + ((u + 1) * 0x9E3779B1)) in
+      let input_seed = U.Prng.int prng 1_000_000_000 in
+      let fuel = (max_fuel / 2) + U.Prng.int prng ((max_fuel / 2) + 1) in
+      (E.Interp.run program (E.Interp.test_input ~seed:input_seed ~max_blocks:fuel ()))
+        .E.Interp.bb_trace)
+
+(* Serve's ingest walk: [Ingest] in `repro serve`'s shape (429.mcf user
+   traces at its default fuel, windows 64/16, one walker, so the grid
+   store) against the scanning walk the flagged stack replaced
+   ([Scan_walk], in test/oracle/), each from the traces to the consensus
+   digests. Both sides must produce the same digests. *)
+let ingest_walk_program = "429.mcf"
+
+let ingest_walk ~quick ~bench =
+  let program = W.Spec.build ingest_walk_program in
+  let num_symbols = Colayout_ir.Program.num_blocks program in
+  let users = if quick then 16 else 64 in
+  let trg_window = 64 and affinity_w = 16 in
+  let traces = serve_users program ~users ~max_fuel:4_000 ~seed:1 in
+  let flagged () =
+    let ing = Ingest.create (Ingest.config ~num_symbols ~trg_window ~affinity_w ()) in
+    List.iter (Ingest.ingest_trace ing) traces;
+    Ingest.consensus_digests (Ingest.finalize ing)
+  in
+  let scanning () = Scan_walk.ingest_digests ~trg_window ~affinity_w traces in
+  let flagged_cell = bench "ingest-walk/flagged" (fun () -> ignore (flagged ())) in
+  let scanning_cell = bench "ingest-walk/scanning-oracle" (fun () -> ignore (scanning ())) in
+  let f_trg, f_aff = flagged () and s_trg, s_aff = scanning () in
+  let events = List.fold_left (fun a t -> a + T.Trace.length t) 0 traces in
+  Printf.printf "  (%s: %d users, %d events, %d symbols, windows %d/%d)\n%!" ingest_walk_program
+    users events num_symbols trg_window affinity_w;
+  ( (flagged_cell, scanning_cell),
+    Out.(
+      obj
+        [
+          ("program", str ingest_walk_program);
+          ("users", int users);
+          ("events", int events);
+          ("num_symbols", int num_symbols);
+          ("trg_window", int trg_window);
+          ("affinity_w", int affinity_w);
+          ("flagged_trg_digest", str f_trg);
+          ("flagged_affine_digest", str f_aff);
+          ("scanning_trg_digest", str s_trg);
+          ("scanning_affine_digest", str s_aff);
+        ]) )
+
 let kernels ~quick ~dir:_ =
   let num_symbols = if quick then 1024 else 4096 in
   let len = if quick then 12_000 else 120_000 in
@@ -373,23 +425,29 @@ let kernels ~quick ~dir:_ =
     Printf.printf "  %-40s %12.1f us/run\n%!" name (ns /. 1e3);
     (name, ns)
   in
-  let bench = bench_with (per_call ~budget) in
+  (* Every library cell is the fastest of seven batches from a compacted
+     heap: single batches of one cell read up to 1.44x apart across runs
+     of one tree. The three tuple-Hashtbl seed kernels keep one batch: one
+     call of theirs lasts 0.4-4 s even in quick mode, so seven would
+     multiply the section's wall for little. *)
+  let bench = bench_with (per_call_min ~budget) in
+  let bench_seed = bench_with (per_call ~budget) in
   let trg_packed = bench "trg-build/packed-csr" (fun () -> ignore (Trg.build ~window:w trace)) in
   let trg_legacy =
-    bench "trg-build/tuple-hashtbl-baseline" (fun () ->
+    bench_seed "trg-build/tuple-hashtbl-baseline" (fun () ->
         ignore (Kernel_baseline.trg_build ~window:w trace))
   in
   let aff_packed =
     bench "affine-pairs/packed" (fun () -> ignore (Affinity.affine_pairs trace ~w))
   in
   let aff_legacy =
-    bench "affine-pairs/tuple-hashtbl-baseline" (fun () ->
+    bench_seed "affine-pairs/tuple-hashtbl-baseline" (fun () ->
         ignore (Kernel_baseline.affine_pairs trace ~w))
   in
   let trg = Trg.build ~window:w trace in
   let reduce = bench "trg-reduce/flat" (fun () -> ignore (Trg_reduce.reduce trg ~slots)) in
   let reduce_legacy =
-    bench "trg-reduce/seed-baseline" (fun () -> ignore (Kernel_baseline.trg_reduce trg ~slots))
+    bench_seed "trg-reduce/seed-baseline" (fun () -> ignore (Kernel_baseline.trg_reduce trg ~slots))
   in
   (* The optimizer's affinity windows: one kernel pass cut at each window,
      against one [affine_pairs] pass per window. *)
@@ -409,17 +467,17 @@ let kernels ~quick ~dir:_ =
   in
   let bb = real_bb () in
   (* The pair-grid calls take ~5-15 ms each: one quick-budget batch held
-     8-16 of them and two runs of one tree read up to 1.5x apart, so these
-     cells take the fastest of seven batches of at least 0.2 s. *)
+     8-16 of them, so these batches last at least 0.2 s. *)
   let grid_timed, pair_grid =
     pair_grid_kernels ~bench:(bench_with (per_call_min ~budget:(Float.max budget 0.2))) bb
   in
+  let (walk_flagged, walk_scanning), ingest_walk = ingest_walk ~quick ~bench in
   let kernels =
     [
       trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
       windows_per_window; corun_indexed; corun_seed; solo_indexed; solo_seed;
     ]
-    @ grid_timed
+    @ grid_timed @ [ walk_flagged; walk_scanning ]
   in
   let speedups =
     [
@@ -429,6 +487,7 @@ let kernels ~quick ~dir:_ =
       ("affinity-windows", snd windows_per_window /. snd windows_one_pass);
       ("cache-replay", snd corun_seed /. snd corun_indexed);
       ("cache-replay-solo", snd solo_seed /. snd solo_indexed);
+      ("ingest-walk", snd walk_scanning /. snd walk_flagged);
     ]
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
@@ -470,6 +529,7 @@ let kernels ~quick ~dir:_ =
               ] );
           ("reduce_real", obj real);
           ("pair_grid", obj pair_grid);
+          ("ingest_walk", ingest_walk);
           ("corun", corun);
           ("solo", solo);
         ] )
@@ -1252,14 +1312,7 @@ let ingest ~quick ~dir:_ =
   let trg_window = 64 and affinity_w = 16 in
   let program = W.Spec.build program_name in
   let num_symbols = Colayout_ir.Program.num_blocks program in
-  let gen u =
-    let prng = U.Prng.create ~seed:(seed + ((u + 1) * 0x9E3779B1)) in
-    let input_seed = U.Prng.int prng 1_000_000_000 in
-    let fuel = (max_fuel / 2) + U.Prng.int prng ((max_fuel / 2) + 1) in
-    (E.Interp.run program (E.Interp.test_input ~seed:input_seed ~max_blocks:fuel ()))
-      .E.Interp.bb_trace
-  in
-  let traces = Array.init users gen in
+  let traces = Array.of_list (serve_users program ~users ~max_fuel ~seed) in
   let total_events = Array.fold_left (fun a t -> a + T.Trace.length t) 0 traces in
   let batch_trg, batch_aff =
     Ingest.batch_digests_parts ~trg_window ~affinity_w (Array.to_list traces)

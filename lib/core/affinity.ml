@@ -105,13 +105,13 @@ let[@inline] witness ~dense (grid : Pair_grid.t) wits ~fb ~fmask ~dead a b a_occ
     if v' <> v then Int_pair_tbl.slot_set wits s v'
   end
 
-(* The walk over the trace's events, in place. [occ_idx] counts each
-   symbol's occurrences so far. *)
+(* The walk over the trace's events, in place, on the flagged
+   [Window_stack]. [occ_idx] counts each symbol's occurrences so far. *)
 let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
   let ev = Int_vec.backing (Trace.events trace) in
   (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
-  let ws = Window_stack.create ~k:(imax 1 (imin wmax n)) in
-  let stk = ws.stk in
+  let ws = Window_stack.create ~k:(imax 1 (imin wmax n)) ~num_symbols:n in
+  let stk = ws.stk and on = ws.on in
   for t = 0 to Trace.length trace - 1 do
     let y = Array.unsafe_get ev t in
     let ky = occ_idx.(y) + 1 in
@@ -122,22 +122,37 @@ let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
        The walk and the stack are the same at every window, so cutting
        this walk at [w] gives the depth-[w] walk's witnesses. Each
        position feeds both directions: this y-occurrence sees x
-       (backward); x's latest occurrence sees y (forward). *)
-    let pos = Window_stack.find ws y in
+       (backward); x's latest occurrence sees y (forward). A [y] on the
+       stack sits within the top [wmax] entries, so every block above it
+       is within the window: the pass that reaches [y] witnesses each and
+       shifts it down a slot, and the blocks below it do not move. *)
     let depth = ws.depth in
-    let above = imin (if pos >= 0 then pos else depth) (wmax - 1) in
-    for i = 0 to above - 1 do
-      let x = Array.unsafe_get stk i in
-      witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 2);
-      witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 2)
-    done;
-    if pos >= 0 then
-      for i = pos + 1 to depth - 1 do
+    if Bytes.unsafe_get on y <> '\000' then begin
+      let i = ref 0 and carry = ref y and x = ref (Array.unsafe_get stk 0) in
+      while !x <> y do
+        let xi = !x in
+        witness ~dense grid wits ~fb ~fmask ~dead y xi ky (!i + 2);
+        witness ~dense grid wits ~fb ~fmask ~dead xi y occ_idx.(xi) (!i + 2);
+        Array.unsafe_set stk !i !carry;
+        carry := xi;
+        incr i;
+        x := Array.unsafe_get stk !i
+      done;
+      Array.unsafe_set stk !i !carry;
+      for i = !i + 1 to depth - 1 do
         let x = Array.unsafe_get stk i in
         witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 1);
         witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 1)
+      done
+    end
+    else begin
+      for i = 0 to imin depth (wmax - 1) - 1 do
+        let x = Array.unsafe_get stk i in
+        witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 2);
+        witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 2)
       done;
-    Window_stack.move_to_front ws ~pos y
+      Window_stack.push ws y
+    end
   done
 
 (* A pair is affine at [w] iff both directions witnessed every

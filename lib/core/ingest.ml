@@ -5,11 +5,13 @@ open Colayout_trace
    batch analysis kernels ([Trg.build], [Affinity.affine_pairs]); the
    interface states the contract and the merge algebra.
 
-   Each kept event costs one walk: one scan of the walker's flat
-   [Window_stack] finds the symbol, then the TRG loop and the affinity
-   loop run over the same array and bump the walker's store in place —
-   dense pair grids in exact mode on small universes ([grid_walk]), shard
-   tables otherwise ([table_walk]). Both apply one witness rule: an
+   Each kept event costs one pass of the walker's flagged [Window_stack]
+   ([walk]): the symbol's flag says whether it is on the stack, and the
+   pass that shifts the blocks above it down a slot makes its TRG bumps
+   and witness updates on the way, in the walker's store — dense pair
+   grids in exact mode on small universes, shard tables otherwise (one
+   [@inline] source, two instances). No event scans the stack to find its
+   symbol. Both stores apply one witness rule: an
    occurrence of [a] is counted into sat(a, b) at most once, when [b] sits
    within footprint w of it ([last_occ < a_occ]). The grid store keeps
    that state per trace and closes each trace into trace counts
@@ -202,7 +204,9 @@ let make_walker (cfg : config) metrics i : walker =
   {
     id = i;
     stack =
-      Window_stack.create ~k:(min (max cfg.trg_window cfg.affinity_w) cfg.num_symbols);
+      Window_stack.create
+        ~k:(min (max cfg.trg_window cfg.affinity_w) cfg.num_symbols)
+        ~num_symbols:cfg.num_symbols;
     store = make_store cfg;
     queue = Queue.create ();
     delta;
@@ -374,60 +378,130 @@ let witness_both t tb x kx y =
   witness tb.shards.(shard_of t kxy).wits kxy kx;
   witness tb.shards.(shard_of t kyx).wits kyx tb.occ.(y)
 
-(* The table store's bumps for one kept event [x]: [ntrg] TRG bumps, then
-   witness pairs for stack positions [0, above) and (pos, below). *)
-let table_walk t tb stk x ~pos ~ntrg ~above ~below =
-  let occ = tb.occ in
-  occ.(x) <- occ.(x) + 1;
-  let kx = occ.(x) in
-  for i = 0 to ntrg - 1 do
-    let y = Array.unsafe_get stk i in
-    let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
-    ignore (Int_pair_tbl.add_to tb.shards.(shard_of t key).trg key 1)
-  done;
-  for i = 0 to above - 1 do
-    witness_both t tb x kx (Array.unsafe_get stk i)
-  done;
-  for i = pos + 1 to below - 1 do
-    witness_both t tb x kx (Array.unsafe_get stk i)
-  done
+let imin (a : int) b = if a <= b then a else b
+
+let imax (a : int) b = if a >= b then a else b
 
 (* The grid store's witness cell: (last_occ, sat) packed as
    [(last_occ lsl 31) lor sat], updated by [witness]'s rule. Per-trace
    occurrence counts stay below 2^31 (the per-walker bound of [walk_event]). *)
 let sat_mask = (1 lsl 31) - 1
 
-let grid_witness wit j a_occ =
+let[@inline] grid_witness wit j a_occ =
   let p = Array.unsafe_get wit j in
   if p lsr 31 < a_occ then Array.unsafe_set wit j ((a_occ lsl 31) lor ((p land sat_mask) + 1))
 
-(* [table_walk] on the grids: the same bumps, as direct array updates. *)
-let grid_walk g stk x ~pos ~ntrg ~above ~below =
-  let n = g.n and occ = g.cur_occ and wit = g.wit and dir = g.dir in
-  let kx = occ.(x) + 1 in
-  occ.(x) <- kx;
-  if kx = 1 then begin
-    g.present.(g.npresent) <- x;
-    g.npresent <- g.npresent + 1
-  end;
-  let row = x * n in
-  for i = 0 to ntrg - 1 do
-    let y = Array.unsafe_get stk i in
-    let c = Array.unsafe_get dir (row + y) in
-    Array.unsafe_set dir (row + y) (c + 1);
+(* The per-entry updates of the walk, in the walker's store: the grids
+   [g] when [dense], else the tables [tb]. [dense] is a literal at each
+   use, so the grid instance is open-coded array updates and the other
+   store's argument is a placeholder. *)
+
+(* One TRG bump: block [y] sat above a recurring [x]. *)
+let[@inline] trg_bump ~dense t g tb x y =
+  if dense then begin
+    let n = g.n and dir = g.dir in
+    let c = Array.unsafe_get dir ((x * n) + y) in
+    Array.unsafe_set dir ((x * n) + y) (c + 1);
     (* A first bump in either direction makes a new undirected entry. *)
     if c = 0 && Array.unsafe_get dir ((y * n) + x) = 0 then g.live <- g.live + 1
-  done;
-  for i = 0 to above - 1 do
-    let y = Array.unsafe_get stk i in
-    grid_witness wit (row + y) kx;
-    grid_witness wit ((y * n) + x) (Array.unsafe_get occ y)
-  done;
-  for i = pos + 1 to below - 1 do
-    let y = Array.unsafe_get stk i in
-    grid_witness wit (row + y) kx;
-    grid_witness wit ((y * n) + x) (Array.unsafe_get occ y)
-  done
+  end
+  else begin
+    let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
+    ignore (Int_pair_tbl.add_to tb.shards.(shard_of t key).trg key 1)
+  end
+
+(* Both witness directions for [x] at occurrence [kx] and [y]. *)
+let[@inline] witness_pair ~dense t g tb x kx y =
+  if dense then begin
+    let n = g.n in
+    grid_witness g.wit ((x * n) + y) kx;
+    grid_witness g.wit ((y * n) + x) (Array.unsafe_get g.cur_occ y)
+  end
+  else witness_both t tb x kx y
+
+(* The per-event kernel: one pass of the walker's flagged [Window_stack]
+   for kept event [x], updating its store in place; returns [x]'s 0-based
+   position before the event, or -1 when it was not on the stack.
+
+   A block at position [i] above [x]'s previous occurrence is a TRG
+   neighbour when [x] is within the TRG window, and an affinity witness
+   (footprint i + 2) when i < w - 1; one below it (footprint i + 1) when
+   i < w; when [x] is not on the stack, every block is "above" it. A
+   present [x] is found by the pass that does the per-entry work on the
+   blocks above it and shifts them down a slot; the blocks below it do
+   not move. An absent [x] costs the witness loop and one [push].
+
+   The stack keeps [max trg_window affinity_w] entries (fewer on a small
+   universe). When that is no more than [trg_window], every present [x]
+   is within the TRG window and the pass bumps as it goes. Otherwise
+   ([trg_window < affinity_w]) whether [x] gets any bump is known only
+   once it is found, so the pass does the witnesses alone, and the bumps
+   follow over the shifted entries [1 .. pos] when [pos < trg_window]:
+   the same bumps, in the same order. *)
+let[@inline] walk ~dense t g tb (ws : Window_stack.t) x =
+  let kx =
+    if dense then begin
+      let occ = g.cur_occ in
+      let kx = occ.(x) + 1 in
+      occ.(x) <- kx;
+      if kx = 1 then begin
+        g.present.(g.npresent) <- x;
+        g.npresent <- g.npresent + 1
+      end;
+      kx
+    end
+    else begin
+      let occ = tb.occ in
+      occ.(x) <- occ.(x) + 1;
+      occ.(x)
+    end
+  in
+  let stk = ws.stk and depth = ws.depth in
+  let tw = t.cfg.trg_window and w = t.cfg.affinity_w in
+  if Bytes.unsafe_get ws.on x <> '\000' then begin
+    let bump_in_pass = tw >= Array.length stk in
+    let i = ref 0 and carry = ref x and y = ref (Array.unsafe_get stk 0) in
+    while !y <> x && !i < w - 1 do
+      let yi = !y in
+      if bump_in_pass then trg_bump ~dense t g tb x yi;
+      witness_pair ~dense t g tb x kx yi;
+      Array.unsafe_set stk !i !carry;
+      carry := yi;
+      incr i;
+      y := Array.unsafe_get stk !i
+    done;
+    while !y <> x do
+      if bump_in_pass then trg_bump ~dense t g tb x !y;
+      Array.unsafe_set stk !i !carry;
+      carry := !y;
+      incr i;
+      y := Array.unsafe_get stk !i
+    done;
+    Array.unsafe_set stk !i !carry;
+    let pos = !i in
+    if (not bump_in_pass) && pos < tw then
+      for j = 1 to pos do
+        trg_bump ~dense t g tb x (Array.unsafe_get stk j)
+      done;
+    for j = pos + 1 to imin depth w - 1 do
+      witness_pair ~dense t g tb x kx (Array.unsafe_get stk j)
+    done;
+    pos
+  end
+  else begin
+    for i = 0 to imin depth (w - 1) - 1 do
+      witness_pair ~dense t g tb x kx (Array.unsafe_get stk i)
+    done;
+    Window_stack.push ws x;
+    -1
+  end
+
+(* The placeholders for the store a walk instance does not use. *)
+let no_tables = { shards = [||]; occ = [||] }
+
+let no_grids =
+  { n = 0; dir = [||]; wit = [||]; aff = [||]; trc = [||]; cur_occ = [||]; present = [||];
+    npresent = 0; live = 0 }
 
 (* Close the open trace into the trace counts: every present symbol gains
    a trace, every present pair that the trace saturates in both directions
@@ -456,10 +530,7 @@ let close_grids g =
   done;
   g.npresent <- 0
 
-(* The per-event kernel: one scan of the window stack finds [x], then the
-   TRG loop ([Trg.build]'s) and the affinity loop ([Affinity.thresholds]'
-   at the single window w) run over the same array, bumping the walker's
-   store directly. *)
+(* One kept event per call: inline trimming, the walk, and the counters. *)
 let walk_event t (wk : walker) x =
   if x <> wk.last_sym then begin
     (* Inline trimming: the batch kernels require a trimmed trace, so the
@@ -470,21 +541,20 @@ let walk_event t (wk : walker) x =
     wk.last_sym <- x;
     wk.kept_events <- wk.kept_events + 1;
     let ws = wk.stack in
-    let pos = Window_stack.find ws x in
     let depth = ws.depth in
-    (* TRG: x recurred within the window; one bump per block above it. *)
-    let ntrg = if pos >= 0 && pos < t.cfg.trg_window then pos else 0 in
-    (* Affinity at window w: a block at position i has footprint i + 2
-       above x's previous occurrence (or everywhere when x is not on the
-       stack) and i + 1 below it; it is a witness when that is <= w. *)
+    let pos =
+      match wk.store with
+      | Grids g -> walk ~dense:true t g no_tables ws x
+      | Tables tb -> walk ~dense:false t no_grids tb ws x
+    in
+    (* The counts of [walk]'s updates: [ntrg] bumps, and a witness pair
+       per block within footprint w above ([above]) and below ([pos + 1 ..
+       below - 1]) [x]'s previous occurrence. *)
     let w = t.cfg.affinity_w in
-    let above = min (if pos >= 0 then pos else depth) (w - 1) in
-    let below = if pos >= 0 then min depth w else 0 in
-    (match wk.store with
-    | Grids g -> grid_walk g ws.stk x ~pos ~ntrg ~above ~below
-    | Tables tb -> table_walk t tb ws.stk x ~pos ~ntrg ~above ~below);
-    Window_stack.move_to_front ws ~pos x;
-    let nwit = 2 * (above + max 0 (below - pos - 1)) in
+    let ntrg = if pos >= 0 && pos < t.cfg.trg_window then pos else 0 in
+    let above = imin (if pos >= 0 then pos else depth) (w - 1) in
+    let below = if pos >= 0 then imin depth w else 0 in
+    let nwit = 2 * (above + imax 0 (below - pos - 1)) in
     wk.trg_ops <- wk.trg_ops + ntrg;
     wk.wit_ops <- wk.wit_ops + nwit;
     wk.pending_ops <- wk.pending_ops + ntrg + nwit;
@@ -555,22 +625,39 @@ let flush_all t ~maintain =
 
 let flush t = flush_all t ~maintain:false
 
+(* The single walker's trace clock starts at the trace's first event. *)
+let start_trace t =
+  if not t.trace_started then begin
+    t.trace_started <- true;
+    t.trace_t0 <- t.clock ()
+  end
+
 let feed_sym t x =
   if x < 0 || x >= t.cfg.num_symbols then invalid_arg "Ingest.feed_sym: symbol out of range";
   t.events <- t.events + 1;
   if t.cfg.walkers = 1 then begin
-    if not t.trace_started then begin
-      t.trace_started <- true;
-      t.trace_t0 <- t.clock ()
-    end;
+    start_trace t;
     walk_event t t.walkers.(0) x
   end
   else Int_vec.push t.stage x
 
+(* With one walker, one loop over the trace's backing array: [Trace.push]
+   kept every event inside the trace's universe, which is the config's. *)
 let feed_trace t tr =
   if Trace.num_symbols tr <> t.cfg.num_symbols then
     invalid_arg "Ingest.feed_trace: trace symbol universe does not match config";
-  Trace.iter (fun x -> feed_sym t x) tr
+  if t.cfg.walkers = 1 then begin
+    let len = Trace.length tr in
+    if len > 0 then begin
+      start_trace t;
+      let wk = t.walkers.(0) and ev = Int_vec.backing (Trace.events tr) in
+      for i = 0 to len - 1 do
+        t.events <- t.events + 1;
+        walk_event t wk (Array.unsafe_get ev i)
+      done
+    end
+  end
+  else Trace.iter (fun x -> feed_sym t x) tr
 
 let feed_chunk t buf n =
   if n < 0 || n > Array.length buf then invalid_arg "Ingest.feed_chunk";

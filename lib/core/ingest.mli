@@ -16,11 +16,13 @@
       of W walker states, each owning a private window stack and counter
       store; walker queues drain as [Pool] tasks, one task per walker.
 
-    Either way a walker does one walk per kept event: one scan of a flat
-    bounded LRU stack ([Colayout_trace.Window_stack], the top
-    [max trg_window affinity_w] entries) finds the event, then the TRG
-    and affinity loops run over that array and update the walker's store
-    in place. The config alone picks the store:
+    Either way a walker makes one pass per kept event over a flat bounded
+    LRU stack with an on-stack flag per symbol
+    ([Colayout_trace.Window_stack], the top [max trg_window affinity_w]
+    entries): the flag says whether the event is on the stack, and the
+    pass that shifts the entries above it makes the TRG bumps and witness
+    updates, in the walker's store, on the way. No event scans the stack
+    to find its symbol. The config alone picks the store:
 
     - {b Grids} — exact mode ([trg_cap = wits_cap = 0],
       [decay_shift = 0]) on at most [Int_pair_tbl.max_grid_universe]

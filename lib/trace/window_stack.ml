@@ -1,44 +1,44 @@
 type t = {
   stk : int array;
+  on : Bytes.t;
   mutable depth : int;
 }
 
-let create ~k =
+let create ~k ~num_symbols =
   if k < 1 then invalid_arg "Window_stack.create: k must be >= 1";
-  { stk = Array.make k 0; depth = 0 }
+  if num_symbols < 0 then invalid_arg "Window_stack.create: num_symbols must be >= 0";
+  { stk = Array.make k 0; on = Bytes.make num_symbols '\000'; depth = 0 }
 
 let capacity t = Array.length t.stk
 
-let clear t = t.depth <- 0
-
-let find t x =
-  let stk = t.stk and n = t.depth in
-  let i = ref 0 in
-  while !i < n && Array.unsafe_get stk !i <> x do
-    incr i
+let clear t =
+  for i = 0 to t.depth - 1 do
+    Bytes.unsafe_set t.on (Array.unsafe_get t.stk i) '\000'
   done;
-  if !i < n then !i else -1
+  t.depth <- 0
 
 (* An open-coded shift rather than [Array.blit]: once the array is in the
    major heap, the runtime's blit of a non-float array writes each slot
    through [caml_modify], while this loop's stores into an [int array]
    need no write barrier. *)
-let move_to_front t ~pos x =
+let push t x =
+  if x < 0 || x >= Bytes.length t.on then invalid_arg "Window_stack.push: symbol out of range";
   let stk = t.stk in
+  let n = t.depth in
   let last =
-    if pos >= 0 then pos
+    if n < Array.length stk then begin
+      t.depth <- n + 1;
+      n
+    end
     else begin
-      let n = t.depth in
-      if n < Array.length stk then begin
-        t.depth <- n + 1;
-        n
-      end
-      else n - 1
+      Bytes.unsafe_set t.on (Array.unsafe_get stk (n - 1)) '\000';
+      n - 1
     end
   in
   for i = last downto 1 do
     Array.unsafe_set stk i (Array.unsafe_get stk (i - 1))
   done;
-  Array.unsafe_set stk 0 x
+  Array.unsafe_set stk 0 x;
+  Bytes.unsafe_set t.on x '\001'
 
 let contents t = Array.to_list (Array.sub t.stk 0 t.depth)

@@ -55,6 +55,15 @@ let kernels =
             ("gc_per_call", o [ ("indexed", o [ ("major_words", f 40.0) ]) ]);
           ] );
       ("solo", o [ ("program", s "p"); ("indexed_digest", s "d"); ("seed_digest", s "d") ]);
+      ( "ingest_walk",
+        o
+          [
+            ("program", s "p");
+            ("flagged_trg_digest", s "t");
+            ("flagged_affine_digest", s "a");
+            ("scanning_trg_digest", s "t");
+            ("scanning_affine_digest", s "a");
+          ] );
       ( "pair_grid",
         o
           [
@@ -375,6 +384,12 @@ let perturbations =
       set (cells [ "reduce_real"; "flat_digest" ]) (s "x") );
     ("kernels", "corun-matches-seed", set (cells [ "corun"; "indexed_digest" ]) (s "x"));
     ("kernels", "solo-matches-seed", set (cells [ "solo"; "seed_digest" ]) (s "x"));
+    ( "kernels",
+      "ingest-walk-matches-oracle",
+      set (cells [ "ingest_walk"; "scanning_trg_digest" ]) (s "x") );
+    ( "kernels",
+      "ingest-walk-matches-oracle",
+      set (cells [ "ingest_walk"; "flagged_affine_digest" ]) (s "x") );
     ( "kernels",
       "corun-no-trace-copy",
       set (cells [ "corun"; "gc_per_call"; "indexed"; "major_words" ]) (f 400.0) );

@@ -391,18 +391,45 @@ let test_ctx_single_flight_corun () =
 
 (* ---------- Harness-wide determinism: jobs=1 vs jobs=4 ---------- *)
 
+(* The optimizers' decision traces on one program, as
+   `repro profile PROGRAM KIND --scale fast --decisions FILE` writes them
+   (one JSONL per optimizer), from the suite's context, where the
+   program's analysis is already memoized. *)
+let decisions_program = "445.gobmk"
+
+let decision_jsonls ctx =
+  let module O = Colayout.Optimizer in
+  let p = decisions_program in
+  List.filter_map
+    (fun kind ->
+      if kind = O.Original then None
+      else begin
+        let d = Colayout.Decision_trace.create () in
+        ignore
+          (O.layout_for ~decisions:d ~config:(H.Ctx.opt_config ctx) kind (H.Ctx.program ctx p)
+             (H.Ctx.analysis ctx p));
+        Some
+          ( Printf.sprintf "profile-decisions/%s/%s" p (O.kind_name kind),
+            [ Colayout.Decision_trace.to_jsonl d ] )
+      end)
+    O.all_kinds
+
 let render_suite ~jobs =
   Pool.with_pool ~jobs (fun pool ->
       let ctx = H.Ctx.create ~scale:H.Ctx.Fast ~pool () in
-      List.map
-        (fun (id, tables) -> (id, List.map U.Table.render tables))
-        (H.Registry.run_by_ids ctx H.Registry.ids))
+      let tables =
+        List.map
+          (fun (id, tables) -> (id, List.map U.Table.render tables))
+          (H.Registry.run_by_ids ctx H.Registry.ids)
+      in
+      tables @ decision_jsonls ctx)
 
 (* The committed golden digests: one MD5 per experiment id, of its
-   jobs = 1 tables. The golden file's header and the digests this run
-   computed go to [digests.actual] in the working directory, so an
-   intended change regenerates the golden file by copying that one over
-   it (the command is in the file's header). [dune runtest] runs the
+   jobs = 1 tables, then one per decision JSONL ([decision_jsonls]). The
+   golden file's header and the digests this run computed go to
+   [digests.actual] in the working directory, so an intended change
+   regenerates the golden file by copying that one over it (the command
+   is in the file's header). [dune runtest] runs the
    suite in test/, [dune exec] from the repository root. *)
 let golden_file =
   if Sys.file_exists "golden/digests.txt" then "golden/digests.txt" else "test/golden/digests.txt"

@@ -561,11 +561,59 @@ let test_ingest_window_edges () =
         stores)
     [ (3, 9); (1, 4); (1, 1); (2, 2); (200, 150); (24, 24); (30, 5) ]
 
+(* Random window pairs against the seed kernels: trg_window below, equal
+   to and above affinity_w, each window drawn from 1, inside the
+   universe, the universe size and past it. Below affinity_w the stack is
+   deeper than the TRG window, so the walk knows whether an event gets
+   TRG bumps only once it has found the event. Every pair runs on both
+   stores at walkers 1 and 2; the scanning oracle ([Scan_walk]) is held
+   to the same digests. *)
+let prop_ingest_window_pairs =
+  QCheck.Test.make ~count:60 ~name:"ingest == seed kernels over random window pairs"
+    QCheck.(quad (int_range 0 1_000_000) (int_range 0 2) (int_range 0 3) (int_range 0 3))
+    (fun (seed, relation, ca, cb) ->
+      let prng = U.Prng.create ~seed in
+      let num_symbols = 4 + U.Prng.int prng 37 in
+      let window = function
+        | 0 -> 1
+        | 1 -> 2 + U.Prng.int prng (num_symbols - 2)
+        | 2 -> num_symbols
+        | _ -> num_symbols + 1 + U.Prng.int prng 8
+      in
+      let a = window ca and b = window cb in
+      let lo = min a b and hi = max a b in
+      let hi = if hi = lo then hi + 1 else hi in
+      let trg_window, affinity_w =
+        match relation with 0 -> (lo, lo) | 1 -> (lo, hi) | _ -> (hi, lo)
+      in
+      let users = 1 + U.Prng.int prng 4 in
+      let traces = user_traces ~seed ~users ~num_symbols ~len:(40 + U.Prng.int prng 160) in
+      let want = baseline_digests ~trg_window ~affinity_w traces in
+      let tag =
+        Printf.sprintf "n=%d trg_window=%d affinity_w=%d" num_symbols trg_window affinity_w
+      in
+      if Colayout_oracle.Scan_walk.ingest_digests ~trg_window ~affinity_w traces <> want then
+        QCheck.Test.fail_reportf "scanning oracle != seed kernels (%s)" tag;
+      List.iter
+        (fun tables ->
+          List.iter
+            (fun walkers ->
+              let got =
+                online_digests ~tables ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols
+                  traces
+              in
+              if got <> want then
+                QCheck.Test.fail_reportf "ingest != seed kernels (%s %s walkers=%d)" tag
+                  (store_name tables) walkers)
+            [ 1; 2 ])
+        stores;
+      true)
+
 (* Once a walker's store holds every cell a trace touches (the same trace
    fed a second time), the walk allocates nothing per event: the window
    stack, the grids and the table slots are updated in place. The few
-   words left are per call (the iteration closure, the trace-start
-   timestamp). Checked on the grid store and on the table walk. *)
+   words left are per call (the trace-start timestamp). Checked on the
+   grid store and on the table walk. *)
 let test_walk_allocation () =
   let num_symbols = 64 in
   let tr = List.hd (user_traces ~seed:5 ~users:1 ~num_symbols ~len:6000) in
@@ -1019,6 +1067,7 @@ let () =
           Alcotest.test_case "ingest == seed kernels on 429.mcf traces" `Quick
             test_ingest_vs_seed_kernels_mcf;
           Alcotest.test_case "window edge cases vs seed kernels" `Quick test_ingest_window_edges;
+          QCheck_alcotest.to_alcotest prop_ingest_window_pairs;
           Alcotest.test_case "finalize every k traces == seed kernels on the prefix" `Quick
             test_seed_kernels_prefixes;
           Alcotest.test_case "parts missing a symbol of an affine pair vs seed kernels" `Quick

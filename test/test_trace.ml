@@ -1,6 +1,7 @@
 open Colayout_trace
 module U = Colayout_util
 module Lru_stack = Colayout_oracle.Lru_stack
+module Scan_walk = Colayout_oracle.Scan_walk
 
 let check = Alcotest.check
 
@@ -123,21 +124,72 @@ let lru_stack_matches_naive =
           got = expected)
         xs)
 
-(* The bounded window stack against the full LRU stack: after every
-   access it holds exactly the LRU stack's top k, and [find] reports the
-   LRU depth (0-based) whenever that depth is <= k, else absent. Streams
-   mix a skewed distribution with uniform draws and immediate repeats so
-   reuses land at every depth, beyond k included. *)
+(* The flagged window stack against the full LRU stack: after every
+   access it holds exactly the LRU stack's top k, the pass reports the LRU
+   depth (0-based) whenever that depth is <= k, else absent, and the set
+   flags are exactly the live entries. The scanning oracle ([Scan_walk])
+   is held to the same positions and contents. Streams mix a skewed
+   distribution with uniform draws and immediate repeats so reuses land
+   at every depth, beyond k included; k is 1, below the universe or at
+   least the universe, and at one or two random steps the stack is
+   cleared and the stream goes on from an empty LRU stack: a flag left
+   set by [clear] would send the next pass for that symbol off the
+   stack. *)
+(* One access as the kernels make it: the pass that finds a flagged [x]
+   while shifting the entries above it, or a [push]; [x]'s position
+   before the access, or -1. *)
+let access (ws : Window_stack.t) x =
+  if Bytes.get ws.on x = '\000' then begin
+    Window_stack.push ws x;
+    -1
+  end
+  else begin
+    let stk = ws.stk in
+    let i = ref 0 and carry = ref x in
+    while stk.(!i) <> x do
+      let y = stk.(!i) in
+      stk.(!i) <- !carry;
+      carry := y;
+      incr i
+    done;
+    stk.(!i) <- !carry;
+    !i
+  end
+
 let window_stack_matches_lru =
   QCheck.Test.make ~name:"window stack = top k of the LRU stack" ~count:300
-    QCheck.(triple (int_range 1 70) (int_range 1 300) (int_range 0 1_000_000))
-    (fun (k, universe, seed) ->
+    QCheck.(triple (int_range 0 2) (int_range 1 300) (int_range 0 1_000_000))
+    (fun (shape, universe, seed) ->
       let prng = Colayout_util.Prng.create ~seed in
-      let ws = Window_stack.create ~k in
-      let lru = Lru_stack.create () in
+      let k =
+        match shape with
+        | 0 -> 1
+        | 1 -> 1 + Colayout_util.Prng.int prng (max 1 (universe - 1))
+        | _ -> universe + Colayout_util.Prng.int prng 4
+      in
+      let ws = Window_stack.create ~k ~num_symbols:universe in
+      let scan = Scan_walk.create ~k in
+      let lru = ref (Lru_stack.create ()) in
+      let clears = [ Colayout_util.Prng.int prng 400; Colayout_util.Prng.int prng 800 ] in
+      let live = Array.make universe false in
+      let flags_ok () =
+        Array.fill live 0 universe false;
+        List.iter (fun s -> live.(s) <- true) (Window_stack.contents ws);
+        let ok = ref true in
+        for s = 0 to universe - 1 do
+          if Bytes.get ws.Window_stack.on s <> '\000' <> live.(s) then ok := false
+        done;
+        !ok
+      in
       let last = ref 0 in
       let ok = ref true in
-      for _ = 1 to 400 do
+      for step = 1 to 400 do
+        if List.mem step clears then begin
+          Window_stack.clear ws;
+          Scan_walk.clear scan;
+          lru := Lru_stack.create ();
+          if ws.Window_stack.depth <> 0 || not (flags_ok ()) then ok := false
+        end;
         let x =
           match Colayout_util.Prng.int prng 4 with
           | 0 -> !last
@@ -145,28 +197,46 @@ let window_stack_matches_lru =
           | _ -> Colayout_util.Prng.zipf prng ~n:universe ~s:0.8
         in
         last := x;
-        let pos = Window_stack.find ws x in
-        let want = match Lru_stack.access lru x with Some d when d <= k -> d - 1 | _ -> -1 in
-        Window_stack.move_to_front ws ~pos x;
-        if pos <> want || Window_stack.contents ws <> Lru_stack.top_k lru ~k then ok := false
+        let want = match Lru_stack.access !lru x with Some d when d <= k -> d - 1 | _ -> -1 in
+        let pos = access ws x in
+        let spos = Scan_walk.find scan x in
+        Scan_walk.move_to_front scan ~pos:spos x;
+        let top = Lru_stack.top_k !lru ~k in
+        if
+          pos <> want || spos <> want
+          || Window_stack.contents ws <> top
+          || Scan_walk.contents scan <> top
+          || not (flags_ok ())
+        then ok := false
       done;
-      !ok && ws.Window_stack.depth = min k (Lru_stack.depth lru))
+      !ok && ws.Window_stack.depth = min k (Lru_stack.depth !lru))
 
 let test_window_stack () =
-  let ws = Window_stack.create ~k:2 in
-  let access x = Window_stack.move_to_front ws ~pos:(Window_stack.find ws x) x in
-  check Alcotest.int "empty: absent" (-1) (Window_stack.find ws 5);
-  List.iter access [ 1; 2; 3 ];
+  let ws = Window_stack.create ~k:2 ~num_symbols:6 in
+  let flags () =
+    List.filter (fun s -> Bytes.get ws.Window_stack.on s <> '\000') [ 0; 1; 2; 3; 4; 5 ]
+  in
+  check Alcotest.int "empty: absent" (-1) (access ws 5);
+  Window_stack.clear ws;
+  check (Alcotest.list Alcotest.int) "cleared: no flag" [] (flags ());
+  List.iter (fun x -> ignore (access ws x)) [ 1; 2 ];
+  Window_stack.push ws 3;
   check (Alcotest.list Alcotest.int) "deepest dropped" [ 3; 2 ] (Window_stack.contents ws);
-  check Alcotest.int "dropped symbol reads absent" (-1) (Window_stack.find ws 1);
-  check Alcotest.int "depth 2 -> position 1" 1 (Window_stack.find ws 2);
-  access 2;
-  check (Alcotest.list Alcotest.int) "moved to front" [ 2; 3 ] (Window_stack.contents ws);
+  check (Alcotest.list Alcotest.int) "dropped symbol's flag cleared" [ 2; 3 ] (flags ());
+  check Alcotest.int "dropped symbol reads absent" (-1) (access ws 1);
+  check (Alcotest.list Alcotest.int) "re-entered on top" [ 1; 3 ] (Window_stack.contents ws);
+  check Alcotest.int "depth 2 -> position 1" 1 (access ws 3);
+  check (Alcotest.list Alcotest.int) "moved to front" [ 3; 1 ] (Window_stack.contents ws);
+  check Alcotest.int "top -> position 0" 0 (access ws 3);
   check Alcotest.int "capacity" 2 (Window_stack.capacity ws);
   Window_stack.clear ws;
   check (Alcotest.list Alcotest.int) "cleared" [] (Window_stack.contents ws);
+  check (Alcotest.list Alcotest.int) "cleared flags" [] (flags ());
+  check Alcotest.int "reused after clear" (-1) (access ws 3);
   Alcotest.check_raises "k >= 1" (Invalid_argument "Window_stack.create: k must be >= 1")
-    (fun () -> ignore (Window_stack.create ~k:0))
+    (fun () -> ignore (Window_stack.create ~k:0 ~num_symbols:1));
+  Alcotest.check_raises "symbol in range"
+    (Invalid_argument "Window_stack.push: symbol out of range") (fun () -> Window_stack.push ws 6)
 
 let test_histogram () =
   let h = Histogram.create () in
