@@ -396,11 +396,8 @@ let scaling =
 
 let ingest =
   let grid m = list "grid" (cells m) in
-  let bounded m = get "bounded" (cells m) in
   let serve m = get "serve" (cells m) in
-  let point c =
-    Printf.sprintf "walkers=%d shards=%d jobs=%d" (int "walkers" c) (int "shards" c) (int "jobs" c)
-  in
+  let point c = Printf.sprintf "walkers=%d jobs=%d" (int "walkers" c) (int "jobs" c) in
   [
     gate "grid-matches-batch" (fun m ->
         let batch = get "batch" (cells m) in
@@ -415,27 +412,20 @@ let ingest =
           [ "trg_digest"; "affine_digest" ]);
     gate "grid-covers" (fun m ->
         let p = get "params" m in
-        let seen = List.map (fun c -> (int "walkers" c, int "shards" c, int "jobs" c)) (grid m) in
-        covers "shards_list" (ints "shards_list" p) [ 1; 2; 4 ];
+        let seen = List.map (fun c -> (int "walkers" c, int "jobs" c)) (grid m) in
         covers "jobs_list" (ints "jobs_list" p) [ 1; 2; 4 ];
         List.iter
           (fun w ->
             List.iter
-              (fun s ->
-                List.iter
-                  (fun j ->
-                    ensure (List.mem (w, s, j) seen)
-                      "grid has no cell for walkers=%d shards=%d jobs=%d" w s j)
-                  (ints "jobs_list" p))
-              (ints "shards_list" p))
+              (fun j ->
+                ensure (List.mem (w, j) seen) "grid has no cell for walkers=%d jobs=%d" w j)
+              (ints "jobs_list" p))
           (nonempty "walkers_list" (ints "walkers_list" p)));
     gate "grid-positive" (fun m ->
         List.iter
           (fun c ->
             let what k = Printf.sprintf "grid %s %s" (point c) k in
-            List.iter
-              (fun k -> positive (what k) (int k c))
-              [ "ingest_wall_ns"; "merge_ns"; "flushes" ];
+            List.iter (fun k -> positive (what k) (int k c)) [ "ingest_wall_ns"; "merge_ns" ];
             (* Staged dispatch only exists on the multi-walker path. *)
             if int "walkers" c > 1 then positive (what "dispatches") (int "dispatches" c);
             List.iter
@@ -445,39 +435,6 @@ let ingest =
         positive "serial_ingest_ns" (int "serial_ingest_ns" (cells m));
         positive_num "best_parallel_vs_serial" (num "best_parallel_vs_serial" (cells m));
         positive_num "gate speedup" (num "speedup_vs_serial" (get "gate" (cells m))));
-    (* Bounded mode approximates, but deterministically for a given
-       walker count: every jobs count and the repeat agree. *)
-    gate "bounded-deterministic" (fun m ->
-        let runs = nonempty "bounded runs" (list "runs" (bounded m)) in
-        List.iter
-          (fun w ->
-            let mine = List.filter (fun r -> int "walkers" r = w) runs in
-            List.iter
-              (fun k -> one_digest ~key:k (Printf.sprintf "bounded walkers=%d" w) mine)
-              [ "trg_digest"; "affine_digest" ])
-          (List.sort_uniq compare (List.map (int "walkers") runs)));
-    gate "bounded-caps" (fun m ->
-        let b = bounded m in
-        let trg_cap = int "trg_cap" b and wits_cap = int "wits_cap" b in
-        ensure (trg_cap > 0 && wits_cap > 0) "non-positive caps (%d, %d)" trg_cap wits_cap;
-        List.iter
-          (fun r ->
-            let what =
-              Printf.sprintf "bounded walkers=%d jobs=%d" (int "walkers" r) (int "jobs" r)
-            in
-            ensure (int "trg_peak_shard" r <= trg_cap) "%s trg peak %d exceeds cap %d" what
-              (int "trg_peak_shard" r) trg_cap;
-            ensure (int "wits_peak_shard" r <= wits_cap) "%s wits peak %d exceeds cap %d" what
-              (int "wits_peak_shard" r) wits_cap)
-          (nonempty "bounded runs" (list "runs" b)));
-    gate "bounded-evictions" (fun m ->
-        List.iter
-          (fun r ->
-            if int "walkers" r = 1 then
-              List.iter
-                (fun k -> positive (Printf.sprintf "bounded jobs=%d %s" (int "jobs" r) k) (int k r))
-                [ "trg_evicted"; "wits_evicted"; "decay_dropped" ])
-          (list "runs" (bounded m)));
     (* The dispatch fold must account for every trace exactly once. *)
     gate "walker-hist-covers" (fun m ->
         let h = get "walker_hist" (cells m) in
@@ -491,7 +448,7 @@ let ingest =
         ensure (sum = total) "per-walker observations sum to %d, total says %d" sum total);
     gate "serve-verified" (fun m ->
         let s = serve m in
-        ensure (str "schema" s = "colayout/serve/v1") "serve summary schema %S" (str "schema" s);
+        ensure (str "schema" s = "colayout/serve/v2") "serve summary schema %S" (str "schema" s);
         ensure
           (bool "digests_match" (get "verify" s))
           "serve summary diverged from the batch kernels";

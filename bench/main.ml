@@ -51,9 +51,11 @@ let per_call ~budget f =
   in
   go 1
 
-(* [per_call] from a compacted heap, then six more batches of the same
-   size: the least of the seven per-call times, for kernels whose single
-   batch is noisy (interference only ever adds time). *)
+(* [per_call] from a compacted heap, then more batches of the same size:
+   the least of the per-call times, for kernels whose single batch is
+   noisy (interference only ever adds time). Six more batches, or two when
+   one call alone outlasts [budget]: a call of seconds is timed on its own
+   and varies little, and six more would cost it half a minute. *)
 let per_call_min ~budget f =
   Gc.compact ();
   let first = per_call ~budget f in
@@ -70,7 +72,8 @@ let per_call_min ~budget f =
     in
     float_of_int ns /. float_of_int !iters
   in
-  Array.fold_left (fun m _ -> Float.min m (batch ())) first (Array.make 6 ())
+  let extra = if first >= budget *. 1e9 then 2 else 6 in
+  Array.fold_left (fun m _ -> Float.min m (batch ())) first (Array.make extra ())
 
 let digest (fmt : (float -> string, unit, string) format) xs =
   Digest.to_hex (Digest.string (String.concat ";" (List.map (Printf.sprintf fmt) xs)))
@@ -885,7 +888,10 @@ let layout_eval ~quick ~dir:_ =
 
    (b) the anneal wall, [Anneal.search ~max_span:2] (the local refinement
        regime) in [`Full] vs [`Delta] mode. Both modes draw the same PRNG
-       stream, so both results are digested for an exact comparison.
+       stream, so both results are digested for an exact comparison. Each
+       side's wall is the median of five settled runs, the sides
+       alternating: the delta wall is a fraction of a millisecond, and one
+       scheduler hiccup in a single run could decide the ratio.
 
    The program is many small functions under a 1024-set cache — the shape
    delta evaluation exists for: a local move perturbs a few hundred bytes
@@ -1034,8 +1040,15 @@ let layout_eval_delta ~quick ~dir:_ =
   let run mode =
     settled_time (fun () -> Anneal.search ~seed:11 ~steps ~max_span:2 ~mode ~params program trace)
   in
-  let full_r, full_ns = run `Full in
-  let delta_r, delta_ns = run `Delta in
+  let pairs =
+    List.init 5 (fun _ ->
+        let full = run `Full in
+        (full, run `Delta))
+  in
+  let (full_r, _), (delta_r, _) = List.hd pairs in
+  let walls side = List.map (fun p -> snd (side p)) pairs in
+  let median side = int_of_float (U.Stats.median (List.map float_of_int (walls side))) in
+  let full_ns = median fst and delta_ns = median snd in
   let result_digest r =
     Digest.to_hex
       (Digest.string
@@ -1045,7 +1058,9 @@ let layout_eval_delta ~quick ~dir:_ =
   in
   let anneal_speedup = float_of_int full_ns /. float_of_int delta_ns in
   Printf.printf
-    "  anneal %d steps (max_span 2): full %.2f ms -> delta %.2f ms (%.2fx), miss %.4f\n%!" steps
+    "  anneal %d steps (max_span 2, median of 5): full %.2f ms -> delta %.2f ms (%.2fx), miss \
+     %.4f\n%!"
+    steps
     (float_of_int full_ns /. 1e6)
     (float_of_int delta_ns /. 1e6)
     anneal_speedup full_r.Anneal.miss_ratio;
@@ -1069,6 +1084,8 @@ let layout_eval_delta ~quick ~dir:_ =
                 ("steps", int steps);
                 ("full_wall_ns", int full_ns);
                 ("delta_wall_ns", int delta_ns);
+                ("full_walls_ns", arr int (walls fst));
+                ("delta_walls_ns", arr int (walls snd));
                 ("speedup", num anneal_speedup);
                 ("miss_ratio", num delta_r.Anneal.miss_ratio);
                 ("full_result", str (result_digest full_r));
@@ -1293,18 +1310,15 @@ let scaling ~quick ~dir:_ =
 (* The `repro serve` ingest layer and its exactness contract. One stream
    of synthetic users (per-user seed/fuel from each user's own Prng
    stream, Serve's input distribution) is pre-generated once; every
-   (walkers, shards, jobs) grid cell then ingests the identical stream
-   through [Ingest] and records its finalize digests next to the merged
-   batch-kernel reference. A bounded section re-runs under tight
-   per-shard caps plus decay at walkers 1 and 2, each at jobs 1, 2 and a
-   repeat of 2: the approximation must be deterministic per walker count,
-   hold its caps at flush boundaries, and actually evict. Per-walker
-   latency histograms must survive the dispatch fold, and one end-to-end
-   [Serve.run] (generation + ingest + epoch re-optimization) rounds out
-   the manifest with service-level throughput and latency percentiles. *)
+   (walkers, jobs) grid cell then ingests the identical stream through
+   [Ingest] and records its finalize digests next to the merged
+   batch-kernel reference. Per-walker latency histograms must survive the
+   dispatch fold, and one end-to-end [Serve.run] (generation + ingest +
+   epoch re-optimization) rounds out the manifest with service-level
+   throughput and latency percentiles. *)
 
 let ingest ~quick ~dir:_ =
-  Printf.printf "== Streaming ingest: sharded multi-walker online vs batch kernels ==\n\n%!";
+  Printf.printf "== Streaming ingest: multi-walker online vs batch kernels ==\n\n%!";
   let program_name = "429.mcf" in
   let users = if quick then 10 else 96 in
   let max_fuel = if quick then 1_500 else 6_000 in
@@ -1320,31 +1334,28 @@ let ingest ~quick ~dir:_ =
   let cores = cores_available () in
   let with_cores base = List.sort_uniq compare (if cores > 1 then cores :: base else base) in
   let walkers_list = with_cores [ 1; 2; 4 ] in
-  let shards_list = [ 1; 2; 4 ] in
   let jobs_list = with_cores [ 1; 2; 4 ] in
   let per_sec count ns = if ns <= 0 then 0.0 else float_of_int count *. 1e9 /. float_of_int ns in
-  let cell ~walkers ~shards ~jobs =
+  let cell ~walkers ~jobs =
     U.Pool.with_pool ~jobs (fun pool ->
-        let cfg = Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w () in
+        let cfg = Ingest.config ~num_symbols ~walkers ~trg_window ~affinity_w () in
         let ing = Ingest.create ~pool cfg in
         let (), ingest_ns = time (fun () -> Array.iter (Ingest.ingest_trace ing) traces) in
         let c, merge_ns = time (fun () -> Ingest.finalize ing) in
         let trg_d, aff_d = Ingest.consensus_digests c in
         let st = Ingest.stats ing in
         Printf.printf
-          "  walkers=%d shards=%d jobs=%d  ingest %8.2f ms  merge %6.2f ms  %8.0f ev/s%s\n%!"
-          walkers shards jobs
+          "  walkers=%d jobs=%d  ingest %8.2f ms  merge %6.2f ms  %8.0f ev/s%s\n%!" walkers jobs
           (float_of_int ingest_ns /. 1e6)
           (float_of_int merge_ns /. 1e6)
           (per_sec total_events ingest_ns)
           (if trg_d = batch_trg && aff_d = batch_aff then "  digests ok" else "  DIGESTS DIFFER");
-        ( (walkers, shards, jobs),
+        ( (walkers, jobs),
           ingest_ns,
           Out.(
             obj
               [
                 ("walkers", int walkers);
-                ("shards", int shards);
                 ("jobs", int jobs);
                 ("ingest_wall_ns", int ingest_ns);
                 ("merge_ns", int merge_ns);
@@ -1352,82 +1363,37 @@ let ingest ~quick ~dir:_ =
                 ("traces_per_sec", num (per_sec users ingest_ns));
                 ( "edge_ops_per_sec",
                   num (per_sec (st.Ingest.trg_ops + st.Ingest.wit_ops) ingest_ns) );
-                ("flushes", int st.Ingest.flushes);
                 ("dispatches", int st.Ingest.dispatches);
                 ("trg_digest", str trg_d);
                 ("affine_digest", str aff_d);
               ]) ))
   in
   let grid =
-    List.concat_map
-      (fun walkers ->
-        List.concat_map
-          (fun shards -> List.map (fun jobs -> cell ~walkers ~shards ~jobs) jobs_list)
-          shards_list)
-      walkers_list
+    List.concat_map (fun walkers -> List.map (fun jobs -> cell ~walkers ~jobs) jobs_list) walkers_list
   in
   let wall_at point =
     let _, ns, _ = List.find (fun (p, _, _) -> p = point) grid in
     float_of_int ns
   in
-  let serial_ns = wall_at (1, 1, 1) in
+  let serial_ns = wall_at (1, 1) in
   (* A single walker never uses the pool, so the best pooled single-walker
-     cell bounds the pool's overhead on the flushes. *)
+     cell bounds what merely having a pool costs the walk. *)
   let best_parallel_vs_serial =
     List.fold_left
-      (fun best ((w, _, jobs), ns, _) ->
+      (fun best ((w, jobs), ns, _) ->
         if w = 1 && jobs > 1 then Float.max best (serial_ns /. float_of_int ns) else best)
       0.0 grid
   in
   let gate_width = if cores > 1 then cores else 1 in
-  let gate_speedup = serial_ns /. wall_at (gate_width, 2, gate_width) in
+  let gate_speedup = serial_ns /. wall_at (gate_width, gate_width) in
   Printf.printf "  walkers=%d jobs=%d is %.2fx the serial walker (%d cores)\n%!" gate_width
     gate_width gate_speedup cores;
-  (* --- bounded mode: per-walker-count deterministic approximation ----- *)
-  let trg_cap = 192 and wits_cap = 256 and decay_shift = 1 in
-  let epoch_traces = if quick then 2 else 4 in
-  let bounded_run walkers jobs =
-    let (trg_d, aff_d), st =
-      U.Pool.with_pool ~jobs (fun pool ->
-          let cfg =
-            Ingest.config ~num_symbols ~walkers ~shards:2 ~trg_window ~affinity_w ~trg_cap
-              ~wits_cap ~decay_shift ~epoch_traces ()
-          in
-          let ing = Ingest.create ~pool cfg in
-          Array.iter (Ingest.ingest_trace ing) traces;
-          let d = Ingest.consensus_digests (Ingest.finalize ing) in
-          (d, Ingest.stats ing))
-    in
-    Printf.printf
-      "  bounded walkers=%d jobs=%d  peaks trg %d/%d wits %d/%d  evicted %d/%d  decay %d\n%!"
-      walkers jobs st.Ingest.trg_peak_shard trg_cap st.Ingest.wits_peak_shard wits_cap
-      st.Ingest.trg_evicted st.Ingest.wits_evicted st.Ingest.decay_dropped;
-    Out.(
-      obj
-        [
-          ("walkers", int walkers);
-          ("jobs", int jobs);
-          ("trg_digest", str trg_d);
-          ("affine_digest", str aff_d);
-          ("trg_peak_shard", int st.Ingest.trg_peak_shard);
-          ("wits_peak_shard", int st.Ingest.wits_peak_shard);
-          ("trg_evicted", int st.Ingest.trg_evicted);
-          ("wits_evicted", int st.Ingest.wits_evicted);
-          ("decay_dropped", int st.Ingest.decay_dropped);
-          ("dead_pruned", int st.Ingest.dead_pruned);
-        ])
-  in
-  (* jobs 1, 2, then 2 again: the repeat catches nondeterminism that a
-     fixed schedule would hide. *)
-  let bounded = List.concat_map (fun w -> List.map (bounded_run w) [ 1; 2; 2 ]) [ 1; 2 ] in
   (* --- per-walker latency histograms survive the dispatch fold -------- *)
   let hist_walkers = 2 in
   let walker_hist =
     U.Pool.with_pool ~jobs:2 (fun pool ->
         let metrics = U.Metrics.create () in
-        let cfg =
-          Ingest.config ~num_symbols ~walkers:hist_walkers ~shards:2 ~trg_window ~affinity_w ()
-        in
+        let cfg = Ingest.config ~num_symbols ~walkers:hist_walkers ~trg_window ~affinity_w () in
         let ing = Ingest.create ~pool ~metrics cfg in
         Array.iter (Ingest.ingest_trace ing) traces;
         ignore (Ingest.finalize ing);
@@ -1444,7 +1410,7 @@ let ingest ~quick ~dir:_ =
         H.Serve.run ~pool
           (H.Serve.config
              ~users:(if quick then 8 else 48)
-             ~seed ~fuel:max_fuel ~shards:2 ~trg_window ~affinity_w
+             ~seed ~fuel:max_fuel ~trg_window ~affinity_w
              ~epoch_traces:(if quick then 4 else 12)
              ~reopt_steps:(if quick then 40 else 120)
              ~verify:true ~program:program_name ()))
@@ -1466,7 +1432,6 @@ let ingest ~quick ~dir:_ =
         ("trg_window", int trg_window);
         ("affinity_w", int affinity_w);
         ("walkers_list", ints walkers_list);
-        ("shards_list", ints shards_list);
         ("jobs_list", ints jobs_list);
       ],
       obj
@@ -1479,19 +1444,8 @@ let ingest ~quick ~dir:_ =
             obj
               [
                 ("walkers", int gate_width);
-                ("shards", int 2);
                 ("jobs", int gate_width);
                 ("speedup_vs_serial", num gate_speedup);
-              ] );
-          ( "bounded",
-            obj
-              [
-                ("shards", int 2);
-                ("trg_cap", int trg_cap);
-                ("wits_cap", int wits_cap);
-                ("decay_shift", int decay_shift);
-                ("epoch_traces", int epoch_traces);
-                ("runs", J.Arr bounded);
               ] );
           ( "walker_hist",
             obj

@@ -464,17 +464,6 @@ let serve_cmd =
       & info [ "fuel" ] ~docv:"N"
           ~doc:"Max block-execution budget per user (each user draws from [fuel/2, fuel])")
   in
-  let shards =
-    Arg.(
-      value
-      & opt int 2
-      & info [ "shards" ] ~docv:"S"
-          ~doc:
-            "Shard tables per walker. Only the table walk uses them: bounded runs \
-             ($(b,--trg-cap), $(b,--wits-cap), $(b,--decay)) and exact runs on programs of \
-             more than 2,048 blocks. Exact runs on smaller programs fold into dense pair \
-             grids, where the shard count changes nothing.")
-  in
   let walkers =
     Arg.(
       value
@@ -483,7 +472,7 @@ let serve_cmd =
           ~doc:
             "Parallel ingest walkers: completed traces partition round-robin across $(docv) \
              independent LRU walker states merged algebraically at finalize; 0 picks the \
-             machine width. Exact-config digests are byte-identical at any $(docv).")
+             machine width. Digests are byte-identical at any $(docv).")
   in
   let jobs =
     Arg.(
@@ -491,8 +480,8 @@ let serve_cmd =
       & opt int 1
       & info [ "jobs"; "j" ] ~docv:"N"
           ~doc:
-            "Worker domains for generation, walker dispatch and sharded flushes; 0 picks the \
-             machine width. Results are byte-identical at any $(docv).")
+            "Worker domains for generation and walker dispatch; 0 picks the machine width. \
+             Results are byte-identical at any $(docv).")
   in
   let window =
     Arg.(value & opt int 64 & info [ "window" ] ~docv:"W" ~doc:"TRG LRU window (distinct blocks)")
@@ -506,24 +495,6 @@ let serve_cmd =
       & opt int 16
       & info [ "epoch" ] ~docv:"N" ~doc:"Traces per maintenance/re-optimization epoch; 0 = never")
   in
-  let trg_cap =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "trg-cap" ] ~docv:"N" ~doc:"Per-shard TRG edge cap (bounded memory); 0 = unbounded")
-  in
-  let wits_cap =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "wits-cap" ] ~docv:"N" ~doc:"Per-shard witness cap (bounded memory); 0 = unbounded")
-  in
-  let decay =
-    Arg.(
-      value
-      & opt int 0
-      & info [ "decay" ] ~docv:"SHIFT" ~doc:"TRG weight decay per epoch (lsr $(docv)); 0 = off")
-  in
   let reopt =
     Arg.(
       value
@@ -536,14 +507,14 @@ let serve_cmd =
       & flag
       & info [ "verify" ]
           ~doc:
-            "Also run the batch kernels on the concatenated trace and check the consensus \
-             digests match (exact configs only: caps and decay off)")
+            "Also run the batch kernels on every user trace, merge them, and check that the \
+             consensus digests match")
   in
   let out =
     Arg.(
       value
       & opt (some string) None
-      & info [ "out" ] ~docv:"FILE" ~doc:"Write the colayout/serve/v1 JSON summary to $(docv)")
+      & info [ "out" ] ~docv:"FILE" ~doc:"Write the colayout/serve/v2 JSON summary to $(docv)")
   in
   let metrics_out =
     Arg.(
@@ -588,8 +559,7 @@ let serve_cmd =
       & opt int 50
       & info [ "poll-ms" ] ~docv:"MS" ~doc:"Spool poll interval for --from DIR watching")
   in
-  let serve_from paths ~walkers ~shards ~jobs ~window ~w ~epoch ~trg_cap ~wits_cap ~decay
-      ~timeout ~poll_ms ~metrics_out =
+  let serve_from paths ~walkers ~jobs ~window ~w ~epoch ~timeout ~poll_ms ~metrics_out =
     List.iter
       (fun p ->
         if not (Sys.file_exists p) then begin
@@ -616,8 +586,8 @@ let serve_cmd =
     let metrics = U.Metrics.create () in
     U.Pool.with_pool ~jobs ~metrics (fun pool ->
         let cfg =
-          Core.Ingest.config ~num_symbols ~walkers ~shards ~trg_window:window ~affinity_w:w
-            ~trg_cap ~wits_cap ~decay_shift:decay ~epoch_traces:epoch ()
+          Core.Ingest.config ~num_symbols ~walkers ~trg_window:window ~affinity_w:w
+            ~epoch_traces:epoch ()
         in
         let ing = Core.Ingest.create ~pool ~metrics cfg in
         List.iter (fun path -> Core.Ingest.feed_file ing ~path) files;
@@ -648,8 +618,8 @@ let serve_cmd =
             write_file path (U.Json.to_string ~pretty:true (U.Metrics.to_json metrics)))
           metrics_out)
   in
-  let run name users seed fuel walkers shards jobs window w epoch trg_cap wits_cap decay reopt
-      verify out metrics_out obs_out from_paths timeout poll_ms verbosity =
+  let run name users seed fuel walkers jobs window w epoch reopt verify out metrics_out obs_out
+      from_paths timeout poll_ms verbosity =
     H.Report.setup verbosity;
     let jobs =
       if jobs = 0 then U.Pool.default_jobs ()
@@ -666,17 +636,15 @@ let serve_cmd =
       else walkers
     in
     if from_paths <> [] then
-      serve_from from_paths ~walkers ~shards ~jobs ~window ~w ~epoch ~trg_cap ~wits_cap ~decay
-        ~timeout ~poll_ms ~metrics_out
+      serve_from from_paths ~walkers ~jobs ~window ~w ~epoch ~timeout ~poll_ms ~metrics_out
     else begin
       if not (List.mem name W.Spec.names) then begin
         Printf.eprintf "unknown program %S; run `repro programs` for the list\n" name;
         exit 1
       end;
       let cfg =
-        H.Serve.config ~users ~seed ~fuel ~walkers ~shards ~trg_window:window ~affinity_w:w
-          ~trg_cap ~wits_cap ~decay_shift:decay ~epoch_traces:epoch ~reopt_steps:reopt ~verify
-          ~program:name ()
+        H.Serve.config ~users ~seed ~fuel ~walkers ~trg_window:window ~affinity_w:w
+          ~epoch_traces:epoch ~reopt_steps:reopt ~verify ~program:name ()
       in
       let metrics = U.Metrics.create () in
       (* The obs stream is written line-at-a-time with an explicit flush so
@@ -705,22 +673,19 @@ let serve_cmd =
           let summary = H.Serve.run ~pool ~metrics ?obs cfg in
           let s = summary.H.Serve.stats in
           Printf.printf
-            "%s: %d users, %d walkers, %d shards, %d jobs\n\
+            "%s: %d users, %d walkers, %d jobs\n\
              ingested %s events (%s kept) in %.2fs wall  |  %.0f traces/s, %s events/s, %s \
              edge-ops/s\n\
-             trg: %d live (peak/shard %d)  wits: %d live (peak/shard %d)  evicted %d+%d  \
-             pruned %d  decayed %d\n\
+             trg: %d live  wits: %d live  pruned %d\n\
              latency: trace p50 %.0fus p95 %.0fus p99 %.0fus  merge p50 %.0fus\n"
-            name users walkers shards jobs
+            name users walkers jobs
             (Table.fmt_int s.Core.Ingest.events)
             (Table.fmt_int s.Core.Ingest.kept_events)
             (float_of_int summary.H.Serve.wall_ns /. 1e9)
             summary.H.Serve.traces_per_sec
             (Table.fmt_int (int_of_float summary.H.Serve.events_per_sec))
             (Table.fmt_int (int_of_float summary.H.Serve.edge_ops_per_sec))
-            s.Core.Ingest.trg_live s.Core.Ingest.trg_peak_shard s.Core.Ingest.wits_live
-            s.Core.Ingest.wits_peak_shard s.Core.Ingest.trg_evicted s.Core.Ingest.wits_evicted
-            s.Core.Ingest.dead_pruned s.Core.Ingest.decay_dropped
+            s.Core.Ingest.trg_live s.Core.Ingest.wits_live s.Core.Ingest.dead_pruned
             (summary.H.Serve.trace_p50_ns /. 1e3)
             (summary.H.Serve.trace_p95_ns /. 1e3)
             (summary.H.Serve.trace_p99_ns /. 1e3)
@@ -758,9 +723,7 @@ let serve_cmd =
           (match summary.H.Serve.digests_match with
           | Some true -> Printf.printf "verify: online digests match batch kernels\n"
           | Some false ->
-            Printf.eprintf
-              "verify: FAILED — online digests diverge from the batch kernels (bounded-memory \
-               config?)\n";
+            Printf.eprintf "verify: FAILED — online digests diverge from the batch kernels\n";
             exit 1
           | None -> ());
           Option.iter
@@ -779,9 +742,9 @@ let serve_cmd =
   in
   Cmd.v (Cmd.info "serve" ~doc)
     Term.(
-      const run $ prog_arg $ users $ seed $ fuel $ walkers $ shards $ jobs $ window $ w_arg
-      $ epoch $ trg_cap $ wits_cap $ decay $ reopt $ verify $ out $ metrics_out $ obs_out
-      $ from_paths $ timeout $ poll_ms $ verbosity_arg)
+      const run $ prog_arg $ users $ seed $ fuel $ walkers $ jobs $ window $ w_arg $ epoch
+      $ reopt $ verify $ out $ metrics_out $ obs_out $ from_paths $ timeout $ poll_ms
+      $ verbosity_arg)
 
 let monitor_cmd =
   let doc =

@@ -9,8 +9,8 @@ open Colayout_trace
    ([walk]): the symbol's flag says whether it is on the stack, and the
    pass that shifts the blocks above it down a slot makes its TRG bumps
    and witness updates on the way, in the walker's store — dense pair
-   grids in exact mode on small universes, shard tables otherwise (one
-   [@inline] source, two instances). No event scans the stack to find its
+   grids on small universes, packed-pair tables otherwise (one [@inline]
+   source, two instances). No event scans the stack to find its
    symbol. Both stores apply one witness rule: an
    occurrence of [a] is counted into sat(a, b) at most once, when [b] sits
    within footprint w of it ([last_occ < a_occ]). The grid store keeps
@@ -24,58 +24,34 @@ open Colayout_trace
    the current trace is staged in memory until [end_trace] assigns it
    round-robin (by completed-trace index — a config-deterministic
    assignment) to a walker queue; queues are drained by [Pool] tasks, one
-   task per walker, whenever every walker has work. Flush points (cap
-   eviction) are driven by walker-local update counts and epoch
-   maintenance by the global trace counter, so the pool schedule moves
-   *where* work runs, never what is computed. *)
+   task per walker, whenever every walker has work. Epoch maintenance
+   (dead-witness pruning) is driven by the global trace counter, so the
+   pool schedule moves *where* work runs, never what is computed. *)
 
 type config = {
   num_symbols : int;
   walkers : int;
-  shards : int;
   trg_window : int;
   affinity_w : int;
-  trg_cap : int;
-  wits_cap : int;
-  decay_shift : int;
   epoch_traces : int;
-  prune_dead : bool;
-  flush_ops : int;
 }
 
-let config ?(walkers = 1) ?(shards = 1) ?(trg_window = 256) ?(affinity_w = 16) ?(trg_cap = 0)
-    ?(wits_cap = 0) ?(decay_shift = 0) ?(epoch_traces = 0) ?(prune_dead = true)
-    ?(flush_ops = 1 lsl 16) ~num_symbols () =
+let config ?(walkers = 1) ?(trg_window = 256) ?(affinity_w = 16) ?(epoch_traces = 0) ~num_symbols
+    () =
   if num_symbols < 1 then invalid_arg "Ingest.config: num_symbols must be >= 1";
   if num_symbols > Int_pair_tbl.max_coord then
     invalid_arg "Ingest.config: num_symbols >= 2^31 exceeds the packed-key coordinate bound";
   if walkers < 1 then invalid_arg "Ingest.config: walkers must be >= 1";
-  if shards < 1 then invalid_arg "Ingest.config: shards must be >= 1";
   if trg_window < 1 then invalid_arg "Ingest.config: trg_window must be >= 1";
   if affinity_w < 1 then invalid_arg "Ingest.config: affinity_w must be >= 1";
-  if trg_cap < 0 || wits_cap < 0 then invalid_arg "Ingest.config: caps must be >= 0";
-  if decay_shift < 0 then invalid_arg "Ingest.config: decay_shift must be >= 0";
   if epoch_traces < 0 then invalid_arg "Ingest.config: epoch_traces must be >= 0";
-  if flush_ops < 1 then invalid_arg "Ingest.config: flush_ops must be >= 1";
-  {
-    num_symbols;
-    walkers;
-    shards;
-    trg_window;
-    affinity_w;
-    trg_cap;
-    wits_cap;
-    decay_shift;
-    epoch_traces;
-    prune_dead;
-    flush_ops;
-  }
+  { num_symbols; walkers; trg_window; affinity_w; epoch_traces }
 
-type shard = { trg : Int_pair_tbl.t; wits : Int_pair_tbl.t }
-
-(* The table store: shard tables plus walker-cumulative occurrence counts
-   (the witness rule and dead-witness pruning read them). *)
-type tables = { shards : shard array; occ : int array }
+(* The table store: one TRG table (undirected pair -> weight), one
+   witness table (ordered pair -> packed (last_occ, sat)) and
+   walker-cumulative occurrence counts (the witness rule and dead-witness
+   pruning read them). *)
+type tables = { trg : Int_pair_tbl.t; wits : Int_pair_tbl.t; occ : int array }
 
 (* The grid store of one walker, every grid [n * n] and indexed
    [a * n + b]. [dir] and the trace counts [aff] (upper triangle) and
@@ -104,17 +80,11 @@ type stats = {
   kept_events : int;
   trg_ops : int;
   wit_ops : int;
-  flushes : int;
   dispatches : int;
   epochs : int;
   merges : int;
   trg_live : int;
   wits_live : int;
-  trg_peak_shard : int;
-  wits_peak_shard : int;
-  trg_evicted : int;
-  wits_evicted : int;
-  decay_dropped : int;
   dead_pruned : int;
 }
 
@@ -131,16 +101,9 @@ type walker = {
   wh_trace : Metrics.histogram option; (* ingest.trace_ns in [delta] *)
   wh_walker : Metrics.histogram option; (* ingest.walker.<id>.trace_ns in [delta] *)
   mutable last_sym : int; (* per-trace inline trimming state *)
-  mutable pending_ops : int;
   mutable kept_events : int;
   mutable trg_ops : int;
   mutable wit_ops : int;
-  mutable flushes : int;
-  mutable trg_peak_shard : int;
-  mutable wits_peak_shard : int;
-  mutable trg_evicted : int;
-  mutable wits_evicted : int;
-  mutable decay_dropped : int;
   mutable dead_pruned : int;
 }
 
@@ -164,11 +127,7 @@ type t = {
   mutable trace_t0 : int64;
 }
 
-(* The grid store is exact-mode only: caps and decay act on tables at
-   flush points, which a fold over trace counts has no equivalent of. *)
-let uses_grids (cfg : config) =
-  cfg.trg_cap = 0 && cfg.wits_cap = 0 && cfg.decay_shift = 0
-  && cfg.num_symbols <= Int_pair_tbl.max_grid_universe
+let uses_grids (cfg : config) = cfg.num_symbols <= Int_pair_tbl.max_grid_universe
 
 let make_store (cfg : config) =
   let n = cfg.num_symbols in
@@ -188,12 +147,8 @@ let make_store (cfg : config) =
   else
     Tables
       {
-        shards =
-          Array.init cfg.shards (fun _ ->
-              {
-                trg = Int_pair_tbl.create ~capacity:1024 ();
-                wits = Int_pair_tbl.create ~capacity:1024 ();
-              });
+        trg = Int_pair_tbl.create ~capacity:1024 ();
+        wits = Int_pair_tbl.create ~capacity:1024 ();
         occ = Array.make n 0;
       }
 
@@ -214,16 +169,9 @@ let make_walker (cfg : config) metrics i : walker =
     wh_walker =
       Option.map (fun d -> Metrics.histogram d (Printf.sprintf "ingest.walker.%d.trace_ns" i)) delta;
     last_sym = -1;
-    pending_ops = 0;
     kept_events = 0;
     trg_ops = 0;
     wit_ops = 0;
-    flushes = 0;
-    trg_peak_shard = 0;
-    wits_peak_shard = 0;
-    trg_evicted = 0;
-    wits_evicted = 0;
-    decay_dropped = 0;
     dead_pruned = 0;
   }
 
@@ -250,63 +198,6 @@ let create ?pool ?metrics cfg =
 
 let config_of t = t.cfg
 
-(* splitmix64-style finisher over the packed key. Shard choice must be a
-   pure function of the key (never of arrival order) so one key's updates
-   always land in one shard's table. *)
-let mix k =
-  let h = k lxor (k lsr 31) in
-  let h = h * 0x2545F4914F6CDD1D in
-  (h lxor (h lsr 29)) land max_int
-
-let shard_of t key = if t.cfg.shards = 1 then 0 else mix key mod t.cfg.shards
-
-(* Deterministic cap eviction: drop the (rank, key) — smallest entries
-   until the table is back under [cap]. The key tiebreak makes the order
-   total, so the survivors depend only on the table contents, which are
-   themselves determined by the walker's stream. *)
-let evict_to_cap tbl ~cap ~rank =
-  let n = Int_pair_tbl.length tbl in
-  if cap <= 0 || n <= cap then 0
-  else begin
-    let entries = Array.make n (0, 0) in
-    let i = ref 0 in
-    Int_pair_tbl.iter
-      (fun k v ->
-        entries.(!i) <- (rank k v, k);
-        incr i)
-      tbl;
-    Array.sort compare entries;
-    let drop = n - cap in
-    for j = 0 to drop - 1 do
-      Int_pair_tbl.remove tbl (snd entries.(j))
-    done;
-    drop
-  end
-
-(* Halve-ish TRG weights at epoch boundaries; entries decayed to zero are
-   forgotten. Rebuild rather than replace-in-place: a replace can resize
-   the table mid-iteration. *)
-let decay_tbl tbl shift =
-  let n = Int_pair_tbl.length tbl in
-  if n = 0 then 0
-  else begin
-    let ks = Array.make n 0 and vs = Array.make n 0 in
-    let i = ref 0 in
-    Int_pair_tbl.iter
-      (fun k v ->
-        ks.(!i) <- k;
-        vs.(!i) <- v;
-        incr i)
-      tbl;
-    Int_pair_tbl.clear tbl;
-    let dropped = ref 0 in
-    for j = 0 to n - 1 do
-      let w = vs.(j) lsr shift in
-      if w > 0 then Int_pair_tbl.replace tbl ks.(j) w else incr dropped
-    done;
-    !dropped
-  end
-
 (* Exact dead-witness pruning. An occurrence of [a] can only be witnessed
    (counted into sat of (a, b)) while it is a's *latest* occurrence in
    the current trace. Maintenance runs only at trace boundaries (epoch
@@ -318,8 +209,7 @@ let decay_tbl tbl shift =
    cannot change the final affine set, per walker or merged: absent and
    unsaturated entries fail the saturation test identically, and a merged
    sum that misses one walker's closed occurrence can never reach the
-   merged occurrence total. This is why pruning stays on even in
-   digest-checked exact configurations. *)
+   merged occurrence total. *)
 let prune_dead_tbl occ tbl =
   let dead = Int_vec.create ~capacity:64 () in
   Int_pair_tbl.iter
@@ -331,37 +221,6 @@ let prune_dead_tbl occ tbl =
   Int_vec.iter (fun k -> Int_pair_tbl.remove tbl k) dead;
   Int_vec.length dead
 
-(* A walker's maintenance point. Table updates are applied as the walk
-   emits them, so a flush only runs epoch maintenance (decay, dead-witness
-   pruning) when [maintain], then cap eviction, then records the shard
-   peaks. Bounded-mode results depend only on where flush points fall
-   ([flush_ops] updates, epochs): nothing evicts between two of them, so
-   the tables a flush sees do not depend on when each update landed. The
-   grid store has nothing to maintain, but its flush points fall where the
-   table store's would, so [flushes] counts the same in both. *)
-let flush_walker t (wk : walker) ~maintain =
-  if wk.pending_ops > 0 || maintain then begin
-    (match wk.store with
-    | Grids _ -> ()
-    | Tables tb ->
-      Array.iter
-        (fun sh ->
-          if maintain && t.cfg.decay_shift > 0 then
-            wk.decay_dropped <- wk.decay_dropped + decay_tbl sh.trg t.cfg.decay_shift;
-          if maintain && t.cfg.prune_dead then
-            wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl tb.occ sh.wits;
-          wk.trg_evicted <-
-            wk.trg_evicted + evict_to_cap sh.trg ~cap:t.cfg.trg_cap ~rank:(fun _ w -> w);
-          wk.wits_evicted <-
-            wk.wits_evicted
-            + evict_to_cap sh.wits ~cap:t.cfg.wits_cap ~rank:(fun _ p -> Int_pair_tbl.fst_of p);
-          wk.trg_peak_shard <- max wk.trg_peak_shard (Int_pair_tbl.length sh.trg);
-          wk.wits_peak_shard <- max wk.wits_peak_shard (Int_pair_tbl.length sh.wits))
-        tb.shards);
-    wk.pending_ops <- 0;
-    wk.flushes <- wk.flushes + 1
-  end
-
 (* Witness update: one more occurrence of [a] seen by [b], counted at most
    once per occurrence. An absent key reads as 0 and is always
    overwritten, since [a_occ >= 1]. *)
@@ -370,13 +229,6 @@ let witness tbl key a_occ =
   let p = Int_pair_tbl.slot_get tbl s in
   if Int_pair_tbl.fst_of p < a_occ then
     Int_pair_tbl.slot_set tbl s (Int_pair_tbl.pack a_occ (Int_pair_tbl.snd_of p + 1))
-
-(* Both directions for blocks [x] and [y] within footprint w: this
-   x-occurrence sees y (backward); y's latest occurrence sees x (forward). *)
-let witness_both t tb x kx y =
-  let kxy = Int_pair_tbl.pack x y and kyx = Int_pair_tbl.pack y x in
-  witness tb.shards.(shard_of t kxy).wits kxy kx;
-  witness tb.shards.(shard_of t kyx).wits kyx tb.occ.(y)
 
 let imin (a : int) b = if a <= b then a else b
 
@@ -397,7 +249,7 @@ let[@inline] grid_witness wit j a_occ =
    store's argument is a placeholder. *)
 
 (* One TRG bump: block [y] sat above a recurring [x]. *)
-let[@inline] trg_bump ~dense t g tb x y =
+let[@inline] trg_bump ~dense g tb x y =
   if dense then begin
     let n = g.n and dir = g.dir in
     let c = Array.unsafe_get dir ((x * n) + y) in
@@ -407,17 +259,22 @@ let[@inline] trg_bump ~dense t g tb x y =
   end
   else begin
     let key = if x < y then Int_pair_tbl.pack x y else Int_pair_tbl.pack y x in
-    ignore (Int_pair_tbl.add_to tb.shards.(shard_of t key).trg key 1)
+    ignore (Int_pair_tbl.add_to tb.trg key 1)
   end
 
-(* Both witness directions for [x] at occurrence [kx] and [y]. *)
-let[@inline] witness_pair ~dense t g tb x kx y =
+(* Both witness directions for [x] at occurrence [kx] and [y] within
+   footprint w: this x-occurrence sees y (backward); y's latest occurrence
+   sees x (forward). *)
+let[@inline] witness_pair ~dense g tb x kx y =
   if dense then begin
     let n = g.n in
     grid_witness g.wit ((x * n) + y) kx;
     grid_witness g.wit ((y * n) + x) (Array.unsafe_get g.cur_occ y)
   end
-  else witness_both t tb x kx y
+  else begin
+    witness tb.wits (Int_pair_tbl.pack x y) kx;
+    witness tb.wits (Int_pair_tbl.pack y x) tb.occ.(y)
+  end
 
 (* The per-event kernel: one pass of the walker's flagged [Window_stack]
    for kept event [x], updating its store in place; returns [x]'s 0-based
@@ -463,15 +320,15 @@ let[@inline] walk ~dense t g tb (ws : Window_stack.t) x =
     let i = ref 0 and carry = ref x and y = ref (Array.unsafe_get stk 0) in
     while !y <> x && !i < w - 1 do
       let yi = !y in
-      if bump_in_pass then trg_bump ~dense t g tb x yi;
-      witness_pair ~dense t g tb x kx yi;
+      if bump_in_pass then trg_bump ~dense g tb x yi;
+      witness_pair ~dense g tb x kx yi;
       Array.unsafe_set stk !i !carry;
       carry := yi;
       incr i;
       y := Array.unsafe_get stk !i
     done;
     while !y <> x do
-      if bump_in_pass then trg_bump ~dense t g tb x !y;
+      if bump_in_pass then trg_bump ~dense g tb x !y;
       Array.unsafe_set stk !i !carry;
       carry := !y;
       incr i;
@@ -481,23 +338,23 @@ let[@inline] walk ~dense t g tb (ws : Window_stack.t) x =
     let pos = !i in
     if (not bump_in_pass) && pos < tw then
       for j = 1 to pos do
-        trg_bump ~dense t g tb x (Array.unsafe_get stk j)
+        trg_bump ~dense g tb x (Array.unsafe_get stk j)
       done;
     for j = pos + 1 to imin depth w - 1 do
-      witness_pair ~dense t g tb x kx (Array.unsafe_get stk j)
+      witness_pair ~dense g tb x kx (Array.unsafe_get stk j)
     done;
     pos
   end
   else begin
     for i = 0 to imin depth (w - 1) - 1 do
-      witness_pair ~dense t g tb x kx (Array.unsafe_get stk i)
+      witness_pair ~dense g tb x kx (Array.unsafe_get stk i)
     done;
     Window_stack.push ws x;
     -1
   end
 
 (* The placeholders for the store a walk instance does not use. *)
-let no_tables = { shards = [||]; occ = [||] }
+let no_tables = { trg = Int_pair_tbl.create (); wits = Int_pair_tbl.create (); occ = [||] }
 
 let no_grids =
   { n = 0; dir = [||]; wit = [||]; aff = [||]; trc = [||]; cur_occ = [||]; present = [||];
@@ -556,9 +413,7 @@ let walk_event t (wk : walker) x =
     let below = if pos >= 0 then imin depth w else 0 in
     let nwit = 2 * (above + imax 0 (below - pos - 1)) in
     wk.trg_ops <- wk.trg_ops + ntrg;
-    wk.wit_ops <- wk.wit_ops + nwit;
-    wk.pending_ops <- wk.pending_ops + ntrg + nwit;
-    if wk.pending_ops >= t.cfg.flush_ops then flush_walker t wk ~maintain:false
+    wk.wit_ops <- wk.wit_ops + nwit
   end
 
 (* End the walker's current stream: the next trace starts on an empty
@@ -612,18 +467,17 @@ let dispatch t =
     | None -> ()
   end
 
-(* Walkers flush in parallel (each touches only its own tables); a
-   single walker flushes inline. *)
-let flush_all t ~maintain =
+(* Epoch maintenance, at a trace boundary with every queue drained:
+   dead-witness pruning of each walker's tables. The grid store has
+   nothing to prune (its witness state lasts one trace). *)
+let prune_walkers t =
   dispatch t;
-  if maintain || Array.exists (fun (wk : walker) -> wk.pending_ops > 0) t.walkers then begin
-    let run wk = flush_walker t wk ~maintain in
-    match t.pool with
-    | Some pool when t.cfg.walkers > 1 -> ignore (Pool.map_array pool run t.walkers)
-    | _ -> Array.iter run t.walkers
-  end
-
-let flush t = flush_all t ~maintain:false
+  Array.iter
+    (fun (wk : walker) ->
+      match wk.store with
+      | Tables tb -> wk.dead_pruned <- wk.dead_pruned + prune_dead_tbl tb.occ tb.wits
+      | Grids _ -> ())
+    t.walkers
 
 (* The single walker's trace clock starts at the trace's first event. *)
 let start_trace t =
@@ -691,7 +545,7 @@ let end_trace t =
   end;
   (match t.metrics with Some m -> Metrics.add m "ingest.traces" 1 | None -> ());
   if t.cfg.epoch_traces > 0 && t.traces mod t.cfg.epoch_traces = 0 then begin
-    flush_all t ~maintain:true;
+    prune_walkers t;
     t.epochs <- t.epochs + 1
   end
 
@@ -729,12 +583,9 @@ let feed_file t ~path =
 
 let stats t : stats =
   let sum f = Array.fold_left (fun a wk -> a + f wk) 0 t.walkers in
-  let maxw f = Array.fold_left (fun a wk -> max a (f wk)) 0 t.walkers in
   let live ~grid sel =
     sum (fun (wk : walker) ->
-        match wk.store with
-        | Grids g -> grid g
-        | Tables tb -> Array.fold_left (fun a sh -> a + Int_pair_tbl.length (sel sh)) 0 tb.shards)
+        match wk.store with Grids g -> grid g | Tables tb -> Int_pair_tbl.length (sel tb))
   in
   {
     traces = t.traces;
@@ -742,17 +593,11 @@ let stats t : stats =
     kept_events = sum (fun wk -> wk.kept_events);
     trg_ops = sum (fun wk -> wk.trg_ops);
     wit_ops = sum (fun wk -> wk.wit_ops);
-    flushes = sum (fun wk -> wk.flushes);
     dispatches = t.dispatches;
     epochs = t.epochs;
     merges = t.merges;
-    trg_live = live ~grid:(fun g -> g.live) (fun sh -> sh.trg);
-    wits_live = live ~grid:(fun _ -> 0) (fun sh -> sh.wits);
-    trg_peak_shard = maxw (fun wk -> wk.trg_peak_shard);
-    wits_peak_shard = maxw (fun wk -> wk.wits_peak_shard);
-    trg_evicted = sum (fun wk -> wk.trg_evicted);
-    wits_evicted = sum (fun wk -> wk.wits_evicted);
-    decay_dropped = sum (fun wk -> wk.decay_dropped);
+    trg_live = live ~grid:(fun g -> g.live) (fun tb -> tb.trg);
+    wits_live = live ~grid:(fun _ -> 0) (fun tb -> tb.wits);
     dead_pruned = sum (fun wk -> wk.dead_pruned);
   }
 
@@ -811,16 +656,11 @@ let merge_tables t pairs =
   let edges = ref [] and sat = Int_pair_tbl.create ~capacity:1024 () in
   let occ = Array.make nsym 0 in
   List.iter
-    (fun tb ->
-      Array.iter
-        (fun (sh : shard) ->
-          Int_pair_tbl.iter
-            (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
-            sh.trg;
-          Int_pair_tbl.iter
-            (fun k p -> ignore (Int_pair_tbl.add_to sat k (Int_pair_tbl.snd_of p)))
-            sh.wits)
-        tb.shards;
+    (fun (tb : tables) ->
+      Int_pair_tbl.iter
+        (fun k w -> edges := (Int_pair_tbl.fst_of k, Int_pair_tbl.snd_of k, w) :: !edges)
+        tb.trg;
+      Int_pair_tbl.iter (fun k p -> ignore (Int_pair_tbl.add_to sat k (Int_pair_tbl.snd_of p))) tb.wits;
       Array.iteri (fun i o -> occ.(i) <- occ.(i) + o) tb.occ)
     tbs;
   Int_pair_tbl.iter
@@ -838,7 +678,7 @@ let merge_tables t pairs =
 (* Non-destructive merge across walkers, one path per store. Accumulation
    continues afterwards. *)
 let finalize t =
-  flush t;
+  dispatch t;
   let t0 = t.clock () in
   let pairs = Int_vec.create ~capacity:64 () in
   let trg = if uses_grids t.cfg then merge_grids t pairs else merge_tables t pairs in

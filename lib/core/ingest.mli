@@ -22,11 +22,10 @@
     entries): the flag says whether the event is on the stack, and the
     pass that shifts the entries above it makes the TRG bumps and witness
     updates, in the walker's store, on the way. No event scans the stack
-    to find its symbol. The config alone picks the store:
+    to find its symbol. The symbol universe alone picks the store:
 
-    - {b Grids} — exact mode ([trg_cap = wits_cap = 0],
-      [decay_shift = 0]) on at most [Int_pair_tbl.max_grid_universe]
-      symbols. The walk is a fold over dense [n × n] int arrays, about
+    - {b Grids} — at most [Int_pair_tbl.max_grid_universe] symbols
+      (every program in the repo). The walk is a fold over dense [n × n] int arrays, about
       [3·n²·8] bytes per walker: a cumulative directed TRG grid (the
       bumps of [Trg.build]'s grid path) and per-trace witness state that
       {!end_trace} closes into trace counts — [trc(s)], the traces
@@ -35,71 +34,50 @@
       [Pair_grid] (no [n × n] allocation per merge); a pair is affine iff
       [aff(a,b) = trc(a) = trc(b) > 0], i.e. every trace that contains
       either symbol contains both and saturates the pair.
-    - {b Tables} — bounded mode, and exact mode on larger universes.
-      Flat packed-pair tables, [shards] per walker, with walker-cumulative
-      witness saturations and occurrence counts; {!finalize} sums them
+    - {b Tables} — larger universes. One flat packed-pair TRG table and
+      one witness table per walker, with walker-cumulative witness
+      saturations and occurrence counts; {!finalize} sums them
       and runs the saturated-pair test (sat(a,b) = occ(a) in both
       directions) on the totals. Because windows never span trace
       boundaries, each saturation is a sum of per-trace saturations with
       sat <= occ per trace, so the merged sum saturates iff every trace
       does: the same rule.
 
-    Hence the consensus CSR and affine set are bit-identical at any
-    (walkers x shards x jobs) point in exact configurations
-    ({!consensus_digests} vs {!batch_digests_parts} makes the contract
-    checkable).
+    Hence the consensus CSR and affine set are bit-identical to the batch
+    kernels at any (walkers x jobs) point ({!consensus_digests} vs
+    {!batch_digests_parts} makes the contract checkable). Ingest is exact
+    only: there are no caps and no decay (EXPERIMENTS.md, "Bounded ingest
+    against exact", measured what they lost before they were removed).
 
-    The table store's memory is bounded, deterministically in the config
-    and feed order (never in the pool schedule), by three mechanisms that
-    run only at flush points (every [flush_ops] updates) and epochs:
-    per-(walker, shard) table caps (evict smallest (rank, key)), TRG
-    weight decay (drop zeros), and exact dead-witness pruning. Pruning
-    never changes the final affine set, merged or not; caps and decay
-    trade exactness for bounded tables, and [shards] and [walkers] are
-    part of the approximation's definition, while [jobs] never changes
-    any result. [shards] and [prune_dead] shape the table store only. *)
+    Every [epoch_traces] traces the table store drops dead witness entries
+    (a saturation already short of its occurrence count can never pass
+    the test), which never changes the affine set, merged or not. *)
 
 type config = {
   num_symbols : int;
   walkers : int;  (** Parallel stream walkers; traces partition round-robin. *)
-  shards : int;  (** Tables per walker; the grid store has none. *)
   trg_window : int;  (** TRG LRU window (distinct blocks). *)
   affinity_w : int;  (** Affinity window footprint bound w. *)
-  trg_cap : int;  (** Per-(walker, shard) TRG edge cap; 0 = unbounded. *)
-  wits_cap : int;  (** Per-(walker, shard) witness-entry cap; 0 = unbounded. *)
-  decay_shift : int;  (** TRG weights decay by [lsr decay_shift] per epoch; 0 = off. *)
-  epoch_traces : int;  (** Maintenance every N completed traces; 0 = never. *)
-  prune_dead : bool;  (** Exact dead-witness pruning at epochs (table store). *)
-  flush_ops : int;
-      (** Table updates per walker between its flushes. Updates apply as
-          they are emitted; a flush is a maintenance point, where cap
-          eviction runs and shard peaks are recorded. The grid store
-          counts the same updates and flushes at the same points, with
-          nothing to maintain. *)
+  epoch_traces : int;
+      (** Maintenance (dead-witness pruning of the table store) every N
+          completed traces; 0 = never. *)
 }
 
 val config :
   ?walkers:int ->
-  ?shards:int ->
   ?trg_window:int ->
   ?affinity_w:int ->
-  ?trg_cap:int ->
-  ?wits_cap:int ->
-  ?decay_shift:int ->
   ?epoch_traces:int ->
-  ?prune_dead:bool ->
-  ?flush_ops:int ->
   num_symbols:int ->
   unit ->
   config
-(** Validated smart constructor (defaults: 1 walker, 1 shard, window 256,
-    w 16, unbounded, no decay, no epochs, pruning on, flush at 65536
-    ops). @raise Invalid_argument on out-of-range fields. *)
+(** Validated smart constructor (defaults: 1 walker, window 256, w 16,
+    no epochs). @raise Invalid_argument on out-of-range fields. *)
 
 type t
 
 val create : ?pool:Colayout_util.Pool.t -> ?metrics:Colayout_util.Metrics.t -> config -> t
-(** Without a pool, walkers and their flushes run inline on the calling
+(** Without a pool, walkers run inline on the calling
     domain (still producing identical results); with one walker the pool
     is not used for ingest. With metrics, per-trace
     walk latency lands in the [ingest.trace_ns] histogram (plus a
@@ -145,32 +123,19 @@ val feed_file : t -> path:string -> unit
     (universe mismatch, out-of-range symbol) and leaves [t] untouched,
     so a retry starts from a clean trace. *)
 
-val flush : t -> unit
-(** Drain queued traces through their walkers, then run every walker's
-    flush point: cap eviction and shard peaks (no epoch maintenance).
-    Called automatically when [flush_ops] is reached and by {!finalize}. *)
-
 type stats = {
   traces : int;
   events : int;
   kept_events : int;  (** Events surviving per-trace inline trimming, summed over walkers. *)
   trg_ops : int;
   wit_ops : int;
-  flushes : int;  (** Per-walker flushes, summed. *)
   dispatches : int;  (** Walker-queue dispatch barriers (walkers > 1). *)
   epochs : int;
   merges : int;
   trg_live : int;
       (** Current TRG entries (undirected pairs with a positive count),
-          summed over walkers and shards; the same count in both stores. *)
+          summed over walkers; the same count in both stores. *)
   wits_live : int;  (** Witness table entries; 0 in the grid store, which has no tables. *)
-  trg_peak_shard : int;
-      (** Max per-(walker, shard) TRG entries at any flush boundary — the
-          quantity the per-table caps bound. 0 in the grid store. *)
-  wits_peak_shard : int;  (** Likewise for witness entries; 0 in the grid store. *)
-  trg_evicted : int;  (** Summed over walkers; deterministic in config, not pool schedule. *)
-  wits_evicted : int;
-  decay_dropped : int;
   dead_pruned : int;
       (** Witness entries dropped by dead-witness pruning; 0 in the grid
           store, whose witness state lasts one trace. *)
@@ -178,8 +143,7 @@ type stats = {
 
 val stats : t -> stats
 (** Cheap (no dispatch): walk-derived counters cover traces already
-    dispatched to walkers; totals are complete after {!flush} or
-    {!finalize}. All fields are deterministic in (config, feed order) —
+    dispatched to walkers; totals are complete after {!finalize}. All fields are deterministic in (config, feed order) —
     the pool schedule never moves them. *)
 
 type consensus = { trg : Trg.t; affine : int array }
@@ -190,10 +154,9 @@ val finalize : t -> consensus
 (** Drain every walker, then merge the walkers' stores into a consensus
     profile by the algebra above. It covers completed traces: call it
     between traces.
-    Non-destructive: accumulation may continue afterwards. With caps and
-    decay disabled this is bit-identical to the batch kernels run on
-    each trace independently and merged — at any walkers, shards and
-    jobs count. *)
+    Non-destructive: accumulation may continue afterwards. Bit-identical
+    to the batch kernels run on each trace independently and merged — at
+    any walkers and jobs count. *)
 
 val affine_list : consensus -> (int * int) list
 

@@ -10,16 +10,18 @@ module C = Colayout_cache
    the per-workload input distribution — so thousands of users exercise
    thousands of distinct control paths through the same code. Users are
    generated in pool-parallel batches but committed to the [Ingest]
-   walker in user order, so the accumulated profile (and everything
-   downstream: digests, consensus layouts, bounded-mode evictions) is a
-   pure function of the config, at any jobs count.
+   walkers in user order, so the accumulated profile (and everything
+   downstream: digests, epoch rows, the re-optimized order) is a pure
+   function of the config, at any jobs and walker count.
 
-   At every ingest epoch the shard tables merge into a consensus profile
-   and the layout is re-optimized incrementally: a short warm-started
-   anneal ([~initial] = the previous consensus order) scored through
-   [Layout_eval.Delta] against the newest user trace. [improved_from]
-   in each epoch row is the previous order's miss ratio on that trace —
-   the drift signal the re-optimization absorbs. *)
+   At every ingest epoch the walkers merge into a consensus profile, whose
+   edge and pair counts go into the epoch row, and the function order is
+   re-optimized incrementally: a short warm-started anneal ([~initial] =
+   the previous epoch's order) scored through [Layout_eval.Delta] against
+   the newest user trace. The anneal does not read the consensus profile:
+   the order follows the newest trace alone. [improved_from] in each epoch
+   row is the previous order's miss ratio on that trace — the drift signal
+   the re-optimization absorbs. *)
 
 type config = {
   program : string;
@@ -27,21 +29,17 @@ type config = {
   seed : int;
   fuel : int;  (** Max fuel per user; each user draws from [fuel/2, fuel]. *)
   walkers : int;  (** Parallel ingest walkers (see [Ingest.config]). *)
-  shards : int;
   trg_window : int;
   affinity_w : int;
-  trg_cap : int;
-  wits_cap : int;
-  decay_shift : int;
   epoch_traces : int;
   gen_batch : int;  (** Users generated per parallel batch. *)
   reopt_steps : int;  (** Anneal steps per epoch re-optimization; 0 = off. *)
   verify : bool;  (** Also run the batch kernels on every user trace and merge. *)
 }
 
-let config ?(users = 64) ?(seed = 1) ?(fuel = 4_000) ?(walkers = 1) ?(shards = 2)
-    ?(trg_window = 64) ?(affinity_w = 16) ?(trg_cap = 0) ?(wits_cap = 0) ?(decay_shift = 0)
-    ?(epoch_traces = 16) ?(gen_batch = 16) ?(reopt_steps = 120) ?(verify = false) ~program () =
+let config ?(users = 64) ?(seed = 1) ?(fuel = 4_000) ?(walkers = 1) ?(trg_window = 64)
+    ?(affinity_w = 16) ?(epoch_traces = 16) ?(gen_batch = 16) ?(reopt_steps = 120)
+    ?(verify = false) ~program () =
   if users < 1 then invalid_arg "Serve.config: users must be >= 1";
   if fuel < 2 then invalid_arg "Serve.config: fuel must be >= 2";
   if walkers < 1 then invalid_arg "Serve.config: walkers must be >= 1";
@@ -53,12 +51,8 @@ let config ?(users = 64) ?(seed = 1) ?(fuel = 4_000) ?(walkers = 1) ?(shards = 2
     seed;
     fuel;
     walkers;
-    shards;
     trg_window;
     affinity_w;
-    trg_cap;
-    wits_cap;
-    decay_shift;
     epoch_traces;
     gen_batch;
     reopt_steps;
@@ -72,7 +66,7 @@ type epoch_row = {
   trg_edges : int;
   affine_pairs : int;
   miss_ratio : float;  (** Re-optimized order on the newest trace; nan if reopt off. *)
-  improved_from : float;  (** Previous consensus order on that trace; nan if reopt off. *)
+  improved_from : float;  (** The previous epoch's order on that trace; nan if reopt off. *)
 }
 
 type summary = {
@@ -97,7 +91,7 @@ type summary = {
   trace_p95_ns : float;
   trace_p99_ns : float;
   merge_p50_ns : float;
-  final_order : int array;  (** Last re-optimized consensus function order. *)
+  final_order : int array;  (** The last epoch's re-optimized function order. *)
 }
 
 (* Per-user generation: seed and fuel come from the user's own stream so
@@ -116,9 +110,8 @@ let run ?pool ?metrics ?spans ?obs cfg =
   let num_symbols = Colayout_ir.Program.num_blocks program in
   let num_funcs = Colayout_ir.Program.num_funcs program in
   let icfg =
-    Ingest.config ~num_symbols ~walkers:cfg.walkers ~shards:cfg.shards
-      ~trg_window:cfg.trg_window ~affinity_w:cfg.affinity_w ~trg_cap:cfg.trg_cap
-      ~wits_cap:cfg.wits_cap ~decay_shift:cfg.decay_shift ~epoch_traces:cfg.epoch_traces ()
+    Ingest.config ~num_symbols ~walkers:cfg.walkers ~trg_window:cfg.trg_window
+      ~affinity_w:cfg.affinity_w ~epoch_traces:cfg.epoch_traces ()
   in
   let ing = Ingest.create ?pool ~metrics icfg in
   let clock = U.Metrics.default_clock in
@@ -134,7 +127,7 @@ let run ?pool ?metrics ?spans ?obs cfg =
   let verify_parts = if cfg.verify then Some (ref []) else None in
   (* Interference probe, taken only when an observatory is attached (the
      co-run simulation is real work; without [obs] the epoch loop pays
-     nothing): the current consensus order co-runs against the unoptimized
+     nothing): the current re-optimized order co-runs against the unoptimized
      layout of the same program on the newest trace, and the sink's
      conservation-checked matrices say how defensive/polite the layout the
      service is converging on actually is. *)
@@ -285,7 +278,7 @@ let summary_to_json (s : summary) =
   let st = s.stats in
   Obj
     [
-      ("schema", Str "colayout/serve/v1");
+      ("schema", Str "colayout/serve/v2");
       ( "config",
         Obj
           [
@@ -294,12 +287,8 @@ let summary_to_json (s : summary) =
             ("seed", Int s.cfg.seed);
             ("fuel", Int s.cfg.fuel);
             ("walkers", Int s.cfg.walkers);
-            ("shards", Int s.cfg.shards);
             ("trg_window", Int s.cfg.trg_window);
             ("affinity_w", Int s.cfg.affinity_w);
-            ("trg_cap", Int s.cfg.trg_cap);
-            ("wits_cap", Int s.cfg.wits_cap);
-            ("decay_shift", Int s.cfg.decay_shift);
             ("epoch_traces", Int s.cfg.epoch_traces);
             ("gen_batch", Int s.cfg.gen_batch);
             ("reopt_steps", Int s.cfg.reopt_steps);
@@ -314,17 +303,11 @@ let summary_to_json (s : summary) =
             ("kept_events", Int st.Ingest.kept_events);
             ("trg_ops", Int st.Ingest.trg_ops);
             ("wit_ops", Int st.Ingest.wit_ops);
-            ("flushes", Int st.Ingest.flushes);
             ("dispatches", Int st.Ingest.dispatches);
             ("epochs", Int st.Ingest.epochs);
             ("merges", Int st.Ingest.merges);
             ("trg_live", Int st.Ingest.trg_live);
             ("wits_live", Int st.Ingest.wits_live);
-            ("trg_peak_shard", Int st.Ingest.trg_peak_shard);
-            ("wits_peak_shard", Int st.Ingest.wits_peak_shard);
-            ("trg_evicted", Int st.Ingest.trg_evicted);
-            ("wits_evicted", Int st.Ingest.wits_evicted);
-            ("decay_dropped", Int st.Ingest.decay_dropped);
             ("dead_pruned", Int st.Ingest.dead_pruned);
           ] );
       ("wall_ns", Int s.wall_ns);

@@ -4,13 +4,15 @@
     Users are independent runs of one workload program with per-user
     seeds and fuel drawn from each user's own [Prng] stream (the
     per-workload input distribution). Generation fans out over the pool
-    in batches; ingest commits traces to the sharded multi-walker online
+    in batches; ingest commits traces to the multi-walker online
     accumulators ([Ingest]) in user order, so every artifact — digests,
-    epoch rows, bounded-mode evictions — is a pure function of the
-    config at any jobs count (and, in exact configurations, at any
-    walker count). At each ingest epoch the consensus profile is merged and
-    the consensus layout re-optimized by a warm-started
-    [Layout_eval.Delta]-mode anneal against the newest trace. *)
+    epoch rows, the re-optimized order — is a pure function of the
+    config at any jobs and walker count. At each ingest epoch the
+    consensus profile is merged (its edge and pair counts go into the
+    epoch row) and the function order is re-optimized by a warm-started
+    [Layout_eval.Delta]-mode anneal against the newest trace. The anneal
+    does not read the consensus profile: the order follows the newest
+    trace alone. *)
 
 type config = {
   program : string;
@@ -18,12 +20,8 @@ type config = {
   seed : int;
   fuel : int;  (** Max fuel per user; each user draws from [fuel/2, fuel]. *)
   walkers : int;  (** Parallel ingest walkers (see [Ingest.config]). *)
-  shards : int;
   trg_window : int;
   affinity_w : int;
-  trg_cap : int;
-  wits_cap : int;
-  decay_shift : int;
   epoch_traces : int;
   gen_batch : int;  (** Users generated per parallel batch. *)
   reopt_steps : int;  (** Anneal steps per epoch re-optimization; 0 = off. *)
@@ -37,12 +35,8 @@ val config :
   ?seed:int ->
   ?fuel:int ->
   ?walkers:int ->
-  ?shards:int ->
   ?trg_window:int ->
   ?affinity_w:int ->
-  ?trg_cap:int ->
-  ?wits_cap:int ->
-  ?decay_shift:int ->
   ?epoch_traces:int ->
   ?gen_batch:int ->
   ?reopt_steps:int ->
@@ -60,7 +54,7 @@ type epoch_row = {
   trg_edges : int;
   affine_pairs : int;
   miss_ratio : float;  (** Re-optimized order on the newest trace; nan if reopt off. *)
-  improved_from : float;  (** Previous consensus order on that trace; nan if reopt off. *)
+  improved_from : float;  (** The previous epoch's order on that trace; nan if reopt off. *)
 }
 
 type summary = {
@@ -85,7 +79,9 @@ type summary = {
   trace_p95_ns : float;
   trace_p99_ns : float;
   merge_p50_ns : float;
-  final_order : int array;  (** Last re-optimized consensus function order. *)
+  final_order : int array;
+      (** The last epoch's re-optimized function order (annealed on the
+          newest trace; the consensus profile does not enter it). *)
 }
 
 val run :
@@ -101,14 +97,14 @@ val run :
     silently absorbed. With [obs], every epoch additionally records a
     [colayout/obs/v1] snapshot: the epoch row, the drift signal, metrics
     counter/percentile summaries, GC state, and a conservation-checked
-    interference probe of the current consensus layout co-running against
+    interference probe of the current re-optimized layout co-running against
     the unoptimized original (its defensiveness/politeness scores) — the
     probe simulation runs only when [obs] is attached.
     @raise Not_found on an unknown program name (callers pre-validate
     against [Workloads.Spec.names]). *)
 
 val summary_to_json : summary -> Colayout_util.Json.t
-(** Schema [colayout/serve/v1]. *)
+(** Schema [colayout/serve/v2]. *)
 
 (** {1 Spool watching}
 

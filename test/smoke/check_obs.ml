@@ -105,7 +105,7 @@ let check_serve metrics_path serve_path =
   if users <= 0 then fail "%s: serve.users is not positive" metrics_path;
   let ingested = counter "ingest.traces" in
   let sjson = parse serve_path in
-  require_schema sjson ~path:serve_path "colayout/serve/v1";
+  require_schema sjson ~path:serve_path "colayout/serve/v2";
   let config = J.Obj (get_obj sjson ~path:serve_path "config") in
   let stats = J.Obj (get_obj sjson ~path:serve_path "stats") in
   if get_int config "users" <> users then

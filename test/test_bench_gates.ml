@@ -214,15 +214,13 @@ let scaling =
     ]
 
 let ingest =
-  let cell w sh j =
+  let cell w j =
     o
       [
         ("walkers", i w);
-        ("shards", i sh);
         ("jobs", i j);
         ("ingest_wall_ns", i 10);
         ("merge_ns", i 5);
-        ("flushes", i 1);
         ("dispatches", i 1);
         ("events_per_sec", f 1.0);
         ("traces_per_sec", f 1.0);
@@ -231,46 +229,20 @@ let ingest =
         ("affine_digest", s "a");
       ]
   in
-  let bounded w j =
-    o
-      [
-        ("walkers", i w);
-        ("jobs", i j);
-        ("trg_digest", s (Printf.sprintf "bt%d" w));
-        ("affine_digest", s (Printf.sprintf "ba%d" w));
-        ("trg_peak_shard", i 5);
-        ("wits_peak_shard", i 5);
-        ("trg_evicted", i 1);
-        ("wits_evicted", i 1);
-        ("decay_dropped", i 1);
-      ]
-  in
   let ints l = a (List.map i l) in
   manifest "ingest"
     ~params:
       [
         ("users", i 4);
         ("walkers_list", ints [ 1; 2 ]);
-        ("shards_list", ints [ 1; 2; 4 ]);
         ("jobs_list", ints [ 1; 2; 4 ]);
       ]
     [
       ("batch", o [ ("trg_digest", s "t"); ("affine_digest", s "a") ]);
-      ( "grid",
-        a
-          (List.concat_map
-             (fun w -> List.concat_map (fun sh -> List.map (cell w sh) [ 1; 2; 4 ]) [ 1; 2; 4 ])
-             [ 1; 2 ]) );
+      ("grid", a (List.concat_map (fun w -> List.map (cell w) [ 1; 2; 4 ]) [ 1; 2 ]));
       ("serial_ingest_ns", i 10);
       ("best_parallel_vs_serial", f 1.0);
       ("gate", o [ ("walkers", i 2); ("speedup_vs_serial", f 2.0) ]);
-      ( "bounded",
-        o
-          [
-            ("trg_cap", i 10);
-            ("wits_cap", i 10);
-            ("runs", a [ bounded 1 1; bounded 1 2; bounded 1 2; bounded 2 1; bounded 2 2 ]);
-          ] );
       ( "walker_hist",
         o
           [
@@ -281,7 +253,7 @@ let ingest =
       ( "serve",
         o
           [
-            ("schema", s "colayout/serve/v1");
+            ("schema", s "colayout/serve/v2");
             ("verify", o [ ("digests_match", J.Bool true) ]);
             ("traces_per_sec", f 1.0);
             ("trace_p50_ns", f 1.0);
@@ -453,13 +425,8 @@ let perturbations =
       set (cells [ "skewed_steal_vs_fixed_at_gate_jobs" ]) (f 1.2) );
     ("scaling", "best-uniform-speedup-1x", set (cells [ "best_uniform_strong_speedup" ]) (f 0.9));
     ("ingest", "grid-matches-batch", set (cells [ "grid"; "3"; "affine_digest" ]) (s "x"));
-    ("ingest", "grid-covers", update (cells [ "grid" ]) (keep 17));
-    ("ingest", "grid-positive", set (cells [ "grid"; "12"; "dispatches" ]) (i 0));
-    ( "ingest",
-      "bounded-deterministic",
-      set (cells [ "bounded"; "runs"; "2"; "trg_digest" ]) (s "x") );
-    ("ingest", "bounded-caps", set (cells [ "bounded"; "runs"; "3"; "wits_peak_shard" ]) (i 11));
-    ("ingest", "bounded-evictions", set (cells [ "bounded"; "runs"; "1"; "decay_dropped" ]) (i 0));
+    ("ingest", "grid-covers", update (cells [ "grid" ]) (keep 5));
+    ("ingest", "grid-positive", set (cells [ "grid"; "4"; "dispatches" ]) (i 0));
     ( "ingest",
       "walker-hist-covers",
       set (cells [ "walker_hist"; "per_walker"; "1"; "observations" ]) (i 1) );

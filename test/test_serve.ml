@@ -1,20 +1,17 @@
-(* Tests for the streaming ingest service core ([Ingest]): the sharded
+(* Tests for the streaming ingest service core ([Ingest]): the
    multi-walker online TRG/affinity accumulators must be bit-identical
    to the batch kernels merged per trace
-   ([Ingest.batch_digests_parts]) at every walker count, shard count
-   and jobs count, regardless of feed granularity (whole traces,
-   odd-sized chunks, or files through the streaming reader). Each trace
-   is an independent stream — the LRU stack and trim state reset at
-   trace boundaries — so the merged profile is a pure function of the
-   trace multiset and the round-robin walker partition cannot change
-   it. Exact mode folds into dense grids on small universes and walks
-   shard tables otherwise; both stores are held to the seed kernels.
-   Bounded-memory mode (caps + decay) is approximate by design but
-   must be deterministic given the config (walker count included, pool
-   schedule excluded), keep every walker-shard table under its cap at
-   flush boundaries, and actually evict under pressure. The service
-   driver's spool watcher must ingest files that land after the watch
-   starts and exit cleanly on its deadline. *)
+   ([Ingest.batch_digests_parts]) at every walker count and jobs count,
+   regardless of feed granularity (whole traces, odd-sized chunks, or
+   files through the streaming reader). Each trace is an independent
+   stream — the LRU stack and trim state reset at trace boundaries — so
+   the merged profile is a pure function of the trace multiset and the
+   round-robin walker partition cannot change it. Ingest folds into
+   dense grids on universes up to [Int_pair_tbl.max_grid_universe] and
+   walks packed-pair tables past it; both stores are held to the seed
+   kernels, the tables by running the same traces in the first universe
+   past the bound. The service driver's spool watcher must ingest files
+   that land after the watch starts and exit cleanly on its deadline. *)
 
 open Colayout
 open Colayout_trace
@@ -25,8 +22,6 @@ module W = Colayout_workloads
 module KB = Colayout_oracle.Kernel_baseline
 
 let check = Alcotest.check
-
-let shard_counts = [ 1; 2; 4 ]
 
 let jobs_counts = [ 1; 2; 4 ]
 
@@ -64,25 +59,32 @@ let trimmed_len t =
     t;
   !kept
 
-(* Caps no table ever reaches: an otherwise exact config with these
-   leaves the grid store for the table walk, and nothing is evicted. *)
-let never_binding = max_int
+(* The table store serves universes past [Int_pair_tbl.max_grid_universe],
+   as real inputs reach it. [in_table_universe] re-creates traces over the
+   first such universe with the same events, so one input runs on both
+   stores; the digests render edges and pairs only, so the universe size
+   does not enter them. *)
+let table_universe = U.Int_pair_tbl.max_grid_universe + 1
+
+let in_table_universe traces =
+  List.map
+    (fun t ->
+      let wide = Trace.create ~num_symbols:table_universe () in
+      Trace.iter (Trace.push wide) t;
+      wide)
+    traces
+
+(* The universe and traces of a run on the grid store (as given) or on
+   the table store. *)
+let on_store ~tables num_symbols traces =
+  if tables then (table_universe, in_table_universe traces) else (num_symbols, traces)
 
 (* Which store a run took, read off the stats contract: the grid store
-   has no shard tables, so it reports no witness entries and no peaks;
-   the table walk records a positive TRG peak at its flushes (given any
-   TRG entry) and, under never-binding caps, evicts nothing. *)
+   has no witness table, so it reports no witness entries and prunes
+   none; the table walk holds an entry per witnessed pair (given any). *)
 let check_store ~tables tag (s : Ingest.stats) =
-  if tables then
-    Alcotest.(check bool)
-      (tag ^ ": table walk, nothing evicted")
-      true
-      (s.trg_peak_shard > 0 && s.trg_evicted = 0 && s.wits_evicted = 0)
-  else
-    Alcotest.(check bool)
-      (tag ^ ": grid store")
-      true
-      (s.wits_live = 0 && s.trg_peak_shard = 0 && s.wits_peak_shard = 0 && s.dead_pruned = 0)
+  if tables then Alcotest.(check bool) (tag ^ ": table walk") true (s.wits_live > 0)
+  else Alcotest.(check bool) (tag ^ ": grid store") true (s.wits_live = 0 && s.dead_pruned = 0)
 
 (* ---------------------------------------- multi-walker online == batch *)
 
@@ -95,29 +97,22 @@ let test_walkers_equal_batch () =
       List.iter
         (fun walkers ->
           List.iter
-            (fun shards ->
-              List.iter
-                (fun jobs ->
-                  U.Pool.with_pool ~jobs (fun pool ->
-                      let cfg =
-                        Ingest.config ~num_symbols ~walkers ~shards ~trg_window:12
-                          ~affinity_w:6 ~flush_ops:512 ()
-                      in
-                      let ing = ingest_all ~pool cfg traces in
-                      let online = Ingest.consensus_digests (Ingest.finalize ing) in
-                      check
-                        Alcotest.(pair string string)
-                        (Printf.sprintf "digests (seed=%d walkers=%d shards=%d jobs=%d)"
-                           seed walkers shards jobs)
-                        batch online))
-                jobs_counts)
-            shard_counts)
+            (fun jobs ->
+              U.Pool.with_pool ~jobs (fun pool ->
+                  let cfg = Ingest.config ~num_symbols ~walkers ~trg_window:12 ~affinity_w:6 () in
+                  let ing = ingest_all ~pool cfg traces in
+                  let online = Ingest.consensus_digests (Ingest.finalize ing) in
+                  check
+                    Alcotest.(pair string string)
+                    (Printf.sprintf "digests (seed=%d walkers=%d jobs=%d)" seed walkers jobs)
+                    batch online))
+            jobs_counts)
         [ 1; 2 ])
     [ 1; 2; 42 ]
 
-(* Property form: random trace sets, every walker x shard x jobs
-   combination, checked against the per-trace batch merge via the
-   shared digest renderings. *)
+(* Property form: random trace sets, every walker x jobs combination,
+   checked against the per-trace batch merge via the shared digest
+   renderings. *)
 let prop_walker_partition =
   QCheck.Test.make ~count:10
     ~name:"ingest: walker-partitioned online == per-trace batch merge"
@@ -129,18 +124,12 @@ let prop_walker_partition =
       List.for_all
         (fun walkers ->
           List.for_all
-            (fun shards ->
-              List.for_all
-                (fun jobs ->
-                  U.Pool.with_pool ~jobs (fun pool ->
-                      let cfg =
-                        Ingest.config ~num_symbols ~walkers ~shards ~trg_window:8
-                          ~affinity_w:4 ~flush_ops:64 ()
-                      in
-                      let ing = ingest_all ~pool cfg traces in
-                      Ingest.consensus_digests (Ingest.finalize ing) = batch))
-                [ 1; 4 ])
-            [ 1; 3 ])
+            (fun jobs ->
+              U.Pool.with_pool ~jobs (fun pool ->
+                  let cfg = Ingest.config ~num_symbols ~walkers ~trg_window:8 ~affinity_w:4 () in
+                  let ing = ingest_all ~pool cfg traces in
+                  Ingest.consensus_digests (Ingest.finalize ing) = batch))
+            [ 1; 4 ])
         walker_counts)
 
 (* Feeding granularity must not matter: whole traces, odd chunks, and
@@ -149,7 +138,7 @@ let prop_walker_partition =
 let test_chunked_and_file_feeds () =
   let num_symbols = 40 in
   let traces = user_traces ~seed:7 ~users:6 ~num_symbols ~len:250 in
-  let cfg = Ingest.config ~num_symbols ~shards:2 ~trg_window:10 ~affinity_w:5 () in
+  let cfg = Ingest.config ~num_symbols ~trg_window:10 ~affinity_w:5 () in
   let whole = Ingest.consensus_digests (Ingest.finalize (ingest_all cfg traces)) in
   (* Odd-sized chunks, mid-trace boundaries. *)
   let chunked = Ingest.create cfg in
@@ -179,9 +168,7 @@ let test_chunked_and_file_feeds () =
       Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
       Sys.rmdir dir)
     (fun () ->
-      let cfg2 =
-        Ingest.config ~num_symbols ~walkers:2 ~shards:2 ~trg_window:10 ~affinity_w:5 ()
-      in
+      let cfg2 = Ingest.config ~num_symbols ~walkers:2 ~trg_window:10 ~affinity_w:5 () in
       U.Pool.with_pool ~jobs:2 (fun pool ->
           let filed = Ingest.create ~pool cfg2 in
           List.iteri
@@ -238,33 +225,29 @@ let test_feed_file_all_or_nothing () =
             (Ingest.consensus_digests (Ingest.finalize ing)))
         [ 1; 2 ])
 
-(* Dead-witness pruning is exact: epochs with pruning on must not change
-   the affine set (digests equal to batch), while actually pruning. Only
-   the table walk prunes (the grid store clears its witness state at every
-   trace end), so the run takes it through never-binding caps. *)
+(* Dead-witness pruning is exact: epochs prune the table store without
+   changing the affine set (digests equal to batch). Only the table walk
+   prunes (the grid store clears its witness state at every trace end), so
+   the traces run in the table universe. *)
 let test_prune_exactness () =
-  let num_symbols = 36 in
-  let traces = user_traces ~seed:11 ~users:12 ~num_symbols ~len:220 in
+  let traces = user_traces ~seed:11 ~users:12 ~num_symbols:36 ~len:220 in
   let batch = Ingest.batch_digests_parts ~trg_window:10 ~affinity_w:5 traces in
-  let mk prune =
-    let cfg =
-      Ingest.config ~num_symbols ~shards:2 ~trg_window:10 ~affinity_w:5 ~epoch_traces:3
-        ~prune_dead:prune ~trg_cap:never_binding ~wits_cap:never_binding ()
-    in
-    ingest_all cfg traces
-  in
-  let pruned = mk true in
-  let digests = Ingest.consensus_digests (Ingest.finalize pruned) in
-  check Alcotest.(pair string string) "pruned == batch" batch digests;
-  check Alcotest.(pair string string) "no-prune == batch" batch
-    (Ingest.consensus_digests (Ingest.finalize (mk false)));
-  let s = Ingest.stats pruned in
-  check_store ~tables:true "pruned run" s;
-  Alcotest.(check bool) "pruning actually fired" true (s.dead_pruned > 0);
-  Alcotest.(check bool)
-    "pruned table smaller than unpruned"
-    (s.wits_live < (Ingest.stats (mk false)).wits_live)
-    true
+  List.iter
+    (fun walkers ->
+      let tag = Printf.sprintf "walkers=%d" walkers in
+      let cfg =
+        Ingest.config ~num_symbols:table_universe ~walkers ~trg_window:10 ~affinity_w:5
+          ~epoch_traces:3 ()
+      in
+      let ing = ingest_all cfg (in_table_universe traces) in
+      check
+        Alcotest.(pair string string)
+        ("pruned == batch " ^ tag) batch
+        (Ingest.consensus_digests (Ingest.finalize ing));
+      let s = Ingest.stats ing in
+      check_store ~tables:true tag s;
+      Alcotest.(check bool) ("pruning fired " ^ tag) true (s.dead_pruned > 0))
+    [ 1; 2 ]
 
 (* Per-trace trimming: each trace trims independently; a repeat that
    opens one trace after another trace closed on the same symbol is
@@ -335,20 +318,15 @@ let baseline_digests ~trg_window ~affinity_w traces =
   Array.sort compare affine;
   Ingest.consensus_digests { Ingest.trg; affine }
 
-(* One exact run; [tables] takes the table walk through never-binding
-   caps instead of the grid store. *)
-let online ?pool ?(tables = false) ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
-  let cap = if tables then never_binding else 0 in
-  let cfg =
-    Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w ~trg_cap:cap ~wits_cap:cap
-      ~flush_ops:97 ()
-  in
-  ingest_all ?pool cfg traces
+(* One run; [tables] runs the traces in the table universe instead of
+   [num_symbols], so the walk takes the table store. *)
+let online ?pool ?(tables = false) ~walkers ~trg_window ~affinity_w ~num_symbols traces =
+  let num_symbols, traces = on_store ~tables num_symbols traces in
+  ingest_all ?pool (Ingest.config ~num_symbols ~walkers ~trg_window ~affinity_w ()) traces
 
-let online_digests ?pool ?tables ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces =
+let online_digests ?pool ?tables ~walkers ~trg_window ~affinity_w ~num_symbols traces =
   Ingest.consensus_digests
-    (Ingest.finalize
-       (online ?pool ?tables ~walkers ~shards ~trg_window ~affinity_w ~num_symbols traces))
+    (Ingest.finalize (online ?pool ?tables ~walkers ~trg_window ~affinity_w ~num_symbols traces))
 
 let stores = [ false; true ]
 
@@ -364,20 +342,20 @@ let test_ingest_vs_seed_kernels () =
         Alcotest.(pair string string)
         (Printf.sprintf "batch == seed kernels (seed=%d)" seed)
         want (batch_of traces);
-      U.Pool.with_pool ~jobs:2 (fun pool ->
-          List.iter
-            (fun tables ->
+      List.iter
+        (fun jobs ->
+          U.Pool.with_pool ~jobs (fun pool ->
               List.iter
-                (fun walkers ->
+                (fun tables ->
                   List.iter
-                    (fun shards ->
+                    (fun walkers ->
                       let tag =
-                        Printf.sprintf "seed=%d %s walkers=%d shards=%d" seed (store_name tables)
-                          walkers shards
+                        Printf.sprintf "seed=%d %s walkers=%d jobs=%d" seed (store_name tables)
+                          walkers jobs
                       in
                       let ing =
-                        online ~pool ~tables ~walkers ~shards ~trg_window:12 ~affinity_w:6
-                          ~num_symbols traces
+                        online ~pool ~tables ~walkers ~trg_window:12 ~affinity_w:6 ~num_symbols
+                          traces
                       in
                       check
                         Alcotest.(pair string string)
@@ -385,14 +363,14 @@ let test_ingest_vs_seed_kernels () =
                         want
                         (Ingest.consensus_digests (Ingest.finalize ing));
                       check_store ~tables tag (Ingest.stats ing))
-                    [ 1; 2 ])
-                walker_counts)
-            stores))
+                    [ 1; 2; 3 ])
+                stores))
+        [ 1; 2 ])
     [ 3; 19; 77 ]
 
 (* [finalize] mid-stream: after every k traces the consensus equals the
-   seed kernels on that prefix, at every walkers x shards point in both
-   stores, and accumulation carries on. The stream holds empty and
+   seed kernels on that prefix, at every walker count in both stores, and
+   accumulation carries on. The stream holds empty and
    single-event traces: an empty trace counts as a trace but contains no
    symbol; a single event makes its symbol present with no pair. *)
 let test_seed_kernels_prefixes () =
@@ -425,28 +403,23 @@ let test_seed_kernels_prefixes () =
         (fun tables ->
           List.iter
             (fun walkers ->
-              List.iter
-                (fun shards ->
-                  let cap = if tables then never_binding else 0 in
-                  let cfg =
-                    Ingest.config ~num_symbols ~walkers ~shards ~trg_window ~affinity_w
-                      ~trg_cap:cap ~wits_cap:cap ~flush_ops:61 ()
-                  in
-                  let ing = Ingest.create ~pool cfg in
-                  List.iteri
-                    (fun i tr ->
-                      Ingest.ingest_trace ing tr;
-                      let n = i + 1 in
-                      if n mod k = 0 || n = len then
-                        check
-                          Alcotest.(pair string string)
-                          (Printf.sprintf "prefix %d == seed kernels (%s walkers=%d shards=%d)" n
-                             (store_name tables) walkers shards)
-                          (want_at n)
-                          (Ingest.consensus_digests (Ingest.finalize ing)))
-                    traces;
-                  check Alcotest.int "every trace counted" len (Ingest.stats ing).Ingest.traces)
-                [ 1; 2 ])
+              let num_symbols, fed = on_store ~tables num_symbols traces in
+              let ing =
+                Ingest.create ~pool (Ingest.config ~num_symbols ~walkers ~trg_window ~affinity_w ())
+              in
+              List.iteri
+                (fun i tr ->
+                  Ingest.ingest_trace ing tr;
+                  let n = i + 1 in
+                  if n mod k = 0 || n = len then
+                    check
+                      Alcotest.(pair string string)
+                      (Printf.sprintf "prefix %d == seed kernels (%s walkers=%d)" n
+                         (store_name tables) walkers)
+                      (want_at n)
+                      (Ingest.consensus_digests (Ingest.finalize ing)))
+                fed;
+              check Alcotest.int "every trace counted" len (Ingest.stats ing).Ingest.traces)
             walker_counts)
         stores)
 
@@ -486,7 +459,7 @@ let test_seed_kernels_missing_symbol () =
               let tag = Printf.sprintf "%s (%s walkers=%d)" name (store_name tables) walkers in
               let c =
                 Ingest.finalize
-                  (online ~tables ~walkers ~shards:2 ~trg_window:4 ~affinity_w:3 ~num_symbols parts)
+                  (online ~tables ~walkers ~trg_window:4 ~affinity_w:3 ~num_symbols parts)
               in
               check Alcotest.(pair string string) tag want (Ingest.consensus_digests c);
               match pair01 with
@@ -507,7 +480,7 @@ let test_seed_kernels_table_universe () =
   List.iter
     (fun walkers ->
       let tag = Printf.sprintf "%d symbols, walkers=%d" num_symbols walkers in
-      let ing = online ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6 ~num_symbols traces in
+      let ing = online ~walkers ~trg_window:12 ~affinity_w:6 ~num_symbols traces in
       check Alcotest.(pair string string) tag want (Ingest.consensus_digests (Ingest.finalize ing));
       check_store ~tables:true tag (Ingest.stats ing))
     [ 1; 2 ]
@@ -526,14 +499,13 @@ let test_ingest_vs_seed_kernels_mcf () =
   Alcotest.(check bool) "mcf traces yield affine pairs" true
     (snd want <> snd (Ingest.consensus_digests { Ingest.trg = Trg.of_edges ~num_nodes:1 []; affine = [||] }));
   List.iter
-    (fun (tables, walkers, shards) ->
+    (fun (tables, walkers) ->
       check
         Alcotest.(pair string string)
-        (Printf.sprintf "mcf ingest == seed kernels (%s walkers=%d shards=%d)" (store_name tables)
-           walkers shards)
+        (Printf.sprintf "mcf ingest == seed kernels (%s walkers=%d)" (store_name tables) walkers)
         want
-        (online_digests ~tables ~walkers ~shards ~trg_window:64 ~affinity_w:16 ~num_symbols traces))
-    [ (false, 1, 1); (false, 1, 2); (false, 2, 2); (false, 3, 1); (true, 1, 2); (true, 2, 2) ]
+        (online_digests ~tables ~walkers ~trg_window:64 ~affinity_w:16 ~num_symbols traces))
+    [ (false, 1); (false, 2); (false, 3); (true, 1); (true, 2) ]
 
 (* Window-shape edge cases, each against the seed kernels: a TRG window
    narrower than the affinity window (the stack is sized by the wider
@@ -555,8 +527,7 @@ let test_ingest_window_edges () =
                 (Printf.sprintf "trg_window=%d affinity_w=%d %s walkers=%d" trg_window affinity_w
                    (store_name tables) walkers)
                 want
-                (online_digests ~tables ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols
-                   traces))
+                (online_digests ~tables ~walkers ~trg_window ~affinity_w ~num_symbols traces))
             [ 1; 2 ])
         stores)
     [ (3, 9); (1, 4); (1, 1); (2, 2); (200, 150); (24, 24); (30, 5) ]
@@ -598,10 +569,7 @@ let prop_ingest_window_pairs =
         (fun tables ->
           List.iter
             (fun walkers ->
-              let got =
-                online_digests ~tables ~walkers ~shards:2 ~trg_window ~affinity_w ~num_symbols
-                  traces
-              in
+              let got = online_digests ~tables ~walkers ~trg_window ~affinity_w ~num_symbols traces in
               if got <> want then
                 QCheck.Test.fail_reportf "ingest != seed kernels (%s %s walkers=%d)" tag
                   (store_name tables) walkers)
@@ -618,20 +586,17 @@ let test_walk_allocation () =
   let num_symbols = 64 in
   let tr = List.hd (user_traces ~seed:5 ~users:1 ~num_symbols ~len:6000) in
   List.iter
-    (fun (tables, shards) ->
-      let cap = if tables then never_binding else 0 in
-      let ing =
-        Ingest.create
-          (Ingest.config ~num_symbols ~shards ~trg_window:16 ~affinity_w:8 ~trg_cap:cap
-             ~wits_cap:cap ())
-      in
+    (fun tables ->
+      let num_symbols, trs = on_store ~tables num_symbols [ tr ] in
+      let tr = List.hd trs in
+      let ing = Ingest.create (Ingest.config ~num_symbols ~trg_window:16 ~affinity_w:8 ()) in
       Ingest.ingest_trace ing tr;
       let kept0 = (Ingest.stats ing).Ingest.kept_events in
       let w0 = Gc.minor_words () in
       Ingest.feed_trace ing tr;
       let words = int_of_float (Gc.minor_words () -. w0) in
       let kept = (Ingest.stats ing).Ingest.kept_events - kept0 in
-      let tag = Printf.sprintf "%s shards=%d" (store_name tables) shards in
+      let tag = store_name tables in
       Alcotest.(check bool) "second feed walked the trace" true (kept > 4000);
       check Alcotest.int
         (Printf.sprintf "minor words per kept event (%s, %d words total)" tag words)
@@ -639,7 +604,7 @@ let test_walk_allocation () =
       Alcotest.(check bool)
         (Printf.sprintf "constant per-call allocation (%s): %d words" tag words)
         true (words <= 64))
-    [ (false, 1); (true, 1); (true, 2) ]
+    stores
 
 (* ---------------------------------------- walker stats + histograms *)
 
@@ -653,9 +618,7 @@ let test_walker_stats_sum () =
   let kept = List.fold_left (fun a t -> a + trimmed_len t) 0 traces in
   let run ~walkers ~jobs =
     U.Pool.with_pool ~jobs (fun pool ->
-        let cfg =
-          Ingest.config ~num_symbols ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6 ()
-        in
+        let cfg = Ingest.config ~num_symbols ~walkers ~trg_window:12 ~affinity_w:6 () in
         let ing = ingest_all ~pool cfg traces in
         ignore (Ingest.finalize ing);
         Ingest.stats ing)
@@ -670,8 +633,8 @@ let test_walker_stats_sum () =
         (Printf.sprintf "kept events (walkers=%d)" walkers)
         kept s.Ingest.kept_events;
       check Alcotest.int (Printf.sprintf "traces (walkers=%d)" walkers) 9 s.Ingest.traces;
-      (* The whole record — peaks, ops, flushes — must not depend on the
-         pool schedule. *)
+      (* The whole record — ops, dispatches, live entries — must not depend
+         on the pool schedule. *)
       List.iter
         (fun jobs ->
           Alcotest.(check bool)
@@ -690,9 +653,7 @@ let test_walker_histograms () =
   let traces = user_traces ~seed:17 ~users:5 ~num_symbols ~len:80 in
   let metrics = U.Metrics.create () in
   U.Pool.with_pool ~jobs:2 (fun pool ->
-      let cfg =
-        Ingest.config ~num_symbols ~walkers:2 ~shards:2 ~trg_window:8 ~affinity_w:4 ()
-      in
+      let cfg = Ingest.config ~num_symbols ~walkers:2 ~trg_window:8 ~affinity_w:4 () in
       let ing = Ingest.create ~pool ~metrics cfg in
       List.iter (Ingest.ingest_trace ing) traces;
       ignore (Ingest.finalize ing));
@@ -710,92 +671,8 @@ let test_walker_histograms () =
         (U.Metrics.hist_total h > 0))
     [ "ingest.walker.0.trace_ns"; "ingest.walker.1.trace_ns" ]
 
-(* ---------------------------------------- bounded-memory mode *)
-
-let bounded_cfg ~num_symbols ~walkers ~shards =
-  Ingest.config ~num_symbols ~walkers ~shards ~trg_window:12 ~affinity_w:6 ~trg_cap:64
-    ~wits_cap:96 ~decay_shift:1 ~epoch_traces:4 ~flush_ops:256 ()
-
-let test_bounded_caps_and_determinism () =
-  let num_symbols = 64 in
-  let traces = user_traces ~seed:23 ~users:16 ~num_symbols ~len:400 in
-  let run ~shards ~jobs =
-    U.Pool.with_pool ~jobs (fun pool ->
-        let ing = ingest_all ~pool (bounded_cfg ~num_symbols ~walkers:1 ~shards) traces in
-        let d = Ingest.consensus_digests (Ingest.finalize ing) in
-        (d, Ingest.stats ing))
-  in
-  let reference, s = run ~shards:2 ~jobs:1 in
-  (* Under pressure the caps must bite and be respected at flush
-     boundaries. *)
-  Alcotest.(check bool) "trg evictions fired" true (s.trg_evicted > 0);
-  Alcotest.(check bool) "wits evictions fired" true (s.wits_evicted > 0);
-  Alcotest.(check bool) "decay fired" true (s.decay_dropped > 0);
-  Alcotest.(check bool) "trg peak within cap" true (s.trg_peak_shard <= 64);
-  Alcotest.(check bool) "wits peak within cap" true (s.wits_peak_shard <= 96);
-  Alcotest.(check bool) "live within caps" true
-    (s.trg_live <= 2 * 64 && s.wits_live <= 2 * 96);
-  (* Same ingest order => same result: across repeated runs and across
-     jobs counts (shard count is part of the config, so it may change the
-     approximation — but jobs must not). *)
-  List.iter
-    (fun jobs ->
-      let d, _ = run ~shards:2 ~jobs in
-      check Alcotest.(pair string string) (Printf.sprintf "jobs=%d identical" jobs) reference d)
-    jobs_counts;
-  let again, _ = run ~shards:2 ~jobs:2 in
-  check Alcotest.(pair string string) "repeated run identical" reference again
-
-(* Bounded mode with several walkers: the walker count, like the shard
-   count, is part of the config — each count gives its own
-   approximation, but that approximation (digests AND the full stats
-   record: evictions, prunes, peaks, flushes) is identical at every
-   jobs count and across repeats. *)
-let test_bounded_walker_determinism () =
-  let num_symbols = 64 in
-  let traces = user_traces ~seed:29 ~users:16 ~num_symbols ~len:400 in
-  let run ~walkers ~jobs =
-    U.Pool.with_pool ~jobs (fun pool ->
-        let ing = ingest_all ~pool (bounded_cfg ~num_symbols ~walkers ~shards:2) traces in
-        let d = Ingest.consensus_digests (Ingest.finalize ing) in
-        (d, Ingest.stats ing))
-  in
-  List.iter
-    (fun walkers ->
-      let ref_d, ref_s = run ~walkers ~jobs:1 in
-      Alcotest.(check bool)
-        (Printf.sprintf "caps hold (walkers=%d)" walkers)
-        true
-        (ref_s.Ingest.trg_peak_shard <= 64 && ref_s.Ingest.wits_peak_shard <= 96);
-      List.iter
-        (fun jobs ->
-          let d, s = run ~walkers ~jobs in
-          check
-            Alcotest.(pair string string)
-            (Printf.sprintf "digests deterministic (walkers=%d jobs=%d)" walkers jobs)
-            ref_d d;
-          Alcotest.(check bool)
-            (Printf.sprintf "stats deterministic (walkers=%d jobs=%d)" walkers jobs)
-            true (s = ref_s))
-        [ 2; 4 ];
-      let again_d, again_s = run ~walkers ~jobs:2 in
-      check
-        Alcotest.(pair string string)
-        (Printf.sprintf "repeat identical (walkers=%d)" walkers)
-        ref_d again_d;
-      Alcotest.(check bool)
-        (Printf.sprintf "repeat stats identical (walkers=%d)" walkers)
-        true
-        (again_s = ref_s))
-    [ 1; 2; 4 ]
-
-(* Bounded mode pinned: caps + decay + epochs at every walkers x shards
-   point give exactly the digests and eviction / decay / prune / flush
-   counters that the buffered-update ingest (table updates queued until
-   each flush) produced. Updates now land in the tables as the walk emits
-   them; this pins that no cap-eviction point moved. The traces are
-   phrase-structured (fixed 4-block runs plus noise blocks) so the
-   affine set survives the caps and is pinned too. *)
+(* Phrase-structured traces (fixed 4-block runs plus noise blocks), so
+   the affine set is not empty. *)
 let phrase_traces ~seed ~users ~len =
   let prng = U.Prng.create ~seed in
   List.init users (fun _ ->
@@ -811,50 +688,16 @@ let phrase_traces ~seed ~users ~len =
       done;
       t)
 
-let bounded_pins =
-  [
-    (1, 1, "b31b4ed77526ddae761ba97effc1e557", "d0a8d2c0cd3b646c137a8e92d1665cf2", (4442, 35782, 76, 911, 250));
-    (1, 2, "4d2df4adb2c467bd0551383101d791f1", "28a790ff6bcda1b006d91925c5ebd8ac", (3746, 28901, 58, 1637, 250));
-    (2, 1, "0e66a988496515d85661b24775a71b4a", "d0a8d2c0cd3b646c137a8e92d1665cf2", (4344, 34556, 82, 2014, 251));
-    (2, 2, "64cbc0b98e1ad91d6f57b481c4cf7cf2", "ba8948cbf3b2e7840626a08781f57bdd", (3428, 27037, 146, 3426, 251));
-    (4, 1, "a066d719c57ee20069efdc560aff066b", "d41d8cd98f00b204e9800998ecf8427e", (4284, 31854, 243, 4098, 256));
-    (4, 2, "dda44771d694cf39c67ce76ea81499e7", "d0a8d2c0cd3b646c137a8e92d1665cf2", (3063, 23668, 755, 6775, 256));
-  ]
-
-let test_bounded_pinned () =
-  let traces = phrase_traces ~seed:31 ~users:16 ~len:100 in
-  U.Pool.with_pool ~jobs:2 (fun pool ->
-      List.iter
-        (fun (walkers, shards, trg_d, aff_d, counters) ->
-          let cfg =
-            Ingest.config ~num_symbols:64 ~walkers ~shards ~trg_window:12 ~affinity_w:6
-              ~trg_cap:64 ~wits_cap:200 ~decay_shift:1 ~epoch_traces:4 ~flush_ops:256 ()
-          in
-          let ing = ingest_all ~pool cfg traces in
-          let tag = Printf.sprintf "walkers=%d shards=%d" walkers shards in
-          check
-            Alcotest.(pair string string)
-            ("digests " ^ tag) (trg_d, aff_d)
-            (Ingest.consensus_digests (Ingest.finalize ing));
-          let s = Ingest.stats ing in
-          let int5 = Alcotest.(pair int (pair int (pair int (pair int int)))) in
-          let te, we, dd, dp, fl = counters in
-          check int5
-            ("trg_evicted, wits_evicted, decay_dropped, dead_pruned, flushes " ^ tag)
-            (te, (we, (dd, (dp, fl))))
-            (s.trg_evicted, (s.wits_evicted, (s.decay_dropped, (s.dead_pruned, s.flushes)))))
-        bounded_pins)
-
 (* The stats contract of the grid store: on this fixed input (phrase
    traces, one empty trace, two trimming-heavy traces; an epoch every 4
-   traces, a flush every 256 table updates, one mid-stream finalize) the
-   walk-derived counters are pinned, and equal the table walk's on the
-   same input. The table-only fields read zero. *)
+   traces, one mid-stream finalize) the walk-derived counters are pinned,
+   and equal the table walk's on the same input. The table-only fields
+   read zero. *)
 let stats_pins =
   [
-    (1, (12, 2154, 2104, 3627, 20686), (96, 0, 3, 2, 736));
-    (2, (12, 2154, 2104, 3627, 20686), (97, 7, 3, 2, 992));
-    (4, (12, 2154, 2104, 3627, 20686), (100, 4, 3, 2, 1292));
+    (1, (12, 2154, 2104, 3627, 20686), (0, 3, 2, 736));
+    (2, (12, 2154, 2104, 3627, 20686), (7, 3, 2, 992));
+    (4, (12, 2154, 2104, 3627, 20686), (4, 3, 2, 1292));
   ]
 
 let test_grid_stats_pinned () =
@@ -866,24 +709,24 @@ let test_grid_stats_pinned () =
     | a :: rest -> a :: Trace.create ~num_symbols () :: rest
     | [] -> assert false
   in
-  let int5 = Alcotest.(pair int (pair int (pair int (pair int int)))) in
+  let int4 = Alcotest.(pair int (pair int (pair int int))) in
+  let int5 = Alcotest.(pair int int4) in
   let p5 (a, b, c, d, e) = (a, (b, (c, (d, e)))) in
   U.Pool.with_pool ~jobs:2 (fun pool ->
       List.iter
-        (fun (walkers, walk, books) ->
+        (fun (walkers, walk, (dispatches, epochs, merges, trg_live)) ->
           List.iter
             (fun tables ->
-              let cap = if tables then never_binding else 0 in
+              let num_symbols, fed = on_store ~tables num_symbols traces in
               let cfg =
-                Ingest.config ~num_symbols ~walkers ~shards:2 ~trg_window:12 ~affinity_w:6
-                  ~epoch_traces:4 ~flush_ops:256 ~trg_cap:cap ~wits_cap:cap ()
+                Ingest.config ~num_symbols ~walkers ~trg_window:12 ~affinity_w:6 ~epoch_traces:4 ()
               in
               let ing = Ingest.create ~pool cfg in
               List.iteri
                 (fun i t ->
                   Ingest.ingest_trace ing t;
                   if i = 4 then ignore (Ingest.finalize ing))
-                traces;
+                fed;
               let tag = Printf.sprintf "%s walkers=%d" (store_name tables) walkers in
               check
                 Alcotest.(pair string string)
@@ -895,39 +738,13 @@ let test_grid_stats_pinned () =
                 ("traces, events, kept_events, trg_ops, wit_ops " ^ tag)
                 (p5 walk)
                 (p5 (s.traces, s.events, s.kept_events, s.trg_ops, s.wit_ops));
-              check int5
-                ("flushes, dispatches, epochs, merges, trg_live " ^ tag)
-                (p5 books)
-                (p5 (s.flushes, s.dispatches, s.epochs, s.merges, s.trg_live));
+              check int4
+                ("dispatches, epochs, merges, trg_live " ^ tag)
+                (dispatches, (epochs, (merges, trg_live)))
+                (s.dispatches, (s.epochs, (s.merges, s.trg_live)));
               check_store ~tables tag s)
             stores)
         stats_pins)
-
-(* Decay arithmetic on a hand-checked example: one epoch of shift-1 decay
-   halves (floor) every TRG weight and forgets weight-1 edges. *)
-let test_decay_example () =
-  let num_symbols = 8 in
-  let mk_trace l =
-    let t = Trace.create ~num_symbols () in
-    List.iter (Trace.push t) l;
-    t
-  in
-  (* Trace [0;1;0;1;0]: each event from the third on recurs within
-     window 4 with the other symbol in between, so TRG edge (0,1) ends
-     at weight 3. *)
-  let cfg_decay =
-    Ingest.config ~num_symbols ~trg_window:4 ~affinity_w:4 ~decay_shift:1 ~epoch_traces:1 ()
-  in
-  let ing = Ingest.create cfg_decay in
-  Ingest.ingest_trace ing (mk_trace [ 0; 1; 0; 1; 0 ]);
-  (* All of this trace's ops flush at its end_trace epoch, so the full
-     weight decays once: 3 lsr 1 = 1. *)
-  let c = Ingest.finalize ing in
-  check Alcotest.int "decayed weight" 1 (Trg.weight c.trg 0 1);
-  (* A second epoch with no new evidence forgets the edge entirely. *)
-  Ingest.ingest_trace ing (mk_trace [ 2; 3 ]);
-  let c2 = Ingest.finalize ing in
-  check Alcotest.int "edge forgotten" 0 (Trg.weight c2.trg 0 1)
 
 (* ---------------------------------------- the service driver *)
 
@@ -937,7 +754,7 @@ let test_decay_example () =
    conservation-checked interference probe. *)
 let serve_run users =
   let cfg =
-    H.Serve.config ~users ~seed:3 ~fuel:600 ~shards:2 ~epoch_traces:2 ~reopt_steps:10
+    H.Serve.config ~users ~seed:3 ~fuel:600 ~epoch_traces:2 ~reopt_steps:10
       ~program:"429.mcf" ()
   in
   let obs = U.Obs.create () in
@@ -989,7 +806,7 @@ let test_flush_on_exit () =
 let test_serve_multi_walker () =
   let run walkers =
     let cfg =
-      H.Serve.config ~users:6 ~seed:5 ~fuel:500 ~walkers ~shards:2 ~epoch_traces:3
+      H.Serve.config ~users:6 ~seed:5 ~fuel:500 ~walkers ~epoch_traces:3
         ~verify:true ~program:"429.mcf" ()
     in
     U.Pool.with_pool ~jobs:2 (fun pool -> H.Serve.run ~pool cfg)
@@ -1023,9 +840,7 @@ let test_watch_spool () =
       let alien = Trace.create ~num_symbols:(num_symbols + 5) () in
       Trace.push alien 0;
       Trace_io.save ~path:(Filename.concat dir "alien.trc") alien;
-      let cfg =
-        Ingest.config ~num_symbols ~walkers:2 ~shards:2 ~trg_window:10 ~affinity_w:5 ()
-      in
+      let cfg = Ingest.config ~num_symbols ~walkers:2 ~trg_window:10 ~affinity_w:5 () in
       let ing = Ingest.create cfg in
       let on_poll i =
         (* Lands mid-watch; needs two further stable sightings. *)
@@ -1047,8 +862,8 @@ let () =
     [
       ( "ingest",
         [
-          Alcotest.test_case "multi-walker online == batch across walkers x shards x jobs"
-            `Quick test_walkers_equal_batch;
+          Alcotest.test_case "multi-walker online == batch across walkers x jobs" `Quick
+            test_walkers_equal_batch;
           QCheck_alcotest.to_alcotest prop_walker_partition;
           Alcotest.test_case "chunked and file feeds equivalent" `Quick
             test_chunked_and_file_feeds;
@@ -1062,7 +877,7 @@ let () =
             test_walker_histograms;
           Alcotest.test_case "grid-store stats pinned, equal to the table walk's" `Quick
             test_grid_stats_pinned;
-          Alcotest.test_case "ingest == seed kernels across walkers x shards" `Quick
+          Alcotest.test_case "ingest == seed kernels across walkers x jobs" `Quick
             test_ingest_vs_seed_kernels;
           Alcotest.test_case "ingest == seed kernels on 429.mcf traces" `Quick
             test_ingest_vs_seed_kernels_mcf;
@@ -1075,15 +890,6 @@ let () =
           Alcotest.test_case "exact mode past the grid bound takes the table walk" `Quick
             test_seed_kernels_table_universe;
           Alcotest.test_case "warm walk allocates nothing per event" `Quick test_walk_allocation;
-        ] );
-      ( "bounded",
-        [
-          Alcotest.test_case "caps + determinism under pressure" `Quick
-            test_bounded_caps_and_determinism;
-          Alcotest.test_case "per-walker-count determinism" `Quick
-            test_bounded_walker_determinism;
-          Alcotest.test_case "decay example" `Quick test_decay_example;
-          Alcotest.test_case "pinned digests and counters" `Quick test_bounded_pinned;
         ] );
       ( "service",
         [
