@@ -114,6 +114,25 @@ let kernels =
               "the %s ingest walk's %s digest diverges from the scanning oracle's"
               (str "program" r) what)
           [ "trg"; "affine" ]);
+    gate "interp-matches-seed" (fun m ->
+        List.iter
+          (fun r ->
+            ensure
+              (str "flat_digest" r = str "seed_digest" r)
+              "the interpreter's run of %s diverges from the seed loop's" (str "case" r))
+          (nonempty "interp runs" (list "runs" (get "interp" (cells m)))));
+    (* The loop's per-block work allocates nothing: a steady-state call
+       allocating a minor word per executed block is boxing per event. *)
+    gate "interp-alloc-below-blocks" (fun m ->
+        List.iter
+          (fun r ->
+            let minor = num "minor_words" (get "flat" (get "gc_per_call" r)) in
+            let blocks = int "blocks" r in
+            ensure
+              (minor < float_of_int blocks)
+              "a %s call allocates %.0f minor words, no fewer than its %d blocks" (str "case" r)
+              minor blocks)
+          (nonempty "interp runs" (list "runs" (get "interp" (cells m)))));
     (* The replays read their traces in place: a steady-state co-run call
        allocating a trace's worth of major words is copying one. *)
     gate "corun-no-trace-copy" (fun m ->

@@ -360,6 +360,58 @@ let cache_replay ~quick ~bench =
   Printf.printf "  (%s vs %s, fuel %d)\n%!" corun_program corun_peer fuel;
   (corun_cells, corun, solo_cells, solo)
 
+(* The interpreter against the loop it replaced ([Seed_interp], in
+   test/oracle/): 445.gobmk on its reference input, and one 429.mcf user
+   at `repro serve`'s default fuel. Both sides must return the same
+   result (one digest over every field); the flat loop must allocate
+   fewer minor words per call than it executes blocks. *)
+let interp_digest (r : E.Interp.result) =
+  let b = Buffer.create 65536 in
+  let vec v =
+    U.Int_vec.iter (fun x -> Printf.bprintf b "%d," x) v;
+    Buffer.add_char b '|'
+  in
+  List.iter
+    (fun t ->
+      Printf.bprintf b "%s/%d:" (T.Trace.name t) (T.Trace.num_symbols t);
+      vec (T.Trace.events t))
+    [ r.E.Interp.bb_trace; r.E.Interp.fn_trace ];
+  vec r.E.Interp.data_trace;
+  vec r.E.Interp.call_trace;
+  Printf.bprintf b "%d %d %b" r.E.Interp.instr_count r.E.Interp.block_execs r.E.Interp.completed;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let interp ~quick ~bench =
+  let case program what input =
+    let prog = W.Spec.build program in
+    let flat () = E.Interp.run prog input and seed () = Seed_interp.run prog input in
+    let run f () = ignore (f ()) in
+    let name = Printf.sprintf "interp/%s-%s" (W.Spec.short_name program) what in
+    let flat_cell = bench (name ^ "-flat") (run flat) in
+    let seed_cell = bench (name ^ "-seed") (run seed) in
+    let r = flat () in
+    ( (flat_cell, seed_cell),
+      Out.(
+        obj
+          [
+            ("case", str (program ^ " " ^ what));
+            ("program", str program);
+            ("fuel", int input.E.Interp.max_blocks);
+            ("seed", int input.E.Interp.seed);
+            ("blocks", int r.E.Interp.block_execs);
+            ("flat_digest", str (interp_digest r));
+            ("seed_digest", str (interp_digest (seed ())));
+            ("gc_per_call", obj [ ("flat", gc_per_call (run flat)); ("seed", gc_per_call (run seed)) ]);
+          ]) )
+  in
+  let cases =
+    [
+      case "445.gobmk" "ref" (E.Interp.ref_input ~max_blocks:(if quick then 20_000 else 200_000) ());
+      case "429.mcf" "serve" (E.Interp.test_input ~max_blocks:4_000 ());
+    ]
+  in
+  (List.map fst cases, Out.(obj [ ("runs", arr snd cases) ]))
+
 (* `repro serve`'s users: each user's input seed and fuel (in
    [max_fuel / 2, max_fuel]) come from the user's own Prng stream, as in
    [Serve]; the basic-block traces of [program]. *)
@@ -475,12 +527,14 @@ let kernels ~quick ~dir:_ =
     pair_grid_kernels ~bench:(bench_with (per_call_min ~budget:(Float.max budget 0.2))) bb
   in
   let (walk_flagged, walk_scanning), ingest_walk = ingest_walk ~quick ~bench in
+  let interp_timed, interp = interp ~quick ~bench in
   let kernels =
     [
       trg_packed; trg_legacy; aff_packed; aff_legacy; reduce; reduce_legacy; windows_one_pass;
       windows_per_window; corun_indexed; corun_seed; solo_indexed; solo_seed;
     ]
     @ grid_timed @ [ walk_flagged; walk_scanning ]
+    @ List.concat_map (fun (f, s) -> [ f; s ]) interp_timed
   in
   let speedups =
     [
@@ -492,6 +546,11 @@ let kernels ~quick ~dir:_ =
       ("cache-replay-solo", snd solo_seed /. snd solo_indexed);
       ("ingest-walk", snd walk_scanning /. snd walk_flagged);
     ]
+    @ List.map
+        (fun ((flat_name, flat_ns), (_, seed_ns)) ->
+          ( String.map (function '/' -> '-' | c -> c) (Filename.chop_suffix flat_name "-flat"),
+            seed_ns /. flat_ns ))
+        interp_timed
   in
   List.iter (fun (n, s) -> Printf.printf "  speedup %-32s %12.2fx\n%!" n s) speedups;
   let real = real_reduce ~budget bb in
@@ -533,6 +592,7 @@ let kernels ~quick ~dir:_ =
           ("reduce_real", obj real);
           ("pair_grid", obj pair_grid);
           ("ingest_walk", ingest_walk);
+          ("interp", interp);
           ("corun", corun);
           ("solo", solo);
         ] )
@@ -882,9 +942,10 @@ let layout_eval ~quick ~dir:_ =
        down both paths: a [Layout_eval.Delta] session (all moves
        committed, periodic resync audits included in the wall) and a
        per-move full [miss_ratio_of_order]. Both per-move ratio streams
-       are digested. Measured dirty-%, the share of dirty sets counted
-       without a replay, and replayed-event fractions come from
-       [Delta.stats], not the nominal labels.
+       are digested. Each side's wall is the median of five runs, the
+       sides alternating, as in (b). Measured dirty-%, the share of dirty
+       sets counted without a replay, and replayed-event fractions come
+       from [Delta.stats], not the nominal labels.
 
    (b) the anneal wall, [Anneal.search ~max_span:2] (the local refinement
        regime) in [`Full] vs [`Delta] mode. Both modes draw the same PRNG
@@ -971,7 +1032,7 @@ let layout_eval_delta ~quick ~dir:_ =
         mv_b.(i) <- (if fwd then tail else head);
         mv_swap.(i) <- false
     done;
-    let (delta_ratios, st), delta_ns =
+    let delta () =
       settled_time (fun () ->
           let sess = Layout_eval.Delta.start engine (Array.init nf Fun.id) in
           let ratios =
@@ -985,7 +1046,7 @@ let layout_eval_delta ~quick ~dir:_ =
           in
           (ratios, Layout_eval.Delta.stats sess))
     in
-    let full_ratios, full_ns =
+    let full () =
       settled_time (fun () ->
           let order = Array.init nf Fun.id in
           Array.init moves (fun i ->
@@ -993,6 +1054,19 @@ let layout_eval_delta ~quick ~dir:_ =
               else Anneal.apply_relocate order mv_a.(i) mv_b.(i);
               Layout_eval.miss_ratio_of_order engine order))
     in
+    (* Five runs per side, alternating, as the anneal below: one scenario
+       wall is ~0.3 ms at its smallest, and a single run let one
+       scheduler hiccup reorder two scenarios' speedups. *)
+    let runs =
+      List.init 5 (fun _ ->
+          let d = delta () in
+          (d, full ()))
+    in
+    let ((delta_ratios, st), _), (full_ratios, _) = List.hd runs in
+    let delta_walls = List.map (fun ((_, ns), _) -> ns) runs in
+    let full_walls = List.map (fun (_, (_, ns)) -> ns) runs in
+    let median walls = int_of_float (U.Stats.median (List.map float_of_int walls)) in
+    let delta_ns = median delta_walls and full_ns = median full_walls in
     let denom = float_of_int st.Layout_eval.Delta.moves in
     let dirty_pct =
       100.0
@@ -1028,6 +1102,8 @@ let layout_eval_delta ~quick ~dir:_ =
           ("replayed_events_pct", num replayed_pct);
           ("full_wall_ns", int full_ns);
           ("delta_wall_ns", int delta_ns);
+          ("full_walls_ns", arr int full_walls);
+          ("delta_walls_ns", arr int delta_walls);
           ("speedup", num speedup);
           ("delta_digest", str (digest_ratios delta_ratios));
           ("full_digest", str (digest_ratios full_ratios));

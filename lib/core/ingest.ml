@@ -96,7 +96,7 @@ type walker = {
   id : int;
   stack : Window_stack.t; (* top max(trg_window, affinity_w) LRU entries *)
   store : store;
-  queue : int array Queue.t; (* completed traces awaiting this walker *)
+  queue : Int_vec.t Queue.t; (* completed traces awaiting this walker *)
   delta : Metrics.t option; (* walker-private registry, folded per dispatch *)
   wh_trace : Metrics.histogram option; (* ingest.trace_ns in [delta] *)
   wh_walker : Metrics.histogram option; (* ingest.walker.<id>.trace_ns in [delta] *)
@@ -115,7 +115,7 @@ type t = {
   h_merge : Metrics.histogram option;
   clock : unit -> int64;
   walkers : walker array;
-  stage : Int_vec.t; (* current-trace staging buffer (walkers > 1) *)
+  mutable stage : Int_vec.t; (* current-trace staging buffer (walkers > 1) *)
   mutable next_walker : int; (* round-robin assignment cursor *)
   mutable queued : int; (* completed traces enqueued since last dispatch *)
   mutable traces : int;
@@ -184,7 +184,7 @@ let create ?pool ?metrics cfg =
     h_merge = Option.map (fun m -> Metrics.histogram m "ingest.merge_ns") metrics;
     clock = Metrics.default_clock;
     walkers = Array.init cfg.walkers (make_walker cfg metrics);
-    stage = Int_vec.create ~capacity:(if cfg.walkers > 1 then 4096 else 0) ();
+    stage = Int_vec.create ~capacity:0 ();
     next_walker = 0;
     queued = 0;
     traces = 0;
@@ -429,9 +429,12 @@ let end_stream (wk : walker) =
    folded into the main registry after the dispatch barrier. *)
 let walker_drain t (wk : walker) =
   while not (Queue.is_empty wk.queue) do
-    let arr = Queue.pop wk.queue in
+    let tr = Queue.pop wk.queue in
     let t0 = if Option.is_some wk.delta then t.clock () else 0L in
-    Array.iter (fun x -> walk_event t wk x) arr;
+    let ev = Int_vec.backing tr in
+    for i = 0 to Int_vec.length tr - 1 do
+      walk_event t wk (Array.unsafe_get ev i)
+    done;
     end_stream wk;
     match wk.wh_trace with
     | Some h ->
@@ -495,23 +498,32 @@ let feed_sym t x =
   end
   else Int_vec.push t.stage x
 
-(* With one walker, one loop over the trace's backing array: [Trace.push]
-   kept every event inside the trace's universe, which is the config's. *)
-let feed_trace t tr =
-  if Trace.num_symbols tr <> t.cfg.num_symbols then
-    invalid_arg "Ingest.feed_trace: trace symbol universe does not match config";
+(* Events already inside the config's universe, with no range check:
+   one walker walks the vector's array in place, more stage it with one
+   copy. *)
+let feed_events t ev =
+  let len = Int_vec.length ev in
   if t.cfg.walkers = 1 then begin
-    let len = Trace.length tr in
     if len > 0 then begin
       start_trace t;
-      let wk = t.walkers.(0) and ev = Int_vec.backing (Trace.events tr) in
+      let wk = t.walkers.(0) and a = Int_vec.backing ev in
       for i = 0 to len - 1 do
         t.events <- t.events + 1;
-        walk_event t wk (Array.unsafe_get ev i)
+        walk_event t wk (Array.unsafe_get a i)
       done
     end
   end
-  else Trace.iter (fun x -> feed_sym t x) tr
+  else begin
+    t.events <- t.events + len;
+    Int_vec.append t.stage ev
+  end
+
+(* [Trace] kept every event inside the trace's universe, which is the
+   config's. *)
+let feed_trace t tr =
+  if Trace.num_symbols tr <> t.cfg.num_symbols then
+    invalid_arg "Ingest.feed_trace: trace symbol universe does not match config";
+  feed_events t (Trace.events tr)
 
 let feed_chunk t buf n =
   if n < 0 || n > Array.length buf then invalid_arg "Ingest.feed_chunk";
@@ -531,13 +543,14 @@ let end_trace t =
     end
   end
   else begin
-    let n = Int_vec.length t.stage in
-    if n > 0 then begin
-      let arr = Int_vec.to_array t.stage in
-      Int_vec.clear t.stage;
+    if not (Int_vec.is_empty t.stage) then begin
+      (* The stage itself is queued, not a copy of it; the next trace
+         stages into a fresh vector. *)
+      let staged = t.stage in
+      t.stage <- Int_vec.create ~capacity:0 ();
       (* Round-robin by completed non-empty trace index: a pure function
          of the feed order, independent of the pool schedule. *)
-      Queue.push arr t.walkers.(t.next_walker).queue;
+      Queue.push staged t.walkers.(t.next_walker).queue;
       t.next_walker <- (t.next_walker + 1) mod t.cfg.walkers;
       t.queued <- t.queued + 1;
       if t.queued >= t.cfg.walkers then dispatch t
@@ -576,9 +589,9 @@ let feed_file t ~path =
           end
         in
         go ();
-        Int_vec.to_array v)
+        v)
   in
-  feed_chunk t events (Array.length events);
+  feed_events t events;
   end_trace t
 
 let stats t : stats =

@@ -101,7 +101,10 @@ val feed_chunk : t -> int array -> int -> unit
     [Trace_io.read_chunk]. *)
 
 val feed_trace : t -> Colayout_trace.Trace.t -> unit
-(** Feed a whole in-memory trace (does not end it).
+(** Feed a whole in-memory trace (does not end it). Its events are not
+    range-checked again ({!Colayout_trace.Trace} keeps them in range);
+    with [walkers > 1] they are staged with one copy, not one call per
+    event.
     @raise Invalid_argument when the trace's symbol universe differs from
     the config's. *)
 

@@ -63,75 +63,141 @@ let exec_instr vars rng data = function
   | Types.Load e | Types.Store e ->
     Int_vec.push data (eval_expr vars rng e land address_mask)
 
+(* One block resolved for the loop: its id, its function, its non-[Work]
+   instructions as an array ([Work] does nothing at run time), its
+   instruction count and its terminator. *)
+type rblock = {
+  id : int;
+  fn : int;
+  ops : Types.instr array;
+  icount : int;
+  term : Types.terminator;
+}
+
+let resolve (b : Program.block) =
+  {
+    id = b.id;
+    fn = b.fn;
+    ops = Array.of_list (List.filter (function Types.Work _ -> false | _ -> true) b.instrs);
+    icount = b.instr_count;
+    term = b.term;
+  }
+
+(* [buf] doubled, at most to [cap] entries, with its first [n] kept. A
+   typed loop copies: [Array.blit] stores each word of a major-heap
+   array through [caml_modify]. *)
+let grow buf n ~cap =
+  let b = Array.make (min cap (2 * Array.length buf)) 0 in
+  for i = 0 to n - 1 do
+    Array.unsafe_set b i (Array.unsafe_get buf i)
+  done;
+  b
+
+(* The loop writes bb events, fn events and return addresses into local
+   int buffers, and hands the two event buffers to [Trace] once, at the
+   end, without a copy. A [Call] to a function that does not exist
+   writes the callee into the fn buffer and stops the loop: the
+   hand-off's range check then raises the error [Trace.push] raised at
+   that call. Errors the loop raises itself (bad block, bad variable,
+   bad [Rand] bound) come in execution order. *)
 let run ?metrics program input =
   let nb = Program.num_blocks program in
   let nf = Program.num_funcs program in
-  let bb_trace =
-    Colayout_trace.Trace.create ~name:(Program.name program ^ ".bb") ~num_symbols:nb ()
-  in
-  let fn_trace =
-    Colayout_trace.Trace.create ~name:(Program.name program ^ ".fn") ~num_symbols:nf ()
-  in
+  (* An empty universe fails before the run, with [Trace.create]'s
+     message for it. *)
+  if nb <= 0 || nf <= 0 then invalid_arg "Trace.create: num_symbols must be positive";
+  let blocks = Array.map resolve (Program.blocks program) in
+  let entries = Array.map (fun (f : Program.func) -> f.entry) (Program.funcs program) in
   let data_trace = Int_vec.create () in
   let call_trace = Int_vec.create () in
   let vars = Array.make num_vars 0 in
   Array.iteri (fun i v -> if i < num_vars then vars.(i) <- v) input.params;
   let rng = Prng.create ~seed:input.seed in
-  let call_stack = Vec.create () in
+  let max_blocks = input.max_blocks in
+  (* Every block execution writes one bb event, so [max_blocks] bounds
+     that buffer. Programs run to their fuel (every [Spec] program does),
+     so the buffer starts at the fuel, up to 2^20 events, and is then the
+     trace's storage as it stands. A run that stops far short of it is
+     copied down by [Trace.of_buffer]. Function entries are about a fifth
+     of the block executions in the [Spec] programs. *)
+  let bb_cap = max 1 (min max_blocks (1 lsl 20)) in
+  let bb = ref (Array.make bb_cap 0) in
+  let fns = ref (Array.make (max 64 (bb_cap / 4)) 0) in
+  let nfn = ref 0 in
+  let stack = ref (Array.make 64 0) in
+  let depth = ref 0 in
   let instr_count = ref 0 in
   let block_execs = ref 0 in
   let completed = ref false in
-  let entry = (Program.main program).entry in
-  Colayout_trace.Trace.push fn_trace (Program.main program).fid;
-  let cur = ref entry in
+  let main = Program.main program in
+  Array.unsafe_set !fns 0 main.fid;
+  nfn := 1;
+  let cur = ref main.entry in
   let running = ref true in
-  while !running do
-    if !block_execs >= input.max_blocks then running := false
-    else begin
-      let b = Program.block program !cur in
-      Colayout_trace.Trace.push bb_trace b.id;
-      incr block_execs;
-      instr_count := !instr_count + b.instr_count;
-      List.iter (exec_instr vars rng data_trace) b.instrs;
-      match b.term with
-      | Types.Jump target -> cur := target
-      | Types.Branch { cond; if_true; if_false } ->
-        cur := if eval_expr vars rng cond <> 0 then if_true else if_false
-      | Types.Switch { sel; targets; default } ->
-        let s = eval_expr vars rng sel in
-        cur := if s >= 0 && s < Array.length targets then targets.(s) else default
-      | Types.Call { callee; return_to } ->
-        Vec.push call_stack return_to;
-        Colayout_trace.Trace.push fn_trace callee;
+  while !running && !block_execs < max_blocks do
+    let c = !cur in
+    if c < 0 || c >= nb then ignore (Program.block program c);
+    let b = Array.unsafe_get blocks c in
+    let n = !block_execs in
+    if n = Array.length !bb then bb := grow !bb n ~cap:max_blocks;
+    Array.unsafe_set !bb n b.id;
+    block_execs := n + 1;
+    instr_count := !instr_count + b.icount;
+    let ops = b.ops in
+    for i = 0 to Array.length ops - 1 do
+      exec_instr vars rng data_trace (Array.unsafe_get ops i)
+    done;
+    match b.term with
+    | Types.Jump target -> cur := target
+    | Types.Branch { cond; if_true; if_false } ->
+      cur := if eval_expr vars rng cond <> 0 then if_true else if_false
+    | Types.Switch { sel; targets; default } ->
+      let s = eval_expr vars rng sel in
+      cur := if s >= 0 && s < Array.length targets then targets.(s) else default
+    | Types.Call { callee; return_to } ->
+      let k = !nfn in
+      if k = Array.length !fns then fns := grow !fns k ~cap:max_int;
+      Array.unsafe_set !fns k callee;
+      nfn := k + 1;
+      if callee < 0 || callee >= nf then running := false
+      else begin
+        let d = !depth in
+        if d = Array.length !stack then stack := grow !stack d ~cap:max_int;
+        Array.unsafe_set !stack d return_to;
+        depth := d + 1;
         Int_vec.push call_trace ((b.fn * nf) + callee);
-        cur := (Program.func program callee).entry
-      | Types.Return -> (
-        match Vec.pop call_stack with
-        | Some ret -> cur := ret
-        | None ->
-          completed := true;
-          running := false)
-      | Types.Halt ->
+        cur := Array.unsafe_get entries callee
+      end
+    | Types.Return ->
+      let d = !depth in
+      if d > 0 then begin
+        depth := d - 1;
+        cur := Array.unsafe_get !stack (d - 1)
+      end
+      else begin
         completed := true;
         running := false
-    end
+      end
+    | Types.Halt ->
+      completed := true;
+      running := false
   done;
+  (* Read the loop's counters out before the closure below: a ref a
+     closure captures is boxed, and the loop would pay for it. *)
+  let block_execs = !block_execs and nfn = !nfn and instr_count = !instr_count in
+  let name = Program.name program in
+  let bb_trace =
+    Colayout_trace.Trace.of_buffer ~name:(name ^ ".bb") ~num_symbols:nb !bb ~len:block_execs
+  in
+  let fn_trace = Colayout_trace.Trace.of_buffer ~name:(name ^ ".fn") ~num_symbols:nf !fns ~len:nfn in
   Option.iter
     (fun m ->
       Metrics.add m "interp.runs" 1;
-      Metrics.add m "interp.blocks" !block_execs;
-      Metrics.add m "interp.instrs" !instr_count;
-      Metrics.add m "interp.fn_events" (Colayout_trace.Trace.length fn_trace))
+      Metrics.add m "interp.blocks" block_execs;
+      Metrics.add m "interp.instrs" instr_count;
+      Metrics.add m "interp.fn_events" nfn)
     metrics;
-  {
-    bb_trace;
-    fn_trace;
-    data_trace;
-    call_trace;
-    instr_count = !instr_count;
-    block_execs = !block_execs;
-    completed = !completed;
-  }
+  { bb_trace; fn_trace; data_trace; call_trace; instr_count; block_execs; completed = !completed }
 
 let block_instr_counts program =
   Array.map (fun (b : Program.block) -> b.instr_count) (Program.blocks program)

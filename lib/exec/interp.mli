@@ -38,8 +38,16 @@ type result = {
 val run :
   ?metrics:Colayout_util.Metrics.t -> Colayout_ir.Program.t -> input -> result
 (** @raise Invalid_argument on malformed programs (callers should have
-    validated). A [Return] with an empty call stack halts, like returning
-    from [main].
+    validated), with the message of the check that fails first in
+    execution order. A [Return] with an empty call stack halts, like
+    returning from [main].
+
+    Each call resolves the program's blocks into a flat array (nothing is
+    cached across calls), then records events without a call per event:
+    bb and fn events go into local buffers that become the traces'
+    storage (see {!Colayout_trace.Trace.of_buffer}), and [Rand] draws
+    from an allocation-free {!Colayout_util.Prng}. A steady-state run
+    allocates fewer minor words than it executes blocks.
 
     When [metrics] is given, the run adds to the registry's [interp.runs],
     [interp.blocks], [interp.instrs] and [interp.fn_events] counters. *)

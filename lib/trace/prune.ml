@@ -25,14 +25,26 @@ let hot_symbols t ~top =
   in
   Array.of_list (List.map fst (take top sorted))
 
+(* One loop over the backing array into a buffer of the trace's length,
+   handed to the output trace without a copy. *)
 let prune t ~top =
   let hot = hot_symbols t ~top in
   let keep = Array.make (Trace.num_symbols t) false in
   Array.iter (fun s -> keep.(s) <- true) hot;
-  let out = Trace.create ~name:(Trace.name t ^ ".pruned") ~num_symbols:(Trace.num_symbols t) () in
-  Trace.iter (fun s -> if keep.(s) then Trace.push out s) t;
-  let occ = Trace.occurrences t in
-  let total_symbols = Array.fold_left (fun acc c -> if c > 0 then acc + 1 else acc) 0 occ in
+  let n = Trace.length t and ev = Colayout_util.Int_vec.backing (Trace.events t) in
+  let buf = Array.make (max n 1) 0 in
+  let k = ref 0 in
+  for i = 0 to n - 1 do
+    let s = Array.unsafe_get ev i in
+    if Array.unsafe_get keep s then begin
+      Array.unsafe_set buf !k s;
+      incr k
+    end
+  done;
+  let out =
+    Trace.of_buffer ~name:(Trace.name t ^ ".pruned") ~num_symbols:(Trace.num_symbols t) buf ~len:!k
+  in
+  let total_symbols = Trace.distinct_count t in
   let total_events = Trace.length t in
   let kept_events = Trace.length out in
   let report =

@@ -24,9 +24,11 @@ let num_symbols t = t.num_symbols
 
 let length t = Int_vec.length t.events
 
+let out_of_range sym num_symbols =
+  invalid_arg (Printf.sprintf "Trace.push: symbol %d out of [0,%d)" sym num_symbols)
+
 let push t sym =
-  if sym < 0 || sym >= t.num_symbols then
-    invalid_arg (Printf.sprintf "Trace.push: symbol %d out of [0,%d)" sym t.num_symbols);
+  if sym < 0 || sym >= t.num_symbols then out_of_range sym t.num_symbols;
   Int_vec.push t.events sym;
   match t.occ with
   | None -> ()
@@ -41,15 +43,23 @@ let iter f t = Int_vec.iter f t.events
 
 let iteri f t = Int_vec.iteri f t.events
 
-let of_list ?name ~num_symbols l =
+(* The trace over [events], after one validation pass: the error pushing
+   the events one by one raises, for the first symbol out of range. *)
+let of_events ?name ~num_symbols events =
   let t = create ?name ~num_symbols () in
-  List.iter (push t) l;
-  t
+  let a = Int_vec.backing events in
+  for i = 0 to Int_vec.length events - 1 do
+    let s = Array.unsafe_get a i in
+    if s < 0 || s >= num_symbols then out_of_range s num_symbols
+  done;
+  { t with events }
 
-let of_array ?name ~num_symbols a =
-  let t = create ?name ~num_symbols () in
-  Array.iter (push t) a;
-  t
+let of_list ?name ~num_symbols l = of_events ?name ~num_symbols (Int_vec.of_list l)
+
+let of_array ?name ~num_symbols a = of_events ?name ~num_symbols (Int_vec.of_array a)
+
+let of_buffer ?name ~num_symbols buf ~len =
+  of_events ?name ~num_symbols (Int_vec.of_buffer buf ~len)
 
 let to_list t = Int_vec.to_list t.events
 

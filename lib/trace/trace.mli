@@ -28,6 +28,16 @@ val iteri : (int -> int -> unit) -> t -> unit
 val of_list : ?name:string -> num_symbols:int -> int list -> t
 
 val of_array : ?name:string -> num_symbols:int -> int array -> t
+(** One range check over the array, then one copy of it.
+    @raise Invalid_argument as {!push} does, for the first symbol out of
+    range. *)
+
+val of_buffer : ?name:string -> num_symbols:int -> int array -> len:int -> t
+(** The trace of [buf]'s first [len] events, range-checked as {!of_array}
+    does (same error). [buf] becomes the trace's storage as
+    {!Colayout_util.Int_vec.of_buffer} says: the caller gives it up. For
+    producers that fill a buffer in place (the interpreter, trimming,
+    pruning), which would otherwise pay a copy on top of the fill. *)
 
 val to_list : t -> int list
 

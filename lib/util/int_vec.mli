@@ -44,8 +44,19 @@ val backing : t -> int array
     views of long vectors that must not pay a copy. *)
 
 val of_array : int array -> t
+(** A copy of the array. *)
+
+val of_buffer : int array -> len:int -> t
+(** The vector of [buf]'s first [len] entries. [buf] becomes its storage,
+    not copied, when [len] is at least half of [buf]'s length: the caller
+    gives [buf] up and must not write to it again. A buffer more than
+    twice as long as [len] is copied down to [len], so a short vector
+    does not keep a long buffer alive. For hand-offs of buffers filled
+    in place, which would otherwise pay a copy per event.
+    @raise Invalid_argument if [len] is outside [[0, Array.length buf]]. *)
 
 val append : t -> t -> unit
+(** [append dst src] adds [src]'s entries at the end of [dst]. *)
 
 val sub : t -> pos:int -> len:int -> t
 

@@ -1,5 +1,9 @@
 type t = {
-  mutable state : int64;
+  (* The 64-bit splitmix state, kept as 8 bytes rather than a boxed
+     [int64] field: reading it with [Bytes.get_int64_le] and writing it
+     with [set_int64_le] keep every intermediate unboxed, so a draw
+     allocates nothing. *)
+  state : Bytes.t;
   (* Per-instance (n, s) -> CDF memo for [zipf]. A pure cache of a
      deterministic function of the key, so it never influences drawn
      sequences — but it must live inside [t]: a process-global table would
@@ -10,31 +14,37 @@ type t = {
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create ~seed = { state = Int64.of_int seed; zipf_tables = Hashtbl.create 4 }
+let of_state s =
+  let state = Bytes.create 8 in
+  Bytes.set_int64_le state 0 s;
+  { state; zipf_tables = Hashtbl.create 4 }
+
+let create ~seed = of_state (Int64.of_int seed)
 
 (* The copy gets a fresh (empty) memo: caches are derived data, and sharing
    the table would couple the two instances through hidden mutable state. *)
-let copy t = { state = t.state; zipf_tables = Hashtbl.create 4 }
+let copy t = { state = Bytes.copy t.state; zipf_tables = Hashtbl.create 4 }
 
 (* splitmix64 finalizer (Steele, Lea & Flood 2014). *)
-let mix z =
+let[@inline] mix z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let next_int64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix t.state
+let[@inline] next t =
+  let s = Int64.add (Bytes.get_int64_le t.state 0) golden_gamma in
+  Bytes.set_int64_le t.state 0 s;
+  mix s
 
-let split t =
-  let seed64 = next_int64 t in
-  { state = mix seed64; zipf_tables = Hashtbl.create 4 }
+let next_int64 t = next t
+
+let split t = of_state (mix (next t))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Prng.int: bound must be positive";
   (* Mask to 62 bits before [to_int]: [Int64.to_int] truncates modulo 2^63,
      so a 63-bit value could come out negative. *)
-  let r = Int64.to_int (Int64.logand (next_int64 t) 0x3FFF_FFFF_FFFF_FFFFL) in
+  let r = Int64.to_int (Int64.logand (next t) 0x3FFF_FFFF_FFFF_FFFFL) in
   r mod bound
 
 let int_in t ~lo ~hi =
@@ -43,7 +53,7 @@ let int_in t ~lo ~hi =
 
 let float t =
   (* 53 high-quality bits -> [0,1). *)
-  let bits = Int64.to_int (Int64.shift_right_logical (next_int64 t) 11) in
+  let bits = Int64.to_int (Int64.shift_right_logical (next t) 11) in
   float_of_int bits *. (1.0 /. 9007199254740992.0)
 
 let bool t ~p = float t < p

@@ -3,7 +3,12 @@
     Every stochastic choice in the repository (workload generation,
     data-dependent branches, sampling) goes through an explicitly seeded
     [Prng.t] so that traces, experiments and tests are bit-reproducible.
-    The global [Random] state is never used. *)
+    The global [Random] state is never used.
+
+    The 64-bit state lives unboxed in a private 8-byte buffer, so {!int}
+    allocates nothing: the interpreter draws once per [Rand] expression,
+    and a boxed [int64] per draw was most of its allocation. The drawn
+    sequence is the one a boxed state gives. *)
 
 type t
 
@@ -17,8 +22,8 @@ val split : t -> t
 val next_int64 : t -> int64
 
 val int : t -> int -> int
-(** [int t bound] is uniform in [[0, bound)]. @raise Invalid_argument if
-    [bound <= 0]. *)
+(** [int t bound] is uniform in [[0, bound)]; allocates no heap words.
+    @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in : t -> lo:int -> hi:int -> int
 (** Uniform in the inclusive range [[lo, hi]]. *)

@@ -55,6 +55,23 @@ let kernels =
             ("gc_per_call", o [ ("indexed", o [ ("major_words", f 40.0) ]) ]);
           ] );
       ("solo", o [ ("program", s "p"); ("indexed_digest", s "d"); ("seed_digest", s "d") ]);
+      ( "interp",
+        o
+          [
+            ( "runs",
+              a
+                (List.map
+                   (fun case ->
+                     o
+                       [
+                         ("case", s case);
+                         ("blocks", i 100);
+                         ("flat_digest", s "i");
+                         ("seed_digest", s "i");
+                         ("gc_per_call", o [ ("flat", o [ ("minor_words", f 50.0) ]) ]);
+                       ])
+                   [ "p ref"; "q serve" ]) );
+          ] );
       ( "ingest_walk",
         o
           [
@@ -362,6 +379,10 @@ let perturbations =
     ( "kernels",
       "ingest-walk-matches-oracle",
       set (cells [ "ingest_walk"; "flagged_affine_digest" ]) (s "x") );
+    ("kernels", "interp-matches-seed", set (cells [ "interp"; "runs"; "1"; "seed_digest" ]) (s "x"));
+    ( "kernels",
+      "interp-alloc-below-blocks",
+      set (cells [ "interp"; "runs"; "0"; "gc_per_call"; "flat"; "minor_words" ]) (f 100.0) );
     ( "kernels",
       "corun-no-trace-copy",
       set (cells [ "corun"; "gc_per_call"; "indexed"; "major_words" ]) (f 400.0) );

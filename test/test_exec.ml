@@ -124,6 +124,210 @@ let test_div_mod_by_zero () =
   let r = E.Interp.run p (E.Interp.test_input ()) in
   check Alcotest.bool "no crash" true r.E.Interp.completed
 
+(* ---------------------------------------------- Interp against Seed_interp *)
+
+module U = Colayout_util
+module Seed_interp = Colayout_oracle.Seed_interp
+
+(* Every field of [result], both traces' names and universes included,
+   and the metric counters the run adds. *)
+let check_same what (p : Program.t) (input : E.Interp.input) =
+  let mn = U.Metrics.create () and mo = U.Metrics.create () in
+  let n = E.Interp.run ~metrics:mn p input and o = Seed_interp.run ~metrics:mo p input in
+  let trace label x y =
+    let l = Printf.sprintf "%s: %s" what label in
+    check Alcotest.string (l ^ " name") (T.Trace.name y) (T.Trace.name x);
+    check Alcotest.int (l ^ " universe") (T.Trace.num_symbols y) (T.Trace.num_symbols x);
+    check Alcotest.int (l ^ " length") (T.Trace.length y) (T.Trace.length x);
+    check Alcotest.bool (l ^ " events") true (T.Trace.equal x y);
+    check Alcotest.int (l ^ " distinct") (T.Trace.distinct_count y) (T.Trace.distinct_count x)
+  in
+  trace "bb" n.E.Interp.bb_trace o.E.Interp.bb_trace;
+  trace "fn" n.E.Interp.fn_trace o.E.Interp.fn_trace;
+  let vec label x y =
+    check (Alcotest.list Alcotest.int) (what ^ ": " ^ label) (U.Int_vec.to_list y)
+      (U.Int_vec.to_list x)
+  in
+  vec "data" n.E.Interp.data_trace o.E.Interp.data_trace;
+  vec "calls" n.E.Interp.call_trace o.E.Interp.call_trace;
+  check Alcotest.int (what ^ ": instr_count") o.E.Interp.instr_count n.E.Interp.instr_count;
+  check Alcotest.int (what ^ ": block_execs") o.E.Interp.block_execs n.E.Interp.block_execs;
+  check Alcotest.bool (what ^ ": completed") o.E.Interp.completed n.E.Interp.completed;
+  check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    (what ^ ": metrics") (U.Metrics.counters mo) (U.Metrics.counters mn);
+  n
+
+let test_spec_programs () =
+  List.iter
+    (fun name ->
+      let p = Colayout_workloads.Spec.build name in
+      List.iter
+        (fun seed ->
+          List.iter
+            (fun max_blocks ->
+              ignore
+                (check_same
+                   (Printf.sprintf "%s seed %d fuel %d" name seed max_blocks)
+                   p
+                   { E.Interp.seed; params = [||]; max_blocks }))
+            [ 0; 1; 2; 777; 4_000; 30_000 ])
+        [ 1; 12345; 987654321 ])
+    Colayout_workloads.Spec.names
+
+(* A fuel that runs out inside a call: the last block executed belongs to
+   a function other than main, with returns still pending. *)
+let test_cutoff_inside_call () =
+  let p = Colayout_workloads.Spec.build "445.gobmk" in
+  let main = (Program.main p).Program.fid in
+  let full = E.Interp.run p { E.Interp.seed = 3; params = [||]; max_blocks = 5_000 } in
+  let ev = T.Trace.to_list full.E.Interp.bb_trace in
+  let rec first_callee i = function
+    | [] -> Alcotest.fail "no block outside main"
+    | b :: rest -> if (Program.block p b).Program.fn <> main then i else first_callee (i + 1) rest
+  in
+  let i = first_callee 0 ev in
+  List.iter
+    (fun fuel ->
+      let r =
+        check_same (Printf.sprintf "cut at %d" fuel) p
+          { E.Interp.seed = 3; params = [||]; max_blocks = fuel }
+      in
+      let last = List.nth (T.Trace.to_list r.E.Interp.bb_trace) (fuel - 1) in
+      check Alcotest.bool "stopped inside a call" true ((Program.block p last).Program.fn <> main);
+      check Alcotest.bool "not completed" false r.E.Interp.completed)
+    [ i + 1; i + 2 ]
+
+(* Params, loads, stores, rand, a switch, nested calls; [main] ends by
+   returning (first program) or halting (second). *)
+let text_program ~stop =
+  Colayout_ir.Ir_text.parse
+    (Printf.sprintf
+       {|program textdiff
+func main *
+  block entry:
+    v2 := (v0 * 3)
+    store (v1 + 8)
+    jump loop
+  block loop:
+    work 4
+    v2 := (v2 + rand(7))
+    load (v2 * 64)
+    call leaf -> after
+  block after:
+    v3 := (v3 + 1)
+    switch (v3 %% 2) [loop mid] default done
+  block mid:
+    store [(v2 - 1)]
+    branch (v3 < v0) ? loop : done
+  block done:
+    %s
+func leaf
+  block top:
+    v4 := (v4 ^ v2)
+    load (v4 & 4095)
+    branch (v4 < 100) ? inner : out
+  block inner:
+    call twig -> out
+  block out:
+    return
+func twig
+  block t:
+    store (v1 - 5)
+    return
+|}
+       stop)
+
+let test_text_programs () =
+  List.iter
+    (fun stop ->
+      let p = text_program ~stop in
+      List.iter
+        (fun (params, max_blocks) ->
+          let r =
+            check_same
+              (Printf.sprintf "%s params [%s] fuel %d" stop
+                 (String.concat ";" (Array.to_list (Array.map string_of_int params)))
+                 max_blocks)
+              p
+              { E.Interp.seed = 5; params; max_blocks }
+          in
+          if max_blocks = 10_000 then begin
+            check Alcotest.bool "ran to its stop" true r.E.Interp.completed;
+            check Alcotest.bool "loads and stores" true
+              (U.Int_vec.length r.E.Interp.data_trace > 0)
+          end)
+        [
+          ([| 40; 16 |], 10_000); ([| 40; 16 |], 0); ([| 40; 16 |], 1); ([| 40; 16 |], 9);
+          ([| 7 |], 10_000); ([| 70; 1; 2; 3 |], 10_000); (Array.init 70 (fun i -> i), 10_000);
+        ])
+    [ "return"; "halt" ]
+
+(* Malformed programs (built unchecked) raise the same error on both
+   sides, at every fuel. *)
+let test_same_errors () =
+  let outcome f =
+    match f () with
+    | (_ : E.Interp.result) -> "ok"
+    | exception Invalid_argument m -> "Invalid_argument " ^ m
+  in
+  let same what p =
+    List.iter
+      (fun max_blocks ->
+        let input = { E.Interp.seed = 1; params = [||]; max_blocks } in
+        check Alcotest.string
+          (Printf.sprintf "%s, fuel %d" what max_blocks)
+          (outcome (fun () -> Seed_interp.run p input))
+          (outcome (fun () -> E.Interp.run p input)))
+      [ 0; 1; 5 ]
+  in
+  (* main's entry block gets [instrs] and [term]; main's second block
+     halts and g returns. *)
+  let program instrs term =
+    let b = Builder.create ~name:"bad" () in
+    let f = Builder.func b "main" in
+    let g = Builder.func b "g" in
+    let entry = Builder.block b f "entry" in
+    let next = Builder.block b f "next" in
+    let gb = Builder.block b g "g.entry" in
+    Builder.set_body b entry instrs (term next);
+    Builder.set_body b next [] Types.Halt;
+    Builder.set_body b gb [] Types.Return;
+    Builder.finish_unchecked b
+  in
+  let call callee ret next = Types.Call { callee; return_to = (if ret then next else -3) } in
+  let jump next = Types.Jump next in
+  List.iter
+    (fun (what, instrs, term) -> same what (program instrs term))
+    [
+      ("bad callee", [], call 9 true);
+      ("negative callee", [], call (-2) true);
+      ("bad return site", [], call 1 false);
+      ("bad jump", [ Types.Work 3 ], fun _ -> Types.Jump 42);
+      ("bad variable", [ Types.Assign (64, Types.Rand 0) ], jump);
+      ("bad variable read", [ Types.Load (Types.Var (-1)) ], jump);
+      ("rand 0", [ Types.Store (Types.Rand 0) ], jump);
+    ];
+  let empty = Builder.finish_unchecked (Builder.create ~name:"empty" ()) in
+  let input = E.Interp.test_input () in
+  check Alcotest.string "empty program"
+    (outcome (fun () -> Seed_interp.run empty input))
+    (outcome (fun () -> E.Interp.run empty input))
+
+(* A steady-state run allocates fewer minor words than it executes
+   blocks: the per-block work allocates nothing. *)
+let test_interp_allocation () =
+  let p = Colayout_workloads.Spec.build "445.gobmk" in
+  let input = E.Interp.ref_input ~max_blocks:50_000 () in
+  ignore (E.Interp.run p input);
+  let w0 = Gc.minor_words () in
+  let r = E.Interp.run p input in
+  let words = Gc.minor_words () -. w0 in
+  check Alcotest.bool
+    (Printf.sprintf "%.0f minor words < %d blocks" words r.E.Interp.block_execs)
+    true
+    (words < float_of_int r.E.Interp.block_execs)
+
 (* ----------------------------------------------------------------- Smt *)
 
 let straightline_code n =
@@ -188,6 +392,14 @@ let () =
           Alcotest.test_case "return from main" `Quick test_return_from_main_completes;
           Alcotest.test_case "determinism" `Quick test_determinism_and_seed_sensitivity;
           Alcotest.test_case "div/mod by zero" `Quick test_div_mod_by_zero;
+        ] );
+      ( "oracle",
+        [
+          Alcotest.test_case "spec programs" `Quick test_spec_programs;
+          Alcotest.test_case "cut-off inside a call" `Quick test_cutoff_inside_call;
+          Alcotest.test_case "text programs" `Quick test_text_programs;
+          Alcotest.test_case "same errors" `Quick test_same_errors;
+          Alcotest.test_case "allocation" `Quick test_interp_allocation;
         ] );
       ( "smt",
         [

@@ -87,6 +87,52 @@ let test_prune_top_larger_than_universe () =
   check Alcotest.bool "identity" true (Trace.equal t pruned);
   check (Alcotest.float 1e-9) "full coverage" 1.0 report.Prune.coverage
 
+(* The bulk constructors against pushing the events one by one: the same
+   trace, or the same error for the first symbol out of range. *)
+let outcome f =
+  match f () with
+  | t -> Ok (Trace.to_list t, Trace.num_symbols t, Trace.name t)
+  | exception Invalid_argument m -> Error m
+
+let pushed_trace ~num_symbols l =
+  let t = Trace.create ~name:"bulk" ~num_symbols () in
+  List.iter (Trace.push t) l;
+  t
+
+let bulk_trace_prop =
+  QCheck.Test.make ~name:"bulk trace constructors equal pushes" ~count:300
+    QCheck.(pair (list (int_range (-2) 7)) (list (int_range (-2) 7)))
+    (fun (xs, tail) ->
+      let num_symbols = 6 in
+      let want = outcome (fun () -> pushed_trace ~num_symbols xs) in
+      let buf = Array.of_list (xs @ tail) in
+      outcome (fun () -> Trace.of_array ~name:"bulk" ~num_symbols (Array.of_list xs)) = want
+      && outcome (fun () -> Trace.of_buffer ~name:"bulk" ~num_symbols buf ~len:(List.length xs))
+         = want)
+
+(* Trimming and pruning in one loop over the backing array against the
+   per-event definitions. *)
+let trim_prune_prop =
+  QCheck.Test.make ~name:"trim and prune equal per-event loops" ~count:300
+    QCheck.(pair (list (int_bound 7)) (int_range 1 9))
+    (fun (xs, top) ->
+      let t = Trace.of_list ~num_symbols:8 xs in
+      let rec no_repeat = function
+        | x :: (y :: _ as rest) -> x <> y && no_repeat rest
+        | _ -> true
+      in
+      let hot = Prune.hot_symbols t ~top in
+      let kept = List.filter (fun s -> Array.mem s hot) xs in
+      let pruned, report = Prune.prune t ~top in
+      let trimmed = Trim.trim t in
+      Trim.is_trimmed t = no_repeat xs
+      && Trim.is_trimmed trimmed
+      && Trace.name trimmed = "trace.trimmed"
+      && Trace.to_list pruned = kept
+      && Trace.name pruned = "trace.pruned"
+      && report.Prune.kept_events = List.length kept
+      && report.Prune.total_symbols = List.length (List.sort_uniq compare xs))
+
 let test_lru_stack () =
   let s = Lru_stack.create () in
   check (Alcotest.option Alcotest.int) "first access" None (Lru_stack.access s 1);
@@ -313,6 +359,11 @@ let () =
           Alcotest.test_case "prune" `Quick test_prune;
           Alcotest.test_case "tie break" `Quick test_prune_hot_symbols_deterministic_ties;
           Alcotest.test_case "top > universe" `Quick test_prune_top_larger_than_universe;
+        ] );
+      ( "bulk",
+        [
+          QCheck_alcotest.to_alcotest bulk_trace_prop;
+          QCheck_alcotest.to_alcotest trim_prune_prop;
         ] );
       ( "lru_stack",
         [

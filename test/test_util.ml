@@ -78,7 +78,93 @@ let test_int_vec_sub_append () =
   Alcotest.check_raises "sub oob" (Invalid_argument "Int_vec.sub") (fun () ->
       ignore (Int_vec.sub v ~pos:3 ~len:2))
 
+(* The bulk constructors against the per-element pushes they replaced. *)
+let pushed l =
+  let v = Int_vec.create ~capacity:1 () in
+  List.iter (Int_vec.push v) l;
+  v
+
+let int_vec_bulk_prop =
+  QCheck.Test.make ~name:"bulk constructors equal pushes" ~count:300
+    QCheck.(triple (list small_int) (list small_int) (pair small_nat small_nat))
+    (fun (a, b, (pos, len)) ->
+      let va = pushed a and vb = pushed b in
+      let appended = Int_vec.of_list a in
+      Int_vec.append appended vb;
+      let self = Int_vec.of_list a in
+      Int_vec.append self self;
+      let n = List.length a in
+      let sub_ok =
+        if pos + len <= n then
+          Int_vec.to_list (Int_vec.sub va ~pos ~len)
+          = List.filteri (fun i _ -> i >= pos && i < pos + len) a
+        else
+          match Int_vec.sub va ~pos ~len with
+          | _ -> false
+          | exception Invalid_argument m -> m = "Int_vec.sub"
+      in
+      let buf = Array.of_list (a @ b) in
+      let adopted = Int_vec.of_buffer buf ~len:n in
+      Int_vec.equal (Int_vec.of_array (Array.of_list a)) va
+      && Int_vec.to_list appended = a @ b
+      && Int_vec.to_list self = a @ a
+      && sub_ok
+      && Int_vec.to_list adopted = a
+      && Int_vec.to_array va = Array.of_list a)
+
 (* ----------------------------------------------------------------- Prng *)
+
+(* Outputs of the boxed-[int64] state, recorded before the state moved
+   into a byte buffer: per seed, three [next_int64], four [int] draws,
+   one [float], one draw of a [split] stream, one [int] at [max_int]. *)
+let prng_vectors =
+  [
+    (0, [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ], [ 732; 560; 14; 2376 ],
+      "0x1.8b082675922d5p-1", 202467315, 3726808458696896678);
+    (1, [ 0x910A2DEC89025CC1L; 0xBEEB8DA1658EEC67L; 0xF893A2EEFB32555EL ], [ 331; 646; 158; 3372 ],
+      "0x1.0bcf761e244fp-1", 212730451, 811594124764473238);
+    (42, [ 0xBDD732262FEB6E95L; 0x28EFE333B266F103L; 0x47526757130F9F52L ],
+      [ 860; 1011; 1782; 2376 ], "0x1.99ec6bdd3d3c5p-1", 974667200, 2185608355395893166);
+    (-7, [ 0x6C1E186443822970L; 0x7A87F4DABCF192AAL; 0xE8313FE1D7350611L ],
+      [ 890; 796; 2475; 3183 ], "0x1.b4b0d3e2abdp-8", 842305341, 2784780270687414617);
+    (123456789, [ 0x223C74D93DEB7679L; 0x7A91DD183971EE2EL; 0x310E0831409AFDE5L ],
+      [ 589; 1482; 2390; 1581 ], "0x1.8adb4e1533a68p-1", 389739897, 1580751925914972909);
+    (max_int, [ 0x43DF0885536978A6L; 0x101018CC4A4CADFDL; 0xF7123DB96BB11521L ],
+      [ 614; 1352; 965; 1746 ], "0x1.fba80868a15cp-6", 553652409, 4249374333724668194);
+    (min_int, [ 0x09590F27F150C2B1L; 0x7F63AA8BD4EA43D6L; 0xBC77E3955694B236L ],
+      [ 818; 575; 2169; 345 ], "0x1.2b60930b4dcbap-1", 879893848, 372477109879338868);
+  ]
+
+let test_prng_vectors () =
+  List.iter
+    (fun (seed, words, ints, fl, split_draw, big) ->
+      let r = Prng.create ~seed in
+      let what s = Printf.sprintf "seed %d: %s" seed s in
+      List.iter
+        (fun w -> check Alcotest.string (what "next_int64") (Printf.sprintf "%Lx" w)
+            (Printf.sprintf "%Lx" (Prng.next_int64 r)))
+        words;
+      List.iteri (fun i x -> check Alcotest.int (what "int") x (Prng.int r (1000 + (i * 997)))) ints;
+      check Alcotest.string (what "float") fl (Printf.sprintf "%h" (Prng.float r));
+      let c = Prng.copy r in
+      check Alcotest.int (what "split") split_draw (Prng.int (Prng.split r) 1_000_000_007);
+      check Alcotest.int (what "max_int") big (Prng.int r max_int);
+      ignore (Prng.split c);
+      check Alcotest.int (what "copy") big (Prng.int c max_int))
+    prng_vectors
+
+let test_prng_no_alloc () =
+  let t = Prng.create ~seed:9 in
+  let acc = ref 0 in
+  acc := !acc + Prng.int t 10;
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 100_000 do
+    acc := !acc + Prng.int t 1000
+  done;
+  let words = Gc.minor_words () -. w0 in
+  (* [Gc.minor_words] boxes its own result: a few words, not 100,000. *)
+  check Alcotest.bool (Printf.sprintf "%.0f words for 100,000 draws" words) true (words < 16.0);
+  check Alcotest.bool "draws used" true (!acc > 0)
 
 let test_prng_determinism () =
   let a = Prng.create ~seed:42 in
@@ -302,6 +388,7 @@ let () =
         [
           Alcotest.test_case "basics" `Quick test_int_vec;
           Alcotest.test_case "sub/append" `Quick test_int_vec_sub_append;
+          QCheck_alcotest.to_alcotest int_vec_bulk_prop;
         ] );
       ( "prng",
         [
@@ -310,6 +397,8 @@ let () =
           Alcotest.test_case "shuffle" `Quick test_prng_shuffle_permutation;
           Alcotest.test_case "zipf" `Quick test_prng_zipf;
           Alcotest.test_case "geometric" `Quick test_prng_geometric;
+          Alcotest.test_case "vectors" `Quick test_prng_vectors;
+          Alcotest.test_case "no allocation" `Quick test_prng_no_alloc;
         ] );
       ( "dlist",
         [
