@@ -156,6 +156,26 @@ let kernels =
               "a %s call allocates %.0f major words, no fewer than its %d grid cells"
               (str "name" k) major grid)
           (nonempty "pair_grid kernels" (list "kernels" r)));
+    (* [Affinity.thresholds] also borrows the domain's pair marks, one
+       byte per pair: a steady-state call allocating their n(n-1)/16
+       words is allocating marks of its own, which the n² bound above
+       is too coarse to see. *)
+    gate "pair-marks-no-alloc" (fun m ->
+        let r = get "pair_grid" (cells m) in
+        let marks = int "pair_marks_words" r in
+        match
+          List.filter
+            (fun k -> String.ends_with ~suffix:"affinity-thresholds" (str "name" k))
+            (list "kernels" r)
+        with
+        | [ k ] ->
+          let major = num "major_words" (get "gc_per_call" k) in
+          ensure
+            (major < float_of_int marks)
+            "an affinity-thresholds call allocates %.0f major words, no fewer than its %d words \
+             of pair marks"
+            major marks
+        | _ -> fail "no single affinity-thresholds kernel among the pair_grid kernels");
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in

@@ -281,7 +281,8 @@ let gc_per_call ?(calls = 5) f =
 (* The three pair kernels on the same bb profile, each a steady-state
    call on the domain's reused [Pair_grid]: time per call and what one
    call allocates. A call that allocated its own n × n grid would show
-   n² major words. *)
+   n² major words, and an [Affinity.thresholds] call that allocated its
+   own pair marks n(n-1)/16. *)
 let pair_grid_kernels ~bench (trace, window, g, slots) =
   let wmax = List.fold_left max 1 Optimizer.default_config.Optimizer.ws in
   let n = Trg.num_nodes g in
@@ -304,6 +305,7 @@ let pair_grid_kernels ~bench (trace, window, g, slots) =
         ("level", str "bb");
         ("nodes", int n);
         ("grid_cells", int (n * n));
+        ("pair_marks_words", int (n * (n - 1) / 16));
         ("pair_store", str (pair_store n));
         ("kernels", arr snd cells);
       ] )

@@ -460,45 +460,72 @@ let hold who f =
 
 let with_corun_buffers f = hold "Set_assoc.with_corun_buffers" (fun _ -> f ())
 
-(* Slot [i] of [bufs], with room for at least [n] entries. *)
-let reserve (bufs : lines array) i n =
-  let cap = Bigarray.Array1.dim bufs.(i) in
-  if cap < n then bufs.(i) <- Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n (2 * cap));
+(* Slot [i] of [bufs], with room for at least [n] entries; a grown
+   buffer keeps the first [keep] entries of the old one. *)
+let reserve (bufs : lines array) i n ~keep =
+  let old = bufs.(i) in
+  let cap = Bigarray.Array1.dim old in
+  if cap < n then begin
+    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n (2 * cap)) in
+    Bigarray.Array1.blit (Bigarray.Array1.sub old 0 keep) (Bigarray.Array1.sub b 0 keep);
+    bufs.(i) <- b
+  end;
   bufs.(i)
 
-(* The number of lines one pass of a checked stream fetches. *)
-let pass_lines who spans s =
-  let n = ref 0 in
-  for i = 0 to s.length - 1 do
-    let b = Array.unsafe_get s.trace i in
-    let k = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) + 1 in
-    if k > Sys.max_array_length - !n then
-      invalid_arg (who ^ ": a pass fetches more lines than a buffer holds");
-    n := !n + k
-  done;
-  !n
-
 (* Expand a checked, indexed stream into slot [i] of the buffers: its
-   line ids and, when [labels], each line's block. Returns the count. *)
+   line ids and, when [labels], each line's block. Returns the count.
+   Each block writes [expand_width] entries unconditionally, whatever its
+   span, and the next block starts [span + 1] entries on, overwriting the
+   surplus: spans vary from block to block, and a loop bounded by the
+   span mispredicts its exit about once per block. Only blocks of more
+   than [expand_width] lines loop over the rest. So the buffers keep
+   [expand_width - 1] entries of slack past the last line, never read.
+   They grow as the expansion reaches their end, which a steady state
+   never does. *)
+let expand_width = 4
+
 let expand who spans s bufs i ~labels =
-  let n = pass_lines who spans s in
-  let ids = reserve bufs.ids i n in
-  let blocks = if labels then reserve bufs.blocks i n else bufs.blocks.(i) in
+  let ids = ref bufs.ids.(i) and blocks = ref bufs.blocks.(i) in
+  let room ids blocks =
+    if labels then min (Bigarray.Array1.dim ids) (Bigarray.Array1.dim blocks)
+    else Bigarray.Array1.dim ids
+  in
+  let cap = ref (room !ids !blocks) in
   let p = ref 0 in
   for j = 0 to s.length - 1 do
     let b = Array.unsafe_get s.trace j in
     let span = Array.unsafe_get spans ((3 * b) + 1) - Array.unsafe_get spans (3 * b) in
     let id0 = Array.unsafe_get spans ((3 * b) + 2) in
-    for k = 0 to span do
-      Bigarray.Array1.unsafe_set ids (!p + k) (id0 + k)
+    let q = !p in
+    if q + span + expand_width > !cap then begin
+      if span + expand_width > Sys.max_array_length - q then
+        invalid_arg (who ^ ": a pass fetches more lines than a buffer holds");
+      let n = q + span + expand_width in
+      ids := reserve bufs.ids i n ~keep:q;
+      if labels then blocks := reserve bufs.blocks i n ~keep:q;
+      cap := room !ids !blocks
+    end;
+    let ids = !ids in
+    Bigarray.Array1.unsafe_set ids q id0;
+    Bigarray.Array1.unsafe_set ids (q + 1) (id0 + 1);
+    Bigarray.Array1.unsafe_set ids (q + 2) (id0 + 2);
+    Bigarray.Array1.unsafe_set ids (q + 3) (id0 + 3);
+    for k = expand_width to span do
+      Bigarray.Array1.unsafe_set ids (q + k) (id0 + k)
     done;
-    if labels then
-      for k = 0 to span do
-        Bigarray.Array1.unsafe_set blocks (!p + k) b
-      done;
-    p := !p + span + 1
+    if labels then begin
+      let blocks = !blocks in
+      Bigarray.Array1.unsafe_set blocks q b;
+      Bigarray.Array1.unsafe_set blocks (q + 1) b;
+      Bigarray.Array1.unsafe_set blocks (q + 2) b;
+      Bigarray.Array1.unsafe_set blocks (q + 3) b;
+      for k = expand_width to span do
+        Bigarray.Array1.unsafe_set blocks (q + k) b
+      done
+    end;
+    p := q + span + 1
   done;
-  n
+  !p
 
 (* Each step adds a thread's rate to its credit and fetches one line per
    whole unit of credit, thread 0 first. A thread's cursor is its

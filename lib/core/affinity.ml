@@ -79,35 +79,67 @@ let[@inline] next ~fb ~fmask ~dead v a_occ fp =
     (v land lnot (fmask lsl fb)) lor (fp lsl fb)
   else v
 
-(* The grid cell of ordered pair (a, b), [a <> b]: the pairs of the lower
-   triangle in row-major order, two adjacent cells each, (lo, hi) first
-   and (hi, lo) second. Both directions of a pair share a cache line,
-   and one walk step writes both; the cells fill [n * (n - 1)] of the
-   [n * n] grid. *)
-let[@inline] pair_cell a b =
-  if a < b then 2 * ((b * (b - 1) / 2) + a) else (2 * ((a * (a - 1) / 2) + b)) + 1
+(* The dense path's layout. Pair [lo < hi] is number
+   [p = hi * (hi - 1) / 2 + lo], the lower triangle in row-major order.
+   It owns grid cells [2p], the payload of (lo, hi), and [2p + 1], that
+   of (hi, lo): both directions share a cache line, and one visit writes
+   both; the cells fill [n * (n - 1)] of the [n * n] grid. It also owns
+   byte [p] of the pair marks ([Pair_grid.marks]): untouched (0), live
+   (both cells hold payloads) or dead (a direction died: both cells are
+   0 again). [dead] is absorbing in [next] and one dead direction makes
+   the threshold 0, so a dead pair's visits could change nothing: they
+   read only its mark. *)
+let live_mark = '\001'
 
-(* One witness of the ordered pair (a, b). A universe within
-   [Int_pair_tbl.max_grid_universe] keeps the payloads in the domain's
-   [Pair_grid] at [pair_cell a b], where an absent pair is a 0 cell;
-   larger ones in a packed-pair table. Same values either way. [dense] is
-   a literal at each use, so the grid instance is one array update. *)
-let[@inline] witness ~dense (grid : Pair_grid.t) wits ~fb ~fmask ~dead a b a_occ fp =
+let dead_mark = '\002'
+
+(* One witness of the ordered pair (a, b), in the packed-pair table of a
+   universe above [Int_pair_tbl.max_grid_universe]. *)
+let[@inline] witness wits ~fb ~fmask ~dead a b a_occ fp =
+  let s = Int_pair_tbl.slot wits (Int_pair_tbl.pack a b) in
+  let v = Int_pair_tbl.slot_get wits s in
+  let v' = next ~fb ~fmask ~dead v a_occ fp in
+  if v' <> v then Int_pair_tbl.slot_set wits s v'
+
+(* One walk step's visit to the pair {a, b}: a witness of (a, b) at
+   occurrence [ka] and one of (b, a) at [kb], both at footprint [fp].
+   Within [Int_pair_tbl.max_grid_universe] the payloads live in the
+   domain's [Pair_grid], where an absent pair is a 0 cell, behind the
+   pair's mark; larger universes keep them in a packed-pair table. Same
+   values either way. [dense] is a literal at each use, so the grid
+   instance makes no call. *)
+let[@inline] visit ~dense (grid : Pair_grid.t) marks wits ~fb ~fmask ~dead a b ka kb fp =
   if dense then begin
-    let i = pair_cell a b in
-    Bigarray.Array1.unsafe_set grid i
-      (next ~fb ~fmask ~dead (Bigarray.Array1.unsafe_get grid i) a_occ fp)
+    (* [d] is 1 when [a > b] (the sign bit of [b - a]): the pair's order
+       without a branch on it. *)
+    let d = (b - a) lsr 62 in
+    let lo = a lxor ((a lxor b) land -d) in
+    let hi = a lxor b lxor lo in
+    let p = (hi * (hi - 1) / 2) + lo in
+    if Bytes.unsafe_get marks p <> dead_mark then begin
+      let i = (2 * p) + d and j = (2 * p) + 1 - d in
+      let va = next ~fb ~fmask ~dead (Bigarray.Array1.unsafe_get grid i) ka fp in
+      let vb = next ~fb ~fmask ~dead (Bigarray.Array1.unsafe_get grid j) kb fp in
+      if va lsr (2 * fb) = dead || vb lsr (2 * fb) = dead then begin
+        Bigarray.Array1.unsafe_set grid i 0;
+        Bigarray.Array1.unsafe_set grid j 0;
+        Bytes.unsafe_set marks p dead_mark
+      end
+      else begin
+        Bigarray.Array1.unsafe_set grid i va;
+        Bigarray.Array1.unsafe_set grid j vb;
+        Bytes.unsafe_set marks p live_mark
+      end
+    end
   end
   else begin
-    let s = Int_pair_tbl.slot wits (Int_pair_tbl.pack a b) in
-    let v = Int_pair_tbl.slot_get wits s in
-    let v' = next ~fb ~fmask ~dead v a_occ fp in
-    if v' <> v then Int_pair_tbl.slot_set wits s v'
+    witness wits ~fb ~fmask ~dead a b ka fp;
+    witness wits ~fb ~fmask ~dead b a kb fp
   end
 
 (* The walk over the trace's events, in place, on the flagged
    [Window_stack]. [occ_idx] counts each symbol's occurrences so far. *)
-let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
+let[@inline] walk ~dense grid marks wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
   let ev = Int_vec.backing (Trace.events trace) in
   (* No walk reads past depth [wmax]: the top [wmax] LRU entries suffice. *)
   let ws = Window_stack.create ~k:(imax 1 (imin wmax n)) ~num_symbols:n in
@@ -131,8 +163,7 @@ let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
       let i = ref 0 and carry = ref y and x = ref (Array.unsafe_get stk 0) in
       while !x <> y do
         let xi = !x in
-        witness ~dense grid wits ~fb ~fmask ~dead y xi ky (!i + 2);
-        witness ~dense grid wits ~fb ~fmask ~dead xi y occ_idx.(xi) (!i + 2);
+        visit ~dense grid marks wits ~fb ~fmask ~dead y xi ky occ_idx.(xi) (!i + 2);
         Array.unsafe_set stk !i !carry;
         carry := xi;
         incr i;
@@ -141,15 +172,13 @@ let[@inline] walk ~dense grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx =
       Array.unsafe_set stk !i !carry;
       for i = !i + 1 to depth - 1 do
         let x = Array.unsafe_get stk i in
-        witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 1);
-        witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 1)
+        visit ~dense grid marks wits ~fb ~fmask ~dead y x ky occ_idx.(x) (i + 1)
       done
     end
     else begin
       for i = 0 to imin depth (wmax - 1) - 1 do
         let x = Array.unsafe_get stk i in
-        witness ~dense grid wits ~fb ~fmask ~dead y x ky (i + 2);
-        witness ~dense grid wits ~fb ~fmask ~dead x y occ_idx.(x) (i + 2)
+        visit ~dense grid marks wits ~fb ~fmask ~dead y x ky occ_idx.(x) (i + 2)
       done;
       Window_stack.push ws y
     end
@@ -167,33 +196,66 @@ let[@inline] threshold occ ~fb ~fmask a b v v' =
     imax (bound v) (bound v')
   else 0
 
-(* The grid's read-out, which leaves it zeroed. One sequential pass reads
-   both cells of each pair and zeroes them, keeping each affine pair's
-   threshold in its first cell and its key in [keys]; the thresholds then
-   go into [table] in ascending (a, b) order, so which slot each takes
-   does not depend on the grid's cell order. *)
-let read_grid (grid : Pair_grid.t) n occ ~fb ~fmask table =
-  let keys = Int_vec.create ~capacity:1024 () in
-  for hi = 1 to n - 1 do
-    for lo = 0 to hi - 1 do
-      let i = 2 * ((hi * (hi - 1) / 2) + lo) in
-      let v = Bigarray.Array1.unsafe_get grid i and v' = Bigarray.Array1.unsafe_get grid (i + 1) in
-      if v' <> 0 then Bigarray.Array1.unsafe_set grid (i + 1) 0;
-      if v <> 0 then begin
-        let t = threshold occ ~fb ~fmask lo hi v v' in
-        Bigarray.Array1.unsafe_set grid i t;
-        if t <> 0 then Int_vec.push keys (Int_pair_tbl.pack lo hi)
-      end
-    done
+(* The grid's read-out, which leaves it and the marks zeroed. One
+   sequential pass over the marks, eight at a time where all eight are 0
+   (most pairs are never visited), zeroes each mark it finds and reads
+   and zeroes both cells of each live pair, keeping each affine pair's
+   key and threshold in [found]; untouched and dead pairs' cells are
+   already 0. Pair [p] lies in row [hi] of the lower triangle, which
+   starts at [row = hi * (hi - 1) / 2]. The thresholds then go into
+   [table] in ascending (a, b) order, so which slot each takes does not
+   depend on the grid's cell order. *)
+let read_grid (grid : Pair_grid.t) marks n occ ~fb ~fmask table =
+  let found = Int_vec.create ~capacity:1024 () in
+  let pairs = n * (n - 1) / 2 in
+  let hi = ref 1 and row = ref 0 and p = ref 0 in
+  while !p < pairs do
+    let p0 = !p in
+    if p0 land 7 = 0 && p0 + 8 <= pairs && Int64.equal (Bytes.get_int64_ne marks p0) 0L then
+      p := p0 + 8
+    else begin
+      let m = Bytes.unsafe_get marks p0 in
+      if m <> '\000' then begin
+        while p0 >= !row + !hi do
+          row := !row + !hi;
+          incr hi
+        done;
+        let lo = p0 - !row and hi = !hi in
+        Bytes.unsafe_set marks p0 '\000';
+        if m = live_mark then begin
+          let i = 2 * p0 in
+          let v = Bigarray.Array1.unsafe_get grid i in
+          let v' = Bigarray.Array1.unsafe_get grid (i + 1) in
+          Bigarray.Array1.unsafe_set grid i 0;
+          Bigarray.Array1.unsafe_set grid (i + 1) 0;
+          let t = threshold occ ~fb ~fmask lo hi v v' in
+          if t <> 0 then Int_vec.push found ((Int_pair_tbl.pack lo hi lsl fb) lor t)
+        end
+      end;
+      p := p0 + 1
+    end
   done;
-  let keys = Int_vec.to_array keys in
-  Array.sort (fun (a : int) b -> if a < b then -1 else if a > b then 1 else 0) keys;
-  Array.iter
-    (fun k ->
-      let i = pair_cell (Int_pair_tbl.fst_of k) (Int_pair_tbl.snd_of k) in
-      Int_pair_tbl.replace table k (Bigarray.Array1.unsafe_get grid i);
-      Bigarray.Array1.unsafe_set grid i 0)
-    keys
+  (* [found] holds [(key lsl fb) lor threshold] in ascending (hi, lo)
+     order: a stable counting sort on [lo] puts it in ascending (lo, hi)
+     order. *)
+  let len = Int_vec.length found and f = Int_vec.backing found in
+  let lo_of e = Int_pair_tbl.fst_of (e lsr fb) in
+  let start = Array.make (n + 1) 0 in
+  for j = 0 to len - 1 do
+    let lo = lo_of f.(j) in
+    start.(lo + 1) <- start.(lo + 1) + 1
+  done;
+  for lo = 1 to n do
+    start.(lo) <- start.(lo) + start.(lo - 1)
+  done;
+  let sorted = Array.make len 0 in
+  for j = 0 to len - 1 do
+    let e = f.(j) in
+    let lo = lo_of e in
+    sorted.(start.(lo)) <- e;
+    start.(lo) <- start.(lo) + 1
+  done;
+  Array.iter (fun e -> Int_pair_tbl.replace table (e lsr fb) (e land fmask)) sorted
 
 let thresholds trace ~wmax =
   if wmax < 1 then invalid_arg "Affinity.thresholds: wmax must be >= 1";
@@ -210,14 +272,14 @@ let thresholds trace ~wmax =
   let fmask = (1 lsl fb) - 1 and dead = (1 lsl dead_bits) - 1 in
   let table = Int_pair_tbl.create ~capacity:1024 () in
   if n <= Int_pair_tbl.max_grid_universe then
-    Pair_grid.with_grid "Affinity.thresholds" ~n (fun grid ->
+    Pair_grid.with_grid_marks "Affinity.thresholds" ~n (fun grid marks ->
         let wits = Int_pair_tbl.create ~capacity:0 () in
-        walk ~dense:true grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
-        read_grid grid n occ ~fb ~fmask table)
+        walk ~dense:true grid marks wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
+        read_grid grid marks n occ ~fb ~fmask table)
   else begin
     let wits = Int_pair_tbl.create ~capacity:4096 () in
     let no_grid = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
-    walk ~dense:false no_grid wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
+    walk ~dense:false no_grid Bytes.empty wits n ~fb ~fmask ~dead ~wmax trace occ_idx;
     Int_pair_tbl.iter
       (fun key v ->
         let a = Int_pair_tbl.fst_of key and b = Int_pair_tbl.snd_of key in

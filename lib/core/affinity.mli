@@ -41,9 +41,14 @@ val thresholds : Colayout_trace.Trace.t -> wmax:int -> thresholds
     the calling domain's [Pair_grid] (both directions of a pair in
     adjacent cells) when the universe has at most
     [Int_pair_tbl.max_grid_universe] symbols, in a packed-pair table
-    otherwise; the thresholds are the same either way. @raise Invalid_argument if [wmax < 1] or the
-    trace is not trimmed, or on the grid path when the calling domain's
-    [Pair_grid] is already held. *)
+    otherwise; the thresholds are the same either way. On the grid path
+    the walk also keeps one byte per pair in the domain's pair marks
+    ([Pair_grid.with_grid_marks]): once a direction of a pair misses an
+    occurrence the pair can never be affine, and its later visits read
+    only that byte. The table path visits every pair as before.
+    @raise Invalid_argument if [wmax < 1] or the trace is not trimmed, or
+    on the grid path when the calling domain's [Pair_grid] is already
+    held. *)
 
 val cut : thresholds -> w:int -> pair_set
 (** The pairs affine at window [w]: exactly [affine_pairs trace ~w]. O(1);

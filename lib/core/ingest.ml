@@ -19,8 +19,8 @@ open Colayout_trace
    occurrence indices, which the rule tolerates because windows never
    span trace boundaries.
 
-   With [walkers = 1] the walker runs inline in [feed_sym] and can stream
-   arbitrarily long traces without materializing them. With [walkers > 1]
+   With [walkers = 1] the walker runs inline in [feed_trace], on the
+   trace's own event array, without staging a copy. With [walkers > 1]
    the current trace is staged in memory until [end_trace] assigns it
    round-robin (by completed-trace index — a config-deterministic
    assignment) to a walker queue; queues are drained by [Pool] tasks, one
@@ -489,15 +489,6 @@ let start_trace t =
     t.trace_t0 <- t.clock ()
   end
 
-let feed_sym t x =
-  if x < 0 || x >= t.cfg.num_symbols then invalid_arg "Ingest.feed_sym: symbol out of range";
-  t.events <- t.events + 1;
-  if t.cfg.walkers = 1 then begin
-    start_trace t;
-    walk_event t t.walkers.(0) x
-  end
-  else Int_vec.push t.stage x
-
 (* Events already inside the config's universe, with no range check:
    one walker walks the vector's array in place, more stage it with one
    copy. *)
@@ -524,12 +515,6 @@ let feed_trace t tr =
   if Trace.num_symbols tr <> t.cfg.num_symbols then
     invalid_arg "Ingest.feed_trace: trace symbol universe does not match config";
   feed_events t (Trace.events tr)
-
-let feed_chunk t buf n =
-  if n < 0 || n > Array.length buf then invalid_arg "Ingest.feed_chunk";
-  for i = 0 to n - 1 do
-    feed_sym t buf.(i)
-  done
 
 let end_trace t =
   t.traces <- t.traces + 1;

@@ -8,9 +8,9 @@
     of the *multiset* of ingested traces, which is what makes parallel
     walkers sound:
 
-    - with [walkers = 1] the single walker runs inline in {!feed_sym}
-      (streaming, never materializing a trace) and resets its stack at
-      every {!end_trace};
+    - with [walkers = 1] the single walker runs inline in {!feed_trace}
+      (on the trace's own events, with no staged copy) and resets its
+      stack at every {!end_trace};
     - with [walkers > 1] each completed trace is assigned round-robin (by
       completed-trace index — a config-deterministic assignment) to one
       of W walker states, each owning a private window stack and counter
@@ -89,24 +89,15 @@ val create : ?pool:Colayout_util.Pool.t -> ?metrics:Colayout_util.Metrics.t -> c
 
 val config_of : t -> config
 
-val feed_sym : t -> int -> unit
-(** Feed one event of the current trace. With [walkers > 1] the event is
-    staged in memory until {!end_trace} assigns the completed trace to a
-    walker — use [walkers = 1] to stream traces larger than memory.
-    @raise Invalid_argument on an out-of-range symbol or a per-walker
-    stream longer than the packed-payload bound (2^31 kept events). *)
-
-val feed_chunk : t -> int array -> int -> unit
-(** [feed_chunk t buf n] feeds [buf.(0..n-1)] — the shape handed out by
-    [Trace_io.read_chunk]. *)
-
 val feed_trace : t -> Colayout_trace.Trace.t -> unit
-(** Feed a whole in-memory trace (does not end it). Its events are not
+(** Feed a whole in-memory trace (does not end it): consecutive calls
+    before {!end_trace} feed one trace in pieces. Its events are not
     range-checked again ({!Colayout_trace.Trace} keeps them in range);
     with [walkers > 1] they are staged with one copy, not one call per
     event.
     @raise Invalid_argument when the trace's symbol universe differs from
-    the config's. *)
+    the config's, or on a per-walker stream longer than the
+    packed-payload bound (2^31 kept events). *)
 
 val end_trace : t -> unit
 (** Mark the current user trace complete. Each trace is an independent

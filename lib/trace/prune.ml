@@ -8,22 +8,63 @@ type report = {
 
 let prune_default_top = 10_000
 
+(* Smallest [b] with [2^b > n]. *)
+let bits n =
+  let rec go b = if 1 lsl b > n then b else go (b + 1) in
+  go 0
+
+(* [a] sorted ascending, by a bottom-up merge sort with the int
+   comparison inline; [a] itself may be reused. *)
+let sort_ints a =
+  let n = Array.length a in
+  let src = ref a and dst = ref (Array.make n 0) and width = ref 1 in
+  while !width < n do
+    let s = !src and d = !dst and w = !width in
+    let lo = ref 0 in
+    while !lo < n do
+      let mid = min (!lo + w) n and hi = min (!lo + (2 * w)) n in
+      let i = ref !lo and j = ref mid in
+      for k = !lo to hi - 1 do
+        if !j >= hi || (!i < mid && s.(!i) <= s.(!j)) then begin
+          d.(k) <- s.(!i);
+          incr i
+        end
+        else begin
+          d.(k) <- s.(!j);
+          incr j
+        end
+      done;
+      lo := hi
+    done;
+    src := d;
+    dst := s;
+    width := 2 * w
+  done;
+  !src
+
+(* One int sort: each present symbol packed as
+   [((max_count - count) lsl sb) lor symbol], so ascending keys run by
+   count descending, then by symbol ascending. *)
 let hot_symbols t ~top =
   if top <= 0 then invalid_arg "Prune.hot_symbols: top must be positive";
   let occ = Trace.occurrences t in
-  let present = ref [] in
-  Array.iteri (fun sym c -> if c > 0 then present := (sym, c) :: !present) occ;
-  let sorted =
-    List.sort
-      (fun (s1, c1) (s2, c2) -> if c1 <> c2 then compare c2 c1 else compare s1 s2)
-      !present
-  in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  Array.of_list (List.map fst (take top sorted))
+  let max_count = Array.fold_left max 0 occ in
+  let sb = bits (Array.length occ) in
+  if bits max_count + sb > 62 then
+    invalid_arg "Prune.hot_symbols: occurrence counts and symbols exceed the packed sort key";
+  let present = Array.fold_left (fun k c -> if c > 0 then k + 1 else k) 0 occ in
+  let keys = Array.make present 0 in
+  let k = ref 0 in
+  for sym = 0 to Array.length occ - 1 do
+    let c = occ.(sym) in
+    if c > 0 then begin
+      keys.(!k) <- ((max_count - c) lsl sb) lor sym;
+      incr k
+    end
+  done;
+  let keys = sort_ints keys in
+  let mask = (1 lsl sb) - 1 in
+  Array.init (min top present) (fun i -> keys.(i) land mask)
 
 (* One loop over the backing array into a buffer of the trace's length,
    handed to the output trace without a copy. *)

@@ -21,6 +21,14 @@
     grid kernel, ~13 MB for 445.gobmk and at most 32 MiB at the 2,048
     symbol bound.
 
+    {b Marks.} A holder that asks for them ({!with_grid_marks}) also
+    gets one byte per unordered pair of the [n] symbols, lent and handed
+    back all 0 under the same rule as the cells: [Affinity.thresholds]
+    marks there the pairs its walk no longer needs to visit. They live
+    with the grid, grow to the largest [n * (n - 1) / 2] bytes asked of
+    them on the domain and are never shrunk: ~0.8 MB for 445.gobmk and at
+    most 2 MiB at the 2,048 symbol bound, on top of the grid.
+
     {b Nesting.} One holder per domain at a time. A kernel that needed
     the grid while its own domain already holds it would overwrite the
     holder's counts, so it is refused; domains never share a grid. *)
@@ -40,6 +48,17 @@ val with_grid : string -> n:int -> (t -> 'a) -> 'a
     (the holder's grid is left untouched), or ["<who>: grid side n outside
     [0, max_grid_universe]"] unless
     [0 <= n <= Int_pair_tbl.max_grid_universe]. *)
+
+type marks = Bytes.t
+(** The pair marks: byte [hi * (hi - 1) / 2 + lo] belongs to the pair
+    [lo < hi]. *)
+
+val with_grid_marks : string -> n:int -> (t -> marks -> 'a) -> 'a
+(** [with_grid_marks who ~n f] is {!with_grid} whose holder also
+    receives the domain's pair marks: at least [n * (n - 1) / 2] bytes,
+    all 0, which [f] must leave 0 when it returns; if it raises, the
+    first [n * (n - 1) / 2] are zeroed with the view. One hold covers
+    both: the same errors, and a nested hold of either kind is refused. *)
 
 val capacity : unit -> int
 (** Cells the calling domain's grid holds now: the largest [n * n] asked

@@ -262,6 +262,96 @@ let test_cut_edge_cases () =
       ("ends above bound", Trace.of_list ~num_symbols:(bound + 1) [ bound; 0; bound; 0 ]);
     ]
 
+(* Every cell of the domain's grid and every pair mark, over [n]
+   symbols, is 0. *)
+let grid_and_marks_zero n =
+  U.Pair_grid.with_grid_marks "test" ~n (fun g m ->
+      let cells = ref true in
+      for i = 0 to Bigarray.Array1.dim g - 1 do
+        if g.{i} <> 0 then cells := false
+      done;
+      !cells && Bytes.for_all (fun c -> c = '\000') m)
+
+(* The grid walk skips the pairs whose mark says dead. A trace whose
+   cycles are longer than [wmax] has no event recurring within the
+   window, so most pairs it visits die; mixed traces add short loops
+   whose pairs stay live and become affine. Every cut, on the grid path
+   and on the table path (the same events over [bound + 1] symbols),
+   equals the seed pass, and each grid call hands the grid and the marks
+   back zeroed. *)
+let dead_pairs_match_seed =
+  QCheck.Test.make ~name:"dead-pair skip: cuts = seed, grid and marks zeroed" ~count:200
+    QCheck.(triple (int_bound 1_000_000) (int_bound 4) bool)
+    (fun (seed, wsel, mixed) ->
+      let wmax = [| 1; 2; 3; 5; 8 |].(wsel) and num_symbols = 30 in
+      let prng = U.Prng.create ~seed in
+      let t = Trace.create ~num_symbols () in
+      while Trace.length t < 300 do
+        if mixed && U.Prng.bool prng ~p:0.4 then begin
+          (* A short loop: 2 or 3 symbols, several rounds. *)
+          let k = 2 + U.Prng.int prng 2 in
+          let ids = Array.init k (fun _ -> U.Prng.int prng num_symbols) in
+          for _ = 1 to 2 + U.Prng.int prng 4 do
+            Array.iter (Trace.push t) ids
+          done
+        end
+        else begin
+          (* A cycle over more distinct symbols than [wmax]. *)
+          let ids = Array.init num_symbols Fun.id in
+          U.Prng.shuffle prng ids;
+          let c = min num_symbols (wmax + 1 + U.Prng.int prng 8) in
+          for _ = 1 to 2 + U.Prng.int prng 3 do
+            for i = 0 to c - 1 do
+              Trace.push t ids.(i)
+            done
+          done
+        end
+      done;
+      let t = Trim.trim t in
+      let wide = Trace.of_list ~num_symbols:(bound + 1) (Trace.to_list t) in
+      let cuts tr =
+        let th = Affinity.thresholds tr ~wmax in
+        List.init wmax (fun i -> Affinity.pair_list (Affinity.cut th ~w:(i + 1)))
+      in
+      let seed_cuts = List.init wmax (fun i -> Kernel_baseline.affine_pairs t ~w:(i + 1)) in
+      let grid = cuts t in
+      let zeroed = grid_and_marks_zero num_symbols in
+      grid = seed_cuts && zeroed && cuts wide = seed_cuts)
+
+(* A holder that raises gets the grid and the marks zeroed; a call made
+   while the domain holds them is refused by name, and the holder's
+   cells and marks are left alone. *)
+let test_marks_hold () =
+  let n = 50 in
+  Alcotest.check_raises "a raising holder" (Failure "holder") (fun () ->
+      U.Pair_grid.with_grid_marks "test" ~n (fun g m ->
+          g.{0} <- 5;
+          g.{(n * n) - 1} <- 6;
+          Bytes.set m 0 '\002';
+          Bytes.set m ((n * (n - 1) / 2) - 1) '\001';
+          failwith "holder"));
+  check Alcotest.bool "zeroed after the raise" true (grid_and_marks_zero n);
+  let t = spread_trace ~seed:3 ~num_symbols:n ~k:20 ~len:400 in
+  let held who = Invalid_argument (who ^ ": the pair grid is already held on this domain") in
+  U.Pair_grid.with_grid_marks "outer" ~n (fun g m ->
+      g.{3} <- 7;
+      Bytes.set m 3 '\001';
+      Alcotest.check_raises "Affinity.thresholds" (held "Affinity.thresholds") (fun () ->
+          ignore (Affinity.thresholds t ~wmax:4));
+      Alcotest.check_raises "a grid hold inside" (held "inner") (fun () ->
+          U.Pair_grid.with_grid "inner" ~n ignore);
+      Alcotest.check_raises "a marks hold inside" (held "inner") (fun () ->
+          U.Pair_grid.with_grid_marks "inner" ~n (fun _ _ -> ()));
+      check Alcotest.bool "the holder's cell and mark are untouched" true
+        (g.{3} = 7 && Bytes.get m 3 = '\001');
+      g.{3} <- 0;
+      Bytes.set m 3 '\000');
+  U.Pair_grid.with_grid "outer" ~n (fun _ ->
+      Alcotest.check_raises "a marks hold inside a grid hold" (held "inner") (fun () ->
+          U.Pair_grid.with_grid_marks "inner" ~n (fun _ _ -> ())));
+  ignore (check_cuts ~what:"after the holds" ~wmax:4 t);
+  check Alcotest.bool "zeroed after a call" true (grid_and_marks_zero n)
+
 (* The grid walk allocates nothing per event: a cyclic trace has the same
    affine pairs at any length past two rounds. *)
 let test_grid_walk_allocation () =
@@ -304,5 +394,7 @@ let () =
           Alcotest.test_case "small cuts = seed, within Def 3" `Quick test_small_cuts_across_bound;
           Alcotest.test_case "cut edge cases = seed" `Quick test_cut_edge_cases;
           Alcotest.test_case "grid walk allocation" `Quick test_grid_walk_allocation;
+          QCheck_alcotest.to_alcotest dead_pairs_match_seed;
+          Alcotest.test_case "marks hold" `Quick test_marks_hold;
         ] );
     ]

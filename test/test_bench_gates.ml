@@ -85,6 +85,7 @@ let kernels =
         o
           [
             ("grid_cells", i 100);
+            ("pair_marks_words", i 40);
             ( "kernels",
               a
                 (List.map
@@ -389,6 +390,12 @@ let perturbations =
     ( "kernels",
       "pair-grid-no-alloc",
       set (cells [ "pair_grid"; "kernels"; "2"; "gc_per_call"; "major_words" ]) (f 100.0) );
+    ( "kernels",
+      "pair-marks-no-alloc",
+      set (cells [ "pair_grid"; "kernels"; "1"; "gc_per_call"; "major_words" ]) (f 40.0) );
+    ( "kernels",
+      "pair-marks-no-alloc",
+      set (cells [ "pair_grid"; "kernels"; "1"; "name" ]) (s "affinity-cut") );
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));

@@ -426,6 +426,65 @@ let corun_matches_per_line =
       shared_agrees ~params:(replay_params c) ?prefetch:(prefetch_of c) ~rates:c.rates
         ~layouts:c.layouts c.traces)
 
+(* Co-run expansion writes four line ids per block whatever its span and
+   loops only past four, so blocks of 1 to 6 lines, line-aligned or
+   not, cover both paths. Each case runs long, short, long-short and
+   short-long stream pairs back to back on one domain: a short call
+   after a long one reuses buffers holding the long streams' entries,
+   past its own end and in the slack, where a stale entry would show. *)
+let gen_wide_blocks_case =
+  let open QCheck.Gen in
+  let layout =
+    int_range 1 12 >>= fun n ->
+    list_repeat n (triple (int_range 1 6) (int_bound 63) (int_bound 2)) >>= fun blocks ->
+    let addr = Array.make n 0 and bytes = Array.make n 0 in
+    let next_line = ref 0 in
+    List.iteri
+      (fun i (lines, slack, gap) ->
+        (* [lines] lines from a line start, the last one partly used. *)
+        addr.(i) <- (!next_line + gap) * 64;
+        bytes.(i) <- (lines * 64) - slack;
+        next_line := !next_line + gap + lines)
+      blocks;
+    return { Icache.addr; bytes }
+  in
+  let trace (l : Icache.layout) len =
+    list_repeat len (int_bound (Array.length l.Icache.addr - 1))
+  in
+  int_range 0 2 >>= fun assoc_log ->
+  int_range 0 3 >>= fun sets_log ->
+  layout >>= fun l0 ->
+  layout >>= fun l1 ->
+  int_range 100 250 >>= fun long ->
+  int_range 1 12 >>= fun short ->
+  trace l0 long >>= fun long0 ->
+  trace l1 long >>= fun long1 ->
+  trace l0 short >>= fun short0 ->
+  trace l1 short >>= fun short1 ->
+  oneofl rate_pairs >>= fun rates ->
+  int_range 0 2 >>= fun degree ->
+  return
+    ( {
+        assoc = 1 lsl assoc_log;
+        sets = 1 lsl sets_log;
+        layouts = (l0, l1);
+        traces = (long0, long1);
+        rates;
+        degree;
+      },
+      (short0, short1) )
+
+let corun_wide_blocks_match_per_line =
+  QCheck.Test.make ~name:"Icache.shared = per-line oracle, 1-6 line blocks, long/short" ~count:300
+    (QCheck.make ~print:(fun (c, _) -> print_replay_case c) gen_wide_blocks_case)
+    (fun (c, (short0, short1)) ->
+      let long0, long1 = c.traces in
+      List.for_all
+        (fun traces ->
+          shared_agrees ~params:(replay_params c) ?prefetch:(prefetch_of c) ~rates:c.rates
+            ~layouts:c.layouts traces)
+        [ (long0, long1); (short0, short1); (long0, short1); (short0, long1); (long0, long1) ])
+
 (* Solo: thread 0's stream alone, same comparison. *)
 let solo_matches_per_line =
   QCheck.Test.make ~name:"Icache.solo = per-line oracle, bare and with a sink" ~count:300
@@ -978,6 +1037,7 @@ let () =
           QCheck_alcotest.to_alcotest icache_solo_matches_seed;
           Alcotest.test_case "allocation-free" `Quick test_core_allocation_free;
           QCheck_alcotest.to_alcotest corun_matches_per_line;
+          QCheck_alcotest.to_alcotest corun_wide_blocks_match_per_line;
           QCheck_alcotest.to_alcotest solo_matches_per_line;
           QCheck_alcotest.to_alcotest warm_corun_matches_per_line;
           QCheck_alcotest.to_alcotest warm_solo_matches_per_line;

@@ -140,24 +140,32 @@ let test_chunked_and_file_feeds () =
   let traces = user_traces ~seed:7 ~users:6 ~num_symbols ~len:250 in
   let cfg = Ingest.config ~num_symbols ~trg_window:10 ~affinity_w:5 () in
   let whole = Ingest.consensus_digests (Ingest.finalize (ingest_all cfg traces)) in
-  (* Odd-sized chunks, mid-trace boundaries. *)
-  let chunked = Ingest.create cfg in
+  (* Odd-sized sub-traces cut from each trace's events, fed one after
+     another: boundaries inside a trace, at one walker (walked inline)
+     and at two (staged). *)
   List.iter
-    (fun t ->
-      let arr = U.Int_vec.to_array (Trace.events t) in
-      let n = Array.length arr in
-      let pos = ref 0 in
-      while !pos < n do
-        let len = min 7 (n - !pos) in
-        Ingest.feed_chunk chunked (Array.sub arr !pos len) len;
-        pos := !pos + len
-      done;
-      Ingest.end_trace chunked)
-    traces;
-  check
-    Alcotest.(pair string string)
-    "chunked == whole" whole
-    (Ingest.consensus_digests (Ingest.finalize chunked));
+    (fun walkers ->
+      let chunked =
+        Ingest.create (Ingest.config ~num_symbols ~walkers ~trg_window:10 ~affinity_w:5 ())
+      in
+      List.iter
+        (fun t ->
+          let arr = U.Int_vec.to_array (Trace.events t) in
+          let n = Array.length arr in
+          let pos = ref 0 in
+          while !pos < n do
+            let len = min 7 (n - !pos) in
+            Ingest.feed_trace chunked (Trace.of_array ~num_symbols (Array.sub arr !pos len));
+            pos := !pos + len
+          done;
+          Ingest.end_trace chunked)
+        traces;
+      check
+        Alcotest.(pair string string)
+        (Printf.sprintf "chunked at walkers=%d == whole" walkers)
+        whole
+        (Ingest.consensus_digests (Ingest.finalize chunked)))
+    [ 1; 2 ];
   (* Through trace files and the chunked streaming reader, on the staged
      multi-walker path. *)
   let dir = Filename.temp_file "colayout_serve" "" in

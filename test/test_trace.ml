@@ -133,6 +133,29 @@ let trim_prune_prop =
       && report.Prune.kept_events = List.length kept
       && report.Prune.total_symbols = List.length (List.sort_uniq compare xs))
 
+(* The packed-key sort against the definition: present symbols by count
+   descending, ties toward the smaller id, the first [top] of them. *)
+let hot_symbols_prop =
+  QCheck.Test.make ~name:"hot symbols = sort by count desc, then id" ~count:300
+    QCheck.(triple (int_range 1 40) (list (int_bound 39)) (int_range 1 45))
+    (fun (num_symbols, xs, top) ->
+      let xs = List.map (fun x -> x mod num_symbols) xs in
+      let t = Trace.of_list ~num_symbols xs in
+      let counts =
+        List.filter_map
+          (fun s ->
+            let c = List.length (List.filter (( = ) s) xs) in
+            if c > 0 then Some (s, c) else None)
+          (List.init num_symbols Fun.id)
+      in
+      let sorted =
+        List.sort
+          (fun (s1, c1) (s2, c2) -> if c1 <> c2 then compare c2 c1 else compare s1 s2)
+          counts
+      in
+      let want = List.filteri (fun i _ -> i < top) (List.map fst sorted) in
+      Array.to_list (Prune.hot_symbols t ~top) = want)
+
 let test_lru_stack () =
   let s = Lru_stack.create () in
   check (Alcotest.option Alcotest.int) "first access" None (Lru_stack.access s 1);
@@ -359,6 +382,7 @@ let () =
           Alcotest.test_case "prune" `Quick test_prune;
           Alcotest.test_case "tie break" `Quick test_prune_hot_symbols_deterministic_ties;
           Alcotest.test_case "top > universe" `Quick test_prune_top_larger_than_universe;
+          QCheck_alcotest.to_alcotest hot_symbols_prop;
         ] );
       ( "bulk",
         [
