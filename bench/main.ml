@@ -950,8 +950,10 @@ let layout_eval ~quick ~dir:_ =
        from [Delta.stats], not the nominal labels.
 
    (b) the anneal wall, [Anneal.search ~max_span:2] (the local refinement
-       regime) in [`Full] vs [`Delta] mode. Both modes draw the same PRNG
-       stream, so both results are digested for an exact comparison. Each
+       regime, scored through a delta session) against the full-evaluation
+       oracle [Kernel_baseline.anneal_full] with the same arguments. Both
+       draw the same PRNG stream, so both results are digested for an
+       exact comparison. Each
        side's wall is the median of five settled runs, the sides
        alternating: the delta wall is a fraction of a millisecond, and one
        scheduler hiccup in a single run could decide the ratio.
@@ -1115,13 +1117,13 @@ let layout_eval_delta ~quick ~dir:_ =
   in
   let scenario_rows = List.map scenario scenarios in
   let steps = if quick then 100 else 400 in
-  let run mode =
-    settled_time (fun () -> Anneal.search ~seed:11 ~steps ~max_span:2 ~mode ~params program trace)
-  in
   let pairs =
     List.init 5 (fun _ ->
-        let full = run `Full in
-        (full, run `Delta))
+        let full =
+          settled_time (fun () ->
+              Kernel_baseline.anneal_full ~seed:11 ~steps ~max_span:2 ~params program trace)
+        in
+        (full, settled_time (fun () -> Anneal.search ~seed:11 ~steps ~max_span:2 ~params program trace)))
   in
   let (full_r, _), (delta_r, _) = List.hd pairs in
   let walls side = List.map (fun p -> snd (side p)) pairs in

@@ -28,6 +28,14 @@ let verbosity_conv =
   let print ppf v = Format.pp_print_string ppf (H.Report.verbosity_to_string v) in
   Arg.conv (parse, print)
 
+let positive_int_conv =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= 1 -> Ok n
+    | _ -> Error (`Msg (Printf.sprintf "expected an integer >= 1, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
 let verbosity_arg =
   Arg.(
     value
@@ -556,8 +564,8 @@ let serve_cmd =
   let poll_ms =
     Arg.(
       value
-      & opt int 50
-      & info [ "poll-ms" ] ~docv:"MS" ~doc:"Spool poll interval for --from DIR watching")
+      & opt positive_int_conv 50
+      & info [ "poll-ms" ] ~docv:"MS" ~doc:"Spool poll interval for --from DIR watching (>= 1)")
   in
   let serve_from paths ~walkers ~jobs ~window ~w ~epoch ~timeout ~poll_ms ~metrics_out =
     List.iter

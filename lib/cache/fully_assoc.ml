@@ -4,12 +4,11 @@ type t = {
   capacity : int;
   list : int Dlist.t; (* MRU at front *)
   nodes : (int, int Dlist.node) Hashtbl.t;
-  mutable evictions : int;
 }
 
 let create ~capacity =
   if capacity <= 0 then invalid_arg "Fully_assoc.create";
-  { capacity; list = Dlist.create (); nodes = Hashtbl.create (2 * capacity); evictions = 0 }
+  { capacity; list = Dlist.create (); nodes = Hashtbl.create (2 * capacity) }
 
 let access_line t line =
   match Hashtbl.find_opt t.nodes line with
@@ -21,16 +20,11 @@ let access_line t line =
       match Dlist.back t.list with
       | Some victim ->
         Hashtbl.remove t.nodes (Dlist.value victim);
-        Dlist.remove t.list victim;
-        t.evictions <- t.evictions + 1
+        Dlist.remove t.list victim
       | None -> ()
     end;
     Hashtbl.replace t.nodes line (Dlist.push_front t.list line);
     false
-
-let probe_line t line = Hashtbl.mem t.nodes line
-
-let evictions t = t.evictions
 
 let occupancy t = Dlist.length t.list
 

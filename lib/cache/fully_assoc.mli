@@ -14,12 +14,6 @@ val create : capacity:int -> t
 
 val access_line : t -> int -> bool
 
-val probe_line : t -> int -> bool
-(** Hit test without state change. *)
-
-val evictions : t -> int
-(** Cumulative count of lines replaced since creation. *)
-
 val occupancy : t -> int
 
 val resident_lines : t -> int list

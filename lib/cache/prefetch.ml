@@ -5,5 +5,3 @@ let create ?(degree = 1) () =
   { degree }
 
 let degree t = t.degree
-
-let none = None

@@ -17,6 +17,3 @@ val create : ?degree:int -> unit -> t
     @raise Invalid_argument if [degree <= 0]. *)
 
 val degree : t -> int
-
-val none : t option
-(** Convenience for the pure-simulation configuration. *)

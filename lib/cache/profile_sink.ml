@@ -76,8 +76,6 @@ let create ?(threads = 1) ?(classify = true) ?(num_blocks = 64) ~params () =
     seen = Hashtbl.create 1024;
   }
 
-let params t = t.params
-
 let num_threads t = Array.length t.threads
 
 let grow a n =
@@ -198,10 +196,6 @@ let check_thread t i =
 let thread_accesses t i =
   check_thread t i;
   thread_sum (fun pt -> pt.acc) t.threads.(i)
-
-let thread_misses t i =
-  check_thread t i;
-  thread_sum (fun pt -> pt.miss) t.threads.(i)
 
 let thread_evictions t i =
   check_thread t i;

@@ -49,8 +49,6 @@ val create : ?threads:int -> ?classify:bool -> ?num_blocks:int -> params:Params.
     kept (the interference matrices are always maintained). [num_blocks]
     pre-sizes the per-block tables (they grow on demand otherwise). *)
 
-val params : t -> Params.t
-
 val num_threads : t -> int
 
 val record : t -> thread:int -> block:int -> line:int -> hit:bool -> victim:int -> unit
@@ -78,8 +76,6 @@ val conflict_misses : t -> int
     [cold + capacity + conflict = misses]. *)
 
 val thread_accesses : t -> int -> int
-
-val thread_misses : t -> int -> int
 
 val thread_evictions : t -> int -> int
 

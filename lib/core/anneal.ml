@@ -7,12 +7,9 @@ type result = {
   improved_from : float;
 }
 
-type eval_mode = [ `Delta | `Full ]
-
 (* Move application in place: a swap of positions [a]/[b], or a relocate of
    position [a] to position [b] with the gap shifted over. Both are their
-   own undo with the roles reversed, so a rejected proposal costs two
-   O(|a - b|) blits and no allocation. *)
+   own undo with the roles reversed. *)
 let apply_swap order a b =
   let v = order.(a) in
   order.(a) <- order.(b);
@@ -51,179 +48,99 @@ let draw_pair rng nf ~max_span =
   in
   (a, b)
 
+let start_order what nf = function
+  | None -> Array.init nf Fun.id
+  | Some o ->
+    if Array.length o <> nf then
+      invalid_arg (Printf.sprintf "Anneal.%s: initial order length mismatch" what);
+    Array.copy o
+
+let check_steps what steps =
+  if steps <= 0 then invalid_arg (Printf.sprintf "Anneal.%s: steps must be positive" what)
+
 let check_max_span what = function
   | Some span when span <= 0 ->
     invalid_arg (Printf.sprintf "Anneal.%s: max_span must be positive" what)
   | _ -> ()
 
-(* One Metropolis loop shared by both evaluation strategies; the
-   per-proposal mechanics arrive as closures. [eval ~swap a b] applies the
-   move and returns the candidate ratio; [keep]/[revert] finalize the
-   decision; [blit_current] snapshots the current order on improvement.
-   The delta and full paths draw the identical PRNG stream and their
-   ratios are bit-equal, so the accepted-order trajectory — and the result
-   — is byte-identical across modes. *)
-let metropolis_loop ~rng ~steps ~nf ~max_span ~initial_mr ~eval ~keep ~revert ~blit_current
-    ~best =
-  let cur_mr = ref initial_mr in
-  let best_mr = ref initial_mr in
-  (* Temperature scaled to the objective (miss ratios live in [0,1]);
-     geometric decay reaches ~1e-3 of the start by the last step. *)
-  let t0 = 0.02 in
-  let decay = exp (log 1e-3 /. float_of_int steps) in
-  let temp = ref t0 in
-  for _ = 1 to steps do
-    let a, b = draw_pair rng nf ~max_span in
-    let swap = Prng.bool rng ~p:0.5 in
-    let mr = eval ~swap a b in
-    let accept =
-      mr <= !cur_mr || Prng.float rng < exp ((!cur_mr -. mr) /. Float.max 1e-9 !temp)
-    in
-    if accept then begin
-      keep ~swap a b;
-      cur_mr := mr;
-      if mr < !best_mr then begin
-        best_mr := mr;
-        blit_current best
-      end
-    end
-    else revert ~swap a b;
-    temp := !temp *. decay
-  done;
-  !best_mr
+(* Temperature scaled to the objective (miss ratios live in [0,1]);
+   geometric decay reaches ~1e-3 of the start by the last step. *)
+let t0 = 0.02
 
-let search ?(seed = 1) ?(steps = 300) ?initial ?max_span ?(resync_interval = 64)
-    ?(mode = `Delta) ~params program trace =
-  if steps <= 0 then invalid_arg "Anneal.search: steps must be positive";
+let decay_of steps = exp (log 1e-3 /. float_of_int steps)
+
+(* Metropolis acceptance: downhill always, uphill with the Boltzmann
+   probability (one [Prng.float] draw, only when the move is uphill). *)
+let accept rng ~cur_mr ~temp mr =
+  mr <= cur_mr || Prng.float rng < exp ((cur_mr -. mr) /. Float.max 1e-9 temp)
+
+let search ?(seed = 1) ?(steps = 300) ?initial ?max_span ~params program trace =
+  check_steps "search" steps;
   check_max_span "search" max_span;
   let nf = Colayout_ir.Program.num_funcs program in
-  let current =
-    match initial with
-    | None -> Array.init nf Fun.id
-    | Some o ->
-      if Array.length o <> nf then invalid_arg "Anneal.search: initial order length mismatch";
-      Array.copy o
-  in
+  let best = start_order "search" nf initial in
   let engine = Layout_eval.create ~params program trace in
-  let initial_mr = Layout_eval.miss_ratio_of_order engine current in
+  let initial_mr = Layout_eval.miss_ratio_of_order engine best in
   (* Degenerate universes (0 or 1 function) have exactly one layout: return
      it before any proposal machinery spins on an empty neighbourhood. *)
-  if nf < 2 then { order = current; miss_ratio = initial_mr; steps; improved_from = initial_mr }
+  if nf < 2 then { order = best; miss_ratio = initial_mr; steps; improved_from = initial_mr }
   else begin
     let rng = Prng.create ~seed in
-    let best = Array.copy current in
-    let best_mr =
-      match mode with
-      | `Full ->
-        (* PR 5's engine path: every proposal pays one full streaming
-           evaluation. Kept selectable as the honest before-side of the
-           delta benchmark. *)
-        metropolis_loop ~rng ~steps ~nf ~max_span ~initial_mr
-          ~eval:(fun ~swap a b ->
-            if swap then apply_swap current a b else apply_relocate current a b;
-            Layout_eval.miss_ratio_of_order engine current)
-          ~keep:(fun ~swap:_ _ _ -> ())
-          ~revert:(fun ~swap a b ->
-            if swap then apply_swap current a b else apply_relocate current b a)
-          ~blit_current:(fun best -> Array.blit current 0 best 0 nf)
-          ~best
-      | `Delta ->
-        let sess = Layout_eval.Delta.start ~resync_interval engine current in
-        metropolis_loop ~rng ~steps ~nf ~max_span ~initial_mr
-          ~eval:(fun ~swap a b ->
-            if swap then Layout_eval.Delta.apply_swap sess a b
-            else Layout_eval.Delta.apply_relocate sess a b)
-          ~keep:(fun ~swap:_ _ _ -> Layout_eval.Delta.commit sess)
-          ~revert:(fun ~swap:_ _ _ -> Layout_eval.Delta.undo sess)
-          ~blit_current:(Layout_eval.Delta.blit_order sess)
-          ~best
-    in
-    { order = best; miss_ratio = best_mr; steps; improved_from = initial_mr }
+    (* The session copies the start order and owns the current one;
+       [best] is overwritten only on improvement. *)
+    let sess = Layout_eval.Delta.start engine best in
+    let cur_mr = ref initial_mr and best_mr = ref initial_mr in
+    let decay = decay_of steps and temp = ref t0 in
+    for _ = 1 to steps do
+      let a, b = draw_pair rng nf ~max_span in
+      let mr =
+        if Prng.bool rng ~p:0.5 then Layout_eval.Delta.apply_swap sess a b
+        else Layout_eval.Delta.apply_relocate sess a b
+      in
+      if accept rng ~cur_mr:!cur_mr ~temp:!temp mr then begin
+        Layout_eval.Delta.commit sess;
+        cur_mr := mr;
+        if mr < !best_mr then begin
+          best_mr := mr;
+          Layout_eval.Delta.blit_order sess best
+        end
+      end
+      else Layout_eval.Delta.undo sess;
+      temp := !temp *. decay
+    done;
+    { order = best; miss_ratio = !best_mr; steps; improved_from = initial_mr }
   end
 
-let search_batch ?(seed = 1) ?(steps = 60) ?(width = 8) ?initial ?max_span
-    ?(resync_interval = 64) engine =
-  if steps <= 0 then invalid_arg "Anneal.search_batch: steps must be positive";
+let search_batch ?(seed = 1) ?(steps = 60) ?(width = 8) ?initial ?max_span engine =
+  check_steps "search_batch" steps;
   if width <= 0 then invalid_arg "Anneal.search_batch: width must be positive";
   check_max_span "search_batch" max_span;
   let nf = Layout_eval.num_funcs engine in
-  let current =
-    match initial with
-    | None -> Array.init nf Fun.id
-    | Some o ->
-      if Array.length o <> nf then
-        invalid_arg "Anneal.search_batch: initial order length mismatch";
-      Array.copy o
-  in
+  let current = start_order "search_batch" nf initial in
   let initial_mr = Layout_eval.miss_ratio_of_order engine current in
   if nf < 2 then
     { order = current; miss_ratio = initial_mr; steps = 1; improved_from = initial_mr }
   else begin
     let rng = Prng.create ~seed in
-    let cur_mr = ref initial_mr in
     let best = Array.copy current in
-    let best_mr = ref initial_mr in
-    let evals = ref 1 in
-    let t0 = 0.02 in
-    let decay = exp (log 1e-3 /. float_of_int steps) in
-    let temp = ref t0 in
-    (* Per-candidate move records, drawn identically in both regimes so the
-       PRNG stream — and therefore the result — is independent of the
-       evaluation strategy. *)
-    let mv_a = Array.make width 0 and mv_b = Array.make width 0 in
-    let mv_swap = Array.make width false in
-    let ratios = Array.make width 0.0 in
-    let pooled = Layout_eval.pooled engine in
-    (* Pooled: materialized candidate arrays fanned out via [eval_batch]'s
-       index-ordered merge. Sequential: the delta session scores each move
-       with an apply/undo pair — bit-equal ratios, no candidate copies. *)
-    let cands =
-      if pooled then Array.init width (fun _ -> Array.make nf 0) else [||]
-    in
-    let sess =
-      if pooled then None else Some (Layout_eval.Delta.start ~resync_interval engine current)
-    in
+    let cur_mr = ref initial_mr and best_mr = ref initial_mr in
+    let decay = decay_of steps and temp = ref t0 in
+    let cands = Array.init width (fun _ -> Array.make nf 0) in
     for _ = 1 to steps do
       for c = 0 to width - 1 do
         let a, b = draw_pair rng nf ~max_span in
-        mv_a.(c) <- a;
-        mv_b.(c) <- b;
-        mv_swap.(c) <- Prng.bool rng ~p:0.5
+        let cand = cands.(c) in
+        Array.blit current 0 cand 0 nf;
+        if Prng.bool rng ~p:0.5 then apply_swap cand a b else apply_relocate cand a b
       done;
-      (match sess with
-      | None ->
-        for c = 0 to width - 1 do
-          let cand = cands.(c) in
-          Array.blit current 0 cand 0 nf;
-          if mv_swap.(c) then apply_swap cand mv_a.(c) mv_b.(c)
-          else apply_relocate cand mv_a.(c) mv_b.(c)
-        done;
-        Array.blit (Layout_eval.eval_batch engine cands) 0 ratios 0 width
-      | Some sess ->
-        for c = 0 to width - 1 do
-          ratios.(c) <-
-            (if mv_swap.(c) then Layout_eval.Delta.apply_swap sess mv_a.(c) mv_b.(c)
-             else Layout_eval.Delta.apply_relocate sess mv_a.(c) mv_b.(c));
-          Layout_eval.Delta.undo sess
-        done);
-      evals := !evals + width;
+      let ratios = Layout_eval.eval_batch engine cands in
       let pick = ref 0 in
       for c = 1 to width - 1 do
         if ratios.(c) < ratios.(!pick) then pick := c
       done;
       let mr = ratios.(!pick) in
-      let accept =
-        mr <= !cur_mr || Prng.float rng < exp ((!cur_mr -. mr) /. Float.max 1e-9 !temp)
-      in
-      if accept then begin
-        (match sess with
-        | None -> Array.blit cands.(!pick) 0 current 0 nf
-        | Some sess ->
-          ignore
-            (if mv_swap.(!pick) then Layout_eval.Delta.apply_swap sess mv_a.(!pick) mv_b.(!pick)
-             else Layout_eval.Delta.apply_relocate sess mv_a.(!pick) mv_b.(!pick));
-          Layout_eval.Delta.commit sess;
-          Layout_eval.Delta.blit_order sess current);
+      if accept rng ~cur_mr:!cur_mr ~temp:!temp mr then begin
+        Array.blit cands.(!pick) 0 current 0 nf;
         cur_mr := mr;
         if mr < !best_mr then begin
           best_mr := mr;
@@ -232,5 +149,5 @@ let search_batch ?(seed = 1) ?(steps = 60) ?(width = 8) ?initial ?max_span
       end;
       temp := !temp *. decay
     done;
-    { order = best; miss_ratio = !best_mr; steps = !evals; improved_from = initial_mr }
+    { order = best; miss_ratio = !best_mr; steps = 1 + (steps * width); improved_from = initial_mr }
   end

@@ -8,14 +8,14 @@
     leave — the experiment harness uses it in the Petrank-Rawitz wall
     study. Deterministic for a fixed seed.
 
-    Since PR 6 the sequential searches score proposals through
-    {!Layout_eval.Delta}: the engine keeps a per-cache-set ledger alive
-    across moves and re-simulates only the trace segments a move actually
-    perturbs, with a periodic full-recount audit (the [resync_interval]).
-    The delta ratios are {e bit-equal} to a full streaming evaluation, so
-    results are byte-identical to the PR-5 full-recompute path — which
-    stays selectable as [~mode:`Full], both as the honest before-side of
-    [BENCH_layout_eval_delta.json] and as a differential oracle. *)
+    {!search} scores each proposal through a {!Layout_eval.Delta}
+    session: the engine keeps a per-cache-set ledger alive across moves
+    and recounts only the sets a move perturbs. Its ratios are {e
+    bit-equal} to a full evaluation of the same order, so the result is
+    the one a full-evaluation loop drawing the same PRNG stream returns
+    (the test oracle [Kernel_baseline.anneal_full]).
+    {!search_batch} scores a whole neighbourhood per step through
+    {!Layout_eval.eval_batch}. *)
 
 type result = {
   order : int array;
@@ -23,13 +23,6 @@ type result = {
   steps : int;  (** Simulations performed. *)
   improved_from : float;  (** Miss ratio of the initial order. *)
 }
-
-type eval_mode = [ `Delta | `Full ]
-(** How proposals are scored: [`Delta] (default) through a
-    {!Layout_eval.Delta} session, [`Full] through one full streaming
-    evaluation per proposal (the PR-5 behaviour). Both modes draw the same
-    PRNG stream and produce bit-equal ratios, hence byte-identical
-    results. *)
 
 val apply_swap : int array -> int -> int -> unit
 (** Exchange positions [a] and [b] in place. Its own inverse. Exposed for
@@ -45,8 +38,6 @@ val search :
   ?steps:int ->
   ?initial:int array ->
   ?max_span:int ->
-  ?resync_interval:int ->
-  ?mode:eval_mode ->
   params:Colayout_cache.Params.t ->
   Colayout_ir.Program.t ->
   Colayout_trace.Trace.t ->
@@ -57,9 +48,7 @@ val search :
     the second position is drawn within [max_span] positions of the first
     — the local-refinement regime where delta evaluation shines (a local
     move dirties few cache sets); without it the draw is uniform, the
-    exact PR-5 stream. [resync_interval] (default 64 accepted moves) sets
-    the cadence of the delta ledger's full-recount audit; [mode] selects
-    the evaluation strategy (see {!eval_mode}).
+    exact PR-5 stream.
 
     Degenerate inputs ([num_funcs <= 1]) return the trivial order
     immediately — there is no neighbourhood to draw from, and the
@@ -67,8 +56,7 @@ val search :
 
     Every step performs a real move: when two drawn positions collide
     ([a = b]) the second draw is repeated rather than burning the step.
-    For a fixed [seed] and [max_span], the accepted-order trajectory and
-    result are byte-identical across modes. *)
+    Deterministic for a fixed [seed] and [max_span]. *)
 
 val search_batch :
   ?seed:int ->
@@ -76,17 +64,14 @@ val search_batch :
   ?width:int ->
   ?initial:int array ->
   ?max_span:int ->
-  ?resync_interval:int ->
   Layout_eval.t ->
   result
 (** Batched variant: each of the [steps] (default 60) temperature steps
     draws [width] (default 8) independent moves from the current order,
     scores the whole neighborhood, and Metropolis-accepts the best
-    candidate. On a pooled engine ({!Layout_eval.pooled}) the neighborhood
-    is materialized and fanned out through {!Layout_eval.eval_batch}'s
-    index-ordered merge, exactly as before; on a sequential engine each
-    move is scored by a delta apply/undo pair instead — no candidate
-    copies, no full re-streams. The two regimes draw the same PRNG stream
-    and produce bit-equal ratios, so the search stays deterministic at any
+    candidate. The neighborhood is materialized and scored by
+    {!Layout_eval.eval_batch}: sequentially on an engine created without
+    a pool, fanned out with one. Its results are index-ordered and
+    bit-equal at any jobs count, so the search is deterministic at any
     jobs count. [result.steps] reports simulations performed
     ([steps * width + 1]). *)

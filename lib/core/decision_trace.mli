@@ -51,5 +51,3 @@ val counts_by_action : t -> (string * int) list
 
 val to_jsonl : t -> string
 (** One compact JSON object per line, in emission order. *)
-
-val event_json : event -> Colayout_util.Json.t

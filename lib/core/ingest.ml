@@ -196,8 +196,6 @@ let create ?pool ?metrics cfg =
     trace_t0 = 0L;
   }
 
-let config_of t = t.cfg
-
 (* Exact dead-witness pruning. An occurrence of [a] can only be witnessed
    (counted into sat of (a, b)) while it is a's *latest* occurrence in
    the current trace. Maintenance runs only at trace boundaries (epoch
@@ -770,5 +768,3 @@ let batch_digests_parts ~trg_window ~affinity_w traces =
   let packed = Array.of_list keep in
   Array.sort compare packed;
   (trg_digest trg, affine_digest packed)
-
-let batch_digests ~trg_window ~affinity_w trace = batch_digests_parts ~trg_window ~affinity_w [ trace ]

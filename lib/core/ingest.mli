@@ -87,8 +87,6 @@ val create : ?pool:Colayout_util.Pool.t -> ?metrics:Colayout_util.Metrics.t -> c
     [Metrics.merge] after each dispatch barrier, so pooled percentiles
     survive. *)
 
-val config_of : t -> config
-
 val feed_trace : t -> Colayout_trace.Trace.t -> unit
 (** Feed a whole in-memory trace (does not end it): consecutive calls
     before {!end_trace} feed one trace in pieces. Its events are not
@@ -158,8 +156,6 @@ val consensus_digests : consensus -> string * string
 (** [(trg_digest, affine_digest)] over canonical renderings (CSR edge
     sweep; sorted packed pairs). *)
 
-val trg_digest : Trg.t -> string
-
 val batch_digests_parts :
   trg_window:int -> affinity_w:int -> Colayout_trace.Trace.t list -> string * string
 (** The batch-kernel reference digests for a partitioned stream: trims
@@ -168,7 +164,3 @@ val batch_digests_parts :
     as {!finalize} — TRG weights sum; a pair is affine for the union iff
     every part either saturates it or contains neither symbol.
     @raise Invalid_argument on an empty list or mismatched universes. *)
-
-val batch_digests :
-  trg_window:int -> affinity_w:int -> Colayout_trace.Trace.t -> string * string
-(** [batch_digests_parts] of the single-trace stream. *)

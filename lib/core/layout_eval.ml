@@ -172,8 +172,6 @@ let clone t =
 
 let num_funcs t = t.nf
 
-let num_blocks t = t.nb
-
 let trace_length t = t.ev_len
 
 (* Allocation-free permutation check: [seen] doubles as a visited-set via
@@ -324,9 +322,6 @@ let miss_ratio_of_order t forder =
   lower_into t forder;
   layout_pass t t.order_buf ~function_stubs:false;
   simulate t
-
-let pooled t =
-  match t.pool with Some pool -> Pool.jobs pool > 1 | None -> false
 
 let clones_built t =
   Array.fold_left (fun acc c -> if c = None then acc else acc + 1) 0 t.clones

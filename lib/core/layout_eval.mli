@@ -57,8 +57,6 @@ val create :
 
 val num_funcs : t -> int
 
-val num_blocks : t -> int
-
 val trace_length : t -> int
 
 val miss_ratio_of_order : t -> int array -> float
@@ -78,11 +76,6 @@ val miss_ratio_of_block_order : ?function_stubs:bool -> t -> int array -> float
 
     @raise Invalid_argument if [order] is not a permutation of the block
     ids. *)
-
-val pooled : t -> bool
-(** Whether the engine was created with a pool of more than one worker —
-    i.e. whether {!eval_batch} will actually fan out. Searches use this to
-    pick between batched full evaluation and the sequential delta path. *)
 
 val eval_batch : t -> int array array -> float array
 (** Score a whole neighborhood of candidate {e function} orders.

@@ -64,12 +64,3 @@ val layout_for :
   Layout.t
 (** With [decisions], the underlying model ({!Affinity_hierarchy.build} or
     {!Trg_reduce.reduce}) records every merge/placement choice it makes. *)
-
-val block_order_for :
-  ?decisions:Decision_trace.t ->
-  ?config:config ->
-  kind ->
-  Colayout_ir.Program.t ->
-  analysis ->
-  int array
-(** The underlying permutation, exposed for inspection and tests. *)

@@ -14,11 +14,6 @@
 
 type graph
 
-val graph_of_call_trace : num_funcs:int -> Colayout_util.Int_vec.t -> graph
-(** Decode an {!Colayout_exec.Interp} call-pair stream
-    ([caller * num_funcs + callee] per event) into a weighted undirected
-    call graph. *)
-
 val graph_of_edges : num_funcs:int -> (int * int * int) list -> graph
 (** For tests: [(caller, callee, weight)]. Self edges (recursion) are
     ignored — they do not constrain placement. *)

@@ -10,10 +10,6 @@ type evaluated = {
 
 let reference_trace program input = (Colayout_exec.Interp.run program input).bb_trace
 
-let optimize ?config program ~test_input kind =
-  let analysis = Optimizer.analyze ?config program test_input in
-  Optimizer.layout_for ?config kind program analysis
-
 let miss_ratio_solo ?prefetch ?sink ~params ~layout trace =
   Colayout_cache.Icache.solo ?prefetch ?sink ~params ~layout:(Layout.to_icache layout)
     (Trace.events trace)

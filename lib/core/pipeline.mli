@@ -14,14 +14,6 @@ val reference_trace :
   Colayout_ir.Program.t -> Colayout_exec.Interp.input -> Colayout_trace.Trace.t
 (** The evaluation-run block trace (layout-independent). *)
 
-val optimize :
-  ?config:Optimizer.config ->
-  Colayout_ir.Program.t ->
-  test_input:Colayout_exec.Interp.input ->
-  Optimizer.kind ->
-  Layout.t
-(** Instrument with the test input and build the layout for [kind]. *)
-
 val miss_ratio_solo :
   ?prefetch:Colayout_cache.Prefetch.t ->
   ?sink:Colayout_cache.Profile_sink.t ->

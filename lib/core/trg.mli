@@ -46,9 +46,6 @@ val iter_edges : (int -> int -> int -> unit) -> t -> unit
 (** [iter_edges f t] applies [f x y w] to each undirected edge once
     ([x < y]), in CSR (ascending [(x, y)]) order, without building a list. *)
 
-val iter_edges_by_weight : (int -> int -> int -> unit) -> t -> unit
-(** Like {!iter_edges} in the {!edges} order: decreasing weight, then ids. *)
-
 val degree : t -> int -> int
 
 val of_edges : num_nodes:int -> (int * int * int) list -> t

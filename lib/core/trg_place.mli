@@ -28,13 +28,6 @@ val place :
 (** [sizes] is indexed by node id (bytes). Nodes without TRG edges are
     appended unpadded after the placed ones, in id order. *)
 
-val layout_of_function_placement :
-  Colayout_ir.Program.t -> placement -> Layout.t
-(** Realize a function-level placement as a block-level layout: each
-    function's blocks are laid contiguously from its placed base; functions
-    keep their intra-procedural order. Fall-through fixups are charged as in
-    {!Layout.of_block_order}. *)
-
 val layout_for :
   ?config:Optimizer.config ->
   Colayout_ir.Program.t ->

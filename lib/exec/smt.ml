@@ -27,10 +27,6 @@ type thread_stats = {
 
 let ipc s = if s.cycles = 0 then 0.0 else float_of_int s.instrs /. float_of_int s.cycles
 
-let miss_ratio s =
-  if s.fetch_accesses = 0 then 0.0
-  else float_of_int s.fetch_misses /. float_of_int s.fetch_accesses
-
 type thread = {
   code : code;
   trace : Int_vec.t;

@@ -49,8 +49,6 @@ type thread_stats = {
 
 val ipc : thread_stats -> float
 
-val miss_ratio : thread_stats -> float
-
 val solo :
   ?work_scale:float ->
   ?sink:Colayout_cache.Profile_sink.t ->

@@ -82,8 +82,6 @@ let create ?(scale = Full) ?metrics ?spans ?pool () =
 
 let scale t = t.scale
 
-let jobs t = match t.pool with None -> 1 | Some p -> U.Pool.jobs p
-
 let pool t = t.pool
 
 (* Parallel fan-out seam for the experiments: a pooled context maps over
@@ -244,8 +242,6 @@ let smt_solo t name kind =
           E.Smt.solo ~work_scale t.smt_cfg code (Colayout_trace.Trace.events trace)))
 
 let mode_tag = function E.Smt.Finish_both -> "fb" | E.Smt.Measure_first -> "mf"
-
-let smt_config t = t.smt_cfg
 
 let rotate_half v =
   let open Colayout_util in

@@ -39,9 +39,6 @@ val create :
 
 val scale : t -> scale
 
-val jobs : t -> int
-(** The pool's parallelism width; 1 for an unpooled context. *)
-
 val pool : t -> Colayout_util.Pool.t option
 (** The context's pool, for experiments that drive pool-aware engines
     directly (e.g. a {!Colayout.Layout_eval} batch evaluator). [None] for
@@ -54,8 +51,6 @@ val par_map : t -> ('a -> 'b) -> 'a list -> 'b list
     construction is deterministic whatever the jobs count. Must be called
     from outside the pool — nesting fan-outs inside pool tasks is rejected
     by {!Colayout_util.Pool.map}. *)
-
-val par_iter : t -> ('a -> unit) -> 'a list -> unit
 
 val prewarm : ?kinds:Colayout.Optimizer.kind list -> t -> string list -> unit
 (** Phase 1 of the two-phase experiment schedule: one pool task per
@@ -98,8 +93,6 @@ val analysis : t -> string -> Colayout.Optimizer.analysis
 
 val layout : t -> string -> Colayout.Optimizer.kind -> Colayout.Layout.t
 
-val smt_code : t -> string -> Colayout.Optimizer.kind -> Colayout_exec.Smt.code
-
 val solo_stats :
   t -> hw:bool -> string -> Colayout.Optimizer.kind -> Colayout_cache.Cache_stats.t
 
@@ -134,8 +127,6 @@ val profiled_corun :
     self. Unmemoized, like {!profiled_solo}. *)
 
 val smt_solo : t -> string -> Colayout.Optimizer.kind -> Colayout_exec.Smt.thread_stats
-
-val smt_config : t -> Colayout_exec.Smt.config
 
 val smt_corun :
   ?rotate_peer:bool ->

@@ -10,6 +10,4 @@
 
     As in the paper's figure, 28 pairs over 7 programs (gobmk excluded). *)
 
-val pair_programs : string list
-
 val run : Ctx.t -> Colayout_util.Table.t list

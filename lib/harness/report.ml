@@ -42,5 +42,3 @@ let setup verbosity =
   Logs.Src.set_level src (level_of_verbosity verbosity)
 
 let info fmt = Format.kasprintf (fun s -> Log.info (fun m -> m "%s" s)) fmt
-
-let debug fmt = Format.kasprintf (fun s -> Log.debug (fun m -> m "%s" s)) fmt

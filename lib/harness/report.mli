@@ -11,8 +11,6 @@ type verbosity =
   | Normal  (** Progress notes ([Logs.Info]). *)
   | Debug  (** Everything ([Logs.Debug]). *)
 
-val src : Logs.src
-
 val verbosity_of_string : string -> verbosity option
 (** ["quiet" | "normal" | "debug"]. *)
 
@@ -22,5 +20,3 @@ val setup : verbosity -> unit
 (** Install the stderr reporter and set the harness source's level. *)
 
 val info : ('a, Format.formatter, unit, unit) format4 -> 'a
-
-val debug : ('a, Format.formatter, unit, unit) format4 -> 'a

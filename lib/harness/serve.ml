@@ -393,7 +393,11 @@ let stat_file path =
 (* Poll [dirs] until some trace file's header parses, returning its
    symbol-universe size — how `serve --from DIR` bootstraps an [Ingest]
    config when the spool starts empty. *)
+let check_poll_ms what poll_ms =
+  if poll_ms < 1 then invalid_arg (Printf.sprintf "Serve.%s: poll_ms must be >= 1" what)
+
 let wait_spool_symbols ~dirs ?(poll_ms = 50) ~timeout_s () =
+  check_poll_ms "wait_spool_symbols" poll_ms;
   let clock = U.Metrics.default_clock in
   let t0 = clock () in
   let elapsed () = Int64.to_float (Int64.sub (clock ()) t0) /. 1e9 in
@@ -417,10 +421,12 @@ let wait_spool_symbols ~dirs ?(poll_ms = 50) ~timeout_s () =
   in
   go ()
 
-type spool_state = Pending of int * float | Ingested | Skipped
+(* [Truncated]: the last decode attempt failed; the next poll restarts
+   the two-poll stability check. *)
+type spool_state = Pending of int * float | Truncated | Ingested | Skipped
 
 let watch_spool ~ing ~dirs ?(poll_ms = 50) ?(skip = []) ?on_poll ~timeout_s () =
-  if poll_ms < 1 then invalid_arg "Serve.watch_spool: poll_ms must be >= 1";
+  check_poll_ms "watch_spool" poll_ms;
   let clock = U.Metrics.default_clock in
   let t0 = clock () in
   let elapsed () = Int64.to_float (Int64.sub (clock ()) t0) /. 1e9 in
@@ -433,9 +439,9 @@ let watch_spool ~ing ~dirs ?(poll_ms = 50) ?(skip = []) ?on_poll ~timeout_s () =
       Hashtbl.replace seen path Ingested;
       incr ingested
     | exception Failure _ ->
-      (* Truncated body: the stability heuristic lost; retry from scratch
-         on a later poll once the stat settles again. *)
-      Hashtbl.remove seen path
+      (* Truncated header or body: the stability heuristic lost; retry
+         from scratch on a later poll once the stat settles again. *)
+      Hashtbl.replace seen path Truncated
     | exception Invalid_argument _ ->
       Hashtbl.replace seen path Skipped;
       incr skipped
@@ -468,7 +474,9 @@ let watch_spool ~ing ~dirs ?(poll_ms = 50) ?(skip = []) ?on_poll ~timeout_s () =
     end
   done;
   let pending =
-    Hashtbl.fold (fun p st acc -> match st with Pending _ -> p :: acc | _ -> acc) seen []
+    Hashtbl.fold
+      (fun p st acc -> match st with Pending _ | Truncated -> p :: acc | _ -> acc)
+      seen []
     |> List.sort compare
   in
   { sp_polls = !polls; sp_ingested = !ingested; sp_skipped = !skipped; sp_pending = pending }

@@ -124,7 +124,8 @@ val wait_spool_symbols :
   dirs:string list -> ?poll_ms:int -> timeout_s:float -> unit -> int option
 (** Poll [dirs] until some trace file's header parses; its symbol
     universe size bootstraps the ingest config when the spool starts
-    empty. [None] when the deadline passes with no readable file. *)
+    empty. [None] when the deadline passes with no readable file.
+    @raise Invalid_argument when [poll_ms < 1]. *)
 
 val watch_spool :
   ing:Colayout.Ingest.t ->
@@ -139,7 +140,8 @@ val watch_spool :
     so a pre-existing stable file is ingested even with [timeout_s = 0.]),
     feeding each stable new file through [Ingest.feed_file]. Files listed
     in [skip] are treated as already ingested; files with a mismatched
-    symbol universe are skipped and counted; files whose body is still
-    truncated mid-write are retried on later polls. [on_poll] (a test
+    symbol universe are skipped and counted; files whose header or body
+    is still truncated mid-write are retried on later polls and reported
+    pending until one succeeds. [on_poll] (a test
     hook) fires with the 0-based poll index before each scan.
     @raise Invalid_argument when [poll_ms < 1]. *)

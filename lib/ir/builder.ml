@@ -46,10 +46,6 @@ let set_main t fid =
   if fid < 0 || fid >= Vec.length t.funcs then invalid_arg "Builder.set_main: bad func id";
   t.main <- fid
 
-let num_funcs t = Vec.length t.funcs
-
-let num_blocks t = Vec.length t.blocks
-
 let block_of_pending (pb : pending_block) : Program.block =
   let body_bytes = List.fold_left (fun acc i -> acc + Size_model.instr_bytes i) 0 pb.instrs in
   let body_count = List.fold_left (fun acc i -> acc + Size_model.instr_count i) 0 pb.instrs in

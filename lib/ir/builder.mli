@@ -30,10 +30,6 @@ val set_body : t -> Types.block_id -> Types.instr list -> Types.terminator -> un
 
 val set_main : t -> Types.func_id -> unit
 
-val num_funcs : t -> int
-
-val num_blocks : t -> int
-
 val finish : t -> Program.t
 (** @raise Validate.Invalid if the program is malformed. *)
 

@@ -6,9 +6,6 @@
     instruction encoding so that block sizes are stable across analyses and
     transformations. *)
 
-val bytes_per_work_unit : int
-(** Size of one [Work] instruction. *)
-
 val expr_ops : Types.expr -> int
 (** Number of ALU operations an expression compiles to. *)
 

@@ -26,11 +26,6 @@ val finite_total : t -> int
 val max_bin : t -> int
 (** Largest non-empty finite bin; -1 if none. *)
 
-val iter : (int -> int -> unit) -> t -> unit
-(** [f bin count] over non-empty finite bins in increasing bin order. *)
-
-val fold : ('acc -> int -> int -> 'acc) -> 'acc -> t -> 'acc
-
 val cumulative_at : t -> int -> int
 (** Number of finite events with bin value [<= v]. *)
 

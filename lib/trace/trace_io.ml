@@ -63,8 +63,9 @@ type reader = {
 let open_reader ~path =
   let ic = open_in_bin path in
   match
-    let m = really_input_string ic (String.length magic) in
-    if m <> magic then failwith "Trace_io: bad magic";
+    (match In_channel.really_input_string ic (String.length magic) with
+    | None -> failwith "Trace_io: truncated header"
+    | Some m -> if m <> magic then failwith "Trace_io: bad magic");
     let num_symbols = read_varint ic in
     let len = read_varint ic in
     if num_symbols < 0 then failwith "Trace_io: negative num_symbols";

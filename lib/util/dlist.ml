@@ -15,8 +15,6 @@ let create () = { first = None; last = None; size = 0 }
 
 let length t = t.size
 
-let is_empty t = t.size = 0
-
 let value n = n.value
 
 let check_owner t n =
@@ -75,30 +73,11 @@ let move_to_front t n =
     t.first <- Some n
   end
 
-let clear t =
-  (* O(n): unlink every node and clear its owner so stale external handles
-     fail [check_owner] instead of silently corrupting a reused list. *)
-  let rec loop = function
-    | None -> ()
-    | Some n ->
-      let next = n.next in
-      n.prev <- None;
-      n.next <- None;
-      n.owner <- None;
-      loop next
-  in
-  loop t.first;
-  t.first <- None;
-  t.last <- None;
-  t.size <- 0
-
 let front t = t.first
 
 let back t = t.last
 
 let next n = n.next
-
-let prev n = n.prev
 
 let iter f t =
   let rec loop = function

@@ -13,8 +13,6 @@ val create : unit -> 'a t
 
 val length : 'a t -> int
 
-val is_empty : 'a t -> bool
-
 val value : 'a node -> 'a
 
 val push_front : 'a t -> 'a -> 'a node
@@ -27,21 +25,12 @@ val remove : 'a t -> 'a node -> unit
 
 val move_to_front : 'a t -> 'a node -> unit
 
-val clear : 'a t -> unit
-(** Empty the list, detaching every node (O(n)). Externally held handles
-    to removed nodes become invalid, as after {!remove}. *)
-
 val front : 'a t -> 'a node option
 
 val back : 'a t -> 'a node option
 
 val next : 'a node -> 'a node option
 (** Toward the back. *)
-
-val prev : 'a node -> 'a node option
-
-val iter : ('a -> unit) -> 'a t -> unit
-(** Front to back. *)
 
 val fold : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 

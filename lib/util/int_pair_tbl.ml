@@ -68,12 +68,6 @@ let find t key ~default =
     let i = find_slot t key in
     if i < 0 then default else Array.unsafe_get t.vals i
 
-let find_opt t key =
-  if key < 0 then None
-  else
-    let i = find_slot t key in
-    if i < 0 then None else Some (Array.unsafe_get t.vals i)
-
 (* Insert [key -> v] into arrays known to contain no tombstone for [key] and
    to have room; used for both resizing and the post-lookup insert. *)
 let rec insert_fresh keys vals mask key v i =
@@ -168,8 +162,3 @@ let fold f t init =
   let acc = ref init in
   iter (fun k v -> acc := f k v !acc) t;
   !acc
-
-let clear t =
-  Array.fill t.keys 0 (Array.length t.keys) empty;
-  t.len <- 0;
-  t.used <- 0

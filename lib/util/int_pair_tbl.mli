@@ -51,8 +51,6 @@ val mem : t -> int -> bool
 val find : t -> int -> default:int -> int
 (** The bound value, or [default] when absent. Never allocates. *)
 
-val find_opt : t -> int -> int option
-
 val replace : t -> int -> int -> unit
 (** Insert or overwrite. @raise Invalid_argument on a negative key. *)
 
@@ -87,6 +85,3 @@ val iter : (int -> int -> unit) -> t -> unit
     order. *)
 
 val fold : (int -> int -> 'a -> 'a) -> t -> 'a -> 'a
-
-val clear : t -> unit
-(** Drop all bindings, keeping the current capacity. *)

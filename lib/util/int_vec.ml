@@ -48,17 +48,6 @@ let push v x =
   Array.unsafe_set v.data v.len x;
   v.len <- v.len + 1
 
-let pop v =
-  if v.len = 0 then None
-  else begin
-    v.len <- v.len - 1;
-    Some v.data.(v.len)
-  end
-
-let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
-
-let clear v = v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f (Array.unsafe_get v.data i)

@@ -19,17 +19,9 @@ val set : t -> int -> int -> unit
 
 val push : t -> int -> unit
 
-val pop : t -> int option
-
-val last : t -> int option
-
-val clear : t -> unit
-
 val iter : (int -> unit) -> t -> unit
 
 val iteri : (int -> int -> unit) -> t -> unit
-
-val fold_left : ('acc -> int -> 'acc) -> 'acc -> t -> 'acc
 
 val to_list : t -> int list
 

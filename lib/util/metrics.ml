@@ -69,11 +69,8 @@ let count c = Atomic.get c
 
 let add t name by = incr ~by (counter t name)
 
-let gauge t name = locked t (fun () -> find_or_create t.gauges name (fun () -> Atomic.make 0.0))
-
-let set g v = Atomic.set g v
-
-let set_gauge t name v = set (gauge t name) v
+let set_gauge t name v =
+  Atomic.set (locked t (fun () -> find_or_create t.gauges name (fun () -> Atomic.make 0.0))) v
 
 let timer t name =
   locked t (fun () -> find_or_create t.timers name (fun () -> { calls = 0; total_ns = 0L }))

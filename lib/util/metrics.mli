@@ -17,8 +17,6 @@ type t
 
 type counter
 
-type gauge
-
 type histogram
 (** Fixed-bucket latency histogram: samples land in one of 62 binary-
     magnitude buckets ([2^i, 2^(i+1)); bucket 0 also takes 0), counted
@@ -42,10 +40,6 @@ val count : counter -> int
 
 val add : t -> string -> int -> unit
 (** [add t name by] = [incr ~by (counter t name)]. *)
-
-val gauge : t -> string -> gauge
-
-val set : gauge -> float -> unit
 
 val set_gauge : t -> string -> float -> unit
 

@@ -36,15 +36,6 @@ val default_jobs : unit -> int
     default width, exposed so CLIs and benches resolve "machine width"
     identically instead of re-deriving it. *)
 
-val create : ?jobs:int -> ?metrics:Metrics.t -> unit -> t
-(** [jobs] defaults to {!default_jobs}; values < 1 raise
-    [Invalid_argument]. When [metrics] is given, each worker domain
-    records its task count, busy nanoseconds and steal count into a
-    private per-domain registry; completed batches fold those deltas into
-    [metrics] with {!Metrics.merge} as [pool.tasks], [pool.busy_ns],
-    [pool.steals] and per-worker [pool.worker.<i>.tasks] /
-    [pool.worker.<i>.steals]. *)
-
 val jobs : t -> int
 (** The parallelism width, including the [jobs = 1] no-domain case. *)
 
@@ -69,9 +60,13 @@ val run_all : t -> (unit -> unit) list -> unit
 (** [run_all t fs] runs every thunk to completion (in parallel), raising
     the lowest-indexed failure, if any. *)
 
-val shutdown : t -> unit
-(** Stop and join the worker domains, folding any pending per-domain
-    metric deltas. Idempotent; the pool must not be used afterwards. *)
-
 val with_pool : ?jobs:int -> ?metrics:Metrics.t -> (t -> 'a) -> 'a
-(** [create], run, and always [shutdown] (exception-safe). *)
+(** Create a pool, run the function on it, and always stop and join the
+    worker domains afterwards (exception-safe); the pool must not be used
+    after it returns. [jobs] defaults to {!default_jobs}; values < 1
+    raise [Invalid_argument]. When [metrics] is given, each worker domain
+    records its task count, busy nanoseconds and steal count into a
+    private per-domain registry; completed batches fold those deltas into
+    [metrics] with {!Metrics.merge} as [pool.tasks], [pool.busy_ns],
+    [pool.steals] and per-worker [pool.worker.<i>.tasks] /
+    [pool.worker.<i>.steals]. *)

@@ -66,10 +66,6 @@ let shuffle t a =
     a.(j) <- tmp
   done
 
-let choose t a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int t (Array.length a))
-
 let geometric t ~p =
   if p <= 0.0 || p > 1.0 then invalid_arg "Prng.geometric";
   if p >= 1.0 then 0

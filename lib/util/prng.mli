@@ -37,9 +37,6 @@ val bool : t -> p:float -> bool
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
 
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array. *)
-
 val geometric : t -> p:float -> int
 (** Number of failures before the first success, [p] in (0,1]. *)
 

@@ -40,8 +40,6 @@ let percentile xs ~p =
 
 let median xs = percentile xs ~p:50.0
 
-let ratio a b = if b = 0.0 then 0.0 else a /. b
-
 let percent_change ~base ~v = if base = 0.0 then 0.0 else (v -. base) /. base *. 100.0
 
 let speedup ~base ~opt = if opt = 0.0 then 1.0 else base /. opt

@@ -16,12 +16,6 @@ val maximum : float list -> float
 
 val median : float list -> float
 
-val percentile : float list -> p:float -> float
-(** Nearest-rank percentile, [p] in [[0, 100]]. *)
-
-val ratio : float -> float -> float
-(** [ratio a b] is [a /. b], or 0 if [b = 0]. *)
-
 val percent_change : base:float -> v:float -> float
 (** [(v - base) / base * 100]; 0 when [base = 0]. *)
 

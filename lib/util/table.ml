@@ -28,8 +28,6 @@ let add_rows t rows = List.iter (add_row t) rows
 
 let row_count t = List.length t.rows
 
-let title t = t.title
-
 let rows_in_order t = List.rev t.rows
 
 let column_widths t =

@@ -16,8 +16,6 @@ val add_rows : t -> string list list -> unit
 
 val row_count : t -> int
 
-val title : t -> string
-
 val render : t -> string
 (** Boxed, column-aligned text. *)
 

@@ -47,16 +47,9 @@ let pop v =
 
 let last v = if v.len = 0 then None else Some v.data.(v.len - 1)
 
-let clear v = v.len <- 0
-
 let iter f v =
   for i = 0 to v.len - 1 do
     f v.data.(i)
-  done
-
-let iteri f v =
-  for i = 0 to v.len - 1 do
-    f i v.data.(i)
   done
 
 let fold_left f acc v =
@@ -83,11 +76,6 @@ let of_list l =
   v
 
 let to_array v = Array.init v.len (fun i -> v.data.(i))
-
-let of_array a =
-  let v = create () in
-  Array.iter (push v) a;
-  v
 
 let append dst src = iter (push dst) src
 

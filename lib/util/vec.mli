@@ -25,13 +25,6 @@ val pop : 'a t -> 'a option
 
 val last : 'a t -> 'a option
 
-val clear : 'a t -> unit
-(** Logical clear; keeps the underlying storage. *)
-
-val iter : ('a -> unit) -> 'a t -> unit
-
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
-
 val fold_left : ('acc -> 'a -> 'acc) -> 'acc -> 'a t -> 'acc
 
 val map : ('a -> 'b) -> 'a t -> 'b t
@@ -43,8 +36,6 @@ val to_list : 'a t -> 'a list
 val of_list : 'a list -> 'a t
 
 val to_array : 'a t -> 'a array
-
-val of_array : 'a array -> 'a t
 
 val append : 'a t -> 'a t -> unit
 (** [append dst src] pushes all of [src] onto [dst]. *)

@@ -417,3 +417,75 @@ let anneal_search ?(seed = 1) ?(steps = 300) ?initial ~params program trace =
     temp := !temp *. decay
   done;
   (!best, !best_mr, initial_mr)
+
+(* [Anneal.search] without its delta session: the same proposal draw,
+   Metropolis rule and temperature schedule, with each proposal applied in
+   place, scored by one full [Layout_eval.miss_ratio_of_order] and reverted
+   when rejected. *)
+let anneal_full ?(seed = 1) ?(steps = 300) ?initial ?max_span ~params program trace =
+  if steps <= 0 then invalid_arg "Anneal.search: steps must be positive";
+  let nf = Colayout_ir.Program.num_funcs program in
+  let current =
+    match initial with
+    | None -> Array.init nf Fun.id
+    | Some o ->
+      if Array.length o <> nf then invalid_arg "Anneal.search: initial order length mismatch";
+      Array.copy o
+  in
+  let engine = Layout_eval.create ~params program trace in
+  let initial_mr = Layout_eval.miss_ratio_of_order engine current in
+  let best = Array.copy current in
+  let best_mr = ref initial_mr in
+  if nf >= 2 then begin
+    let rng = Prng.create ~seed in
+    let draw () =
+      let a = Prng.int rng nf in
+      let next =
+        match max_span with
+        | None -> fun () -> Prng.int rng nf
+        | Some span ->
+          let lo = max 0 (a - span) and hi = min (nf - 1) (a + span) in
+          fun () -> Prng.int_in rng ~lo ~hi
+      in
+      let b = ref (next ()) in
+      while !b = a do
+        b := next ()
+      done;
+      (a, !b)
+    in
+    let swap a b =
+      let v = current.(a) in
+      current.(a) <- current.(b);
+      current.(b) <- v
+    in
+    let relocate a b =
+      let v = current.(a) in
+      if a < b then Array.blit current (a + 1) current a (b - a)
+      else Array.blit current b current (b + 1) (a - b);
+      current.(b) <- v
+    in
+    let cur_mr = ref initial_mr in
+    let t0 = 0.02 in
+    let decay = exp (log 1e-3 /. float_of_int steps) in
+    let temp = ref t0 in
+    for _ = 1 to steps do
+      let a, b = draw () in
+      let is_swap = Prng.bool rng ~p:0.5 in
+      if is_swap then swap a b else relocate a b;
+      let mr = Layout_eval.miss_ratio_of_order engine current in
+      let accept =
+        mr <= !cur_mr || Prng.float rng < exp ((!cur_mr -. mr) /. Float.max 1e-9 !temp)
+      in
+      if accept then begin
+        cur_mr := mr;
+        if mr < !best_mr then begin
+          best_mr := mr;
+          Array.blit current 0 best 0 nf
+        end
+      end
+      else if is_swap then swap a b
+      else relocate b a;
+      temp := !temp *. decay
+    done
+  end;
+  { Anneal.order = best; miss_ratio = !best_mr; steps; improved_from = initial_mr }

@@ -113,3 +113,19 @@ val anneal_search :
     one full seed evaluation per step; [a = b] draws burn the step), used
     as the before-side of the anneal wall-clock benchmark. Returns
     [(best_order, best_miss_ratio, initial_miss_ratio)]. *)
+
+val anneal_full :
+  ?seed:int ->
+  ?steps:int ->
+  ?initial:int array ->
+  ?max_span:int ->
+  params:Colayout_cache.Params.t ->
+  Colayout_ir.Program.t ->
+  Colayout_trace.Trace.t ->
+  Anneal.result
+(** [Anneal.search] with one full evaluation per proposal instead of a
+    {!Layout_eval.Delta} session: the same PRNG stream, moves applied in
+    place, each scored by [Layout_eval.miss_ratio_of_order] and reverted
+    when rejected. Its result must equal [Anneal.search]'s byte for byte
+    ([test_layout_eval_delta]), and it is the before-side of the
+    [layout-eval-delta] bench's anneal wall. *)

@@ -88,6 +88,23 @@ let test_malformed_header () =
   case "negative length" ([ 0x04 ] @ zeros 8 @ [ 0x60 ]);
   case "min_int length" ([ 0x04 ] @ zeros 8 @ [ 0x40 ])
 
+(* A file shorter than the 6-byte magic (empty, or a magic cut short
+   mid-write) raises [Failure], the error the spool watcher retries, from
+   both the eager and the streaming reader. *)
+let test_short_header () =
+  List.iter
+    (fun len ->
+      let path = tmp (Printf.sprintf "short-%d.trc" len) in
+      Out_channel.with_open_bin path (fun oc -> output_string oc (String.sub "CLTR1\n" 0 len));
+      (match Trace_io.load ~path with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "load: %d-byte file accepted" len);
+      (match Trace_io.with_reader ~path Trace_io.reader_num_symbols with
+      | exception Failure _ -> ()
+      | _ -> Alcotest.failf "with_reader: %d-byte file accepted" len);
+      Sys.remove path)
+    [ 0; 1; 5 ]
+
 (* The chunked streaming reader: header decoded eagerly, events handed
    out through a caller buffer whose size need not divide the stream —
    draining through odd-sized chunks must reproduce the eager load. *)
@@ -270,6 +287,7 @@ let () =
           Alcotest.test_case "real workload" `Quick test_trace_io_real_workload;
           Alcotest.test_case "bad magic" `Quick test_bad_magic;
           Alcotest.test_case "malformed header" `Quick test_malformed_header;
+          Alcotest.test_case "header shorter than the magic" `Quick test_short_header;
           Alcotest.test_case "streaming reader chunks" `Quick test_streaming_reader_chunks;
           Alcotest.test_case "fold_chunks" `Quick test_fold_chunks;
           Alcotest.test_case "truncated and closed" `Quick test_reader_truncated_and_closed;

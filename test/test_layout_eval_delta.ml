@@ -7,8 +7,11 @@
      and equal to the [Kernel_baseline] seed oracle at sampled resync
      points and at the end;
    - undo exactness and the single-pending-move discipline;
-   - [Anneal.search] mode equivalence (`Delta vs `Full, byte-identical)
-     with and without [max_span];
+   - [Anneal.search] (a delta session) byte-identical to the
+     full-evaluation oracle [Kernel_baseline.anneal_full], with and without
+     [max_span];
+   - [Anneal.search_batch] byte-identical at jobs 1 and 4, and its result
+     replayed through the seed evaluator;
    - the degenerate-input guard: single-function programs return the
      trivial order immediately instead of spinning in the b <> a redraw
      loop. *)
@@ -293,29 +296,30 @@ let test_move_api_discipline () =
     (Layout_eval.miss_ratio_of_order engine order)
     (Delta.miss_ratio sess)
 
-(* ------------------------------------------- Anneal mode equivalence *)
+(* ------------------------------------------ Anneal = full-eval oracle *)
 
-let test_anneal_mode_equivalence () =
+let test_anneal_matches_full_oracle () =
   let program = program_of ~seed:41 ~style:W.Gen.default_profile.W.Gen.style in
   let trace = trace_of program in
   let params = C.Params.make ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
   List.iter
     (fun max_span ->
-      let run mode = Anneal.search ~seed:17 ~steps:120 ?max_span ~resync_interval:16 ~mode ~params program trace in
-      let d = run `Delta and f = run `Full in
+      let d = Anneal.search ~seed:17 ~steps:120 ?max_span ~params program trace in
+      let f = Kernel_baseline.anneal_full ~seed:17 ~steps:120 ?max_span ~params program trace in
       check (Alcotest.array Alcotest.int)
         (Printf.sprintf "same order (max_span=%s)"
            (match max_span with None -> "none" | Some s -> string_of_int s))
         f.Anneal.order d.Anneal.order;
       check_bit_equal "same ratio" f.Anneal.miss_ratio d.Anneal.miss_ratio;
       check_bit_equal "same start" f.Anneal.improved_from d.Anneal.improved_from;
+      check Alcotest.int "same steps" f.Anneal.steps d.Anneal.steps;
       (* And the delta result still replays through the seed evaluator. *)
       check_bit_equal "delta result = Kernel_baseline"
         (Kernel_baseline.miss_ratio_of_function_order ~params program trace d.Anneal.order)
         d.Anneal.miss_ratio)
     [ None; Some 2 ]
 
-let test_search_batch_delta_matches_pooled () =
+let test_search_batch_jobs_1_4 () =
   let program = program_of ~seed:41 ~style:W.Gen.default_profile.W.Gen.style in
   let trace = trace_of program in
   let params = C.Params.make ~size_bytes:1024 ~assoc:2 ~line_bytes:64 in
@@ -324,13 +328,16 @@ let test_search_batch_delta_matches_pooled () =
         let engine = Layout_eval.create ~pool ~params program trace in
         Anneal.search_batch ~seed:8 ~steps:12 ~width:6 ~max_span:3 engine)
   in
-  (* jobs=1 takes the delta apply/undo path, jobs=4 the pooled eval_batch
-     path; the results must be byte-identical. *)
+  (* jobs=1 scores each neighbourhood sequentially, jobs=4 fans it out;
+     the results must be byte-identical. *)
   let r1 = run ~jobs:1 in
   let r4 = run ~jobs:4 in
   check (Alcotest.array Alcotest.int) "same order at jobs 1 and 4" r1.Anneal.order r4.Anneal.order;
   check_bit_equal "same ratio at jobs 1 and 4" r1.Anneal.miss_ratio r4.Anneal.miss_ratio;
-  check Alcotest.int "simulations reported" (1 + (12 * 6)) r1.Anneal.steps
+  check Alcotest.int "simulations reported" (1 + (12 * 6)) r1.Anneal.steps;
+  check_bit_equal "batched result = Kernel_baseline"
+    (Kernel_baseline.miss_ratio_of_function_order ~params program trace r1.Anneal.order)
+    r1.Anneal.miss_ratio
 
 (* ------------------------------------------------- degenerate inputs *)
 
@@ -359,14 +366,16 @@ let test_anneal_degenerate_single_function () =
   let trace = Pipeline.reference_trace program (E.Interp.ref_input ~max_blocks:200 ()) in
   let params = List.hd geometries in
   (* Must return immediately (no b <> a redraw spin) with the trivial
-     order, in both searches and both modes. *)
+     order, in both searches and in the full-evaluation oracle. *)
   List.iter
-    (fun mode ->
-      let r = Anneal.search ~seed:3 ~steps:50 ~mode ~params program trace in
+    (fun r ->
       check (Alcotest.array Alcotest.int) "trivial order" [| 0 |] r.Anneal.order;
       check_bit_equal "miss ratio = initial" r.Anneal.improved_from r.Anneal.miss_ratio;
       check Alcotest.int "steps reported" 50 r.Anneal.steps)
-    [ `Delta; `Full ];
+    [
+      Anneal.search ~seed:3 ~steps:50 ~params program trace;
+      Kernel_baseline.anneal_full ~seed:3 ~steps:50 ~params program trace;
+    ];
   let engine = Layout_eval.create ~params program trace in
   let r = Anneal.search_batch ~seed:3 ~steps:40 ~width:4 engine in
   check (Alcotest.array Alcotest.int) "batch trivial order" [| 0 |] r.Anneal.order;
@@ -395,9 +404,8 @@ let () =
         [ Alcotest.test_case "undo/commit/pending rules" `Quick test_move_api_discipline ] );
       ( "anneal",
         [
-          Alcotest.test_case "mode equivalence (delta = full)" `Quick test_anneal_mode_equivalence;
-          Alcotest.test_case "search_batch delta = pooled" `Quick
-            test_search_batch_delta_matches_pooled;
+          Alcotest.test_case "search = full-eval oracle" `Quick test_anneal_matches_full_oracle;
+          Alcotest.test_case "search_batch jobs 1 = jobs 4" `Quick test_search_batch_jobs_1_4;
           Alcotest.test_case "degenerate single-function guard" `Quick
             test_anneal_degenerate_single_function;
         ] );

@@ -865,6 +865,57 @@ let test_watch_spool () =
       in
       check Alcotest.(pair string string) "watched == direct ingest" direct watched)
 
+(* An empty [.trc] (a file created but not yet written) fails to decode
+   with [Failure]: [feed_file] leaves the stats untouched, and the watch
+   returns with the valid file ingested and the empty one pending. *)
+let test_watch_spool_empty_file () =
+  let num_symbols = 32 in
+  let t0 = List.hd (user_traces ~seed:37 ~users:1 ~num_symbols ~len:120) in
+  let dir = Filename.temp_file "colayout_spool_empty" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      let empty = Filename.concat dir "empty.trc" in
+      Trace_io.save ~path:(Filename.concat dir "a.trc") t0;
+      Out_channel.with_open_bin empty ignore;
+      let cfg = Ingest.config ~num_symbols ~walkers:1 ~trg_window:10 ~affinity_w:5 () in
+      let ing = Ingest.create cfg in
+      (match Ingest.feed_file ing ~path:empty with
+      | () -> Alcotest.fail "empty file accepted"
+      | exception Failure _ -> ());
+      let s = Ingest.stats ing in
+      check Alcotest.(pair int int) "nothing fed by the empty file" (0, 0) (s.events, s.traces);
+      let r = H.Serve.watch_spool ~ing ~dirs:[ dir ] ~poll_ms:10 ~timeout_s:0.1 () in
+      check Alcotest.int "valid file ingested" 1 r.H.Serve.sp_ingested;
+      check (Alcotest.list Alcotest.string) "empty file pending" [ empty ] r.H.Serve.sp_pending;
+      check Alcotest.(pair string string) "watched == direct ingest"
+        (Ingest.consensus_digests (Ingest.finalize (ingest_all cfg [ t0 ])))
+        (Ingest.consensus_digests (Ingest.finalize ing)))
+
+(* Both spool loops refuse a poll interval below 1 ms instead of
+   spinning: on an empty spool [wait_spool_symbols] would otherwise
+   busy-poll until its deadline. *)
+let test_spool_poll_ms () =
+  let dir = Filename.temp_file "colayout_spool_poll" "" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  Fun.protect
+    ~finally:(fun () -> Sys.rmdir dir)
+    (fun () ->
+      Alcotest.check_raises "wait_spool_symbols"
+        (Invalid_argument "Serve.wait_spool_symbols: poll_ms must be >= 1") (fun () ->
+          ignore (H.Serve.wait_spool_symbols ~dirs:[ dir ] ~poll_ms:0 ~timeout_s:0.05 ()));
+      let ing =
+        Ingest.create (Ingest.config ~num_symbols:8 ~walkers:1 ~trg_window:4 ~affinity_w:2 ())
+      in
+      Alcotest.check_raises "watch_spool"
+        (Invalid_argument "Serve.watch_spool: poll_ms must be >= 1") (fun () ->
+          ignore (H.Serve.watch_spool ~ing ~dirs:[ dir ] ~poll_ms:0 ~timeout_s:0.05 ())))
+
 let () =
   Alcotest.run "serve"
     [
@@ -904,5 +955,7 @@ let () =
           Alcotest.test_case "flush-on-exit partial epoch" `Slow test_flush_on_exit;
           Alcotest.test_case "multi-walker serve verified" `Slow test_serve_multi_walker;
           Alcotest.test_case "spool watch loop" `Quick test_watch_spool;
+          Alcotest.test_case "empty spool file stays pending" `Quick test_watch_spool_empty_file;
+          Alcotest.test_case "poll_ms below 1 rejected" `Quick test_spool_poll_ms;
         ] );
     ]
