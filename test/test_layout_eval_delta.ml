@@ -405,7 +405,8 @@ let () =
       ( "anneal",
         [
           Alcotest.test_case "search = full-eval oracle" `Quick test_anneal_matches_full_oracle;
-          Alcotest.test_case "search_batch jobs 1 = jobs 4" `Quick test_search_batch_jobs_1_4;
+          Alcotest.test_case "search_batch same at one and four jobs" `Quick
+            test_search_batch_jobs_1_4;
           Alcotest.test_case "degenerate single-function guard" `Quick
             test_anneal_degenerate_single_function;
         ] );
