@@ -82,6 +82,24 @@ let envelope =
       ignore (cores m);
       positive "runtime.wall_ns" (int "wall_ns" (get "runtime" m)))
 
+(* A gate on the one [pair_grid] kernel whose name ends in [kernel]: a
+   steady-state call allocates fewer major words than the cell's
+   [field], the words of [what] that the kernel borrows. *)
+let pair_kernel_below name ~kernel ~field ~what =
+  gate name (fun m ->
+      let r = get "pair_grid" (cells m) in
+      let words = int field r in
+      match
+        List.filter (fun k -> String.ends_with ~suffix:kernel (str "name" k)) (list "kernels" r)
+      with
+      | [ k ] ->
+        let major = num "major_words" (get "gc_per_call" k) in
+        ensure
+          (major < float_of_int words)
+          "one %s call allocates %.0f major words, no fewer than its %d words of %s" kernel major
+          words what
+      | _ -> fail "no single %s kernel among the pair_grid kernels" kernel)
+
 (* ------------------------------------------------------------ sections *)
 
 let kernels =
@@ -160,22 +178,13 @@ let kernels =
        byte per pair: a steady-state call allocating their n(n-1)/16
        words is allocating marks of its own, which the n² bound above
        is too coarse to see. *)
-    gate "pair-marks-no-alloc" (fun m ->
-        let r = get "pair_grid" (cells m) in
-        let marks = int "pair_marks_words" r in
-        match
-          List.filter
-            (fun k -> String.ends_with ~suffix:"affinity-thresholds" (str "name" k))
-            (list "kernels" r)
-        with
-        | [ k ] ->
-          let major = num "major_words" (get "gc_per_call" k) in
-          ensure
-            (major < float_of_int marks)
-            "an affinity-thresholds call allocates %.0f major words, no fewer than its %d words \
-             of pair marks"
-            major marks
-        | _ -> fail "no single affinity-thresholds kernel among the pair_grid kernels");
+    pair_kernel_below "pair-marks-no-alloc" ~kernel:"affinity-thresholds"
+      ~field:"pair_marks_words" ~what:"pair marks";
+    (* [Trg_reduce.reduce] reads its symmetric rows from buffers its
+       domain keeps: a steady-state call allocating the graph's 2E row
+       words is building rows of its own. *)
+    pair_kernel_below "trg-reduce-rows-reused" ~kernel:"trg-reduce" ~field:"reduce_rows_words"
+      ~what:"symmetric rows";
     gate "trg-memory-halved" (fun m ->
         let w = get "memory_words" (cells m) in
         let packed = int "trg_packed_csr" w and legacy = int "trg_tuple_hashtbl" w in
@@ -639,6 +648,73 @@ let sections =
     ("obs", obs);
   ]
 
+(* ------------------------------------------------------ golden digests *)
+
+(* A quick-mode manifest's digests are fixed by the code alone: every
+   string under a field whose name contains "digest", as one line
+   "<section> <path> <value>", the path naming the fields from the
+   manifest's root with array indices, e.g.
+   "kernels cells.reduce.flat_digest d86e...". *)
+let digest_lines m =
+  let section = str "section" m in
+  let has_digest k =
+    let n = String.length k in
+    let rec at i = i + 6 <= n && (String.sub k i 6 = "digest" || at (i + 1)) in
+    at 0
+  in
+  let lines = ref [] in
+  let rec walk path under = function
+    | J.Str v when under -> lines := Printf.sprintf "%s %s %s" section path v :: !lines
+    | J.Obj kvs ->
+      List.iter
+        (fun (k, v) -> walk (if path = "" then k else path ^ "." ^ k) (under || has_digest k) v)
+        kvs
+    | J.Arr l -> List.iteri (fun i v -> walk (Printf.sprintf "%s[%d]" path i) under v) l
+    | _ -> ()
+  in
+  walk "" false m;
+  List.rev !lines
+
+(* The golden file's lines: '#' starts a header line. *)
+let golden_header text =
+  List.filter (fun l -> String.starts_with ~prefix:"#" l) (String.split_on_char '\n' text)
+
+(* Every golden line of the manifest's section must be among its digest
+   lines. A wider host adds rows (more pool widths in scaling and
+   ingest) that the file, written on two cores, does not name; those are
+   not compared. *)
+let golden_gate text =
+  let expected =
+    List.filter_map
+      (fun l ->
+        match String.split_on_char ' ' l with
+        | [ section; path; value ] when not (String.starts_with ~prefix:"#" l) ->
+          Some (section, path, value)
+        | _ -> None)
+      (String.split_on_char '\n' text)
+  in
+  gate "golden-digests" (fun m ->
+      let section = str "section" m in
+      let actual =
+        List.map
+          (fun l ->
+            match String.split_on_char ' ' l with
+            | [ _; path; value ] -> (path, value)
+            | _ -> fail "unreadable digest line %S" l)
+          (digest_lines m)
+      in
+      List.iter
+        (fun (sec, path, value) ->
+          if sec = section then
+            match List.assoc_opt path actual with
+            | None -> fail "%s is missing (golden %s)" path value
+            | Some v -> ensure (v = value) "%s is %s, golden %s" path v value)
+        expected)
+
+(* Checked on every quick-mode manifest after its section's list:
+   bench/golden_digests.txt, compiled in. *)
+let golden = golden_gate Golden_digests.text
+
 type verdict = Skipped | Passed | Failed_with of string
 
 let run g m =
@@ -651,15 +727,18 @@ let run g m =
   | false -> Skipped
   | exception Failed why -> Failed_with why
 
-(* Every gate of the manifest's section with its verdict; a broken
-   envelope or an unknown section is reported as the envelope gate. *)
+(* Every gate of the manifest's section with its verdict, then in quick
+   mode the golden digests; a broken envelope or an unknown section is
+   reported as the envelope gate. *)
 let evaluate m =
   match run envelope m with
   | Failed_with _ as v -> [ (envelope, v) ]
   | _ -> (
     match List.assoc_opt (str "section" m) sections with
     | None -> [ (envelope, Failed_with (Printf.sprintf "unknown section %S" (str "section" m))) ]
-    | Some gates -> (envelope, Passed) :: List.map (fun g -> (g, run g m)) gates
+    | Some gates ->
+      let gates = if mode m = "quick" then gates @ [ golden ] else gates in
+      (envelope, Passed) :: List.map (fun g -> (g, run g m)) gates
     | exception Failed why -> [ (envelope, Failed_with why) ])
 
 let failed verdicts =

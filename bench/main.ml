@@ -117,8 +117,9 @@ let host_cpu () =
 let manifest_file name = "BENCH_" ^ String.map (function '-' -> '_' | c -> c) name ^ ".json"
 
 (* Run one section, write its manifest and judge it: returns the number of
-   failed gates. The gates see the manifest as parsed back from its text,
-   exactly what [--check] will see. *)
+   failed gates and the manifest's digest lines. The gates see the
+   manifest as parsed back from its text, exactly what [--check] will
+   see. *)
 let run_section ~quick ~dir (name, section) =
   let (params, cells), wall_ns = time (fun () -> section ~quick ~dir) in
   let gc = Gc.quick_stat () in
@@ -160,7 +161,7 @@ let run_section ~quick ~dir (name, section) =
   List.iter (fun (g, why) -> Printf.eprintf "GATE FAILED %s/%s: %s\n%!" name g why) failed;
   Printf.printf "  wrote %s (%d gates, %d failed)\n\n%!" path (List.length verdicts)
     (List.length failed);
-  List.length failed
+  (List.length failed, Gates.digest_lines m)
 
 (* ------------------------------------------------------------ kernels *)
 
@@ -281,11 +282,16 @@ let gc_per_call ?(calls = 5) f =
 (* The three pair kernels on the same bb profile, each a steady-state
    call on the domain's reused [Pair_grid]: time per call and what one
    call allocates. A call that allocated its own n × n grid would show
-   n² major words, and an [Affinity.thresholds] call that allocated its
-   own pair marks n(n-1)/16. *)
+   n² major words, an [Affinity.thresholds] call that allocated its own
+   pair marks n(n-1)/16, and a [Trg_reduce.reduce] call that built its
+   own symmetric rows 2E. *)
 let pair_grid_kernels ~bench (trace, window, g, slots) =
   let wmax = List.fold_left max 1 Optimizer.default_config.Optimizer.ws in
   let n = Trg.num_nodes g in
+  let rows =
+    let _, nbr, _ = Trg.csr g in
+    2 * Array.length nbr
+  in
   let cell name f =
     let run () = ignore (f ()) in
     let name, ns = bench ("pair-grid/" ^ name) run in
@@ -306,6 +312,7 @@ let pair_grid_kernels ~bench (trace, window, g, slots) =
         ("nodes", int n);
         ("grid_cells", int (n * n));
         ("pair_marks_words", int (n * (n - 1) / 16));
+        ("reduce_rows_words", int rows);
         ("pair_store", str (pair_store n));
         ("kernels", arr snd cells);
       ] )
@@ -1721,9 +1728,16 @@ let () =
     in
     H.Report.setup H.Report.Quiet;
     U.Fsutil.mkdir_p !out;
-    let failed =
-      List.fold_left (fun n s -> n + run_section ~quick:!quick ~dir:!out s) 0 selected
-    in
+    let results = List.map (run_section ~quick:!quick ~dir:!out) selected in
+    (* A quick run's digest lines, under the golden file's header, so that
+       an intended change regenerates bench/golden_digests.txt by copying
+       this file over it (the command is in its header). *)
+    if !quick then
+      Out_channel.with_open_text (Filename.concat !out "quick_digests.actual") (fun oc ->
+          List.iter
+            (fun l -> output_string oc (l ^ "\n"))
+            (Gates.golden_header Golden_digests.text @ List.concat_map snd results));
+    let failed = List.fold_left (fun n (f, _) -> n + f) 0 results in
     if failed > 0 then begin
       Printf.eprintf "bench/main.exe: %d gate(s) failed\n%!" failed;
       exit 1

@@ -218,26 +218,66 @@ type index = {
   stamp : int array; (* slot -> last use *)
 }
 
+(* The positions [0 .. m-1] in ascending [key] order: an LSD radix sort
+   of the keys less their least, eight bits a pass, as many passes as the
+   largest difference has bytes. The differences are read unsigned
+   ([lsr]), so any two ints' difference sorts right. Ties keep no
+   particular order. *)
+let sort_by_key key m =
+  let least = ref max_int and most = ref min_int in
+  for j = 0 to m - 1 do
+    let k = key.(j) in
+    if k < !least then least := k;
+    if k > !most then most := k
+  done;
+  let least = !least and range = !most - !least in
+  let src = ref (Array.init m Fun.id) and dst = ref (Array.make m 0) in
+  let count = Array.make 257 0 and shift = ref 0 in
+  while !shift < Sys.int_size && range lsr !shift <> 0 do
+    let sh = !shift and a = !src and b = !dst in
+    Array.fill count 0 257 0;
+    for j = 0 to m - 1 do
+      let d = ((key.(a.(j)) - least) lsr sh) land 255 in
+      count.(d + 1) <- count.(d + 1) + 1
+    done;
+    for d = 1 to 256 do
+      count.(d) <- count.(d) + count.(d - 1)
+    done;
+    for j = 0 to m - 1 do
+      let i = a.(j) in
+      let d = ((key.(i) - least) lsr sh) land 255 in
+      b.(count.(d)) <- i;
+      count.(d) <- count.(d) + 1
+    done;
+    src := b;
+    dst := a;
+    shift := sh + 8
+  done;
+  !src
+
 (* The index over checked span tables: assigns every executed block its
-   first line's id, then imports the cache's resident ways. *)
+   first line's id, then imports the cache's resident ways. Executed
+   blocks that share a first line fall in one run and take one id
+   whatever their order, so the sort leaves ties as they come. *)
 let build_index who t degree tables =
   (* One interval [lo, hi + degree] per executed block, in line order;
      [owner] is its table and [at] its block's offset there. *)
   let m = List.fold_left (fun m (_, k) -> m + k) 0 tables in
-  let owner = Array.make m [||] and at = Array.make m 0 and i = ref 0 in
+  let owner = Array.make m [||] and at = Array.make m 0 and key = Array.make m 0 in
+  let i = ref 0 in
   List.iter
     (fun (spans, _) ->
       for b = 0 to (Array.length spans / 3) - 1 do
         if spans.((3 * b) + 2) = 1 then begin
           owner.(!i) <- spans;
           at.(!i) <- 3 * b;
+          key.(!i) <- spans.(3 * b);
           incr i
         end
       done)
     tables;
-  let lo i = owner.(i).(at.(i)) and hi i = owner.(i).(at.(i) + 1) + degree in
-  let order = Array.init m Fun.id in
-  Array.sort (fun i j -> compare (lo i) (lo j)) order;
+  let lo i = key.(i) and hi i = owner.(i).(at.(i) + 1) + degree in
+  let order = sort_by_key key m in
   (* Merge into runs: [starts], [ends] and [bases] (a run's first id). *)
   let runs = ref 0 and ids = ref 0 in
   let starts = Array.make m 0 and ends = Array.make m 0 and bases = Array.make m 0 in
@@ -425,38 +465,28 @@ let replay t ~prefetch:degree s =
    ids of the lines one pass fetches, in fetch order, so the loop keeps
    one position per thread instead of a block cursor; with a sink, a
    parallel buffer holds each line's block for the reports. The buffers
-   are off-heap ([Bigarray]) and belong to the calling domain: they grow
+   are off-heap and lent by the calling domain ([Lent]): they grow
    geometrically to the longest stream co-run in their thread slot and
    are never shrunk, so a steady state allocates nothing for them, and
-   co-runs on different domains never share one. A busy flag refuses a
+   co-runs on different domains never share one. The lender refuses a
    co-run nested inside another on the same domain, which would
    overwrite the outer call's streams. *)
-type lines = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+module Lent = Colayout_util.Lent
+
+type lines = Lent.ints
 
 type buffers = {
   ids : lines array; (* per thread slot: the line ids of its stream *)
   blocks : lines array; (* per thread slot: the block of each line *)
-  mutable busy : bool;
 }
 
-let no_lines () = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0
-
 let domain_buffers =
-  Domain.DLS.new_key (fun () ->
-      { ids = [| no_lines (); no_lines () |]; blocks = [| no_lines (); no_lines () |]; busy = false })
+  let none () = Lent.ints 0 in
+  Lent.create (fun () -> { ids = [| none (); none () |]; blocks = [| none (); none () |] })
 
 (* Run [f] holding the domain's buffers; release them however it ends. *)
 let hold who f =
-  let b = Domain.DLS.get domain_buffers in
-  if b.busy then invalid_arg (who ^ ": a co-run is already running on this domain");
-  b.busy <- true;
-  match f b with
-  | r ->
-    b.busy <- false;
-    r
-  | exception e ->
-    b.busy <- false;
-    raise e
+  Lent.hold domain_buffers ~refused:(who ^ ": a co-run is already running on this domain") f
 
 let with_corun_buffers f = hold "Set_assoc.with_corun_buffers" (fun _ -> f ())
 
@@ -466,7 +496,7 @@ let reserve (bufs : lines array) i n ~keep =
   let old = bufs.(i) in
   let cap = Bigarray.Array1.dim old in
   if cap < n then begin
-    let b = Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max n (2 * cap)) in
+    let b = Lent.ints (max n (2 * cap)) in
     Bigarray.Array1.blit (Bigarray.Array1.sub old 0 keep) (Bigarray.Array1.sub b 0 keep);
     bufs.(i) <- b
   end;

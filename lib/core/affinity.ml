@@ -343,6 +343,21 @@ let affine_pairs_naive trace ~w =
     present;
   { thresholds = pairs; w }
 
+let thresholds_naive trace ~ws =
+  let table = Int_pair_tbl.create ~capacity:64 () in
+  (* Affinity is monotone in w, so each pair keeps the first window of
+     [ws] at which the oracle finds it. *)
+  List.iter
+    (fun w ->
+      Int_pair_tbl.iter
+        (fun k _ -> if not (Int_pair_tbl.mem table k) then Int_pair_tbl.replace table k w)
+        (affine_pairs_naive trace ~w).thresholds)
+    ws;
+  { table; wmax = List.fold_left imax 1 ws }
+
+let iter_thresholds f th =
+  Int_pair_tbl.iter (fun k t -> f (Int_pair_tbl.fst_of k) (Int_pair_tbl.snd_of k) t) th.table
+
 let partition trace ~w =
   require_trimmed trace;
   let ps = affine_pairs trace ~w in

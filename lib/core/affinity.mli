@@ -28,10 +28,6 @@ val is_affine : pair_set -> int -> int -> bool
 val pair_list : pair_set -> (int * int) list
 (** Affine pairs with [x < y], sorted. *)
 
-val iter_pairs : (int -> int -> unit) -> pair_set -> unit
-(** [iter_pairs f ps] applies [f x y] to each affine pair once ([x < y]),
-    in no particular order, without building a list. *)
-
 type thresholds
 (** For every pair affine at some window up to the kernel's [wmax], the
     smallest such window. *)
@@ -61,6 +57,17 @@ val affine_pairs : Colayout_trace.Trace.t -> w:int -> pair_set
 
 val affine_pairs_naive : Colayout_trace.Trace.t -> w:int -> pair_set
 (** Quadratic-and-worse oracle; small traces only. *)
+
+val thresholds_naive : Colayout_trace.Trace.t -> ws:int list -> thresholds
+(** The threshold table of {!affine_pairs_naive}, filled window by window
+    over [ws] (positive, ascending): each pair bound to the first window
+    of [ws] at which it is affine. Affinity is monotone in the window, so
+    its cut at any [w] of [ws] is exactly [affine_pairs_naive trace ~w].
+    Small traces only. *)
+
+val iter_thresholds : (int -> int -> int -> unit) -> thresholds -> unit
+(** [iter_thresholds f th] applies [f x y t] to each pair of the table
+    once ([x < y], [t] its threshold), in no particular order. *)
 
 val partition : Colayout_trace.Trace.t -> w:int -> int list list
 (** Algorithm 1 for one [w]: greedy grouping where a block joins the first

@@ -44,33 +44,69 @@ type cluster = {
   mutable all : int list;
 }
 
-(* Each symbol's affine partners in [ps]. *)
-let partner_rows ~n ps =
-  let deg = Array.make n 0 in
-  Affinity.iter_pairs
-    (fun x y ->
-      deg.(x) <- deg.(x) + 1;
-      deg.(y) <- deg.(y) + 1)
-    ps;
-  let rows = Array.map (fun d -> Array.make d 0) deg in
-  Affinity.iter_pairs
-    (fun x y ->
-      deg.(x) <- deg.(x) - 1;
-      rows.(x).(deg.(x)) <- y;
-      deg.(y) <- deg.(y) - 1;
-      rows.(y).(deg.(y)) <- x)
-    ps;
-  rows
+(* Each symbol's affine partners, built once per hierarchy from the
+   threshold table: row [x] is [nbr.(start.(x)) .. nbr.(start.(x+1) - 1)],
+   in ascending threshold ([thr]), so the partners at window [w] are the
+   row's prefix with threshold <= [w]. The pairs enter the rows in
+   threshold order, by a counting sort on their thresholds. *)
+type partners = {
+  start : int array;
+  nbr : int array;
+  thr : int array;
+}
+
+let partner_rows ~n th =
+  let start = Array.make (n + 1) 0 and tmax = ref 0 in
+  let xs = Int_vec.create () and ys = Int_vec.create () and ts = Int_vec.create () in
+  Affinity.iter_thresholds
+    (fun x y t ->
+      start.(x + 1) <- start.(x + 1) + 1;
+      start.(y + 1) <- start.(y + 1) + 1;
+      if t > !tmax then tmax := t;
+      Int_vec.push xs x;
+      Int_vec.push ys y;
+      Int_vec.push ts t)
+    th;
+  for x = 1 to n do
+    start.(x) <- start.(x) + start.(x - 1)
+  done;
+  let m = Int_vec.length ts and xs = Int_vec.backing xs and ys = Int_vec.backing ys in
+  let ts = Int_vec.backing ts in
+  let at = Array.make (!tmax + 2) 0 in
+  for j = 0 to m - 1 do
+    at.(ts.(j) + 1) <- at.(ts.(j) + 1) + 1
+  done;
+  for t = 1 to !tmax + 1 do
+    at.(t) <- at.(t) + at.(t - 1)
+  done;
+  let by_t = Array.make m 0 in
+  for j = 0 to m - 1 do
+    let t = ts.(j) in
+    by_t.(at.(t)) <- j;
+    at.(t) <- at.(t) + 1
+  done;
+  let nbr = Array.make (2 * m) 0 and thr = Array.make (2 * m) 0 in
+  let cursor = Array.sub start 0 n in
+  let add x y t =
+    nbr.(cursor.(x)) <- y;
+    thr.(cursor.(x)) <- t;
+    cursor.(x) <- cursor.(x) + 1
+  in
+  Array.iter
+    (fun j ->
+      add xs.(j) ys.(j) ts.(j);
+      add ys.(j) xs.(j) ts.(j))
+    by_t;
+  { start; nbr; thr }
 
 (* Greedy agglomeration: in first-occurrence order, each group joins the
    first accumulated cluster with which every cross pair is affine. Such a
    cluster holds an affine partner of the group's first member — it is not
    empty, and its members lie in other groups — so only the clusters of
-   that member's partners are tested, and the smallest compatible index
-   among them is the first compatible cluster overall. [cluster_of] maps
-   each member already placed to its cluster index. *)
-let merge_level ?decisions ~w ~n ps groups =
-  let partners = partner_rows ~n ps in
+   that member's partners at [w] are tested, and the smallest compatible
+   index among them is the first compatible cluster overall. [cluster_of]
+   maps each member already placed to its cluster index. *)
+let merge_level ?decisions ~w ~n ps partners groups =
   let cluster_of = Array.make n (-1) in
   let clusters = Vec.create () in
   List.iter
@@ -79,16 +115,18 @@ let merge_level ?decisions ~w ~n ps groups =
         List.for_all (fun a -> List.for_all (Affinity.is_affine ps a) c.all) g.mems
       in
       let best = ref max_int in
-      Array.iter
-        (fun b ->
-          let k = cluster_of.(b) in
-          if k >= 0 && k < !best && compatible (Vec.get clusters k) then best := k)
-        partners.(List.hd g.mems);
+      let x = List.hd g.mems in
+      let j = ref partners.start.(x) and stop = partners.start.(x + 1) in
+      while !j < stop && partners.thr.(!j) <= w do
+        let k = cluster_of.(partners.nbr.(!j)) in
+        if k >= 0 && k < !best && compatible (Vec.get clusters k) then best := k;
+        incr j
+      done;
       let k = !best in
       let k =
         if k < max_int then begin
           let c = Vec.get clusters k in
-          Decision_trace.emit decisions ~stage:"affinity" ~action:"join" ~x:(List.hd g.mems)
+          Decision_trace.emit decisions ~stage:"affinity" ~action:"join" ~x
             ~y:(List.hd c.head.mems) ~weight:w ~group:k ~size:(c.count + 1) ();
           c.joined <- g :: c.joined;
           c.count <- c.count + 1;
@@ -129,19 +167,22 @@ let build ?decisions ?(algo = Efficient) ?(ws = default_ws) trace =
   let groups =
     ref (List.map (fun b -> { node = Leaf b; mems = [ b ]; first_pos = first.(b) }) present)
   in
-  (* The efficient kernel runs once, at the largest window, and every
-     level reads its cut; nothing runs when no level has two groups. *)
-  let wmax = List.fold_left Int.max 1 ws in
-  let thresholds = lazy (Affinity.thresholds trace ~wmax) in
+  (* One threshold table for every level, and the partner rows read from
+     it once: the efficient kernel runs at the largest window; the oracle
+     fills the table window by window. Nothing runs when no level has two
+     groups. *)
+  let thresholds =
+    lazy
+      (match algo with
+      | Efficient -> Affinity.thresholds trace ~wmax:(List.fold_left Int.max 1 ws)
+      | Exact -> Affinity.thresholds_naive trace ~ws)
+  in
+  let partners = lazy (partner_rows ~n (Lazy.force thresholds)) in
   List.iter
     (fun w ->
       if List.length !groups > 1 then begin
-        let ps =
-          match algo with
-          | Efficient -> Affinity.cut (Lazy.force thresholds) ~w
-          | Exact -> Affinity.affine_pairs_naive trace ~w
-        in
-        groups := merge_level ?decisions ~w ~n ps !groups;
+        let ps = Affinity.cut (Lazy.force thresholds) ~w in
+        groups := merge_level ?decisions ~w ~n ps (Lazy.force partners) !groups;
         Decision_trace.emit decisions ~stage:"affinity" ~action:"level" ~weight:w
           ~size:(List.length !groups) ()
       end)

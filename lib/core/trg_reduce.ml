@@ -76,11 +76,13 @@ type state = {
   n : int;
   grid : Pair_grid.t; (* dense: the weights *)
   cur : Int_pair_tbl.t; (* otherwise: the weights *)
-  (* Neighbour lists: the initial graph as symmetric flat rows, plus a
-     per-node vector of the slot nodes it gains an edge to through
-     merges. Only unplaced nodes' lists are ever read. *)
-  row : int array;
-  adj : int array;
+  (* Neighbour lists: the initial graph as symmetric flat rows (node
+     [x]'s neighbours at [adj.{row.{x}} .. adj.{row.{x+1} - 1}], in the
+     domain's lent rows), plus a per-node vector of the slot nodes it
+     gains an edge to through merges. Only unplaced nodes' lists are ever
+     read. *)
+  row : Lent.ints;
+  adj : Lent.ints;
   no_extra : Int_vec.t;
   extra : Int_vec.t array;
   t : tournament;
@@ -124,22 +126,40 @@ let[@inline] placed st v = Array.unsafe_get st.slot_of v >= 0
 
 let[@inline] live st v = (not (placed st v)) || st.rep_of_slot.(st.slot_of.(v)) = v
 
-let create trg ~slots ~grid ~decisions =
+(* The symmetric rows and their offsets: one pair of off-heap buffers
+   per domain, lent to one reduction at a time and grown to the largest
+   graph reduced there, 8 * (2E + n + 1) bytes, never shrunk. *)
+type rows = {
+  mutable offsets : Lent.ints;
+  mutable entries : Lent.ints;
+}
+
+let domain_rows = Lent.create (fun () -> { offsets = Lent.ints 0; entries = Lent.ints 0 })
+
+let hold_rows who f =
+  Lent.hold domain_rows ~refused:(who ^ ": the reduction rows are already held on this domain") f
+
+let with_rows f = hold_rows "Trg_reduce.with_rows" (fun _ -> f ())
+
+let create trg rows ~slots ~grid ~decisions =
   let n = Trg.num_nodes trg in
-  let row = Array.make (n + 1) 0 in
+  rows.offsets <- Lent.grow rows.offsets (n + 1);
+  let row = rows.offsets in
+  row.{0} <- 0;
   for x = 0 to n - 1 do
-    row.(x + 1) <- row.(x) + Trg.degree trg x
+    row.{x + 1} <- row.{x} + Trg.degree trg x
   done;
+  rows.entries <- Lent.grow rows.entries row.{n};
   let no_extra = Int_vec.create ~capacity:1 () in
   {
     n;
     grid;
     cur =
       Int_pair_tbl.create
-        ~capacity:(if n <= Int_pair_tbl.max_grid_universe then 0 else row.(n) / 2)
+        ~capacity:(if n <= Int_pair_tbl.max_grid_universe then 0 else row.{n} / 2)
         ();
     row;
-    adj = Array.make row.(n) 0;
+    adj = rows.entries;
     no_extra;
     extra = Array.make n no_extra;
     (* Every node starts unplaced, so its best live edge is its heaviest
@@ -170,15 +190,15 @@ let[@inline] offer t x w k =
 let[@inline] setup ~dense st trg =
   let row_ptr, nbr, wt = Trg.csr trg in
   let n = st.n and adj = st.adj and t = st.t in
-  let fill = Array.sub st.row 0 n in
+  let fill = Array.init n (fun x -> st.row.{x}) in
   for x = 0 to n - 1 do
     for j = row_ptr.(x) to row_ptr.(x + 1) - 1 do
       let y = Array.unsafe_get nbr j and w = Array.unsafe_get wt j in
       if dense then Bigarray.Array1.unsafe_set st.grid ((x * n) + y) w
       else Int_pair_tbl.replace st.cur (key x y) w;
-      adj.(fill.(x)) <- y;
+      Bigarray.Array1.unsafe_set adj fill.(x) y;
       fill.(x) <- fill.(x) + 1;
-      adj.(fill.(y)) <- x;
+      Bigarray.Array1.unsafe_set adj fill.(y) x;
       fill.(y) <- fill.(y) + 1;
       let k = key x y in
       offer t x w k;
@@ -186,7 +206,7 @@ let[@inline] setup ~dense st trg =
     done
   done;
   for x = 0 to n - 1 do
-    if st.row.(x + 1) > st.row.(x) then begin
+    if st.row.{x + 1} > st.row.{x} then begin
       put t t.len x;
       t.len <- t.len + 1
     end
@@ -217,9 +237,9 @@ let[@inline] choose_slot ~dense st v =
    [(w, k)]: its initial neighbours, then the slot nodes it gained. *)
 let[@inline] rescan ~dense st u w k =
   let bw = ref w and bk = ref k in
-  let e = st.extra.(u) and last = st.row.(u + 1) in
-  for i = st.row.(u) to last + Int_vec.length e - 1 do
-    let m = if i < last then st.adj.(i) else Int_vec.unsafe_get e (i - last) in
+  let e = st.extra.(u) and last = st.row.{u + 1} in
+  for i = st.row.{u} to last + Int_vec.length e - 1 do
+    let m = if i < last then Bigarray.Array1.unsafe_get st.adj i else Int_vec.unsafe_get e (i - last) in
     if live st m then begin
       let w = cur_w ~dense st u m and k = key u m in
       if ahead w k !bw !bk then begin
@@ -262,8 +282,8 @@ let[@inline] place ~dense st ~w v =
     let r = st.rep_of_slot.(k) in
     Decision_trace.emit st.decisions ~stage:"trg-reduce" ~action:"merge" ~x:v ~y:r ~weight:w
       ~group:k ~size:(Int_vec.length st.slot_vecs.(k)) ();
-    for i = st.row.(v) to st.row.(v + 1) - 1 do
-      let nb = Array.unsafe_get st.adj i in
+    for i = st.row.{v} to st.row.{v + 1} - 1 do
+      let nb = Bigarray.Array1.unsafe_get st.adj i in
       if not (placed st nb) then begin
         let wv = cur_w ~dense st v nb in
         let w' = cur_add ~dense st r nb wv in
@@ -306,24 +326,25 @@ let result st =
 
 let reduce ?decisions trg ~slots =
   if slots < 1 then invalid_arg "Trg_reduce.reduce: slots must be >= 1";
+  let who = "Trg_reduce.reduce" in
   let n = Trg.num_nodes trg in
-  if n <= Int_pair_tbl.max_grid_universe then
-    Pair_grid.with_grid "Trg_reduce.reduce" ~n (fun grid ->
-        let st = create trg ~slots ~grid ~decisions in
-        setup ~dense:true st trg;
-        drain ~dense:true st;
-        (* The reduction has no read-out pass over its cells: one fill
-           zeroes them, ~4x faster than revisiting the ~2E scattered
-           cells it wrote. *)
-        Bigarray.Array1.fill grid 0;
-        result st)
-  else begin
-    let grid = Bigarray.Array1.create Bigarray.int Bigarray.c_layout 0 in
-    let st = create trg ~slots ~grid ~decisions in
-    setup ~dense:false st trg;
-    drain ~dense:false st;
-    result st
-  end
+  hold_rows who (fun rows ->
+      if n <= Int_pair_tbl.max_grid_universe then
+        Pair_grid.with_grid who ~n (fun grid ->
+            let st = create trg rows ~slots ~grid ~decisions in
+            setup ~dense:true st trg;
+            drain ~dense:true st;
+            (* The reduction has no read-out pass over its cells: one fill
+               zeroes them, ~4x faster than revisiting the ~2E scattered
+               cells it wrote. *)
+            Bigarray.Array1.fill grid 0;
+            result st)
+      else begin
+        let st = create trg rows ~slots ~grid:(Lent.ints 0) ~decisions in
+        setup ~dense:false st trg;
+        drain ~dense:false st;
+        result st
+      end)
 
 let slots_for ~params ~block_bytes ~cache_multiplier =
   if block_bytes <= 0 then invalid_arg "Trg_reduce.slots_for";

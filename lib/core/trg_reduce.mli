@@ -26,7 +26,11 @@
     domain's dense [n × n] [Pair_grid] when the graph has at most
     [Int_pair_tbl.max_grid_universe] nodes, in one packed-pair table
     otherwise (the same values either way); the drain stops once every
-    node with an edge is placed. It makes the same decisions as the seed
+    node with an edge is placed. The initial graph's symmetric neighbour
+    rows and their offsets live in off-heap buffers the calling domain
+    keeps between calls ([Colayout_util.Lent]), grown to the largest
+    graph reduced there and never shrunk: 8 · (2E + n + 1) bytes per
+    domain, ~8.1 MB for 445.gobmk's bb TRG, on both paths. It makes the same decisions as the seed
     reduction kept as a test oracle ([Kernel_baseline.trg_reduce] in
     [test/oracle/]); DESIGN.md §5.17 gives the argument. *)
 
@@ -39,11 +43,19 @@ type result = {
 }
 
 val reduce : ?decisions:Decision_trace.t -> Trg.t -> slots:int -> result
-(** @raise Invalid_argument if [slots < 1], or on the grid path when the
-    calling domain's [Pair_grid] is already held. Deterministic: edge ties break
+(** @raise Invalid_argument if [slots < 1], when the calling domain's
+    reduction rows are already held (see {!with_rows}), or on the grid
+    path when its [Pair_grid] is. Deterministic: edge ties break
     toward smaller node ids. With [decisions], emits a ["trg-reduce"] event
     per placement ([place] into an empty slot, [merge] into a slot's node),
     carrying the driving edge weight and the slot index. *)
+
+val with_rows : (unit -> 'a) -> 'a
+(** [with_rows f] runs [f] holding the calling domain's reduction rows,
+    as {!reduce} holds them for its whole call, and releases them when
+    [f] returns or raises. A {!reduce} on the same domain inside [f]
+    raises [Invalid_argument] instead of overwriting the holder's rows.
+    No reduction nests today; this lets the guard be exercised. *)
 
 val slots_for :
   params:Colayout_cache.Params.t -> block_bytes:int -> cache_multiplier:float -> int

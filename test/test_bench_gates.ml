@@ -86,6 +86,7 @@ let kernels =
           [
             ("grid_cells", i 100);
             ("pair_marks_words", i 40);
+            ("reduce_rows_words", i 60);
             ( "kernels",
               a
                 (List.map
@@ -396,6 +397,12 @@ let perturbations =
     ( "kernels",
       "pair-marks-no-alloc",
       set (cells [ "pair_grid"; "kernels"; "1"; "name" ]) (s "affinity-cut") );
+    ( "kernels",
+      "trg-reduce-rows-reused",
+      set (cells [ "pair_grid"; "kernels"; "2"; "gc_per_call"; "major_words" ]) (f 60.0) );
+    ( "kernels",
+      "trg-reduce-rows-reused",
+      set (cells [ "pair_grid"; "kernels"; "2"; "name" ]) (s "trg-reduce-seed") );
     ("kernels", "trg-memory-halved", set (cells [ "memory_words"; "trg_packed_csr" ]) (i 16));
     ("harness", "stage-durations", set (cells [ "stages"; "0"; "total_ns" ]) (i (-1)));
     ("parallel", "jobs-invariant", set (cells [ "runs"; "2"; "digest" ]) (s "x"));
@@ -548,6 +555,30 @@ let test_check_files () =
   Alcotest.(check int) "unparsable manifest" 1 (Gates.check_files [ broken ]);
   List.iter Sys.remove [ good; bad; broken ]
 
+(* Golden digests: a quick manifest passes against a file of its own
+   digest lines; a changed or missing digest field is rejected, naming
+   its path; only quick manifests are compared with the committed file. *)
+let test_golden_digests () =
+  let quick = set [ "mode" ] (s "quick") kernels in
+  let lines = Gates.digest_lines quick in
+  Alcotest.(check bool)
+    "a digest field under an array is a line" true
+    (List.mem "kernels cells.interp.runs[1].seed_digest i" lines);
+  let golden = Gates.golden_gate (String.concat "\n" ("# header" :: lines)) in
+  let verdict m = Gates.run golden m in
+  Alcotest.(check bool) "own lines pass" true (verdict quick = Gates.Passed);
+  (match verdict (set (cells [ "reduce"; "flat_digest" ]) (s "x") quick) with
+  | Gates.Failed_with why ->
+    Alcotest.(check string) "changed" "cells.reduce.flat_digest is x, golden r" why
+  | _ -> Alcotest.fail "a changed digest passed");
+  (match verdict (set (cells [ "solo" ]) (o [ ("program", s "p") ]) quick) with
+  | Gates.Failed_with why ->
+    Alcotest.(check string) "missing" "cells.solo.indexed_digest is missing (golden d)" why
+  | _ -> Alcotest.fail "a missing digest passed");
+  let judged m = List.exists (fun (g, _) -> g.Gates.name = "golden-digests") (Gates.evaluate m) in
+  Alcotest.(check bool) "full mode not compared" false (judged kernels);
+  Alcotest.(check bool) "quick mode compared" true (judged quick)
+
 let () =
   Alcotest.run "bench_gates"
     [
@@ -558,5 +589,6 @@ let () =
           Alcotest.test_case "perturbations rejected" `Quick test_perturbations_rejected;
           Alcotest.test_case "conditions" `Quick test_conditions;
           Alcotest.test_case "check files" `Quick test_check_files;
+          Alcotest.test_case "golden digests" `Quick test_golden_digests;
         ] );
     ]

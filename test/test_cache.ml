@@ -640,6 +640,39 @@ let shared_lines_corun_matches_per_line =
       in
       corun_agrees ~peer_offset:0 ~prefix ~suffix c)
 
+(* Executed blocks that share a first line, within a stream and across
+   the two streams at one offset: the index sorts blocks by first line
+   and leaves ties in no particular order, and they must still fall in
+   one run with one id. Each layout packs five to ten blocks, overlapping,
+   into the first four lines, block 0 into line 0, and each trace runs
+   every block of its layout, so both kinds of tie occur in every case.
+   Solo and co-run, bare and with a sink, at prefetch degrees 0 and 1. *)
+let gen_tied_case =
+  let open QCheck.Gen in
+  let layout =
+    int_range 5 10 >>= fun n ->
+    list_repeat n (triple (int_bound 3) (int_bound 63) (int_range 1 200)) >>= fun blocks ->
+    let blocks = Array.of_list blocks in
+    let addr = Array.mapi (fun b (line, off, _) -> ((if b = 0 then 0 else line) * 64) + off) blocks in
+    return { Icache.addr; bytes = Array.map (fun (_, _, size) -> size) blocks }
+  in
+  let every (l : Icache.layout) t =
+    let n = Array.length l.Icache.addr in
+    List.init n Fun.id @ List.map (fun b -> b mod n) t
+  in
+  gen_warm_case >>= fun (c, prefix, suffix) ->
+  layout >>= fun l0 ->
+  layout >>= fun l1 ->
+  let traces = (every l0 (fst c.traces), every l1 (snd c.traces)) in
+  return ({ c with layouts = (l0, l1); traces }, prefix, suffix)
+
+let tied_first_lines_match_per_line =
+  QCheck.Test.make ~name:"replays of blocks sharing first lines = per-line oracle" ~count:200
+    (QCheck.make ~print:print_warm_case gen_tied_case) (fun (c, prefix, suffix) ->
+      List.for_all
+        (fun degree -> corun_agrees ~peer_offset:0 ~prefix ~suffix { c with degree })
+        [ 0; 1 ])
+
 (* A block at line 2^40 replays correctly and costs the replay no more
    memory than the same blocks packed next to each other: the index is
    sized by the number of distinct lines, not by their range. *)
@@ -1042,6 +1075,7 @@ let () =
           QCheck_alcotest.to_alcotest warm_corun_matches_per_line;
           QCheck_alcotest.to_alcotest warm_solo_matches_per_line;
           QCheck_alcotest.to_alcotest shared_lines_corun_matches_per_line;
+          QCheck_alcotest.to_alcotest tied_first_lines_match_per_line;
           Alcotest.test_case "sparse stream" `Quick test_sparse_stream;
           Alcotest.test_case "interrupted replay" `Quick test_replay_interrupted;
           Alcotest.test_case "flat buffers reused" `Quick test_flat_buffers_reused;

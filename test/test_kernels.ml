@@ -729,6 +729,78 @@ let test_tbl_slot_resize () =
   Alcotest.check_raises "slot past the arrays" (Invalid_argument "Int_pair_tbl: bad slot")
     (fun () -> U.Int_pair_tbl.slot_set t 1_000_000 0)
 
+(* ------------------------------------------- The lent reduction rows *)
+
+(* [Trg_reduce.reduce] reads its symmetric rows from buffers its domain
+   lends it and grows to the largest graph reduced there: a smaller
+   graph after a larger one reuses rows the larger one wrote, and a
+   graph above the grid bound reads the same rows on the table path.
+   Each reduction, as order, slot lists and decision events. *)
+let rows_cases () =
+  let above = U.Int_pair_tbl.max_grid_universe + 1 in
+  List.map
+    (fun (t, window, slots) -> (Trg.build ~window t, slots))
+    [
+      (random_trace ~seed:41 ~num_symbols:gobmk_symbols ~len:6_000, 1024, 64);
+      (random_trace ~seed:42 ~num_symbols:40 ~len:1_500, 16, 4);
+      (random_trace ~seed:43 ~num_symbols:above ~len:4_000, 32, 16);
+    ]
+
+let reduce_events (g, slots) =
+  let d = Decision_trace.create () in
+  let r = Trg_reduce.reduce ~decisions:d g ~slots in
+  ((r.Trg_reduce.order, r.Trg_reduce.slot_lists), events d)
+
+let seed_events (g, slots) =
+  let d = Decision_trace.create () in
+  let r = Kernel_baseline.trg_reduce ~decisions:d g ~slots in
+  ((r.Trg_reduce.order, r.Trg_reduce.slot_lists), events d)
+
+let test_rows_reuse () =
+  let cases = rows_cases () in
+  check Alcotest.bool "the last case takes the table path" true
+    (Trg.num_nodes (fst (List.nth cases 2)) > U.Int_pair_tbl.max_grid_universe);
+  List.iter
+    (fun ((g, slots) as case) ->
+      let what = Printf.sprintf "n=%d slots=%d" (Trg.num_nodes g) slots in
+      let flat, flat_ev = reduce_events case and seed, seed_ev = seed_events case in
+      check reduce_result (what ^ ": order and slot lists") seed flat;
+      check Alcotest.bool (what ^ ": decision events") true (flat_ev = seed_ev))
+    cases
+
+(* Each domain lends its own rows: the reductions through the pool at
+   two jobs equal the sequential ones. *)
+let test_rows_per_domain () =
+  let cases = rows_cases () in
+  let cases = cases @ List.rev cases in
+  let sequential = List.map reduce_events cases in
+  let parallel = U.Pool.with_pool ~jobs:2 (fun pool -> U.Pool.map pool reduce_events cases) in
+  check Alcotest.bool "jobs 2 = sequential" true (parallel = sequential)
+
+(* A reduction started while its domain holds the rows is refused, on
+   either path; another domain reduces meanwhile; a holder that raises
+   releases them; and the rows serve the next reduction as before. *)
+let test_rows_nested_guard () =
+  let small = (Trg.build ~window:8 (random_trace ~seed:44 ~num_symbols:30 ~len:400), 4) in
+  let above =
+    let b = U.Int_pair_tbl.max_grid_universe + 1 in
+    (Trg.of_edges ~num_nodes:b [ (0, b - 1, 2); (1, b - 1, 2); (0, 1, 1) ], 2)
+  in
+  let held = Invalid_argument "Trg_reduce.reduce: the reduction rows are already held on this domain" in
+  Trg_reduce.with_rows (fun () ->
+      Alcotest.check_raises "grid path" held (fun () -> ignore (reduce_events small));
+      Alcotest.check_raises "table path" held (fun () -> ignore (reduce_events above));
+      Alcotest.check_raises "a hold inside a hold"
+        (Invalid_argument "Trg_reduce.with_rows: the reduction rows are already held on this domain")
+        (fun () -> Trg_reduce.with_rows ignore);
+      let other = Domain.join (Domain.spawn (fun () -> reduce_events small)) in
+      check Alcotest.bool "another domain reduces meanwhile" true (other = seed_events small));
+  Alcotest.check_raises "a raising holder" Exit (fun () -> Trg_reduce.with_rows (fun () -> raise Exit));
+  List.iter
+    (fun case ->
+      check Alcotest.bool "usable afterwards" true (reduce_events case = seed_events case))
+    [ small; above ]
+
 let () =
   Alcotest.run "kernels"
     [
@@ -777,6 +849,12 @@ let () =
           Alcotest.test_case "view" `Quick test_pair_grid_view;
           Alcotest.test_case "hold" `Quick test_pair_grid_hold;
           QCheck_alcotest.to_alcotest trg_walk_matches_seed;
+        ] );
+      ( "reduce-rows",
+        [
+          Alcotest.test_case "larger, smaller, table path = seed" `Quick test_rows_reuse;
+          Alcotest.test_case "one set of rows per domain" `Quick test_rows_per_domain;
+          Alcotest.test_case "nested-use guard" `Quick test_rows_nested_guard;
         ] );
       ( "int-pair-tbl",
         [
